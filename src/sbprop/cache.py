@@ -98,7 +98,7 @@ class CacheEntry:
     created_at: float | None = None
 
 
-def _checksum(payload: bytes) -> bytes:
+def _checksum(payload: bytes | memoryview) -> bytes:
     return hashlib.blake2b(payload, digest_size=CHECKSUM_SIZE).digest()
 
 
@@ -126,7 +126,8 @@ class PropagatorCache:
         header = _HEADER.pack(MAGIC, VERSION, entry.dim, entry.N, 0,
                               float(entry.dt), entry.fingerprint)
         header = header.ljust(HEADER_SIZE, b"\0")
-        payload = np.ascontiguousarray(m).astype("<c16", copy=False).tobytes()
+        # a byte view of the matrix: no second copy of a large payload
+        payload = memoryview(np.ascontiguousarray(m, dtype="<c16")).cast("B")
 
         self.root.mkdir(parents=True, exist_ok=True)
         final = self.path_for(entry.fingerprint)
@@ -153,6 +154,10 @@ class PropagatorCache:
         except FileNotFoundError:
             return None
         entry = self._parse(path, raw, with_matrix=True)
+        if entry.fingerprint != fingerprint:
+            raise CacheCorruptError(
+                path, f"header fingerprint {entry.fingerprint:016x} does not "
+                      f"match the requested {fingerprint:016x}")
         entry.created_at = path.stat().st_mtime
         return entry
 
@@ -169,14 +174,14 @@ class PropagatorCache:
         if len(raw) != expect:
             raise CacheCorruptError(
                 path, f"size {len(raw)} does not match dim {dim} ({expect})")
-        payload = raw[HEADER_SIZE:-CHECKSUM_SIZE]
+        payload = memoryview(raw)[HEADER_SIZE:-CHECKSUM_SIZE]
         if _checksum(payload) != raw[-CHECKSUM_SIZE:]:
             raise CacheCorruptError(path, "payload checksum mismatch")
         matrix = None
         if with_matrix:
+            # a read-only view of `raw`, copied only on big-endian hosts
             matrix = np.frombuffer(payload, dtype="<c16").astype(
-                np.complex128).reshape(dim, dim)
-            matrix.setflags(write=False)
+                np.complex128, copy=False).reshape(dim, dim)
         return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt,
                           matrix=matrix)
 
@@ -203,10 +208,16 @@ class PropagatorCache:
         return out
 
     def clear(self) -> int:
-        """Delete every .sbp file; returns how many were removed."""
+        """Delete every entry and every temp file a crashed writer left behind.
+
+        Returns how many files were removed.  A write in progress loses its
+        temp file and fails with OSError, which the CLI reports as a store
+        failure.
+        """
         removed = 0
         if self.root.is_dir():
-            for path in self.root.glob("*.sbp"):
-                path.unlink()
-                removed += 1
+            for pattern in ("*.sbp", "*.sbp.tmp"):
+                for path in self.root.glob(pattern):
+                    path.unlink(missing_ok=True)
+                    removed += 1
         return removed

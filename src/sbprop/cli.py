@@ -121,19 +121,30 @@ def _prepare(cfg: RunConfig) -> tuple[TransferMatrix, PropagatorConfig]:
     return q, PropagatorConfig(dt=dt, steps=steps, N=cfg.N, tol=cfg.tol)
 
 
+def _load_cached(store: PropagatorCache, fp: int, q: TransferMatrix,
+                 pcfg: PropagatorConfig) -> StepPropagator | None:
+    """The stored propagator for fp; None on a miss, CacheCorruptError if unusable."""
+    entry = store.get(fp)
+    if entry is None or (entry.dim, entry.N, entry.dt) != (q.dim, pcfg.N, pcfg.dt):
+        return None
+    try:
+        return StepPropagator(matrix=entry.matrix, fingerprint=fp,
+                              dt=entry.dt, N=entry.N)
+    except ValueError as err:
+        raise CacheCorruptError(store.path_for(fp), str(err)) from None
+
+
 def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropagator:
     """Cache-backed build: hit -> load, miss/corrupt -> build and store."""
     store = PropagatorCache()
     fp = propagator_fingerprint(q.params, q.trunc.P, pcfg.N, pcfg.dt)
     try:
-        entry = store.get(fp)
+        prop = _load_cached(store, fp, q, pcfg)
     except CacheCorruptError as err:
         print(f"warning: rebuilding corrupt cache entry ({err})", file=sys.stderr)
-        entry = None
-    if entry is not None and (entry.dim, entry.N, entry.dt) == (q.dim, pcfg.N, pcfg.dt):
-        return StepPropagator(matrix=entry.matrix, fingerprint=fp,
-                              dt=entry.dt, N=entry.N,
-                              last_term_norm=None, unitarity_defect=None)
+        prop = None
+    if prop is not None:
+        return prop
     prop = build_step_propagator(q, pcfg)
     try:
         store.put(CacheEntry(fingerprint=fp, dim=q.dim, N=pcfg.N,

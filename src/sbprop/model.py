@@ -4,8 +4,17 @@ The two-level atom couples to a single field mode through ladder operators
 dressed by the photon number, a*sqrt(a+a) and sqrt(a+a)*a+.  In the
 spinor-Fock basis the Hamiltonian acts on coefficient vectors
 [f_0^1 .. f_P^1, f_0^2 .. f_P^2] (excited block first, then ground block)
-as a banded matrix Q; everything downstream (Taylor stepping, spectra,
-caching) consumes that matrix.
+as a sparse matrix Q.
+
+Both couplings flip the spin and move the photon number by one, so the
+basis splits into two parity chains that Q never connects,
+
+    A = (e0, g1, e2, g3, ...)    B = (g0, e1, g2, e3, ...),
+
+and within each chain Q is tridiagonal (Braak, PRL 107, 100401, 2011).
+TransferMatrix stores exactly that: the diagonal and the off-diagonal of
+the two chains laid end to end ("chain order").  The dense block-layout
+matrix is rebuilt on demand for tests and for the cache payload.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ __all__ = [
     "Truncation",
     "TransferMatrix",
     "build_transfer_matrix",
+    "chain_order",
     "hermiticity_check",
 ]
 
@@ -85,18 +95,74 @@ class Truncation:
         return 2 * (self.P + 1)
 
 
+def chain_order(P: int) -> np.ndarray:
+    """Block-layout index of every chain-order slot: chain A, then chain B.
+
+    Slot p of chain A holds level p with spin e for even p and g for odd p;
+    chain B holds the opposite spins.
+    """
+    n = P + 1
+    p = np.arange(n)
+    excited = np.concatenate([p % 2 == 0, p % 2 == 1])
+    level = np.concatenate([p, p])
+    return np.where(excited, level, n + level)
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Dense Q in the concatenated block layout, immutable once built."""
+    """Q as two tridiagonal parity chains in chain order, immutable once built.
 
-    matrix: np.ndarray = field(repr=False)
+    diag[i] is Q at chain slot i (complex: damping makes it non-real);
+    off[i] couples slots i and i+1 (real and symmetric), with a 0.0 where
+    chain A ends and chain B begins.  order[i] is the block-layout index
+    of slot i (see chain_order).
+    """
+
+    diag: np.ndarray = field(repr=False)
+    off: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
     params: ModelParams
     trunc: Truncation
     hermitian: bool
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.diag.size
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense Q in the block layout, built on every access."""
+        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        i = self.order
+        m[i, i] = self.diag
+        m[i[:-1], i[1:]] = self.off
+        m[i[1:], i[:-1]] = self.off
+        m.setflags(write=False)
+        return m
+
+    def one_norm(self) -> float:
+        """Largest absolute column sum of Q, equal to that of the dense matrix.
+
+        Each column is summed in the dense row order (for an excited column
+        the diagonal comes first, for a ground column last), so the value
+        is the same float the dense reduction gives and suggest_step picks
+        the same dt from either storage.
+        """
+        a = np.abs(self.diag)
+        lower = np.abs(np.concatenate([[0.0], self.off]))
+        upper = np.abs(np.concatenate([self.off, [0.0]]))
+        excited = self.order <= self.trunc.P
+        return float(np.where(excited, (a + lower) + upper,
+                              (lower + upper) + a).max())
+
+    def energy(self, y: np.ndarray) -> float:
+        """Re <y|Q|y> for a chain-order vector y.
+
+        Re(d)|y|^2 summed, plus twice the real part of the upper
+        off-diagonal form; the lower one is its complex conjugate.
+        """
+        return float((np.vdot(y, self.diag.real * y)
+                      + 2.0 * np.vdot(self.off * y[:-1], y[1:])).real)
 
 
 def build_transfer_matrix(params: ModelParams, trunc: Truncation) -> TransferMatrix:
@@ -110,33 +176,36 @@ def build_transfer_matrix(params: ModelParams, trunc: Truncation) -> TransferMat
         excited row p -> ground col p-1 : g_plus*p
 
     and transposed partners.  Couplings that would reference level P+1 are
-    dropped (hard truncation).
+    dropped (hard truncation).  In chain order the slot after e_p is
+    g_{p+1} (g_minus) and the slot after g_p is e_{p+1} (g_plus), so the
+    off-diagonal at slot p is g_minus*(p+1) or g_plus*(p+1).
     """
     n = trunc.P + 1
-    m = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     p = np.arange(n)
-
     diag_e = params.omega_0 / 2 + params.omega_f * p
     diag_g = -params.omega_0 / 2 + params.omega_f * p
     hermitian = params.is_hermitian()
-    if hermitian:
-        m[p, p] = diag_e
-        m[n + p, n + p] = diag_g
-    else:
-        m[p, p] = diag_e - 1j * (params.beta * p + params.gamma)
-        m[n + p, n + p] = diag_g - 1j * (params.beta * p)
+    if not hermitian:
+        diag_e = diag_e - 1j * (params.beta * p + params.gamma)
+        diag_g = diag_g - 1j * (params.beta * p)
 
-    k = np.arange(1, n)
-    m[k - 1, n + k] = params.g_minus * k
-    m[n + k, k - 1] = params.g_minus * k
-    m[k, n + k - 1] = params.g_plus * k
-    m[n + k - 1, k] = params.g_plus * k
+    order = chain_order(trunc.P)
+    excited = order < n
+    level = np.where(excited, order, order - n)
+    diag = np.where(excited, diag_e[level], diag_g[level]).astype(np.complex128)
+    off = np.where(excited[:-1], params.g_minus, params.g_plus) * (level[:-1] + 1)
+    off[n - 1] = 0.0  # chain A ends here
 
-    m.setflags(write=False)
-    return TransferMatrix(matrix=m, params=params, trunc=trunc, hermitian=hermitian)
+    for a in (diag, off, order):
+        a.setflags(write=False)
+    return TransferMatrix(diag=diag, off=off, order=order, params=params,
+                          trunc=trunc, hermitian=hermitian)
 
 
 def hermiticity_check(q: TransferMatrix) -> float:
-    """Max-norm of Q - Q+; exactly 0.0 for dissipation-free parameters."""
-    m = q.matrix
-    return float(np.abs(m - m.conj().T).max())
+    """Max-norm of Q - Q+; exactly 0.0 for dissipation-free parameters.
+
+    The off-diagonal is real and stored once, so only the diagonal can
+    break the symmetry.
+    """
+    return float(np.abs(q.diag - q.diag.conj()).max())

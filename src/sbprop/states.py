@@ -173,13 +173,15 @@ def fock_state(p0: int, spin: str, P: int) -> SpinorFockState:
 class ObservableWeights:
     """Per-slot weights for the standard observables in concatenated layout.
 
+    With `order` the weights follow vectors whose entry i sits at
+    block-layout slot order[i] instead (the chain order of the evolver).
     Excitation counts photons plus the atomic excitation, (p+1) on the
     excited block and p on the ground block; parity is (-1) to that count.
     Both commute exactly with the photon-conserving coupling, also after
     truncation, which is what the conservation checks rely on.
     """
 
-    def __init__(self, P: int):
+    def __init__(self, P: int, order: np.ndarray | None = None):
         p = np.arange(P + 1, dtype=np.float64)
         ones = np.ones(P + 1)
         self.photon = np.concatenate([p, p])
@@ -187,6 +189,10 @@ class ObservableWeights:
         self.excitation = np.concatenate([p + 1.0, p])
         alt = np.where(p.astype(np.int64) % 2 == 0, 1.0, -1.0)
         self.parity = np.concatenate([-alt, alt])
+        if order is not None:
+            self.photon, self.inversion, self.excitation, self.parity = (
+                w[order] for w in (self.photon, self.inversion,
+                                   self.excitation, self.parity))
 
     def measure(self, vec: np.ndarray) -> tuple[float, float, float, float, float]:
         """(norm2, photon, inversion, excitation, parity) for one vector."""
@@ -242,4 +248,8 @@ def energy_expectation(state: SpinorFockState, q: TransferMatrix) -> complex:
     vec = state.vector
     if vec.size != q.dim:
         raise ValueError(f"state dim {vec.size} does not match matrix dim {q.dim}")
-    return complex(np.vdot(vec, q.matrix @ vec))
+    y = vec[q.order]
+    qy = q.diag * y
+    qy[:-1] += q.off * y[1:]
+    qy[1:] += q.off * y[:-1]
+    return complex(np.vdot(y, qy))

@@ -40,11 +40,17 @@ class Trajectory:
 
 
 class TrajectoryBuilder:
-    """Accumulates rows; evolvers call record() once per time point."""
+    """Accumulates rows; evolvers call record() once per time point.
+
+    order, when given, is the block-layout index of each entry of the
+    recorded vectors (chain order, see model.chain_order); snapshots are
+    stored back in the block layout.
+    """
 
     def __init__(self, P: int, count: int, snapshot_stride: int = 0,
-                 dim: int = 0):
-        self.weights = ObservableWeights(P)
+                 order: np.ndarray | None = None):
+        self.weights = ObservableWeights(P, order)
+        self._to_block = None if order is None else np.argsort(order)
         self.count = count
         self.times = np.empty(count)
         self.norm2 = np.empty(count)
@@ -56,7 +62,6 @@ class TrajectoryBuilder:
         self.snapshot_stride = int(snapshot_stride)
         self._snap_idx: list[int] = []
         self._snaps: list[np.ndarray] = []
-        self._dim = dim
 
     def record(self, k: int, t: float, vec: np.ndarray, energy_re: float) -> None:
         n2, ph, inv, exc, par = self.weights.measure(vec)
@@ -69,7 +74,8 @@ class TrajectoryBuilder:
         self.parity[k] = par
         if self.snapshot_stride and k % self.snapshot_stride == 0:
             self._snap_idx.append(k)
-            self._snaps.append(vec.copy())
+            self._snaps.append(vec.copy() if self._to_block is None
+                               else vec[self._to_block])
 
     def build(self) -> Trajectory:
         with np.errstate(invalid="ignore", divide="ignore"):

@@ -206,3 +206,23 @@ def test_put_validation(tmp_path):
     with pytest.raises(ValueError):
         store.put(CacheEntry(fingerprint=entry.fingerprint, dim=99,
                              N=entry.N, dt=entry.dt, matrix=entry.matrix))
+
+
+def test_entry_under_another_fingerprint_is_corrupt(tmp_path):
+    store = PropagatorCache(tmp_path)
+    entry = make_entry()
+    store.put(entry)
+    other = propagator_fingerprint(
+        ModelParams(omega_f=1.0, omega_0=0.8, g_minus=0.4, g_plus=0.4), 8, 30, 0.05)
+    store.path_for(entry.fingerprint).rename(store.path_for(other))
+    with pytest.raises(CacheCorruptError, match="header fingerprint"):
+        store.get(other)
+
+
+def test_clear_removes_orphaned_temp_files(tmp_path):
+    store = PropagatorCache(tmp_path)
+    store.put(make_entry(P=2))
+    (tmp_path / "tmpab12cd.sbp.tmp").write_bytes(b"half a write")
+    (tmp_path / "notes.txt").write_text("not ours")
+    assert store.clear() == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]

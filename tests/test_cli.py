@@ -2,7 +2,7 @@
 
 import pytest
 
-from sbprop import PropagatorCache
+from sbprop import CacheEntry, PropagatorCache
 from sbprop.cli import main
 
 HEADER = "t,norm2,n_raw,n_norm,sz_raw,sz_norm,energy_re,C_exp,parity"
@@ -217,3 +217,51 @@ def test_cache_reuse_preserves_results_bitwise(config_dir, capsys,
         "--set", "t_max=2.0", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
     assert len(list((tmp_path / "store").glob("*.sbp"))) == 1
+
+
+def test_entry_renamed_to_another_fingerprint_is_rebuilt(config_dir, capsys,
+                                                         tmp_path, monkeypatch):
+    fig2 = cfg(config_dir, "fig2.cfg")
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "clean"))
+    code, _, _ = run(capsys, "evolve", "--config", fig2, "--set", "omega_0=0.8",
+                     "--set", "t_max=2.0", "--out", str(tmp_path / "want.csv"))
+    assert code == 0
+
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    code, _, _ = run(capsys, "evolve", "--config", fig2, "--set", "t_max=2.0",
+                     "--out", str(tmp_path / "fig2.csv"))
+    assert code == 0
+    store = PropagatorCache()
+    (built,) = store.root.glob("*.sbp")
+    (wanted,) = (tmp_path / "clean").glob("*.sbp")  # the omega_0=0.8 entry
+    built.rename(store.root / wanted.name)
+
+    code, _, err = run(capsys, "evolve", "--config", fig2, "--set", "omega_0=0.8",
+                       "--set", "t_max=2.0", "--out", str(tmp_path / "got.csv"))
+    assert code == 0
+    assert "rebuilding corrupt cache entry" in err and "fingerprint" in err
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "got.csv").read_bytes() != (tmp_path / "fig2.csv").read_bytes()
+
+
+def test_stored_matrix_outside_the_band_is_rebuilt(config_dir, capsys,
+                                                   tmp_path, monkeypatch):
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=1.0"]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "a.csv"))
+    assert code == 0
+
+    store = PropagatorCache()
+    (path,) = store.root.glob("*.sbp")
+    entry = store.get(int(path.stem, 16))
+    bad = entry.matrix.copy()
+    bad[0, 1] = 1e-3  # e0 -> e1: a cross-chain entry, checksummed as valid
+    store.put(CacheEntry(fingerprint=entry.fingerprint, dim=entry.dim,
+                         N=entry.N, dt=entry.dt, matrix=bad))
+
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "b.csv"))
+    assert code == 0
+    assert "rebuilding corrupt cache entry" in err and "parity-chain band" in err
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "c.csv"))
+    assert code == 0 and "warning" not in err
