@@ -206,9 +206,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         dsz = np.abs(traj.sz_raw - ref.sz_raw)
 
     lines = ["t,dn_abs,dsz_abs"]
-    lines += [f"{t!r},{a!r},{b!r}"
-              for t, a, b in zip(map(float, traj.times), map(float, dn),
-                                 map(float, dsz))]
+    lines += [",".join(map(repr, row))
+              for row in np.column_stack((traj.times, dn, dsz)).tolist()]
     _write_lines(lines, cfg.out)
     max_dn, max_dsz = float(dn.max()), float(dsz.max())
     print(f"max_dn={max_dn!r}")

@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 MAX_STEP = 0.1  # largest dt suggest_step will ever return
+# States evolve() holds at once.  Checking and measuring them together
+# amortises the per-call overhead; a larger block only adds memory.
+BLOCK_ROWS = 64
 
 
 class NotConverged(RuntimeError):
@@ -263,12 +266,14 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
            q: TransferMatrix, *, snapshot_stride: int = 0) -> Trajectory:
     """Apply M step by step, recording every observable row including t=0.
 
-    The state is carried in chain order.  Each step is one banded
-    matrix-vector product: two zero-padded buffers take turns holding the
-    state, and a sliding window over one lines up the entries that each
-    band row multiplies.  The energy column is the tridiagonal quadratic
-    form of Q.  Raises NonFiniteState with the offending step index if
-    amplitudes blow up.
+    The state is carried in chain order through a zero-padded block of
+    BLOCK_ROWS states.  Each step is one banded matrix-vector product from
+    one row of the block into the next: a sliding window over a row lines
+    up the entries that each band row multiplies.  When the block is full
+    its rows are checked and measured together (observables, and the
+    energy as the tridiagonal quadratic form of Q), and its last state is
+    carried into row 0 of the next block.  Raises NonFiniteState with the
+    first offending step index if amplitudes blow up.
     """
     _check_compatible(state.vector.size, prop, cfg, q)
     if snapshot_stride < 0:
@@ -277,26 +282,33 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     dim, width = prop.band.shape
     h = width // 2
     rows = prop.band[:, None, :]
-    bufs = [np.zeros(dim + 2 * h, dtype=np.complex128) for _ in range(2)]
-    windows = [sliding_window_view(b, width)[:, :, None] for b in bufs]
-    ys = [b[h:h + dim] for b in bufs]
-    outs = [y.reshape(dim, 1, 1) for y in ys]
-    ys[0][:] = state.vector[q.order]
-
     steps = int(cfg.steps)
+    block = np.zeros((min(steps + 1, BLOCK_ROWS), dim + 2 * h), dtype=np.complex128)
+    ys = block[:, h:h + dim]
+    windows = list(sliding_window_view(block, width, axis=1)[..., None])
+    outs = list(ys[:, :, None, None])
+    ys[0] = state.vector[q.order]
+
+    times = np.arange(steps + 1) * cfg.dt
     builder = TrajectoryBuilder(state.P, steps + 1,
                                 snapshot_stride=snapshot_stride, order=q.order)
+    k0 = lo = 0  # step held in row 0; first row not yet recorded
     # Overflow on the way to a blow-up is reported once, via NonFiniteState;
     # the numpy warnings that precede it are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            y = ys[k % 2]
-            if not np.isfinite(y).all():
-                raise NonFiniteState(k)
-            builder.record(k, k * cfg.dt, y, q.energy(y))
-            if k < steps:
-                np.matmul(rows, windows[k % 2], out=outs[1 - k % 2])
-    return builder.build()
+        while True:
+            n = min(len(outs), steps + 1 - k0)
+            for j in range(1, n):
+                np.matmul(rows, windows[j - 1], out=outs[j])
+            y = ys[lo:n]
+            finite = np.isfinite(y).all(axis=1)
+            if not finite.all():
+                raise NonFiniteState(k0 + lo + int(finite.argmin()))
+            builder.record(k0 + lo, times[k0 + lo:k0 + n], y, q.energy(y))
+            if k0 + n > steps:
+                return builder.build()
+            ys[0] = ys[n - 1]
+            k0, lo = k0 + n - 1, 1
 
 
 def evolve_reusing(states: list[SpinorFockState], prop: StepPropagator,

@@ -127,8 +127,7 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
         ts = times[lo:lo + chunk]
         phases = np.exp(-1j * np.outer(dec.energies, ts)) * coeff[:, None]
         block = dec.vectors @ phases
-        for i in range(ts.size):
-            builder.record(lo + i, float(ts[i]), block[:, i], energy_const)
+        builder.record(lo, ts, block.T, energy_const)
     return builder.build()
 
 

@@ -194,16 +194,17 @@ class ObservableWeights:
                 w[order] for w in (self.photon, self.inversion,
                                    self.excitation, self.parity))
 
-    def measure(self, vec: np.ndarray) -> tuple[float, float, float, float, float]:
-        """(norm2, photon, inversion, excitation, parity) for one vector."""
+    def measure(self, vec: np.ndarray) -> tuple:
+        """(norm2, photon, inversion, excitation, parity) over the last axis.
+
+        A vector gives five floats; a (rows, dim) block gives five arrays,
+        one value per row.  Each value is a pairwise sum along its own row,
+        so a row measures the same bits alone or inside any block.
+        """
         w = vec.real ** 2 + vec.imag ** 2
-        return (
-            float(w.sum()),
-            float(self.photon @ w),
-            float(self.inversion @ w),
-            float(self.excitation @ w),
-            float(self.parity @ w),
-        )
+        cols = (w.sum(-1), *((wt * w).sum(-1) for wt in
+                             (self.photon, self.inversion, self.excitation, self.parity)))
+        return tuple(map(float, cols)) if vec.ndim == 1 else cols
 
 
 def norm_squared(state: SpinorFockState) -> float:

@@ -40,7 +40,7 @@ class Trajectory:
 
 
 class TrajectoryBuilder:
-    """Accumulates rows; evolvers call record() once per time point.
+    """Accumulates rows; evolvers call record() once per block of time points.
 
     order, when given, is the block-layout index of each entry of the
     recorded vectors (chain order, see model.chain_order); snapshots are
@@ -50,8 +50,8 @@ class TrajectoryBuilder:
     def __init__(self, P: int, count: int, snapshot_stride: int = 0,
                  order: np.ndarray | None = None):
         self.weights = ObservableWeights(P, order)
-        self._to_block = None if order is None else np.argsort(order)
-        self.count = count
+        self._to_block = (np.argsort(order) if order is not None
+                          else np.arange(2 * (P + 1)))
         self.times = np.empty(count)
         self.norm2 = np.empty(count)
         self.n_raw = np.empty(count)
@@ -60,29 +60,29 @@ class TrajectoryBuilder:
         self.c_exp = np.empty(count)
         self.parity = np.empty(count)
         self.snapshot_stride = int(snapshot_stride)
-        self._snap_idx: list[int] = []
         self._snaps: list[np.ndarray] = []
 
-    def record(self, k: int, t: float, vec: np.ndarray, energy_re: float) -> None:
-        n2, ph, inv, exc, par = self.weights.measure(vec)
-        self.times[k] = t
-        self.norm2[k] = n2
-        self.n_raw[k] = ph
-        self.sz_raw[k] = inv
-        self.energy_re[k] = energy_re
-        self.c_exp[k] = exc
-        self.parity[k] = par
-        if self.snapshot_stride and k % self.snapshot_stride == 0:
-            self._snap_idx.append(k)
-            self._snaps.append(vec.copy() if self._to_block is None
-                               else vec[self._to_block])
+    def record(self, k0: int, t: np.ndarray, block: np.ndarray, energy_re) -> None:
+        """Rows k0, k0+1, ... from the state vectors in the rows of block.
+
+        t and energy_re hold one value per row (energy_re may be a scalar).
+        """
+        rows = slice(k0, k0 + block.shape[0])
+        (self.norm2[rows], self.n_raw[rows], self.sz_raw[rows],
+         self.c_exp[rows], self.parity[rows]) = self.weights.measure(block)
+        self.times[rows] = t
+        self.energy_re[rows] = energy_re
+        if self.snapshot_stride:
+            first = -k0 % self.snapshot_stride
+            # indexing by an array copies, so block may be reused
+            self._snaps.append(block[first::self.snapshot_stride][:, self._to_block])
 
     def build(self) -> Trajectory:
         with np.errstate(invalid="ignore", divide="ignore"):
             n_norm = np.where(self.norm2 > 0.0, self.n_raw / self.norm2, np.nan)
             sz_norm = np.where(self.norm2 > 0.0, self.sz_raw / self.norm2, np.nan)
-        snaps = np.array(self._snaps) if self._snaps else None
-        snap_t = self.times[self._snap_idx] if self._snaps else None
+        snaps = np.concatenate(self._snaps) if self._snaps else None
+        snap_t = self.times[::self.snapshot_stride].copy() if self._snaps else None
         return Trajectory(
             times=self.times, norm2=self.norm2,
             n_raw=self.n_raw, n_norm=n_norm,
@@ -98,5 +98,5 @@ def csv_lines(traj: Trajectory):
     yield ",".join(CSV_COLUMNS)
     cols = (traj.times, traj.norm2, traj.n_raw, traj.n_norm, traj.sz_raw,
             traj.sz_norm, traj.energy_re, traj.c_exp, traj.parity)
-    for k in range(len(traj)):
-        yield ",".join(repr(float(c[k])) for c in cols)
+    for row in np.column_stack(cols).tolist():
+        yield ",".join(map(repr, row))

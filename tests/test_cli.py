@@ -40,6 +40,25 @@ def test_reruns_are_byte_identical(config_dir, capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("t_max", [2.0, 5.0])
+def test_short_run_is_a_bitwise_prefix_of_a_longer_one(config_dir, capsys, t_max):
+    # 2.0 fits one block of rows, 5.0 spans several; rows must not depend
+    # on where in a block they were measured
+    _, short, _ = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                      "--set", f"t_max={t_max}")
+    _, long, _ = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                     "--set", f"t_max={2 * t_max}")
+    assert len(short.splitlines()) == 20 * t_max + 2
+    assert long.startswith(short)
+
+
+def test_zero_length_run_prints_the_pinned_first_row(config_dir, capsys):
+    code, out, _ = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                       "--set", "t_max=0")
+    assert code == 0
+    assert out == HEADER + "\n0.0,1.0,0.0,0.0,1.0,1.0,0.375,1.0,-1.0\n"
+
+
 def test_out_key_in_config_file(config_dir, capsys, tmp_path):
     target = tmp_path / "via-key.csv"
     code, out, _ = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),

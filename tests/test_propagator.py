@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sbprop import (
     ModelParams,
+    ObservableWeights,
     NonFiniteState,
     NotConverged,
     PropagatorConfig,
@@ -21,6 +22,7 @@ from sbprop import (
     jump,
     suggest_step,
 )
+from sbprop.propagator import BLOCK_ROWS
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 RWA = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1)
@@ -155,6 +157,62 @@ def test_runaway_growth_raises_with_the_step_index():
     with pytest.raises(NonFiniteState) as exc:
         evolve(fock_state(0, "e", 50), prop, cfg, q)
     assert 0 < exc.value.step <= 400
+
+
+def test_non_finite_state_names_the_first_bad_step_inside_a_block():
+    q, cfg, prop = build(FIG2, 50, dt=0.25, N=3, tol=1e12, steps=400)
+    m = prop.matrix
+    y = fock_state(0, "e", 50).vector
+    first = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.isfinite(y).all():
+            y = m @ y
+            first += 1
+    # evolve checks whole blocks of rows; this step is neither the first
+    # nor the last row of its block
+    assert first <= 400 and first % (BLOCK_ROWS - 1) > 1
+    with pytest.raises(NonFiniteState) as exc:
+        evolve(fock_state(0, "e", 50), prop, cfg, q)
+    assert exc.value.step == first
+
+
+def test_block_recording_matches_a_per_step_oracle():
+    steps = 3 * BLOCK_ROWS + 5
+    q, cfg, prop = build(FIG2, 10, dt=0.05, steps=steps)
+    s0 = SpinorFockState(amps_e=np.linspace(1.0, 0.1, 11) * np.exp(0.3j),
+                         amps_g=np.linspace(-0.2, 0.5, 11) + 0.1j)
+    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    assert len(traj) == steps + 1
+
+    m, w, y = prop.matrix, ObservableWeights(10), s0.vector
+    expected = []
+    for k in range(steps + 1):
+        assert np.allclose(traj.snapshots[k], y, rtol=0.0, atol=1e-12)
+        expected.append((k * cfg.dt, *w.measure(y), q.energy(y[q.order])))
+        y = m @ y
+    expected = np.array(expected).T
+    got = (traj.times, traj.norm2, traj.n_raw, traj.sz_raw, traj.c_exp,
+           traj.parity, traj.energy_re)
+    for g, e in zip(got, expected):
+        np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(traj.times, np.array([k * cfg.dt for k in range(steps + 1)]))
+
+
+def test_strided_snapshots_are_rows_of_the_stride_one_run():
+    q, cfg, prop = build(FIG2, 10, dt=0.05, steps=3 * BLOCK_ROWS + 5)
+    s0 = fock_state(1, "g", 10)
+    every = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    some = evolve(s0, prop, cfg, q, snapshot_stride=7)
+    assert np.array_equal(some.snapshots, every.snapshots[::7])
+    assert np.array_equal(some.snapshot_times, every.times[::7])
+    assert np.array_equal(some.n_raw, every.n_raw)
+
+
+def test_zero_steps_give_one_row():
+    q, cfg, prop = build(FIG2, 6, dt=0.05, steps=0)
+    traj = evolve(fock_state(0, "e", 6), prop, cfg, q, snapshot_stride=3)
+    assert len(traj) == 1 and traj.snapshots.shape == (1, 14)
+    assert (traj.times[0], traj.norm2[0], traj.sz_raw[0]) == (0.0, 1.0, 1.0)
 
 
 def test_mismatched_propagator_is_refused():
