@@ -1,17 +1,24 @@
 """On-disk store for step propagators, keyed by a parameter fingerprint.
 
-File layout (little-endian throughout):
+File layout, format version 2 (little-endian throughout):
 
     bytes 0..7    magic "SBPROP01"
-    bytes 8..11   format version (u32, currently 1)
-    bytes 12..15  matrix dimension (u32)
+    bytes 8..11   format version (u32, 2)
+    bytes 12..15  matrix dimension dim (u32)
     bytes 16..19  Taylor order N (u32)
     bytes 20..23  reserved (zero)
     bytes 24..31  step size dt (f64)
     bytes 32..39  fingerprint (u64)
-    bytes 40..63  zero padding
-    then dim*dim complex doubles, row-major, re/im interleaved
-    then an 8-byte blake2b checksum of the payload
+    bytes 40..47  last_term_norm (f64, NaN when not known)
+    bytes 48..55  unitarity_defect (f64, NaN for dissipative builds)
+    bytes 56..63  zero padding
+    then the chain-order band of M (see model), dim*(2h+1) complex
+         doubles, row-major, re/im interleaved, h = min(N, dim/2 - 1)
+    then an 8-byte blake2b checksum of header and payload
+
+Version 1 files are still read.  They carry no certificates (bytes 40..63
+are zero), their payload is the dense dim*dim block-layout matrix, and
+their checksum covers the payload only.  put() always writes version 2.
 
 Fingerprints hash the IEEE-754 bit patterns of the parameters (plus the
 coupling-convention tag), never their decimal text, so 0.1 read from a
@@ -21,15 +28,15 @@ config and 0.1 typed in code collide exactly as they should.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, band_from_dense, band_half_width, band_inside, band_to_dense
 
 __all__ = [
     "CacheCorruptError",
@@ -41,10 +48,10 @@ __all__ = [
 ]
 
 MAGIC = b"SBPROP01"
-VERSION = 1
+VERSION = 2
 HEADER_SIZE = 64
 CHECKSUM_SIZE = 8
-_HEADER = struct.Struct("<8sIIIIdQ")  # 40 bytes used, zero-padded to 64
+_HEADER = struct.Struct("<8sIIIIdQdd")  # 56 bytes used, zero-padded to 64
 
 # Tags which lowering/raising coupling convention the matrices were built
 # with; bump if the assignment in model.build_transfer_matrix ever changes.
@@ -86,20 +93,66 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "sbprop"
 
 
-@dataclass
 class CacheEntry:
-    """One stored propagator; matrix is None for header-only listings."""
+    """One stored propagator: the chain-order band of M and its certificates.
 
-    fingerprint: int
-    dim: int
-    N: int
-    dt: float
-    matrix: np.ndarray | None = field(repr=False, default=None)
-    created_at: float | None = None
+    `matrix=` may be given in place of `band=`; its band is gathered at
+    once (ValueError if it has nonzeros outside the band).  `.matrix` is
+    the dense block-layout view, built on every access.  Header-only
+    listings carry no band, and `.matrix` is then None.  The certificates
+    are None when unknown: for version-1 files, and where no unitarity
+    defect was measured (dissipative builds).
+    """
+
+    def __init__(self, fingerprint: int, dim: int, N: int, dt: float,
+                 matrix: np.ndarray | None = None,
+                 created_at: float | None = None, *,
+                 band: np.ndarray | None = None,
+                 last_term_norm: float | None = None,
+                 unitarity_defect: float | None = None):
+        if matrix is not None:
+            if band is not None:
+                raise ValueError("give at most one of matrix and band")
+            band = band_from_dense(np.asarray(matrix, dtype=np.complex128), N)
+        self.fingerprint = fingerprint
+        self.dim = dim
+        self.N = N
+        self.dt = dt
+        self.band = band
+        self.created_at = created_at
+        self.last_term_norm = last_term_norm
+        self.unitarity_defect = unitarity_defect
+
+    @property
+    def matrix(self) -> np.ndarray | None:
+        return None if self.band is None else band_to_dense(self.band)
 
 
-def _checksum(payload: bytes | memoryview) -> bytes:
-    return hashlib.blake2b(payload, digest_size=CHECKSUM_SIZE).digest()
+def _check_band(band: np.ndarray, dim: int, N: int) -> None:
+    """ValueError unless band is a (dim, 2h+1) band with nothing outside the chains."""
+    if dim < 2 or dim % 2:
+        raise ValueError(f"dimension must be even and positive, got {dim}")
+    h = band_half_width(dim, N)
+    if band.shape != (dim, 2 * h + 1):
+        raise ValueError(f"band shape {band.shape} does not match dim {dim} "
+                         f"and N {N} ({dim}, {2 * h + 1})")
+    if band[~band_inside(dim, h)].any():
+        raise ValueError("nonzero entries in band cells outside the parity-chain band")
+
+
+def _checksum(*parts: bytes | memoryview) -> bytes:
+    digest = hashlib.blake2b(digest_size=CHECKSUM_SIZE)
+    for part in parts:
+        digest.update(part)
+    return digest.digest()
+
+
+def _stored(value: float | None) -> float:
+    return math.nan if value is None else float(value)
+
+
+def _loaded(value: float) -> float | None:
+    return None if math.isnan(value) else value
 
 
 class PropagatorCache:
@@ -112,22 +165,19 @@ class PropagatorCache:
         return self.root / f"{fingerprint:016x}.sbp"
 
     def put(self, entry: CacheEntry) -> Path:
-        """Atomically write one entry (temp file + rename); returns the path."""
-        m = entry.matrix
-        if m is None:
-            raise ValueError("cannot store an entry without its matrix")
-        m = np.asarray(m, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if m.shape[0] != entry.dim:
-            raise ValueError(
-                f"entry.dim={entry.dim} does not match matrix dim {m.shape[0]}")
+        """Atomically write one version-2 entry (temp file + rename); returns the path."""
+        if entry.band is None:
+            raise ValueError("cannot store an entry without its band")
+        band = np.asarray(entry.band, dtype=np.complex128)
+        _check_band(band, entry.dim, entry.N)
 
         header = _HEADER.pack(MAGIC, VERSION, entry.dim, entry.N, 0,
-                              float(entry.dt), entry.fingerprint)
+                              float(entry.dt), entry.fingerprint,
+                              _stored(entry.last_term_norm),
+                              _stored(entry.unitarity_defect))
         header = header.ljust(HEADER_SIZE, b"\0")
-        # a byte view of the matrix: no second copy of a large payload
-        payload = memoryview(np.ascontiguousarray(m, dtype="<c16")).cast("B")
+        # a byte view of the band: no second copy of the payload
+        payload = memoryview(np.ascontiguousarray(band, dtype="<c16")).cast("B")
 
         self.root.mkdir(parents=True, exist_ok=True)
         final = self.path_for(entry.fingerprint)
@@ -136,7 +186,7 @@ class PropagatorCache:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(header)
                 fh.write(payload)
-                fh.write(_checksum(payload))
+                fh.write(_checksum(header, payload))
             os.replace(tmp, final)
         except BaseException:
             try:
@@ -153,7 +203,7 @@ class PropagatorCache:
             raw = path.read_bytes()
         except FileNotFoundError:
             return None
-        entry = self._parse(path, raw, with_matrix=True)
+        entry = self._parse(path, raw, with_band=True)
         if entry.fingerprint != fingerprint:
             raise CacheCorruptError(
                 path, f"header fingerprint {entry.fingerprint:016x} does not "
@@ -161,29 +211,47 @@ class PropagatorCache:
         entry.created_at = path.stat().st_mtime
         return entry
 
-    def _parse(self, path: Path, raw: bytes, with_matrix: bool) -> CacheEntry:
+    def _parse(self, path: Path, raw: bytes, with_band: bool) -> CacheEntry:
         if len(raw) < HEADER_SIZE + CHECKSUM_SIZE:
             raise CacheCorruptError(path, "file shorter than header")
-        magic, version, dim, order, _, dt, fp = _HEADER.unpack(
-            raw[:_HEADER.size])
+        magic, version, dim, order, _, dt, fp, last, defect = _HEADER.unpack_from(raw)
         if magic != MAGIC:
             raise CacheCorruptError(path, f"bad magic {magic!r}")
-        if version != VERSION:
+        if version == VERSION:
+            if dim < 2 or dim % 2:
+                raise CacheCorruptError(path, f"odd or zero dimension {dim}")
+            shape = (dim, 2 * band_half_width(dim, order) + 1)
+            certificates = _loaded(last), _loaded(defect)
+        elif version == 1:
+            shape = (dim, dim)
+            certificates = None, None
+        else:
             raise CacheCorruptError(path, f"unsupported version {version}")
-        expect = HEADER_SIZE + dim * dim * 16 + CHECKSUM_SIZE
+        expect = HEADER_SIZE + shape[0] * shape[1] * 16 + CHECKSUM_SIZE
         if len(raw) != expect:
             raise CacheCorruptError(
                 path, f"size {len(raw)} does not match dim {dim} ({expect})")
-        payload = memoryview(raw)[HEADER_SIZE:-CHECKSUM_SIZE]
-        if _checksum(payload) != raw[-CHECKSUM_SIZE:]:
-            raise CacheCorruptError(path, "payload checksum mismatch")
-        matrix = None
-        if with_matrix:
+        view = memoryview(raw)
+        payload = view[HEADER_SIZE:-CHECKSUM_SIZE]
+        signed = view[:-CHECKSUM_SIZE] if version == VERSION else payload
+        if _checksum(signed) != raw[-CHECKSUM_SIZE:]:
+            raise CacheCorruptError(path, "checksum mismatch")
+        band = None
+        if with_band:
             # a read-only view of `raw`, copied only on big-endian hosts
-            matrix = np.frombuffer(payload, dtype="<c16").astype(
-                np.complex128, copy=False).reshape(dim, dim)
-        return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt,
-                          matrix=matrix)
+            values = np.frombuffer(payload, dtype="<c16").astype(
+                np.complex128, copy=False).reshape(shape)
+            try:
+                if version == VERSION:
+                    _check_band(values, dim, order)
+                    band = values
+                else:
+                    band = band_from_dense(values, order)
+            except ValueError as err:
+                raise CacheCorruptError(path, str(err)) from None
+        return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt, band=band,
+                          last_term_norm=certificates[0],
+                          unitarity_defect=certificates[1])
 
     def invalidate(self, fingerprint: int) -> bool:
         """Remove one entry; True if something was deleted."""
@@ -200,7 +268,7 @@ class PropagatorCache:
         out: list[tuple[Path, CacheEntry | CacheCorruptError]] = []
         for path in sorted(self.root.glob("*.sbp")):
             try:
-                entry = self._parse(path, path.read_bytes(), with_matrix=False)
+                entry = self._parse(path, path.read_bytes(), with_band=False)
                 entry.created_at = path.stat().st_mtime
                 out.append((path, entry))
             except CacheCorruptError as err:

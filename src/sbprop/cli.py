@@ -127,11 +127,9 @@ def _load_cached(store: PropagatorCache, fp: int, q: TransferMatrix,
     entry = store.get(fp)
     if entry is None or (entry.dim, entry.N, entry.dt) != (q.dim, pcfg.N, pcfg.dt):
         return None
-    try:
-        return StepPropagator(matrix=entry.matrix, fingerprint=fp,
-                              dt=entry.dt, N=entry.N)
-    except ValueError as err:
-        raise CacheCorruptError(store.path_for(fp), str(err)) from None
+    return StepPropagator(band=entry.band, fingerprint=fp, dt=entry.dt,
+                          N=entry.N, last_term_norm=entry.last_term_norm,
+                          unitarity_defect=entry.unitarity_defect)
 
 
 def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropagator:
@@ -147,8 +145,9 @@ def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropaga
         return prop
     prop = build_step_propagator(q, pcfg)
     try:
-        store.put(CacheEntry(fingerprint=fp, dim=q.dim, N=pcfg.N,
-                             dt=pcfg.dt, matrix=prop.matrix))
+        store.put(CacheEntry(fingerprint=fp, dim=q.dim, N=pcfg.N, dt=pcfg.dt,
+                             band=prop.band, last_term_norm=prop.last_term_norm,
+                             unitarity_defect=prop.unitarity_defect))
     except OSError as err:
         print(f"warning: could not store propagator: {err}", file=sys.stderr)
     return prop
@@ -160,6 +159,13 @@ def _write_lines(lines, out_path: str) -> None:
             sys.stdout.write(line + "\n")
         return
     path = Path(out_path)
+    if path.exists() and not path.is_file():
+        # a FIFO or a device node: write through it, since replacing it
+        # would swap the node for a regular file
+        with open(path, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        print(f"wrote {path}")
+        return
     if path.parent and not path.parent.is_dir():
         path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent or "."), suffix=".tmp")
@@ -243,6 +249,10 @@ def cmd_gs_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _certificate(value: float | None) -> str:
+    return "-" if value is None else f"{value:.3e}"
+
+
 def cmd_cache(args: argparse.Namespace) -> int:
     store = PropagatorCache()
     if args.action == "list":
@@ -253,7 +263,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
                 stamp = time.strftime("%Y-%m-%dT%H:%M:%S",
                                       time.localtime(item.created_at))
                 print(f"{item.fingerprint:016x} dim={item.dim} N={item.N} "
-                      f"dt={item.dt!r} created={stamp}")
+                      f"dt={item.dt!r} created={stamp} "
+                      f"last_term={_certificate(item.last_term_norm)} "
+                      f"defect={_certificate(item.unitarity_defect)}")
     elif args.action == "info":
         entries = store.entries()
         total = sum(p.stat().st_size for p, _ in entries)

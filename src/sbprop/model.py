@@ -14,7 +14,12 @@ basis splits into two parity chains that Q never connects,
 and within each chain Q is tridiagonal (Braak, PRL 107, 100401, 2011).
 TransferMatrix stores exactly that: the diagonal and the off-diagonal of
 the two chains laid end to end ("chain order").  The dense block-layout
-matrix is rebuilt on demand for tests and for the cache payload.
+matrix is rebuilt on demand for tests.
+
+An operator that never couples the chains and reaches at most h slots
+along each chain, as the step propagator M does (h = min(N, P)), is held
+in band storage: band[i, k] = M[i, i + k - h] in chain slots.  The band
+helpers below map that storage to and from the dense block layout.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ __all__ = [
     "ModelParams",
     "Truncation",
     "TransferMatrix",
+    "band_from_dense",
+    "band_half_width",
+    "band_inside",
+    "band_to_dense",
     "build_transfer_matrix",
     "chain_order",
     "hermiticity_check",
@@ -106,6 +115,66 @@ def chain_order(P: int) -> np.ndarray:
     excited = np.concatenate([p % 2 == 0, p % 2 == 1])
     level = np.concatenate([p, p])
     return np.where(excited, level, n + level)
+
+
+def band_half_width(dim: int, N: int) -> int:
+    """Half-width of the band of a Taylor order-N propagator: min(N, P)."""
+    return min(N, dim // 2 - 1)
+
+
+def _band_cells(dim: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row i, slot j = i + k - h, and whether j lies in row i's chain,
+    for every cell (i, k) of a band of half-width h."""
+    n = dim // 2
+    i = np.arange(dim)[:, None]
+    j = i + np.arange(-h, h + 1)
+    lo = np.where(i < n, 0, n)  # first slot of row i's chain
+    return i, j, (j >= lo) & (j < lo + n)
+
+
+def band_inside(dim: int, h: int) -> np.ndarray:
+    """inside[i, k]: band cell (i, k) of half-width h lies in row i's chain."""
+    return _band_cells(dim, h)[2]
+
+
+def _band_index(dim: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where band storage of half-width h sits in the dense block layout.
+
+    Returns (inside, rows, cols): inside is band_inside(dim, h); rows/cols
+    are the block-layout positions of those cells, in band[inside] order.
+    """
+    i, j, inside = _band_cells(dim, h)
+    order = chain_order(dim // 2 - 1)
+    return inside, np.broadcast_to(order[i], j.shape)[inside], order[j[inside]]
+
+
+def band_from_dense(m: np.ndarray, N: int) -> np.ndarray:
+    """The band of a dense block-layout propagator of Taylor order N.
+
+    Raises ValueError when m has any nonzero outside that band (across
+    the chains, or farther than N from the diagonal in chain order).
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        raise ValueError(f"expected a square matrix of even dimension, got {m.shape}")
+    dim = m.shape[0]
+    inside, rows, cols = _band_index(dim, band_half_width(dim, N))
+    band = np.zeros(inside.shape, dtype=np.complex128)
+    band[inside] = m[rows, cols]
+    # the gathered cells are distinct entries of m, so equal counts mean
+    # every entry left out is exactly zero
+    if np.count_nonzero(band) != np.count_nonzero(m):
+        raise ValueError("matrix has nonzero entries outside the parity-chain band")
+    return band
+
+
+def band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The dense block-layout matrix of a band, read-only."""
+    dim, width = band.shape
+    inside, rows, cols = _band_index(dim, width // 2)
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    m[rows, cols] = band[inside]
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ reused across every initial state and every step of a run.
 Q is tridiagonal in chain order (see model), so Q^n has half-bandwidth n
 and M has half-bandwidth h = min(N, P) there: it is held in band storage
 band[i, k] = M[i, i + k - h] (chain slots), which makes the build
-O(N^2 P) and each step O(N P).  The dense block-layout M is only built
-for the cache payload and for callers that ask for `.matrix`.
+O(N^2 P) and each step O(N P).  The outer diagonals of M fall below
+double precision long before h, so evolve steps with the narrower band
+that holds every entry above eps * max|M|.  The dense block-layout M is
+only built for callers that ask for `.matrix`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import propagator_fingerprint
-from .model import TransferMatrix, chain_order
+from .model import TransferMatrix, band_from_dense, band_to_dense
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -91,33 +93,25 @@ class PropagatorConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 
-def _band_index(dim: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where band storage of half-width h sits in the dense block layout.
-
-    Returns (inside, rows, cols): inside[i, k] marks the band cells that
-    lie in the matrix and in the same chain as row i; rows/cols are the
-    block-layout positions of those cells, in band[inside] order.
-    """
-    n = dim // 2
-    i = np.arange(dim)[:, None]
-    j = i + np.arange(-h, h + 1)
-    inside = (j >= 0) & (j < dim) & ((i < n) == (j < n))
-    order = chain_order(n - 1)
-    return inside, np.broadcast_to(order[i], j.shape)[inside], order[j[inside]]
-
-
 class StepPropagator:
     """M(dt) as its chain-order band, plus provenance and build certificates.
 
-    Built either from the band (build_step_propagator) or from the dense
-    block-layout matrix, as stored in the cache.  A dense matrix with any
+    Built either from the band (build_step_propagator, cache hits) or from
+    the dense block-layout matrix (tests).  A dense matrix with any
     nonzero outside the band (across chains, or farther than N from the
     diagonal in chain order) is not a step propagator of this model and is
     refused with ValueError.
 
-    last_term_norm / unitarity_defect are None when M was loaded from the
-    cache (the certificate is a build-time statement; the payload itself is
-    checksummed).
+    last_term_norm / unitarity_defect are the build certificates; they are
+    None when unknown (a version-1 cache entry, or a dissipative build for
+    the defect).
+
+    step_band is the contiguous central (dim, 2w+1) slice of band that
+    evolve steps with: w is the outermost diagonal holding any entry above
+    eps * max|band|, derived from the band alone, so the same band always
+    steps the same way.  dropped_norm certifies what the slice leaves out:
+    the largest row sum of |entries| beyond w, so no step moves any
+    amplitude by more than dropped_norm * max|y|.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *, fingerprint: int,
@@ -127,9 +121,10 @@ class StepPropagator:
         if (matrix is None) == (band is None):
             raise ValueError("give exactly one of matrix and band")
         if band is None:
-            band = _band_from_dense(np.asarray(matrix), N)
+            band = band_from_dense(np.asarray(matrix), N)
         band.setflags(write=False)
         self.band = band
+        self.step_band, self.dropped_norm = _trim(band)
         self.fingerprint = fingerprint
         self.dt = dt
         self.N = N
@@ -143,26 +138,20 @@ class StepPropagator:
     @property
     def matrix(self) -> np.ndarray:
         """Dense M in the block layout, built on every access."""
-        inside, rows, cols = _band_index(self.dim, self.band.shape[1] // 2)
-        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        m[rows, cols] = self.band[inside]
-        m.setflags(write=False)
-        return m
+        return band_to_dense(self.band)
 
 
-def _band_from_dense(m: np.ndarray, N: int) -> np.ndarray:
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise ValueError(f"expected a square matrix of even dimension, got {m.shape}")
-    dim = m.shape[0]
-    h = min(N, dim // 2 - 1)
-    inside, rows, cols = _band_index(dim, h)
-    band = np.zeros(inside.shape, dtype=np.complex128)
-    band[inside] = m[rows, cols]
-    # the gathered cells are distinct entries of m, so equal counts mean
-    # every entry left out is exactly zero
-    if np.count_nonzero(band) != np.count_nonzero(m):
-        raise ValueError("matrix has nonzero entries outside the parity-chain band")
-    return band
+def _trim(band: np.ndarray) -> tuple[np.ndarray, float]:
+    """The central slice of band out to its last significant diagonal,
+    and the largest row 1-norm of what it leaves out."""
+    h = band.shape[1] // 2
+    mag = np.abs(band)
+    significant = np.nonzero(mag.max(axis=0) > np.finfo(float).eps * mag.max())[0]
+    w = int(np.abs(significant - h).max()) if significant.size else 0
+    dropped = mag[:, :h - w].sum(axis=1) + mag[:, h + w + 1:].sum(axis=1)
+    step_band = np.ascontiguousarray(band[:, h - w:h + w + 1])
+    step_band.setflags(write=False)
+    return step_band, float(dropped.max(initial=0.0))
 
 
 def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropagator:
@@ -266,7 +255,8 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
            q: TransferMatrix, *, snapshot_stride: int = 0) -> Trajectory:
     """Apply M step by step, recording every observable row including t=0.
 
-    The state is carried in chain order through a zero-padded block of
+    Steps use prop.step_band, M without its negligible outer diagonals
+    (see StepPropagator).  The state is carried in chain order through a zero-padded block of
     BLOCK_ROWS states.  Each step is one banded matrix-vector product from
     one row of the block into the next: a sliding window over a row lines
     up the entries that each band row multiplies.  When the block is full
@@ -279,9 +269,9 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     if snapshot_stride < 0:
         raise ValueError("snapshot_stride must be >= 0")
 
-    dim, width = prop.band.shape
+    dim, width = prop.step_band.shape
     h = width // 2
-    rows = prop.band[:, None, :]
+    rows = prop.step_band[:, None, :]
     steps = int(cfg.steps)
     block = np.zeros((min(steps + 1, BLOCK_ROWS), dim + 2 * h), dtype=np.complex128)
     ys = block[:, h:h + dim]

@@ -122,7 +122,9 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     energy_const = float(weight @ dec.energies)
 
     builder = TrajectoryBuilder(state.P, times.size)
-    chunk = max(1, 2 ** 22 // max(dec.dim, 1))  # keep the phase block small
+    # time points per chunk: each complex (dim, chunk) temporary stays
+    # near 8 MB whatever dim is
+    chunk = max(1, 2 ** 19 // max(dec.dim, 1))
     for lo in range(0, times.size, chunk):
         ts = times[lo:lo + chunk]
         phases = np.exp(-1j * np.outer(dec.energies, ts)) * coeff[:, None]

@@ -2,12 +2,16 @@
 
 Every test session gets a throwaway propagator cache directory so tests
 never read or pollute the user's real store, and repeated runs inside one
-session still exercise the hit path.
+session still exercise the hit path.  `write_v1_entry` writes a cache file
+in the read-only format 1 by hand.
 """
 
+import hashlib
 import os
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -29,3 +33,18 @@ def session_cache_dir(tmp_path_factory):
 def config_dir() -> Path:
     assert CONFIG_DIR.is_dir(), f"missing {CONFIG_DIR}"
     return CONFIG_DIR
+
+
+def _write_v1_entry(path: Path, fingerprint: int, dim: int, N: int, dt: float,
+                    matrix: np.ndarray) -> None:
+    """Format 1: 64-byte header, dense row-major payload, checksum of the payload."""
+    header = struct.pack("<8sIIIIdQ", b"SBPROP01", 1, dim, N, 0, dt, fingerprint)
+    payload = np.ascontiguousarray(matrix, dtype="<c16").tobytes()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(header.ljust(64, b"\0") + payload
+                     + hashlib.blake2b(payload, digest_size=8).digest())
+
+
+@pytest.fixture
+def write_v1_entry():
+    return _write_v1_entry

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -19,6 +20,7 @@ from sbprop import (
     canonical_blob,
     propagator_fingerprint,
 )
+from sbprop.cli import main
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 
@@ -86,11 +88,16 @@ def test_header_damage_is_reported_as_corrupt(tmp_path, mutate):
         store.get(entry.fingerprint)
 
 
-def test_header_layout_is_frozen(tmp_path):
-    store = PropagatorCache(tmp_path)
+def test_header_layout_is_frozen(tmp_path, write_v1_entry, config_dir,
+                                 capsys, monkeypatch):
+    # Format 1 is read-only: a hand-written v1 file keeps its frozen
+    # layout, reads back to the built band, and serves the CLI.
+    store = PropagatorCache(tmp_path / "store")
     entry = make_entry(P=2, dt=0.025, N=12)
-    store.put(entry)
-    raw = store.path_for(entry.fingerprint).read_bytes()
+    path = store.path_for(entry.fingerprint)
+    write_v1_entry(path, entry.fingerprint, entry.dim, entry.N, entry.dt,
+                   entry.matrix)
+    raw = path.read_bytes()
 
     magic, version, dim, n, reserved, dt, fp = struct.unpack_from("<8sIIIIdQ", raw, 0)
     assert magic == b"SBPROP01"
@@ -105,6 +112,120 @@ def test_header_layout_is_frozen(tmp_path):
     assert raw[-8:] == hashlib.blake2b(payload, digest_size=8).digest()
     flat = np.frombuffer(payload, dtype="<c16").reshape(dim, dim)
     assert np.array_equal(flat, entry.matrix)
+
+    q = build_transfer_matrix(FIG2, Truncation(P=2, N=12))
+    built = build_step_propagator(q, PropagatorConfig(dt=0.025, steps=1, N=12))
+    loaded = store.get(entry.fingerprint)
+    assert loaded.band.tobytes() == built.band.tobytes()
+    assert (loaded.last_term_norm, loaded.unitarity_defect) == (None, None)
+
+    argv = ["evolve", "--config", str(config_dir / "fig2.cfg"), "--set", "P=2",
+            "--set", "dt=0.025", "--set", "N=12", "--set", "t_max=5"]
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
+    assert main(argv) == 0
+    cold = capsys.readouterr()
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(store.root))
+    assert main(argv) == 0
+    warm = capsys.readouterr()
+    assert warm.out == cold.out and warm.err == ""
+    assert path.read_bytes() == raw                      # served, not rebuilt
+
+
+def built_entry(P=2, dt=0.025, N=12, params=FIG2):
+    q = build_transfer_matrix(params, Truncation(P=P, N=N))
+    prop = build_step_propagator(q, PropagatorConfig(dt=dt, steps=1, N=N))
+    entry = CacheEntry(prop.fingerprint, q.dim, N, dt, band=prop.band,
+                       last_term_norm=prop.last_term_norm,
+                       unitarity_defect=prop.unitarity_defect)
+    return prop, entry
+
+
+def test_v2_layout(tmp_path):
+    store = PropagatorCache(tmp_path)
+    prop, entry = built_entry()
+    store.put(entry)
+    raw = store.path_for(entry.fingerprint).read_bytes()
+
+    (magic, version, dim, n, reserved, dt, fp,
+     last, defect) = struct.unpack_from("<8sIIIIdQdd", raw, 0)
+    assert magic == b"SBPROP01"
+    assert version == 2
+    assert dim == 6 and n == 12 and reserved == 0
+    assert dt == 0.025
+    assert fp == entry.fingerprint
+    assert last == prop.last_term_norm > 0.0
+    assert defect == prop.unitarity_defect
+    assert raw[56:64] == bytes(8)
+
+    payload = raw[64:-8]
+    h = min(12, dim // 2 - 1)
+    assert len(payload) == dim * (2 * h + 1) * 16        # chain-order band
+    assert raw[-8:] == hashlib.blake2b(raw[:-8], digest_size=8).digest()
+    band = np.frombuffer(payload, dtype="<c16").reshape(dim, 2 * h + 1)
+    assert band.tobytes() == prop.band.tobytes()
+
+    loaded = store.get(entry.fingerprint)
+    assert loaded.last_term_norm == prop.last_term_norm
+    assert loaded.unitarity_defect == prop.unitarity_defect
+
+    # unknown certificates (a dissipative defect, a bare matrix) are NaN
+    damped = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4,
+                         beta=0.01)
+    prop, entry = built_entry(params=damped)
+    assert prop.unitarity_defect is None
+    store.put(entry)
+    raw = store.path_for(entry.fingerprint).read_bytes()
+    assert struct.unpack_from("<d", raw, 40)[0] == prop.last_term_norm
+    assert math.isnan(struct.unpack_from("<d", raw, 48)[0])
+    assert store.get(entry.fingerprint).unitarity_defect is None
+    bare = make_entry(P=2, dt=0.025, N=12)
+    store.put(bare)
+    raw = store.path_for(bare.fingerprint).read_bytes()
+    assert all(math.isnan(v) for v in struct.unpack_from("<dd", raw, 40))
+
+
+@pytest.mark.parametrize("offset", [24, 44, 52, 60])  # dt, both certificates, padding
+def test_flipped_v2_header_byte_is_reported_as_corrupt(tmp_path, offset):
+    store = PropagatorCache(tmp_path)
+    _, entry = built_entry()
+    store.put(entry)
+    path = store.path_for(entry.fingerprint)
+    blob = bytearray(path.read_bytes())
+    blob[offset] ^= 0x10
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CacheCorruptError, match="checksum"):
+        store.get(entry.fingerprint)
+
+
+def resign(blob: bytearray) -> bytes:
+    blob[-8:] = hashlib.blake2b(bytes(blob[:-8]), digest_size=8).digest()
+    return bytes(blob)
+
+
+def test_v2_payload_must_fit_the_band(tmp_path):
+    store = PropagatorCache(tmp_path)
+    _, entry = built_entry(P=4, N=12)
+    store.put(entry)
+    path = store.path_for(entry.fingerprint)
+    good = path.read_bytes()
+
+    # a header claiming N = 1: the payload is too wide for its band
+    blob = bytearray(good)
+    blob[16:20] = struct.pack("<I", 1)
+    path.write_bytes(resign(blob))
+    with pytest.raises(CacheCorruptError, match="does not match dim"):
+        store.get(entry.fingerprint)
+
+    # band cell (0, 0) lies before the first slot of chain A
+    blob = bytearray(good)
+    blob[64:72] = struct.pack("<d", 1e-300)
+    path.write_bytes(resign(blob))
+    with pytest.raises(CacheCorruptError, match="parity-chain band"):
+        store.get(entry.fingerprint)
+    with pytest.raises(ValueError, match="parity-chain band"):
+        store.put(CacheEntry(entry.fingerprint, entry.dim, entry.N, entry.dt,
+                             band=np.frombuffer(blob[64:-8], dtype="<c16")
+                             .reshape(entry.band.shape)))
 
 
 def test_fingerprint_separates_every_input():

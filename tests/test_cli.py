@@ -1,9 +1,16 @@
 """Harness behavior end to end, via in-process main() calls."""
 
+import hashlib
+import os
+import stat
+import threading
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from sbprop import CacheEntry, PropagatorCache
-from sbprop.cli import main
+from sbprop import CacheEntry, PropagatorCache, load_run_config
+from sbprop.cli import _obtain_propagator, _prepare, main
 
 HEADER = "t,norm2,n_raw,n_norm,sz_raw,sz_norm,energy_re,C_exp,parity"
 
@@ -263,8 +270,8 @@ def test_entry_renamed_to_another_fingerprint_is_rebuilt(config_dir, capsys,
     assert (tmp_path / "got.csv").read_bytes() != (tmp_path / "fig2.csv").read_bytes()
 
 
-def test_stored_matrix_outside_the_band_is_rebuilt(config_dir, capsys,
-                                                   tmp_path, monkeypatch):
+def test_stored_matrix_outside_the_band_is_rebuilt(config_dir, capsys, tmp_path,
+                                                   monkeypatch, write_v1_entry):
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
     argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=1.0"]
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "a.csv"))
@@ -275,8 +282,10 @@ def test_stored_matrix_outside_the_band_is_rebuilt(config_dir, capsys,
     entry = store.get(int(path.stem, 16))
     bad = entry.matrix.copy()
     bad[0, 1] = 1e-3  # e0 -> e1: a cross-chain entry, checksummed as valid
-    store.put(CacheEntry(fingerprint=entry.fingerprint, dim=entry.dim,
-                         N=entry.N, dt=entry.dt, matrix=bad))
+    with pytest.raises(ValueError, match="parity-chain band"):
+        store.put(CacheEntry(fingerprint=entry.fingerprint, dim=entry.dim,
+                             N=entry.N, dt=entry.dt, matrix=bad))
+    write_v1_entry(path, entry.fingerprint, entry.dim, entry.N, entry.dt, bad)
 
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "b.csv"))
     assert code == 0
@@ -284,3 +293,124 @@ def test_stored_matrix_outside_the_band_is_rebuilt(config_dir, capsys,
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "c.csv"))
     assert code == 0 and "warning" not in err
+
+
+def test_v2_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
+                                                    tmp_path, monkeypatch):
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=1.0"]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "a.csv"))
+    assert code == 0
+
+    (path,) = (tmp_path / "store").glob("*.sbp")
+    blob = bytearray(path.read_bytes())
+    dim, h = 102, 30
+    # row n - 1 (the last slot of chain A), offset +1: chain B's first slot
+    cell = 64 + ((dim // 2 - 1) * (2 * h + 1) + h + 1) * 16
+    assert blob[cell:cell + 16] == bytes(16)
+    blob[cell:cell + 8] = np.float64(1e-3).tobytes()
+    blob[-8:] = hashlib.blake2b(bytes(blob[:-8]), digest_size=8).digest()
+    path.write_bytes(bytes(blob))
+
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "b.csv"))
+    assert code == 0
+    assert "rebuilding corrupt cache entry" in err and "parity-chain band" in err
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "c.csv"))
+    assert code == 0 and "warning" not in err
+
+
+def test_v2_hit_v1_hit_and_miss_step_alike(config_dir, capsys, tmp_path,
+                                          monkeypatch, write_v1_entry):
+    argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=5"]
+    q, pcfg = _prepare(load_run_config(cfg(config_dir, "fig2.cfg"), ["t_max=5"]))
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
+    _, miss_out, _ = run(capsys, *argv)
+
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    miss = _obtain_propagator(q, pcfg)
+    v2_hit = _obtain_propagator(q, pcfg)
+    _, v2_out, err = run(capsys, *argv)
+    assert err == ""
+    path = PropagatorCache().path_for(miss.fingerprint)
+    assert int.from_bytes(path.read_bytes()[8:12], "little") == 2
+
+    write_v1_entry(path, miss.fingerprint, q.dim, pcfg.N, pcfg.dt, miss.matrix)
+    v1_hit = _obtain_propagator(q, pcfg)
+    _, v1_out, err = run(capsys, *argv)
+    assert err == "" and int.from_bytes(path.read_bytes()[8:12], "little") == 1
+
+    assert miss.step_band.shape[1] < miss.band.shape[1]
+    for hit in (v2_hit, v1_hit):
+        assert hit.band.tobytes() == miss.band.tobytes()
+        assert hit.step_band.tobytes() == miss.step_band.tobytes()
+        assert hit.dropped_norm == miss.dropped_norm
+    assert v1_out == v2_out == miss_out
+
+    # certificates survive a v2 hit; v1 entries never had them
+    assert miss.last_term_norm is not None and miss.unitarity_defect is not None
+    assert (v2_hit.last_term_norm, v2_hit.unitarity_defect) == (
+        miss.last_term_norm, miss.unitarity_defect)
+    assert (v1_hit.last_term_norm, v1_hit.unitarity_defect) == (None, None)
+
+
+def test_cache_list_shows_the_certificates(config_dir, capsys, tmp_path,
+                                           monkeypatch, write_v1_entry):
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    shown = {}
+    for name in ("fig2.cfg", "fig6.cfg"):
+        q, pcfg = _prepare(load_run_config(cfg(config_dir, name), []))
+        prop = _obtain_propagator(q, pcfg)
+        shown[name] = prop
+    code, out, _ = run(capsys, "cache", "list")
+    assert code == 0
+    fig2, fig6 = shown["fig2.cfg"], shown["fig6.cfg"]
+    lines = {line.split()[0]: line for line in out.splitlines()}
+    assert lines[f"{fig2.fingerprint:016x}"].endswith(
+        f" last_term={fig2.last_term_norm:.3e} defect={fig2.unitarity_defect:.3e}")
+    assert "dim=102" in lines[f"{fig2.fingerprint:016x}"]
+    assert lines[f"{fig6.fingerprint:016x}"].endswith(
+        f" last_term={fig6.last_term_norm:.3e} defect=-")
+
+    store = PropagatorCache()
+    write_v1_entry(store.path_for(fig2.fingerprint), fig2.fingerprint,
+                   fig2.dim, fig2.N, fig2.dt, fig2.matrix)
+    _, out, _ = run(capsys, "cache", "list")
+    lines = {line.split()[0]: line for line in out.splitlines()}
+    assert lines[f"{fig2.fingerprint:016x}"].endswith(" last_term=- defect=-")
+
+
+def test_out_onto_a_fifo_writes_through_it(config_dir, capsys, tmp_path):
+    argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=2.0"]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "file.csv"))
+    assert code == 0
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    code, out, _ = run(capsys, *argv, "--out", str(fifo))
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert code == 0 and f"wrote {fifo}" in out
+    assert got == [(tmp_path / "file.csv").read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.csv", "pipe"]
+
+
+def test_evolve_allocates_no_dense_matrix(config_dir, capsys, tmp_path, monkeypatch):
+    # dim 802: a dense M alone would take 10.3 MB, the band 0.78 MB
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    dense = 802 * 802 * 16
+    for outcome in ("miss", "hit"):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig3_P400.cfg"),
+                               "--set", "t_max=0.05")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == ""
+        assert peak < dense, outcome

@@ -25,6 +25,7 @@ from sbprop import (
 from sbprop.propagator import BLOCK_ROWS
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
+DEEP = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=2.0, g_plus=2.0)
 RWA = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1)
 
 
@@ -196,6 +197,27 @@ def test_block_recording_matches_a_per_step_oracle():
     for g, e in zip(got, expected):
         np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12)
     assert np.array_equal(traj.times, np.array([k * cfg.dt for k in range(steps + 1)]))
+
+
+@pytest.mark.parametrize("params, P, steps", [(FIG2, 50, 300), (DEEP, 400, 150)])
+def test_trimmed_step_band_matches_the_full_band_dense_oracle(params, P, steps):
+    q = build_transfer_matrix(params, Truncation(P=P))
+    dt = suggest_step(q)
+    q, cfg, prop = build(params, P, dt=dt, steps=steps)
+    h, w = prop.band.shape[1] // 2, prop.step_band.shape[1] // 2
+    assert w < h  # the outer diagonals really are dropped
+    assert np.array_equal(prop.step_band, prop.band[:, h - w:h + w + 1])
+    assert 0.0 < prop.dropped_norm < 1e-15
+
+    s0 = fock_state(0, "e", P)
+    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    m, weights, y = prop.matrix, ObservableWeights(P), s0.vector
+    for k in range(steps + 1):
+        assert np.abs(traj.snapshots[k] - y).max() < 1e-12
+        n_raw, sz_raw = weights.measure(y)[1:3]
+        assert abs(traj.n_raw[k] - n_raw) < 1e-12 * max(1.0, n_raw)
+        assert abs(traj.sz_raw[k] - sz_raw) < 1e-12
+        y = m @ y
 
 
 def test_strided_snapshots_are_rows_of_the_stride_one_run():
