@@ -1,8 +1,8 @@
 """Command-line harness: evolve | compare | spectrum | gs-scan | cache.
 
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure
-(series not converged, non-finite amplitudes), 3 method comparison above
-tolerance.
+Exit codes: 0 success, 1 usage/config error or unwritable output,
+2 numerical failure (series not converged, non-finite amplitudes),
+3 method comparison above tolerance.
 """
 
 from __future__ import annotations
@@ -159,12 +159,19 @@ def _write_lines(lines, out_path: str) -> None:
             sys.stdout.write(line + "\n")
         return
     path = Path(out_path)
+    try:
+        _write_file(lines, path)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
+    print(f"wrote {path}")
+
+
+def _write_file(lines, path: Path) -> None:
     if path.exists() and not path.is_file():
         # a FIFO or a device node: write through it, since replacing it
         # would swap the node for a regular file
         with open(path, "w") as fh:
             fh.writelines(line + "\n" for line in lines)
-        print(f"wrote {path}")
         return
     if path.parent and not path.parent.is_dir():
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -180,7 +187,6 @@ def _write_lines(lines, out_path: str) -> None:
         except OSError:
             pass
         raise
-    print(f"wrote {path}")
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:

@@ -141,33 +141,10 @@ class RunConfig:
         raise ConfigError(f"state must be 'fock' or 'coherent', got {self.state!r}")
 
 
-_PARSERS = {
-    "omega_f": _parse_float,
-    "omega_0": _parse_float,
-    "g_minus": _parse_float,
-    "g_plus": _parse_float,
-    "beta": _parse_float,
-    "gamma": _parse_float,
-    "P": _parse_int,
-    "N": _parse_int,
-    "dt": _parse_dt,
-    "t_max": _parse_float,
-    "tol": _parse_float,
-    "state": str,
-    "p0": _parse_int,
-    "spin": str,
-    "alpha": _parse_float,
-    "theta": _parse_angle,
-    "tail_tol": _parse_float,
-    "out": str,
-    "normalize": _parse_bool,
-    "snapshot_stride": _parse_int,
-    "serial": _parse_bool,
-    "p_values": str,
-    "levels": _parse_int,
-}
-
-assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
+_TYPE_PARSERS = {"float": _parse_float, "int": _parse_int, "bool": _parse_bool,
+                 "str": str, "float | None": _parse_dt}
+_PARSERS = {f.name: _parse_angle if f.name == "theta" else _TYPE_PARSERS[f.type]
+            for f in fields(RunConfig)}
 
 
 def _read_pairs(path: Path) -> list[tuple[str, str]]:

@@ -280,8 +280,7 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     ys[0] = state.vector[q.order]
 
     times = np.arange(steps + 1) * cfg.dt
-    builder = TrajectoryBuilder(state.P, steps + 1,
-                                snapshot_stride=snapshot_stride, order=q.order)
+    builder = TrajectoryBuilder(state.P, steps + 1, snapshot_stride=snapshot_stride)
     k0 = lo = 0  # step held in row 0; first row not yet recorded
     # Overflow on the way to a blow-up is reported once, via NonFiniteState;
     # the numpy warnings that precede it are just noise.

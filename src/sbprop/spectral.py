@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, TransferMatrix, Truncation, build_transfer_matrix, hermiticity_check
+from .model import (ModelParams, TransferMatrix, Truncation, build_transfer_matrix,
+                    chain_order, hermiticity_check)
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -41,10 +42,17 @@ class NonHermitianInput(ValueError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues, orthonormal real eigenvector columns."""
+    """Ascending eigenvalues and each parity chain's orthonormal eigenpairs.
+
+    chain_energies[c] (ascending) and the columns of chain_vectors[c] are
+    the eigenpairs of chain c in chain order (c = 0 for chain A, 1 for
+    chain B; see model.chain_order).  energies is their stable-sorted
+    concatenation.
+    """
 
     energies: np.ndarray
-    vectors: np.ndarray = field(repr=False)
+    chain_energies: np.ndarray = field(repr=False)
+    chain_vectors: np.ndarray = field(repr=False)
     residual: float
     ortho_defect: float
 
@@ -52,46 +60,58 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.energies.size
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """Dense block-layout eigenvector columns in the order of energies,
+        built on every access."""
+        n = self.chain_energies.shape[1]
+        order = chain_order(n - 1)
+        v = np.zeros((self.dim, self.dim))
+        v[order[:n], :n] = self.chain_vectors[0]
+        v[order[n:], n:] = self.chain_vectors[1]
+        v = v[:, np.argsort(self.chain_energies, axis=None, kind="stable")]
+        v.setflags(write=False)
+        return v
+
 
 def _chains(q: TransferMatrix):
-    """(slots, dense real tridiagonal block) of each parity chain of Q."""
+    """Dense real tridiagonal block of each parity chain of Q."""
     n = q.trunc.P + 1
     for lo in (0, n):
         d, off = q.diag[lo:lo + n].real, q.off[lo:lo + n - 1]
-        yield slice(lo, lo + n), np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+        yield np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def diagonalize(q: TransferMatrix) -> SpectralDecomposition:
     """Full real-symmetric eigendecomposition with verified quality.
 
-    One half-size eigh per parity chain; the eigenvectors are returned in
-    the block layout, each supported on one chain.  The residual
-    max_j ||Q v_j - E_j v_j|| and the orthonormality defect
-    ||V^T V - 1||_max are measured on every call and enforced at 1e-10
-    (scaled by 1 + max|E| for the residual); vectors of different chains
-    are orthogonal exactly, so both are measured per chain.
+    One half-size eigh per parity chain; the eigenpairs are kept per
+    chain, in chain order.  The residual max_j ||Q v_j - E_j v_j|| and the
+    orthonormality defect ||V^T V - 1||_max are measured on every call
+    and enforced at 1e-10 (scaled by 1 + max|E| for the residual);
+    vectors of different chains are orthogonal exactly, so both are
+    measured per chain.
     """
     _require_hermitian(q)
-    energies = np.empty(q.dim)
-    vectors = np.zeros((q.dim, q.dim))
+    n = q.trunc.P + 1
+    chain_energies = np.empty((2, n))
+    chain_vectors = np.empty((2, n, n))
     residual = ortho = 0.0
-    for slots, block in _chains(q):
-        e, v = np.linalg.eigh(block)
-        energies[slots] = e
-        vectors[q.order[slots], slots] = v
+    for c, block in enumerate(_chains(q)):
+        chain_energies[c], chain_vectors[c] = np.linalg.eigh(block)
+        e, v = chain_energies[c], chain_vectors[c]
         residual = max(residual, float(
             np.linalg.norm(block @ v - v * e, axis=0).max()))
         ortho = max(ortho, float(np.abs(v.T @ v - np.eye(e.size)).max()))
-    order = np.argsort(energies, kind="stable")
-    energies = energies[order]
-    vectors = vectors[:, order]
+    energies = np.sort(chain_energies, axis=None, kind="stable")
 
     scale = 1.0 + float(np.abs(energies).max())
     if residual > RESIDUAL_TOL * scale:
         raise RuntimeError(f"eigensolver residual {residual:.3e} above bound")
     if ortho > ORTHO_TOL:
         raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
-    return SpectralDecomposition(energies=energies, vectors=vectors,
+    return SpectralDecomposition(energies=energies, chain_energies=chain_energies,
+                                 chain_vectors=chain_vectors,
                                  residual=residual, ortho_defect=ortho)
 
 
@@ -106,9 +126,10 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
                 times: np.ndarray) -> Trajectory:
     """Evolve by phase-rotating eigenbasis coefficients at arbitrary times.
 
-    F_j = <v_j|s0>, state(t) = sum_j F_j exp(-i E_j t) v_j.  Norm and the
-    (constant) energy sum |F_j|^2 E_j are exact up to the decomposition
-    residual by construction.
+    F_j = <v_j|s0>, state(t) = sum_j F_j exp(-i E_j t) v_j, with each
+    chain expanded over its own half-size eigenbasis and the rows recorded
+    in chain order.  Norm and the (constant) energy sum |F_j|^2 E_j are
+    exact up to the decomposition residual by construction.
     """
     vec0 = state.vector
     if vec0.size != dec.dim:
@@ -117,9 +138,10 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     if times.ndim != 1:
         raise ValueError("times must be one-dimensional")
 
-    coeff = dec.vectors.T @ vec0
+    y0 = vec0[chain_order(state.P)].reshape(2, -1, 1)
+    coeff = _real_times_complex(dec.chain_vectors.transpose(0, 2, 1), y0)
     weight = coeff.real ** 2 + coeff.imag ** 2
-    energy_const = float(weight @ dec.energies)
+    energy_const = float(weight.ravel() @ dec.chain_energies.ravel())
 
     builder = TrajectoryBuilder(state.P, times.size)
     # time points per chunk: each complex (dim, chunk) temporary stays
@@ -127,10 +149,27 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     chunk = max(1, 2 ** 19 // max(dec.dim, 1))
     for lo in range(0, times.size, chunk):
         ts = times[lo:lo + chunk]
-        phases = np.exp(-1j * np.outer(dec.energies, ts)) * coeff[:, None]
-        block = dec.vectors @ phases
-        builder.record(lo, ts, block.T, energy_const)
+        builder.record(lo, ts, _chain_states(dec, coeff, ts), energy_const)
     return builder.build()
+
+
+def _real_times_complex(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """v @ z for real v and C-contiguous complex z: one real product over
+    the float64 view of z, so v is never cast to complex."""
+    return (v @ z.view(np.float64)).view(np.complex128)
+
+
+def _chain_states(dec: SpectralDecomposition, coeff: np.ndarray,
+                  ts: np.ndarray) -> np.ndarray:
+    """The (ts.size, dim) chain-order states sum_j F_j exp(-i E_j t) v_j.
+
+    A function of its own so that the phase block is freed before the
+    caller records these states and the states before the next chunk.
+    """
+    phases = -1j * (dec.chain_energies[..., None] * ts)
+    np.exp(phases, out=phases)
+    phases *= coeff
+    return _real_times_complex(dec.chain_vectors, phases).reshape(dec.dim, ts.size).T
 
 
 def level_differences(dec: SpectralDecomposition, count: int) -> np.ndarray:
@@ -173,7 +212,7 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
     e0 = np.empty(ps.size)
     for i, p in enumerate(ps):
         q = build_transfer_matrix(params, Truncation(P=int(p)))
-        e0[i] = min(np.linalg.eigvalsh(block)[0] for _, block in _chains(q))
+        e0[i] = min(np.linalg.eigvalsh(block)[0] for block in _chains(q))
 
     final = e0[-1]
     conv_tol = CONVERGED_RTOL * (1.0 + abs(final))

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import chain_order
 from .states import ObservableWeights
 
 __all__ = ["Trajectory", "CSV_COLUMNS", "csv_lines"]
@@ -42,16 +43,14 @@ class Trajectory:
 class TrajectoryBuilder:
     """Accumulates rows; evolvers call record() once per block of time points.
 
-    order, when given, is the block-layout index of each entry of the
-    recorded vectors (chain order, see model.chain_order); snapshots are
-    stored back in the block layout.
+    The recorded vectors are in chain order (see model.chain_order);
+    snapshots are stored back in the block layout.
     """
 
-    def __init__(self, P: int, count: int, snapshot_stride: int = 0,
-                 order: np.ndarray | None = None):
+    def __init__(self, P: int, count: int, snapshot_stride: int = 0):
+        order = chain_order(P)
         self.weights = ObservableWeights(P, order)
-        self._to_block = (np.argsort(order) if order is not None
-                          else np.arange(2 * (P + 1)))
+        self._to_block = np.argsort(order)
         self.times = np.empty(count)
         self.norm2 = np.empty(count)
         self.n_raw = np.empty(count)

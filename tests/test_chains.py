@@ -7,7 +7,7 @@ the reference.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbprop import (
@@ -74,6 +74,9 @@ rates = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5, **finite
     N=st.integers(min_value=1, max_value=30),
     seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
 )
+# subnormal scale: the relative energy bound alone underflows to 0.0
+@example(omega_f=1.0, omega_0=2.2250738585e-313, g_minus=0.0, g_plus=0.0,
+         beta=0.0, gamma=0.0, P=0, N=1, seed=0)
 def test_chain_route_matches_the_dense_oracle(omega_f, omega_0, g_minus, g_plus,
                                               beta, gamma, P, N, seed):
     params = ModelParams(omega_f=omega_f, omega_0=omega_0, g_minus=g_minus,
@@ -110,9 +113,11 @@ def test_chain_route_matches_the_dense_oracle(omega_f, omega_0, g_minus, g_plus,
     assert np.abs(traj.snapshots[1] - prop.matrix @ y).max() < 1e-13 * np.abs(y).sum()
     exact = np.vdot(y, qm @ y)
     scale = np.abs(qm).max() * np.abs(y) @ np.abs(y) * 3
-    assert abs(q.energy(y[q.order]) - exact.real) <= 1e-14 * scale
-    assert abs(traj.energy_re[0] - exact.real) <= 1e-14 * scale
-    assert abs(energy_expectation(SpinorFockState.from_vector(y), q) - exact) <= 1e-14 * scale
+    # floor: a few ulps of subnormal arithmetic, where 1e-14 * scale is 0.0
+    bound = 1e-14 * scale + q.dim * np.finfo(float).smallest_subnormal
+    assert abs(q.energy(y[q.order]) - exact.real) <= bound
+    assert abs(traj.energy_re[0] - exact.real) <= bound
+    assert abs(energy_expectation(SpinorFockState.from_vector(y), q) - exact) <= bound
 
     # per-chain eigensolves against one dense eigensolve
     if q.hermitian:

@@ -414,3 +414,40 @@ def test_evolve_allocates_no_dense_matrix(config_dir, capsys, tmp_path, monkeypa
             tracemalloc.stop()
         assert code == 0 and err == ""
         assert peak < dense, outcome
+
+
+def test_spectrum_and_compare_allocate_no_dense_matrix(config_dir, capsys, tmp_path,
+                                                       monkeypatch):
+    # dim 802: the eigenpairs are kept per chain, two 401 x 401 blocks
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    dense = 802 * 802 * 16
+    for argv in (["spectrum"], ["compare", "--set", "t_max=0.05"]):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv, "--config", cfg(config_dir, "fig3_P400.cfg"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == ""
+        assert peak < dense, argv[0]
+
+
+def test_unwritable_out_is_an_error_not_a_traceback(config_dir, capsys, tmp_path):
+    code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", "t_max=0.1", "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and str(tmp_path) in err
+    assert out == ""
+
+
+def test_failed_cache_store_stays_a_warning(config_dir, capsys, tmp_path, monkeypatch):
+    def refuse(self, entry):
+        raise PermissionError("store is read-only")
+
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    monkeypatch.setattr(PropagatorCache, "put", refuse)
+    code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", "t_max=0.1")
+    assert code == 0
+    assert err == "warning: could not store propagator: store is read-only\n"
+    assert out.startswith(HEADER + "\n")

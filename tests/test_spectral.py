@@ -6,6 +6,7 @@ import pytest
 from sbprop import (
     ModelParams,
     NonHermitianInput,
+    ObservableWeights,
     SpinorFockState,
     Truncation,
     build_transfer_matrix,
@@ -133,3 +134,71 @@ def test_gs_scan_validation():
         gs_scan(FIG2, [10, 5])
     with pytest.raises(ValueError):
         gs_scan(FIG2, [-1, 5])
+
+
+def dense_decomposition(q):
+    """The former dense construction: one eigh per chain, the eigenvectors
+    filled into a block-layout dim x dim matrix, columns in stable-sorted
+    energy order."""
+    n = q.trunc.P + 1
+    energies = np.empty(q.dim)
+    vectors = np.zeros((q.dim, q.dim))
+    for lo in (0, n):
+        slots = slice(lo, lo + n)
+        d, off = q.diag[slots].real, q.off[lo:lo + n - 1]
+        e, v = np.linalg.eigh(np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
+        energies[slots] = e
+        vectors[q.order[slots], slots] = v
+    order = np.argsort(energies, kind="stable")
+    return energies[order], vectors[:, order]
+
+
+# omega_0 = 0 and no coupling: every level is doubly degenerate across the
+# chains, so the stable tie order of the two chains shows
+DEGENERATE = ModelParams(omega_f=1.0, omega_0=0.0)
+
+
+@pytest.mark.parametrize("params", [FIG2, DEEP, DEGENERATE])
+@pytest.mark.parametrize("P", [0, 1, 8, 50])
+def test_vectors_view_is_the_dense_block_layout_construction(params, P):
+    q = build_transfer_matrix(params, Truncation(P=P))
+    dec = diagonalize(q)
+    energies, vectors = dense_decomposition(q)
+    assert dec.energies.tobytes() == energies.tobytes()
+    assert dec.vectors.tobytes() == vectors.tobytes()
+    assert dec.chain_energies.shape == (2, P + 1)
+    assert dec.chain_vectors.shape == (2, P + 1, P + 1)
+    assert not dec.vectors.flags.writeable
+
+
+@pytest.mark.parametrize("P", [0, 5, 50, 400])
+def test_per_chain_teee_matches_the_dense_eigenbasis_oracle(P):
+    q = build_transfer_matrix(DEEP, Truncation(P=P))
+    dec = diagonalize(q)
+    rng = np.random.default_rng(P)
+    vec = rng.normal(size=q.dim) + 1j * rng.normal(size=q.dim)
+    vec /= np.linalg.norm(vec)
+    state = SpinorFockState.from_vector(vec)
+    # at P = 400 this spans two of teee_evolve's time chunks
+    times = np.linspace(0.0, 20.0, 701)
+    traj = teee_evolve(state, dec, times)
+
+    energies, v = dense_decomposition(q)
+    coeff = v.T @ vec
+    states = v @ (np.exp(-1j * np.outer(energies, times)) * coeff[:, None])
+    norm2, photon, inversion, excitation, parity = ObservableWeights(P).measure(states.T)
+    energy = np.abs(coeff) ** 2 @ energies
+    expected = {"norm2": norm2, "n_raw": photon, "n_norm": photon / norm2,
+                "sz_raw": inversion, "sz_norm": inversion / norm2,
+                "energy_re": energy, "c_exp": excitation, "parity": parity}
+    assert np.array_equal(traj.times, times)
+    # relative to each column's size: a random state spread over all
+    # levels has n_raw near P / 2
+    for name, want in expected.items():
+        scale = 1.0 + np.abs(want).max()
+        assert np.abs(getattr(traj, name) - want).max() < 1e-12 * scale, name
+
+    empty = teee_evolve(state, dec, np.array([]))
+    assert len(empty) == 0
+    for name in expected:
+        assert getattr(empty, name).shape == (0,), name
