@@ -24,6 +24,7 @@ from .model import (
 from .propagator import (
     NonFiniteState,
     NotConverged,
+    NotUnitary,
     PropagatorConfig,
     StepPropagator,
     build_step_propagator,
@@ -73,6 +74,7 @@ __all__ = [
     "NonFiniteState",
     "NonHermitianInput",
     "NotConverged",
+    "NotUnitary",
     "ObservableWeights",
     "PropagatorCache",
     "PropagatorConfig",

@@ -1,8 +1,9 @@
 """Command-line harness: evolve | compare | spectrum | gs-scan | cache.
 
-Exit codes: 0 success, 1 usage/config error or unwritable output,
-2 numerical failure (series not converged, non-finite amplitudes),
-3 method comparison above tolerance.
+Exit codes: 0 success, 1 usage/config error or unwritable output (a
+closed stdout pipe included), 2 numerical failure (series not converged,
+propagator not unitary, non-finite amplitudes), 3 method comparison above
+tolerance.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from .model import TransferMatrix, build_transfer_matrix
 from .propagator import (
     NonFiniteState,
     NotConverged,
+    NotUnitary,
     PropagatorConfig,
     StepPropagator,
     build_step_propagator,
+    certify_unitarity,
     evolve,
     suggest_step,
 )
@@ -123,13 +126,15 @@ def _prepare(cfg: RunConfig) -> tuple[TransferMatrix, PropagatorConfig]:
 
 def _load_cached(store: PropagatorCache, fp: int, q: TransferMatrix,
                  pcfg: PropagatorConfig) -> StepPropagator | None:
-    """The stored propagator for fp; None on a miss, CacheCorruptError if unusable."""
+    """The stored propagator for fp; None on a miss, CacheCorruptError if
+    unusable, NotUnitary if its stored defect is refused."""
     entry = store.get(fp)
     if entry is None or (entry.dim, entry.N, entry.dt) != (q.dim, pcfg.N, pcfg.dt):
         return None
-    return StepPropagator(band=entry.band, fingerprint=fp, dt=entry.dt,
-                          N=entry.N, last_term_norm=entry.last_term_norm,
-                          unitarity_defect=entry.unitarity_defect)
+    return certify_unitarity(
+        StepPropagator(band=entry.band, fingerprint=fp, dt=entry.dt, N=entry.N,
+                       last_term_norm=entry.last_term_norm,
+                       unitarity_defect=entry.unitarity_defect), pcfg)
 
 
 def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropagator:
@@ -140,6 +145,9 @@ def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropaga
         prop = _load_cached(store, fp, q, pcfg)
     except CacheCorruptError as err:
         print(f"warning: rebuilding corrupt cache entry ({err})", file=sys.stderr)
+        prop = None
+    except OSError as err:
+        print(f"warning: could not read propagator cache: {err}", file=sys.stderr)
         prop = None
     if prop is not None:
         return prop
@@ -294,11 +302,18 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point it at devnull so
+        # the interpreter's final flush of what is left stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except (ConfigError, TailMassTooLarge, NonHermitianInput, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotConverged, NonFiniteState) as err:
+    except (NotConverged, NotUnitary, NonFiniteState) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -224,17 +224,15 @@ class TransferMatrix:
         return float(np.where(excited, (a + lower) + upper,
                               (lower + upper) + a).max())
 
-    def energy(self, y: np.ndarray):
-        """Re <y|Q|y> over the last axis of chain-order y.
+    def energy(self, y: np.ndarray) -> float:
+        """Re <y|Q|y> for a chain-order vector y.
 
-        A vector gives a float, a (rows, dim) block one value per row.
         Re(d)|y|^2 summed, plus twice the real part of the upper
         off-diagonal form; the lower one is its complex conjugate.
         """
-        a, b = y[..., :-1], y[..., 1:]
-        e = ((self.diag.real * (y.real ** 2 + y.imag ** 2)).sum(-1)
-             + 2.0 * (self.off * (a.real * b.real + a.imag * b.imag)).sum(-1))
-        return float(e) if y.ndim == 1 else e
+        a, b = y[:-1], y[1:]
+        return float((self.diag.real * (y.real ** 2 + y.imag ** 2)).sum()
+                     + 2.0 * (self.off * (a.real * b.real + a.imag * b.imag)).sum())
 
 
 def build_transfer_matrix(params: ModelParams, trunc: Truncation) -> TransferMatrix:

@@ -30,10 +30,12 @@ from .trajectory import Trajectory, TrajectoryBuilder
 
 __all__ = [
     "NotConverged",
+    "NotUnitary",
     "NonFiniteState",
     "PropagatorConfig",
     "StepPropagator",
     "build_step_propagator",
+    "certify_unitarity",
     "suggest_step",
     "evolve",
     "evolve_reusing",
@@ -42,6 +44,9 @@ __all__ = [
 ]
 
 MAX_STEP = 0.1  # largest dt suggest_step will ever return
+# Largest unitarity defect max|M+M - 1| a Hermitian propagator may carry
+# at the default last-term tolerance (see certify_unitarity).
+UNITARITY_TOL = 1e-9
 # States evolve() holds at once.  Checking and measuring them together
 # amortises the per-call overhead; a larger block only adds memory.
 BLOCK_ROWS = 64
@@ -63,6 +68,17 @@ class NotConverged(RuntimeError):
             f"{tol:.1e} at dt={dt} N={N} (term ratio ~{ratio:.3g}); "
             f"reduce dt by a factor <= {self.dt_reduction:.3g} or raise N"
         )
+
+
+class NotUnitary(RuntimeError):
+    """A Hermitian propagator whose M+M is too far from the identity."""
+
+    def __init__(self, defect: float, bound: float, dt: float, N: int):
+        self.defect = defect
+        self.bound = bound
+        super().__init__(
+            f"unitarity defect max|M+M - 1| = {defect:.3e} > {bound:.1e} "
+            f"at dt={dt} N={N}; reduce dt")
 
 
 class NonFiniteState(RuntimeError):
@@ -104,7 +120,8 @@ class StepPropagator:
 
     last_term_norm / unitarity_defect are the build certificates; they are
     None when unknown (a version-1 cache entry, or a dissipative build for
-    the defect).
+    the defect).  certify_unitarity enforces the defect, on a fresh build
+    and on a propagator read back from the cache alike.
 
     step_band is the contiguous central (dim, 2w+1) slice of band that
     evolve steps with: w is the outermost diagonal holding any entry above
@@ -160,7 +177,8 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     term_n Q is formed in band storage: its column j mixes columns j-1, j
     and j+1 of term_n, weighted by Q[j-1, j], Q[j, j] and Q[j+1, j].  For
     Hermitian Q the unitarity defect max|M+M - 1| is measured once at build
-    time (one banded product) and carried on the result.
+    time (one banded product), carried on the result and enforced
+    (certify_unitarity).
     """
     dim = q.dim
     h = min(cfg.N, q.trunc.P)
@@ -193,8 +211,28 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
 
     defect = _unitarity_defect(m) if q.hermitian else None
     fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)
-    return StepPropagator(band=m, fingerprint=fp, dt=cfg.dt, N=cfg.N,
-                          last_term_norm=last, unitarity_defect=defect)
+    return certify_unitarity(
+        StepPropagator(band=m, fingerprint=fp, dt=cfg.dt, N=cfg.N,
+                       last_term_norm=last, unitarity_defect=defect), cfg)
+
+
+def certify_unitarity(prop: StepPropagator, cfg: PropagatorConfig) -> StepPropagator:
+    """prop, unless its unitarity defect is above the bound for cfg.tol.
+
+    The bound is UNITARITY_TOL, or cfg.tol when that is looser: accepting
+    a truncation error of tol per step accepts about as much loss of
+    unitarity.  A tol of 1 or more accepts a last term as large as the
+    entries of a unitary M, so it certifies nothing and the defect is only
+    recorded.  The last Taylor term can be tiny while the defect is not:
+    at large dt*|Q| the terms grow by many orders of magnitude before they
+    shrink, and their cancellation loses the digits unitarity needs.
+    Raises NotUnitary; an unknown defect (None) passes.
+    """
+    bound = math.inf if cfg.tol >= 1.0 else max(UNITARITY_TOL, cfg.tol)
+    defect = prop.unitarity_defect
+    if defect is not None and not defect <= bound:
+        raise NotUnitary(defect, bound, cfg.dt, cfg.N)
+    return prop
 
 
 def _unitarity_defect(band: np.ndarray) -> float:
@@ -256,14 +294,16 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     """Apply M step by step, recording every observable row including t=0.
 
     Steps use prop.step_band, M without its negligible outer diagonals
-    (see StepPropagator).  The state is carried in chain order through a zero-padded block of
-    BLOCK_ROWS states.  Each step is one banded matrix-vector product from
-    one row of the block into the next: a sliding window over a row lines
-    up the entries that each band row multiplies.  When the block is full
-    its rows are checked and measured together (observables, and the
-    energy as the tridiagonal quadratic form of Q), and its last state is
-    carried into row 0 of the next block.  Raises NonFiniteState with the
-    first offending step index if amplitudes blow up.
+    (see StepPropagator).  The state is carried in chain order through a
+    zero-padded block of BLOCK_ROWS states.  Each step is one banded
+    matrix-vector product from one row of the block into the next: a
+    sliding window over a row lines up the entries that each band row
+    multiplies.  When the block is full its rows are measured together in
+    one pass (TrajectoryBuilder.record: the observables and the energy,
+    from |y|^2 formed once), and its last state is carried into row 0 of
+    the next block.  Raises NonFiniteState with the first offending step
+    index if amplitudes blow up; a block is scanned for them only when its
+    norm2 column is not finite.
     """
     _check_compatible(state.vector.size, prop, cfg, q)
     if snapshot_stride < 0:
@@ -280,7 +320,8 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     ys[0] = state.vector[q.order]
 
     times = np.arange(steps + 1) * cfg.dt
-    builder = TrajectoryBuilder(state.P, steps + 1, snapshot_stride=snapshot_stride)
+    builder = TrajectoryBuilder(state.P, steps + 1, snapshot_stride=snapshot_stride,
+                                q=q)
     k0 = lo = 0  # step held in row 0; first row not yet recorded
     # Overflow on the way to a blow-up is reported once, via NonFiniteState;
     # the numpy warnings that precede it are just noise.
@@ -290,10 +331,13 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
             for j in range(1, n):
                 np.matmul(rows, windows[j - 1], out=outs[j])
             y = ys[lo:n]
-            finite = np.isfinite(y).all(axis=1)
-            if not finite.all():
-                raise NonFiniteState(k0 + lo + int(finite.argmin()))
-            builder.record(k0 + lo, times[k0 + lo:k0 + n], y, q.energy(y))
+            norm2 = builder.record(k0 + lo, times[k0 + lo:k0 + n], y)
+            # norm2 is finite unless an amplitude is not, or |y|^2 overflowed;
+            # only then are the amplitudes themselves scanned
+            if not np.isfinite(norm2).all():
+                finite = np.isfinite(y).all(axis=1)
+                if not finite.all():
+                    raise NonFiniteState(k0 + lo + int(finite.argmin()))
             if k0 + n > steps:
                 return builder.build()
             ys[0] = ys[n - 1]

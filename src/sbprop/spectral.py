@@ -161,7 +161,8 @@ def _real_times_complex(v: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _chain_states(dec: SpectralDecomposition, coeff: np.ndarray,
                   ts: np.ndarray) -> np.ndarray:
-    """The (ts.size, dim) chain-order states sum_j F_j exp(-i E_j t) v_j.
+    """The (ts.size, dim) chain-order states sum_j F_j exp(-i E_j t) v_j,
+    one contiguous row per time point.
 
     A function of its own so that the phase block is freed before the
     caller records these states and the states before the next chunk.
@@ -169,7 +170,9 @@ def _chain_states(dec: SpectralDecomposition, coeff: np.ndarray,
     phases = -1j * (dec.chain_energies[..., None] * ts)
     np.exp(phases, out=phases)
     phases *= coeff
-    return _real_times_complex(dec.chain_vectors, phases).reshape(dec.dim, ts.size).T
+    states = _real_times_complex(dec.chain_vectors, phases)
+    del phases
+    return np.ascontiguousarray(states.reshape(dec.dim, ts.size).T)
 
 
 def level_differences(dec: SpectralDecomposition, count: int) -> np.ndarray:

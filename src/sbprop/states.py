@@ -173,15 +173,13 @@ def fock_state(p0: int, spin: str, P: int) -> SpinorFockState:
 class ObservableWeights:
     """Per-slot weights for the standard observables in concatenated layout.
 
-    With `order` the weights follow vectors whose entry i sits at
-    block-layout slot order[i] instead (the chain order of the evolver).
     Excitation counts photons plus the atomic excitation, (p+1) on the
     excited block and p on the ground block; parity is (-1) to that count.
     Both commute exactly with the photon-conserving coupling, also after
     truncation, which is what the conservation checks rely on.
     """
 
-    def __init__(self, P: int, order: np.ndarray | None = None):
+    def __init__(self, P: int):
         p = np.arange(P + 1, dtype=np.float64)
         ones = np.ones(P + 1)
         self.photon = np.concatenate([p, p])
@@ -189,22 +187,12 @@ class ObservableWeights:
         self.excitation = np.concatenate([p + 1.0, p])
         alt = np.where(p.astype(np.int64) % 2 == 0, 1.0, -1.0)
         self.parity = np.concatenate([-alt, alt])
-        if order is not None:
-            self.photon, self.inversion, self.excitation, self.parity = (
-                w[order] for w in (self.photon, self.inversion,
-                                   self.excitation, self.parity))
 
-    def measure(self, vec: np.ndarray) -> tuple:
-        """(norm2, photon, inversion, excitation, parity) over the last axis.
-
-        A vector gives five floats; a (rows, dim) block gives five arrays,
-        one value per row.  Each value is a pairwise sum along its own row,
-        so a row measures the same bits alone or inside any block.
-        """
+    def measure(self, vec: np.ndarray) -> tuple[float, ...]:
+        """(norm2, photon, inversion, excitation, parity) of one vector."""
         w = vec.real ** 2 + vec.imag ** 2
-        cols = (w.sum(-1), *((wt * w).sum(-1) for wt in
-                             (self.photon, self.inversion, self.excitation, self.parity)))
-        return tuple(map(float, cols)) if vec.ndim == 1 else cols
+        return tuple(float((wt * w).sum()) for wt in
+                     (1.0, self.photon, self.inversion, self.excitation, self.parity))
 
 
 def norm_squared(state: SpinorFockState) -> float:

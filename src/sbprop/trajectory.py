@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import chain_order
+from .model import TransferMatrix, chain_order
 from .states import ObservableWeights
 
 __all__ = ["Trajectory", "CSV_COLUMNS", "csv_lines"]
@@ -44,12 +44,30 @@ class TrajectoryBuilder:
     """Accumulates rows; evolvers call record() once per block of time points.
 
     The recorded vectors are in chain order (see model.chain_order);
-    snapshots are stored back in the block layout.
+    snapshots are stored back in the block layout.  With q given, record()
+    also measures the energy Re <y|Q|y>.
     """
 
-    def __init__(self, P: int, count: int, snapshot_stride: int = 0):
+    def __init__(self, P: int, count: int, snapshot_stride: int = 0,
+                 q: TransferMatrix | None = None):
         order = chain_order(P)
-        self.weights = ObservableWeights(P, order)
+        w = ObservableWeights(P)
+        # in chain order parity is -1 on every slot of chain A and +1 on
+        # chain B, so its column measures n_B - n_A
+        cols = [np.ones(order.size),
+                *(v[order] for v in (w.photon, w.inversion, w.excitation, w.parity))]
+        self._off = None
+        if q is not None:
+            cols.append(q.diag.real)
+            # a second, zero row: numpy hands a vector-vector product to
+            # BLAS dot, which splits long vectors across threads, while a
+            # matrix-vector product computes each output on one thread, so
+            # its bits do not depend on the thread count
+            self._off = np.zeros((2, 2 * q.dim - 2))
+            self._off[0] = np.repeat(2.0 * q.off, 2)
+        # one weight per float of the complex vector: re and im share it
+        self._weights = np.repeat(np.stack(cols), 2, axis=1)
+        self._squares = np.empty((0, self._weights.shape[1]))
         self._to_block = np.argsort(order)
         self.times = np.empty(count)
         self.norm2 = np.empty(count)
@@ -61,20 +79,48 @@ class TrajectoryBuilder:
         self.snapshot_stride = int(snapshot_stride)
         self._snaps: list[np.ndarray] = []
 
-    def record(self, k0: int, t: np.ndarray, block: np.ndarray, energy_re) -> None:
+    def _measure(self, block: np.ndarray) -> np.ndarray:
+        """(rows, 5 or 6): norm2, photon, inversion, excitation, parity
+        and, with q, the energy of each row of block.
+
+        |y|^2 is formed once, from the float view of the block, into a
+        buffer kept for the next block.  Each row is then one
+        matrix-vector product with the weights, so a row measures the same
+        bits alone or anywhere in a block.  The off-diagonal energy reuses
+        the buffer: the float view times itself shifted by one complex
+        slot, summed against the doubled off-diagonal of Q.
+        """
+        rows = block.shape[0]
+        y = block.view(np.float64)
+        if self._squares.shape[0] < rows:
+            self._squares = np.empty((rows, y.shape[1]))
+        buf = self._squares[:rows]
+        np.multiply(y, y, out=buf)
+        cols = np.matmul(self._weights, buf[:, :, None])[:, :, 0]
+        if self._off is not None:
+            pairs = np.multiply(y[:, :-2], y[:, 2:], out=buf[:, :-2])
+            cols[:, -1] += np.matmul(self._off, pairs[:, :, None])[:, 0, 0]
+        return cols
+
+    def record(self, k0: int, t: np.ndarray, block: np.ndarray,
+               energy_re=None) -> np.ndarray:
         """Rows k0, k0+1, ... from the state vectors in the rows of block.
 
-        t and energy_re hold one value per row (energy_re may be a scalar).
+        Each row of block must be contiguous.  t holds one value per row;
+        energy_re too, or one constant, or None to measure it with q.
+        Returns the recorded norm2 values.
         """
         rows = slice(k0, k0 + block.shape[0])
+        cols = self._measure(block)
         (self.norm2[rows], self.n_raw[rows], self.sz_raw[rows],
-         self.c_exp[rows], self.parity[rows]) = self.weights.measure(block)
+         self.c_exp[rows], self.parity[rows]) = cols.T[:5]
         self.times[rows] = t
-        self.energy_re[rows] = energy_re
+        self.energy_re[rows] = cols[:, 5] if energy_re is None else energy_re
         if self.snapshot_stride:
             first = -k0 % self.snapshot_stride
             # indexing by an array copies, so block may be reused
             self._snaps.append(block[first::self.snapshot_stride][:, self._to_block])
+        return self.norm2[rows]
 
     def build(self) -> Trajectory:
         with np.errstate(invalid="ignore", divide="ignore"):

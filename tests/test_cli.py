@@ -3,12 +3,17 @@
 import hashlib
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sbprop.cli
+import sbprop.propagator
 from sbprop import CacheEntry, PropagatorCache, load_run_config
 from sbprop.cli import _obtain_propagator, _prepare, main
 
@@ -451,3 +456,72 @@ def test_failed_cache_store_stays_a_warning(config_dir, capsys, tmp_path, monkey
     assert code == 0
     assert err == "warning: could not store propagator: store is read-only\n"
     assert out.startswith(HEADER + "\n")
+
+
+@pytest.mark.parametrize("dt, N, defect", [("0.5", "150", "8.166e+01"),
+                                           ("0.3", "100", "4.741e-07")])
+def test_build_with_a_unitarity_defect_above_the_bound_is_refused(
+        config_dir, capsys, tmp_path, monkeypatch, dt, N, defect):
+    # the last Taylor term passes (about 1e-21 and 1e-19) while cancellation
+    # in the sum has already cost unitarity
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", "omega_0=1.0", "--set", f"dt={dt}", "--set", f"N={N}",
+                         "--set", "t_max=1.0")
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: unitarity defect")
+    assert defect in err
+    assert not list((tmp_path / "store").glob("*.sbp"))
+
+
+def test_stored_unitarity_defect_above_the_bound_is_refused_on_a_hit(
+        config_dir, capsys, tmp_path, monkeypatch):
+    # an entry stored before builds were gated: its header carries 4.7e-7
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    sets = ["--set", "omega_0=1.0", "--set", "dt=0.3", "--set", "N=100"]
+    run_cfg = load_run_config(cfg(config_dir, "fig2.cfg"), [s for s in sets if s != "--set"])
+    q, pcfg = _prepare(run_cfg)
+    with monkeypatch.context() as m:
+        m.setattr(sbprop.propagator, "UNITARITY_TOL", np.inf)
+        _obtain_propagator(q, pcfg)
+    [stored] = PropagatorCache().entries()
+    assert 1e-9 < stored[1].unitarity_defect < 1e-6
+
+    def no_build(*args):
+        raise AssertionError("the stored entry must be read, not rebuilt")
+
+    monkeypatch.setattr(sbprop.cli, "build_step_propagator", no_build)
+    code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                         *sets, "--set", "t_max=1.0")
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: unitarity defect")
+    assert f"{stored[1].unitarity_defect:.3e}" in err
+
+
+def test_unreadable_cache_store_is_a_miss_with_a_warning(config_dir, capsys, tmp_path,
+                                                         monkeypatch):
+    argv = ("evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=2.0")
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
+    _, cold, _ = run(capsys, *argv)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(not_a_dir))
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == cold
+    assert err.startswith("warning: could not read propagator cache:")
+    assert "Traceback" not in err
+
+
+def test_closed_stdout_pipe_exits_1_quietly(config_dir):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(sbprop.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sbprop.cli", "evolve", "--config", cfg(config_dir, "fig2.cfg")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().decode() == HEADER + "\n"
+    proc.stdout.close()  # about 2000 rows are still to come
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == ""

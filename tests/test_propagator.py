@@ -288,3 +288,14 @@ def test_suggested_step_always_certifies_and_stays_unitary(omega_0, g, P):
     prop = build_step_propagator(q, PropagatorConfig(dt=dt, steps=1))
     assert prop.last_term_norm <= 1e-12
     assert prop.unitarity_defect < 1e-9
+
+
+def test_overflowing_norm_of_finite_amplitudes_is_not_a_failure():
+    # amplitudes near 1e160 are finite, but |y|^2 overflows to inf: the
+    # norm2 column is not finite, yet the exact scan finds nothing to refuse
+    q, cfg, prop = build(FIG2, 10, dt=0.05, steps=3 * BLOCK_ROWS + 5)
+    s0 = SpinorFockState(amps_e=np.full(11, 1e160), amps_g=np.full(11, -1e160j))
+    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    assert len(traj) == cfg.steps + 1
+    assert np.all(traj.norm2 == np.inf)
+    assert np.isfinite(traj.snapshots).all()

@@ -186,7 +186,9 @@ def test_per_chain_teee_matches_the_dense_eigenbasis_oracle(P):
     energies, v = dense_decomposition(q)
     coeff = v.T @ vec
     states = v @ (np.exp(-1j * np.outer(energies, times)) * coeff[:, None])
-    norm2, photon, inversion, excitation, parity = ObservableWeights(P).measure(states.T)
+    weights = ObservableWeights(P)
+    norm2, photon, inversion, excitation, parity = np.array(
+        [weights.measure(s) for s in states.T]).T
     energy = np.abs(coeff) ** 2 @ energies
     expected = {"norm2": norm2, "n_raw": photon, "n_norm": photon / norm2,
                 "sz_raw": inversion, "sz_norm": inversion / norm2,

@@ -1,10 +1,25 @@
-"""CSV rendering of trajectories."""
+"""CSV rendering of trajectories and the fused block measurement."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from sbprop import CSV_COLUMNS, Trajectory, csv_lines
+from sbprop import (CSV_COLUMNS, ModelParams, ObservableWeights, Trajectory, Truncation,
+                    build_transfer_matrix, csv_lines)
+from sbprop.model import chain_order
+from sbprop.propagator import BLOCK_ROWS
+from sbprop.trajectory import TrajectoryBuilder
+
+FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
+FIG6 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4,
+                   beta=0.01, gamma=0.01)
+DEEP = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=2.0, g_plus=2.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_csv_rows_match_the_per_cell_formula():
@@ -19,3 +34,108 @@ def test_csv_rows_match_the_per_cell_formula():
     text = "\n".join(lines)
     for token in ("nan", "-inf", "-0.0", "5e-324", "9007199254740994.0"):
         assert token in text
+
+
+def former_columns(q, y):
+    """The per-row formulas measure() and energy() used before the fusion,
+    each with the sum of the absolute terms it adds up."""
+    w = ObservableWeights(q.trunc.P)
+    order = chain_order(q.trunc.P)
+    sq = y.real ** 2 + y.imag ** 2
+    weights = [np.ones(q.dim)] + [v[order] for v in
+                                  (w.photon, w.inversion, w.excitation, w.parity)]
+    cols = [(v * sq).sum(-1) for v in weights]
+    scales = [(np.abs(v) * sq).sum(-1) for v in weights]
+    a, b = y[:, :-1], y[:, 1:]
+    cross = a.real * b.real + a.imag * b.imag
+    cols.append((q.diag.real * sq).sum(-1) + 2.0 * (q.off * cross).sum(-1))
+    scales.append((np.abs(q.diag.real) * sq).sum(-1)
+                  + 2.0 * (np.abs(q.off) * np.abs(cross)).sum(-1))
+    return cols, scales
+
+
+def measured(builder):
+    return [builder.norm2, builder.n_raw, builder.sz_raw, builder.c_exp,
+            builder.parity, builder.energy_re]
+
+
+def random_rows(rng, rows, dim):
+    y = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    return y * np.logspace(-3, 3, rows)[:, None]
+
+
+@pytest.mark.parametrize("params", [FIG2, FIG6], ids=["hermitian", "dissipative"])
+@pytest.mark.parametrize("P", [0, 1, 50, 400])
+def test_fused_columns_match_the_former_formulas(params, P):
+    q = build_transfer_matrix(params, Truncation(P=P))
+    rng = np.random.default_rng(P)
+    y = random_rows(rng, 9, q.dim)
+    y[0] = 0.0
+    y[0, 3 % q.dim] = 1.0  # one basis state, measured exactly
+    builder = TrajectoryBuilder(P, 9, q=q)
+    builder.record(0, np.arange(9.0), y)
+    cols, scales = former_columns(q, y)
+    for name, got, want, scale in zip(CSV_COLUMNS[1:], measured(builder), cols, scales):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+    # teee_evolve records without Q and passes its constant energy
+    builder = TrajectoryBuilder(P, 9)
+    builder.record(0, np.arange(9.0), y, 0.25)
+    for got, want, scale in zip(measured(builder)[:5], cols, scales):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.all(builder.energy_re == 0.25)
+
+
+@pytest.mark.parametrize("P", [50, 400, 2000])
+def test_a_row_measures_the_same_bits_alone_and_anywhere_in_a_block(P):
+    q = build_transfer_matrix(DEEP, Truncation(P=P))
+    rng = np.random.default_rng(P)
+    # rows held as evolve holds them: the middle of a zero-padded block
+    padded = np.zeros((BLOCK_ROWS, q.dim + 2 * 7), dtype=np.complex128)
+    ys = padded[:, 7:7 + q.dim]
+    ys[:] = random_rows(rng, BLOCK_ROWS, q.dim)
+
+    def measure(builder, k0, rows):
+        builder.record(k0, np.zeros(rows.shape[0]), rows)
+        return np.column_stack(measured(builder))[k0:k0 + rows.shape[0]]
+
+    whole = measure(TrajectoryBuilder(P, BLOCK_ROWS, q=q), 0, ys)
+    alone = np.concatenate([measure(TrajectoryBuilder(P, 1, q=q), 0, ys[r:r + 1].copy())
+                            for r in range(BLOCK_ROWS)])
+    assert np.array_equal(whole, alone)
+
+    fives = TrajectoryBuilder(P, BLOCK_ROWS, q=q)
+    parts = np.concatenate([measure(fives, lo, ys[lo:lo + 5])
+                            for lo in range(0, BLOCK_ROWS, 5)])
+    assert np.array_equal(parts, whole)
+
+    # one builder, its buffer reused block after block as in evolve
+    builder = TrajectoryBuilder(P, BLOCK_ROWS, q=q)
+    others = random_rows(rng, BLOCK_ROWS, q.dim)
+    for r in range(BLOCK_ROWS):
+        block = others.copy()
+        block[r] = ys[0]
+        assert np.array_equal(measure(builder, 0, block)[r], whole[0]), r
+
+
+def test_measured_bits_do_not_depend_on_the_blas_thread_count():
+    # dim 5202: long enough that BLAS splits a plain dot product of its
+    # float view across threads
+    script = (
+        "import hashlib, numpy as np\n"
+        "from sbprop import ModelParams, Truncation, build_transfer_matrix\n"
+        "from sbprop.trajectory import TrajectoryBuilder\n"
+        "q = build_transfer_matrix(ModelParams(1.0, 1.0, 2.0, 2.0), Truncation(P=2600))\n"
+        "rng = np.random.default_rng(5)\n"
+        "y = rng.normal(size=(3, q.dim)) + 1j * rng.normal(size=(3, q.dim))\n"
+        "b = TrajectoryBuilder(2600, 3, q=q)\n"
+        "b.record(0, np.zeros(3), y)\n"
+        "cols = (b.norm2, b.n_raw, b.sz_raw, b.c_exp, b.parity, b.energy_re)\n"
+        "print(hashlib.sha256(np.concatenate(cols).tobytes()).hexdigest())\n")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        digests.add(done.stdout)
+    assert len(digests) == 1
