@@ -32,6 +32,7 @@ import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,8 @@ class CacheEntry:
     the dense block-layout view, built on every access.  Header-only
     listings carry no band, and `.matrix` is then None.  The certificates
     are None when unknown: for version-1 files, and where no unitarity
-    defect was measured (dissipative builds).
+    defect was measured (dissipative builds).  propagator.StepPropagator
+    is a CacheEntry, so a built propagator is stored as it is.
     """
 
     def __init__(self, fingerprint: int, dim: int, N: int, dt: float,
@@ -138,6 +140,27 @@ def _check_band(band: np.ndarray, dim: int, N: int) -> None:
                          f"and N {N} ({dim}, {2 * h + 1})")
     if band[~band_inside(dim, h)].any():
         raise ValueError("nonzero entries in band cells outside the parity-chain band")
+
+
+@contextmanager
+def atomic_write(path: Path, mode: str = "wb"):
+    """Yield a temp file beside path, opened in mode, that replaces path
+    once the block completes; on any error it is removed instead.
+
+    The temp name ends in path's suffix + ".tmp", so clear() finds what a
+    crashed cache writer left behind.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=path.suffix + ".tmp")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _checksum(*parts: bytes | memoryview) -> bytes:
@@ -181,19 +204,10 @@ class PropagatorCache:
 
         self.root.mkdir(parents=True, exist_ok=True)
         final = self.path_for(entry.fingerprint)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".sbp.tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(header)
-                fh.write(payload)
-                fh.write(_checksum(header, payload))
-            os.replace(tmp, final)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(final) as fh:
+            fh.write(header)
+            fh.write(payload)
+            fh.write(_checksum(header, payload))
         return final
 
     def get(self, fingerprint: int) -> CacheEntry | None:

@@ -12,13 +12,12 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .cache import CacheCorruptError, CacheEntry, PropagatorCache, propagator_fingerprint
+from .cache import CacheCorruptError, PropagatorCache, atomic_write, propagator_fingerprint
 from .config import ConfigError, RunConfig, load_run_config, parse_p_values
 from .model import TransferMatrix, build_transfer_matrix
 from .propagator import (
@@ -28,13 +27,13 @@ from .propagator import (
     PropagatorConfig,
     StepPropagator,
     build_step_propagator,
-    certify_unitarity,
+    certify,
     evolve,
     suggest_step,
 )
 from .spectral import NonHermitianInput, diagonalize, gs_scan, level_differences, teee_evolve
 from .states import TailMassTooLarge
-from .trajectory import csv_lines
+from .trajectory import csv_lines, csv_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,14 +126,15 @@ def _prepare(cfg: RunConfig) -> tuple[TransferMatrix, PropagatorConfig]:
 def _load_cached(store: PropagatorCache, fp: int, q: TransferMatrix,
                  pcfg: PropagatorConfig) -> StepPropagator | None:
     """The stored propagator for fp; None on a miss, CacheCorruptError if
-    unusable, NotUnitary if its stored defect is refused."""
+    unusable, NotConverged/NotUnitary if its stored certificates are
+    refused at pcfg.tol (see certify)."""
     entry = store.get(fp)
     if entry is None or (entry.dim, entry.N, entry.dt) != (q.dim, pcfg.N, pcfg.dt):
         return None
-    return certify_unitarity(
-        StepPropagator(band=entry.band, fingerprint=fp, dt=entry.dt, N=entry.N,
-                       last_term_norm=entry.last_term_norm,
-                       unitarity_defect=entry.unitarity_defect), pcfg)
+    certify(entry, q, pcfg)
+    return StepPropagator(band=entry.band, fingerprint=fp, dt=entry.dt, N=entry.N,
+                          last_term_norm=entry.last_term_norm,
+                          unitarity_defect=entry.unitarity_defect)
 
 
 def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropagator:
@@ -153,9 +153,7 @@ def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropaga
         return prop
     prop = build_step_propagator(q, pcfg)
     try:
-        store.put(CacheEntry(fingerprint=fp, dim=q.dim, N=pcfg.N, dt=pcfg.dt,
-                             band=prop.band, last_term_norm=prop.last_term_norm,
-                             unitarity_defect=prop.unitarity_defect))
+        store.put(prop)
     except OSError as err:
         print(f"warning: could not store propagator: {err}", file=sys.stderr)
     return prop
@@ -178,23 +176,13 @@ def _write_file(lines, path: Path) -> None:
     if path.exists() and not path.is_file():
         # a FIFO or a device node: write through it, since replacing it
         # would swap the node for a regular file
-        with open(path, "w") as fh:
-            fh.writelines(line + "\n" for line in lines)
-        return
-    if path.parent and not path.parent.is_dir():
+        target = open(path, "w")
+    else:
         path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent or "."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        target = atomic_write(path, "w")
+    with target as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -225,10 +213,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         dn = np.abs(traj.n_raw - ref.n_raw)
         dsz = np.abs(traj.sz_raw - ref.sz_raw)
 
-    lines = ["t,dn_abs,dsz_abs"]
-    lines += [",".join(map(repr, row))
-              for row in np.column_stack((traj.times, dn, dsz)).tolist()]
-    _write_lines(lines, cfg.out)
+    _write_lines(["t,dn_abs,dsz_abs", *csv_rows(traj.times, dn, dsz)], cfg.out)
     max_dn, max_dsz = float(dn.max()), float(dsz.max())
     print(f"max_dn={max_dn!r}")
     print(f"max_dsz={max_dsz!r}")

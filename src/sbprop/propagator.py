@@ -2,9 +2,11 @@
 
 M(dt) = sum_{n=0}^{N} (-i dt)^n / n! Q^n, accumulated with the running-term
 recurrence term_{n+1} = term_n (-i dt/(n+1)) Q.  The max-norm of the last
-included term is the convergence certificate; a build whose certificate
-exceeds the tolerance is refused rather than silently degraded.  One M is
-reused across every initial state and every step of a run.
+included term and, for Hermitian Q, the unitarity defect are the build
+certificates; `certify` refuses a propagator whose certificates exceed the
+bounds for the requested tolerance rather than silently degrading, on a
+fresh build and on a cache hit alike.  One M is reused across every
+initial state and every step of a run.
 
 Q is tridiagonal in chain order (see model), so Q^n has half-bandwidth n
 and M has half-bandwidth h = min(N, P) there: it is held in band storage
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cache import propagator_fingerprint
-from .model import TransferMatrix, band_from_dense, band_to_dense
+from .cache import CacheEntry, propagator_fingerprint
+from .model import TransferMatrix
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -35,7 +37,7 @@ __all__ = [
     "PropagatorConfig",
     "StepPropagator",
     "build_step_propagator",
-    "certify_unitarity",
+    "certify",
     "suggest_step",
     "evolve",
     "evolve_reusing",
@@ -45,7 +47,7 @@ __all__ = [
 
 MAX_STEP = 0.1  # largest dt suggest_step will ever return
 # Largest unitarity defect max|M+M - 1| a Hermitian propagator may carry
-# at the default last-term tolerance (see certify_unitarity).
+# at the default last-term tolerance (see certify).
 UNITARITY_TOL = 1e-9
 # States evolve() holds at once.  Checking and measuring them together
 # amortises the per-call overhead; a larger block only adds memory.
@@ -109,19 +111,14 @@ class PropagatorConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 
-class StepPropagator:
+class StepPropagator(CacheEntry):
     """M(dt) as its chain-order band, plus provenance and build certificates.
 
-    Built either from the band (build_step_propagator, cache hits) or from
-    the dense block-layout matrix (tests).  A dense matrix with any
-    nonzero outside the band (across chains, or farther than N from the
-    diagonal in chain order) is not a step propagator of this model and is
-    refused with ValueError.
-
-    last_term_norm / unitarity_defect are the build certificates; they are
-    None when unknown (a version-1 cache entry, or a dissipative build for
-    the defect).  certify_unitarity enforces the defect, on a fresh build
-    and on a propagator read back from the cache alike.
+    A CacheEntry (band, dim, fingerprint, dt, N, the certificates, the
+    `matrix=` gather and the dense `.matrix` view) built from exactly one
+    of the band (build_step_propagator, cache hits) or the dense
+    block-layout matrix (tests); a dense matrix with any nonzero outside
+    the band is refused with ValueError.
 
     step_band is the contiguous central (dim, 2w+1) slice of band that
     evolve steps with: w is the outermost diagonal holding any entry above
@@ -137,25 +134,12 @@ class StepPropagator:
                  band: np.ndarray | None = None):
         if (matrix is None) == (band is None):
             raise ValueError("give exactly one of matrix and band")
-        if band is None:
-            band = band_from_dense(np.asarray(matrix), N)
-        band.setflags(write=False)
-        self.band = band
-        self.step_band, self.dropped_norm = _trim(band)
-        self.fingerprint = fingerprint
-        self.dt = dt
-        self.N = N
-        self.last_term_norm = last_term_norm
-        self.unitarity_defect = unitarity_defect
-
-    @property
-    def dim(self) -> int:
-        return self.band.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense M in the block layout, built on every access."""
-        return band_to_dense(self.band)
+        super().__init__(fingerprint, None, N, dt, matrix, band=band,
+                         last_term_norm=last_term_norm,
+                         unitarity_defect=unitarity_defect)
+        self.band.setflags(write=False)
+        self.dim = self.band.shape[0]
+        self.step_band, self.dropped_norm = _trim(self.band)
 
 
 def _trim(band: np.ndarray) -> tuple[np.ndarray, float]:
@@ -177,8 +161,8 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     term_n Q is formed in band storage: its column j mixes columns j-1, j
     and j+1 of term_n, weighted by Q[j-1, j], Q[j, j] and Q[j+1, j].  For
     Hermitian Q the unitarity defect max|M+M - 1| is measured once at build
-    time (one banded product), carried on the result and enforced
-    (certify_unitarity).
+    time (one banded product) and carried on the result; both certificates
+    are enforced (certify).
     """
     dim = q.dim
     h = min(cfg.N, q.trunc.P)
@@ -198,41 +182,47 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     term = np.zeros((dim, width), dtype=np.complex128)
     term[:, h] = 1.0
     m = term.copy()
-    for n in range(1, cfg.N + 1):
-        nxt = term * d
-        nxt[:, 1:] += term[:, :-1] * lo[:, 1:]
-        nxt[:, :-1] += term[:, 1:] * up[:, :-1]
-        term = nxt / n
-        m += term
-    last = float(np.abs(term).max())
-    if not math.isfinite(last) or last > cfg.tol:
+    # A diverging series overflows on its way; certify reports it once, as
+    # a last term that is not finite, so the numpy warnings are only noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, cfg.N + 1):
+            nxt = term * d
+            nxt[:, 1:] += term[:, :-1] * lo[:, 1:]
+            nxt[:, :-1] += term[:, 1:] * up[:, :-1]
+            term = nxt / n
+            m += term
+        last = float(np.abs(term).max())
+        defect = _unitarity_defect(m) if q.hermitian else None
+    fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)
+    prop = StepPropagator(band=m, fingerprint=fp, dt=cfg.dt, N=cfg.N,
+                          last_term_norm=last, unitarity_defect=defect)
+    certify(prop, q, cfg)
+    return prop
+
+
+def certify(prop: CacheEntry, q: TransferMatrix, cfg: PropagatorConfig) -> None:
+    """Refuse prop if a build certificate is above its bound for cfg.tol.
+
+    The last Taylor term must be at most cfg.tol (NotConverged).  The
+    unitarity defect must be at most UNITARITY_TOL, or cfg.tol when that
+    is looser: accepting a truncation error of tol per step accepts about
+    as much loss of unitarity (NotUnitary).  A tol of 1 or more accepts a
+    last term as large as the entries of a unitary M, so it certifies no
+    defect, which is then only recorded.  The last term can be tiny while
+    the defect is not: at large dt*|Q| the terms grow by many orders of
+    magnitude before they shrink, and their cancellation loses the digits
+    unitarity needs.  A certificate is a pure function of the fingerprint's
+    inputs, so a cache hit is refused exactly when a rebuild would be.  An
+    unknown certificate (None) passes.
+    """
+    last = prop.last_term_norm
+    if last is not None and not last <= cfg.tol:
         ratio = q.one_norm() * cfg.dt / (cfg.N + 1)
         raise NotConverged(last, cfg.tol, cfg.dt, cfg.N, ratio)
-
-    defect = _unitarity_defect(m) if q.hermitian else None
-    fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)
-    return certify_unitarity(
-        StepPropagator(band=m, fingerprint=fp, dt=cfg.dt, N=cfg.N,
-                       last_term_norm=last, unitarity_defect=defect), cfg)
-
-
-def certify_unitarity(prop: StepPropagator, cfg: PropagatorConfig) -> StepPropagator:
-    """prop, unless its unitarity defect is above the bound for cfg.tol.
-
-    The bound is UNITARITY_TOL, or cfg.tol when that is looser: accepting
-    a truncation error of tol per step accepts about as much loss of
-    unitarity.  A tol of 1 or more accepts a last term as large as the
-    entries of a unitary M, so it certifies nothing and the defect is only
-    recorded.  The last Taylor term can be tiny while the defect is not:
-    at large dt*|Q| the terms grow by many orders of magnitude before they
-    shrink, and their cancellation loses the digits unitarity needs.
-    Raises NotUnitary; an unknown defect (None) passes.
-    """
     bound = math.inf if cfg.tol >= 1.0 else max(UNITARITY_TOL, cfg.tol)
     defect = prop.unitarity_defect
     if defect is not None and not defect <= bound:
         raise NotUnitary(defect, bound, cfg.dt, cfg.N)
-    return prop
 
 
 def _unitarity_defect(band: np.ndarray) -> float:

@@ -138,10 +138,15 @@ class TrajectoryBuilder:
         )
 
 
-def csv_lines(traj: Trajectory):
-    """Yield CSV lines (no newlines); floats as shortest round-trip text."""
-    yield ",".join(CSV_COLUMNS)
-    cols = (traj.times, traj.norm2, traj.n_raw, traj.n_norm, traj.sz_raw,
-            traj.sz_norm, traj.energy_re, traj.c_exp, traj.parity)
-    for row in np.column_stack(cols).tolist():
+def csv_rows(*columns: np.ndarray):
+    """Yield one CSV line (no newline) per row of the columns; floats as
+    shortest round-trip text."""
+    for row in np.column_stack(columns).tolist():
         yield ",".join(map(repr, row))
+
+
+def csv_lines(traj: Trajectory):
+    """Yield the CSV header, then one line per row of traj."""
+    yield ",".join(CSV_COLUMNS)
+    yield from csv_rows(traj.times, traj.norm2, traj.n_raw, traj.n_norm, traj.sz_raw,
+                        traj.sz_norm, traj.energy_re, traj.c_exp, traj.parity)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import os
 import struct
 
 import numpy as np
@@ -347,3 +348,20 @@ def test_clear_removes_orphaned_temp_files(tmp_path):
     (tmp_path / "notes.txt").write_text("not ours")
     assert store.clear() == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
+
+
+def test_failed_put_leaves_neither_entry_nor_temp_file(tmp_path, monkeypatch):
+    store = PropagatorCache(tmp_path)
+    renamed = []
+
+    def full_disk(src, dst):
+        renamed.append(os.path.basename(src))
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError, match="no space"):
+        store.put(make_entry(P=2))
+    # the temp name is one clear() would remove
+    [name] = renamed
+    assert name.endswith(".sbp.tmp")
+    assert list(tmp_path.iterdir()) == []

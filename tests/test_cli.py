@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,10 @@ def run(capsys, *argv):
 
 def cfg(config_dir, name):
     return str(config_dir / name)
+
+
+def must_not_build(*args):
+    raise AssertionError("the stored entry must be read, not rebuilt")
 
 
 def test_evolve_csv_contract(config_dir, capsys):
@@ -496,6 +501,54 @@ def test_stored_unitarity_defect_above_the_bound_is_refused_on_a_hit(
     assert code == 2 and out == ""
     assert err.startswith("numerical failure: unitarity defect")
     assert f"{stored[1].unitarity_defect:.3e}" in err
+
+
+@pytest.mark.parametrize("name, last", [("fig6.cfg", "3.729e-06"),
+                                        ("fig2.cfg", "3.727e-06")])
+def test_hit_built_at_a_looser_tol_is_refused_as_a_rebuild_would_be(
+        config_dir, capsys, tmp_path, monkeypatch, name, last):
+    # tol is not part of the fingerprint: the entry stored at tol=1e-5 is
+    # found at the default 1e-12, and its stored last term must refuse it
+    # with the cold run's exit code and stderr, before its defect (fig2)
+    argv = ("evolve", "--config", cfg(config_dir, name), "--set", "dt=0.1")
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
+    cold = run(capsys, *argv)
+    assert cold[0] == 2 and cold[1] == ""
+    assert cold[2] == (f"numerical failure: last Taylor term has max-norm {last} > tol "
+                       "1.0e-12 at dt=0.1 N=30 (term ratio ~0.287); reduce dt by a "
+                       "factor <= 0.604 or raise N\n")
+
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "warm"))
+    assert run(capsys, *argv, "--set", "tol=1e-5", "--set", "t_max=0")[0] == 0
+    monkeypatch.setattr(sbprop.cli, "build_step_propagator", must_not_build)
+    assert run(capsys, *argv) == cold
+
+
+def test_hit_built_at_a_stricter_tol_is_served(config_dir, capsys, tmp_path,
+                                               monkeypatch):
+    argv = ("evolve", "--config", cfg(config_dir, "fig6.cfg"), "--set", "dt=0.05",
+            "--set", "t_max=2.0")
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
+    cold = run(capsys, *argv, "--set", "tol=1e-8")
+    assert cold[0] == 0
+
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "warm"))
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(sbprop.cli, "build_step_propagator", must_not_build)
+    assert run(capsys, *argv, "--set", "tol=1e-8") == cold
+
+
+@pytest.mark.parametrize("dt", ["1e5", "1e10"])
+def test_diverging_build_reports_one_line(config_dir, capsys, dt):
+    # 1e5 overflows the squares of the defect measurement, 1e10 the Taylor
+    # terms themselves (to nan); the refusal is the only thing reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                             "--set", f"dt={dt}", "--set", "t_max=0")
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: last Taylor term has max-norm ")
+    assert err.count("\n") == 1
 
 
 def test_unreadable_cache_store_is_a_miss_with_a_warning(config_dir, capsys, tmp_path,
