@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import CacheEntry, propagator_fingerprint
-from .model import TransferMatrix
+from .model import TransferMatrix, chain_order
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -343,24 +343,56 @@ def evolve_reusing(states: list[SpinorFockState], prop: StepPropagator,
 
 
 def checkpoint_powers(prop: StepPropagator, count: int) -> list[np.ndarray]:
-    """[M, M^2, M^4, ...] up to M^(2^(count-1)), by repeated squaring."""
+    """[M, M^2, M^4, ...] up to M^(2^(count-1)), by repeated squaring.
+
+    M never couples the parity chains, so each power is kept as its two
+    chain blocks: an array of shape (2, n, n), n = dim / 2, holding chain
+    A's and chain B's block in chain order (see model.chain_order).  M's
+    blocks are read straight from the band; each squaring is one stacked
+    product of both blocks.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    powers = [prop.matrix]
+    powers = [_chain_blocks(prop.band)]
     for _ in range(count - 1):
         powers.append(powers[-1] @ powers[-1])
     return powers
 
 
+def _chain_blocks(band: np.ndarray) -> np.ndarray:
+    """The (2, n, n) chain blocks of the operator held in band storage.
+
+    Band column k is diagonal k - h of each block; it is written through a
+    strided view of that diagonal in the flattened block.
+    """
+    dim, width = band.shape
+    n, h = dim // 2, width // 2
+    chains = band.reshape(2, n, width)
+    blocks = np.zeros((2, n, n), dtype=band.dtype)
+    flat = blocks.reshape(2, n * n)
+    for k in range(width):
+        o = k - h
+        lo, hi = max(0, -o), min(n, n - o)
+        flat[:, lo * (n + 1) + o::n + 1][:, :hi - lo] = chains[:, lo:hi, k]
+    return blocks
+
+
 def jump(state: SpinorFockState, powers: list[np.ndarray], steps: int) -> SpinorFockState:
-    """Advance by `steps` applications of M using the squared checkpoints."""
+    """Advance by `steps` applications of M using the squared checkpoints.
+
+    The state is carried in chain order through the chain blocks of
+    checkpoint_powers and returned in the block layout.
+    """
     if steps < 0 or steps >= 2 ** len(powers):
         raise ValueError(f"steps must lie in 0..{2 ** len(powers) - 1}")
-    y = state.vector
+    order = chain_order(state.P)
+    y = state.vector[order].reshape(2, -1, 1)
     j = 0
     while steps:
         if steps & 1:
             y = powers[j] @ y
         steps >>= 1
         j += 1
-    return SpinorFockState.from_vector(y)
+    out = np.empty(order.size, dtype=np.complex128)
+    out[order] = y.ravel()
+    return SpinorFockState.from_vector(out)

@@ -6,6 +6,14 @@ eigenbasis and attach exact phase factors exp(-i E_j t).  Q never couples
 the two parity chains, so each chain is diagonalized on its own, as a
 half-size tridiagonal matrix.  Dissipative matrices are refused here by
 design; that regime belongs to the Taylor route alone.
+
+The ground-state scan needs only the lowest eigenvalue of each chain at
+every cutoff.  A chain's entries do not depend on P, so the chain at
+cutoff P is the leading (P+1)-block of the chain at the largest cutoff,
+and the LDL^T pivots of that block are the first P+1 pivots of the big
+chain.  One Sturm-count sweep over the big chain therefore answers "is x
+above E0?" for every cutoff at once, and bisection on those answers gives
+E0(P) for the whole scan (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ ORTHO_TOL = 1e-10
 CONVERGED_RTOL = 1e-8     # classification test between P_max and midpoint
 PLATEAU_RTOL = 1e-6       # plateau detection (diagnostic, looser on purpose)
 UNBOUNDED_SLOPE = 1e-3    # in units of omega_f, sign-flipped below
+# Pivot rows one bisection sweep holds at once.  Each cutoff needs only
+# "any negative pivot among its first P+1", so a ring of rows is reduced
+# into that answer whenever it is full; a larger ring only adds memory.
+SWEEP_ROWS = 32
 
 
 class NonHermitianInput(ValueError):
@@ -206,16 +218,17 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
     """E0(P) over a cutoff scan, classified Converged/Unbounded/Undetermined."""
     if not params.is_hermitian():
         raise NonHermitianInput("ground-state scan requires Hermitian parameters")
-    ps = np.asarray(list(p_values), dtype=np.int64)
+    given = list(p_values)
+    values = np.asarray(given, dtype=np.float64)
+    if not np.all(np.isfinite(values) & (values == np.floor(values))):
+        raise ValueError(f"p_values must be integers, got {given}")
+    ps = values.astype(np.int64)
     if ps.size < 2:
         raise ValueError("need at least two cutoffs to classify a scan")
     if np.any(np.diff(ps) <= 0) or ps[0] < 0:
         raise ValueError("p_values must be strictly increasing and non-negative")
 
-    e0 = np.empty(ps.size)
-    for i, p in enumerate(ps):
-        q = build_transfer_matrix(params, Truncation(P=int(p)))
-        e0[i] = min(np.linalg.eigvalsh(block)[0] for block in _chains(q))
+    e0 = _ground_energies(params, ps)
 
     final = e0[-1]
     conv_tol = CONVERGED_RTOL * (1.0 + abs(final))
@@ -243,3 +256,84 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
         classification = "Undetermined"
     return GsScanResult(p_values=ps, e0=e0, classification=classification,
                         plateau_P=plateau, slope=slope)
+
+
+def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
+    """E0 of Q at every cutoff in ps (strictly increasing), by one bisection
+    on Sturm counts taken over both chains of Q at the largest cutoff.
+
+    Pair (c, j) brackets the lowest eigenvalue of chain c's leading block
+    at cutoff ps[j]: from Gershgorin below, and from just above the
+    block's smallest diagonal (which bounds it by the Rayleigh quotient).
+    A sweep runs the pivot recurrence d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}
+    once over the chain slots, with one shift x per pair; pair (c, j) reads
+    "x is above E0" as any negative pivot among its first ps[j] + 1.
+    Bisection stops when no midpoint lies strictly inside a bracket, and
+    E0 is the low end.  A zero pivot is +0, so the next one is -inf; a slot
+    whose coupling b_{i-1} is 0 starts a decoupled block and takes
+    d_i = a_i - x, which keeps 0/0 out.  Each pivot row costs three ufunc
+    calls, on contiguous rows of the pairs it touches.
+
+    Every pair's arithmetic is elementwise and its own, so E0 at a cutoff
+    does not depend on which other cutoffs are scanned, and E0 is
+    non-increasing in P: the pivots of a larger block extend those of a
+    smaller one.
+    """
+    q = build_transfer_matrix(params, Truncation(P=int(ps[-1])))
+    n, m = q.trunc.P + 1, ps.size
+    # Work on Q / 2^e, whose entries lie below 1 and not far below, so
+    # that b^2 can neither overflow nor underflow.  Scaling by a power of
+    # two commutes with every rounding below, so E0 is the float the
+    # unscaled arithmetic gives wherever that arithmetic stays in range.
+    e = int(np.frexp(np.abs(q.diag.real).max() + np.abs(q.off).max())[1])
+    a = np.ldexp(q.diag.real.reshape(2, n), -e)            # a[c, i]: slot i of chain c
+    b = np.ldexp(np.stack([q.off[:n - 1], q.off[n:]]), -e)  # b[c, i] couples i, i+1
+    b2 = b * b
+    edge = np.zeros((2, 1))
+    left = a - np.abs(np.hstack([edge, b]))
+    # Gershgorin: in the leading block at cutoff P, rows i < P have both
+    # neighbours and row P only the left one
+    inner = np.minimum.accumulate(left - np.abs(np.hstack([b, edge])), axis=1)
+    inner = np.hstack([edge + np.inf, inner[:, :-1]])
+    desc = ps[::-1]                            # pairs by descending cutoff
+    lo = np.minimum(inner, left)[:, desc]
+    hi = np.nextafter(np.minimum.accumulate(a, axis=1)[:, desc], np.inf)
+
+    # Row i of a sweep touches only the pairs whose cutoff is at least i:
+    # the first active[i] columns.  Every call in `blocks` writes those
+    # cells alone, so a ring cell holds +inf or a pivot of its own pair.
+    rows = min(n, SWEEP_ROWS)
+    pivots = np.full((rows, 2, m), np.inf)
+    quotient = np.empty((2, m))
+    x = np.empty((2, m))
+    active = m - np.searchsorted(ps, np.arange(n))
+    blocks = [[] for _ in range(0, n, rows)]
+    for i, k in enumerate(active):
+        r, calls = i % rows, blocks[i // rows]
+        d = pivots[r, :, :k]
+        calls.append((np.subtract, a[:, i, None], x[:, :k], d))
+        # a chain whose coupling b_{i-1} is zero keeps d_i = a_i - x; r - 1
+        # wraps to the last row of the (full) previous block
+        live = np.flatnonzero(b2[:, i - 1]) if i else []
+        if len(live):
+            c = live[0] if len(live) == 1 else slice(None)
+            t = quotient[c, :k]
+            calls += [(np.divide, b2[c, i - 1, None], pivots[r - 1, c, :k], t),
+                      (np.subtract, d[c], t, d[c])]
+
+    lowest = np.empty((2, m))
+    while True:
+        np.add(lo, hi, out=x)
+        x *= 0.5
+        inside = (lo < x) & (x < hi)
+        if not inside.any():
+            return np.ldexp(lo.min(axis=0)[::-1], e)
+        lowest.fill(np.inf)
+        with np.errstate(divide="ignore"):     # b^2 / +0 is the -inf wanted
+            for calls in blocks:
+                for f, u, v, out in calls:
+                    f(u, v, out)
+                np.minimum(lowest, pivots.min(axis=0), out=lowest)
+        below = lowest < 0.0
+        hi = np.where(inside & below, x, hi)
+        lo = np.where(inside & ~below, x, lo)

@@ -152,6 +152,22 @@ def test_checkpoint_jump_matches_stepping():
         checkpoint_powers(prop, 0)
 
 
+@pytest.mark.parametrize("P, N", [(0, 30), (1, 30), (20, 5), (20, 30)])
+def test_checkpoint_powers_are_the_chain_blocks_of_dense_powers(P, N):
+    q, cfg, prop = build(FIG2, P, dt=0.002, N=N, tol=1e-6)
+    n = P + 1
+    powers = checkpoint_powers(prop, 3)
+    dense = prop.matrix[np.ix_(q.order, q.order)]  # chain order
+    # M's blocks are gathered from the band, so they are exact
+    assert np.array_equal(powers[0], [dense[:n, :n], dense[n:, n:]])
+    for power in powers:
+        assert power.shape == (2, n, n)
+        assert not dense[:n, n:].any() and not dense[n:, :n].any()
+        assert np.abs(power[0] - dense[:n, :n]).max() < 1e-14
+        assert np.abs(power[1] - dense[n:, n:]).max() < 1e-14
+        dense = dense @ dense
+
+
 def test_runaway_growth_raises_with_the_step_index():
     # order 3 with a coarse step is badly unstable; certificate is disabled
     q, cfg, prop = build(FIG2, 50, dt=0.25, N=3, tol=1e12, steps=400)

@@ -1,8 +1,14 @@
 """Eigendecomposition route: spectra, phase evolution, cutoff scans."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
+import sbprop.spectral as spectral
 from sbprop import (
     ModelParams,
     NonHermitianInput,
@@ -134,6 +140,108 @@ def test_gs_scan_validation():
         gs_scan(FIG2, [10, 5])
     with pytest.raises(ValueError):
         gs_scan(FIG2, [-1, 5])
+    with pytest.raises(ValueError, match="integers"):
+        gs_scan(FIG2, [2.7, 5.5])
+    with pytest.raises(ValueError, match="integers"):
+        gs_scan(FIG2, [2, 5.5])
+    with pytest.raises(ValueError, match="integers"):
+        gs_scan(FIG2, [2, float("nan")])
+    # integral floats name the same cutoffs as ints, as in Truncation
+    assert gs_scan(FIG2, [2.0, 5.0]).e0.tobytes() == gs_scan(FIG2, [2, 5]).e0.tobytes()
+
+
+def chain_blocks(params, P):
+    """(diagonal, off-diagonal) of both parity chains of Q at cutoff P."""
+    q = build_transfer_matrix(params, Truncation(P=P))
+    n = P + 1
+    return [(q.diag[lo:lo + n].real, q.off[lo:lo + n - 1]) for lo in (0, n)]
+
+
+def sturm_count(d, off, x):
+    """Negative pivots of LDL^T of T - x, one float at a time: a zero pivot
+    is +0, and a zero coupling starts a decoupled block."""
+    count, pivot = 0, 1.0
+    for i, a in enumerate(d):
+        b2 = off[i - 1] * off[i - 1] if i else 0.0
+        quotient = (b2 / pivot if pivot else np.inf) if b2 else 0.0
+        pivot = (a - x) - quotient
+        count += pivot < 0.0
+    return count
+
+
+couplings = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
+hermitian_params = st.builds(
+    ModelParams, omega_f=st.floats(0.2, 2.0),
+    omega_0=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    g_minus=couplings, g_plus=couplings)
+cutoff_grids = st.lists(st.integers(0, 120), min_size=2, max_size=12,
+                        unique=True).map(sorted)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=hermitian_params, ps=cutoff_grids)
+def test_gs_scan_matches_a_tridiagonal_eigensolver(params, ps):
+    e0 = gs_scan(params, ps).e0
+    assert np.isfinite(e0).all()
+    assert np.all(np.diff(e0) <= 0.0)
+    eps = np.finfo(float).eps
+    for P, e in zip(ps, e0):
+        want, norm = [], 0.0
+        for d, off in chain_blocks(params, P):
+            want.append(eigvalsh_tridiagonal(d, off, select="i", select_range=(0, 0))[0]
+                        if P else d[0])
+            rows = np.abs(d) + np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0])
+            norm = max(norm, rows.max())
+        # each bisection is within about 0.7 eps*|T| of the exact value, and
+        # the two can err in opposite directions
+        assert abs(e - min(want)) <= 2.0 * eps * norm, P
+
+
+@pytest.mark.parametrize("params", [FIG2, DEEP, RWA])
+def test_gs_scan_values_do_not_depend_on_the_grid(params):
+    full = gs_scan(params, range(0, 121))
+    sub = [0, 3, 17, 50, 119, 120]
+    assert gs_scan(params, sub).e0.tobytes() == full.e0[sub].tobytes()
+    assert gs_scan(params, [17, 50]).e0.tobytes() == full.e0[[17, 50]].tobytes()
+
+
+@pytest.mark.parametrize("params", [
+    FIG2, DEEP, RWA, ModelParams(omega_f=1.0, omega_0=0.5, g_plus=0.7),
+    ModelParams(omega_f=1.0, omega_0=0.0),
+    # a bisection shift here makes a pivot exactly 0, so the next is -inf
+    ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.0, g_plus=0.5)])
+def test_gs_scan_e0_is_the_last_float_below_the_ground_state(params):
+    ps = [0, 1, 2, 3, 4, 8, 40]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e0 = gs_scan(params, ps).e0
+    for P, e in zip(ps, e0):
+        chains = chain_blocks(params, P)
+        assert sum(sturm_count(d, off, e) for d, off in chains) == 0, P
+        above = np.nextafter(e, np.inf)
+        assert sum(sturm_count(d, off, above) for d, off in chains) >= 1, P
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+def test_gs_scan_scales_exactly_by_powers_of_two(power):
+    # at 2^600 the squared couplings overflow a double, at 2^-600 they
+    # underflow; scaled by a power of two, every E0 is exactly scaled
+    ps = [1, 5, 30]
+    scaled = ModelParams(*(np.ldexp(v, power) for v in (1.0, 1.0, 2.0, 2.0)))
+    want = np.ldexp(gs_scan(DEEP, ps).e0, power)
+    assert gs_scan(scaled, ps).e0.tobytes() == want.tobytes()
+
+
+def test_gs_scan_assembles_q_once(monkeypatch):
+    calls = []
+
+    def counting(params, trunc):
+        calls.append(trunc.P)
+        return build_transfer_matrix(params, trunc)
+
+    monkeypatch.setattr(spectral, "build_transfer_matrix", counting)
+    gs_scan(DEEP, range(10, 61, 10))
+    assert calls == [60]
 
 
 def dense_decomposition(q):
