@@ -16,9 +16,9 @@ File layout, format version 2 (little-endian throughout):
          doubles, row-major, re/im interleaved, h = min(N, dim/2 - 1)
     then an 8-byte blake2b checksum of header and payload
 
-Version 1 files are still read.  They carry no certificates (bytes 40..63
-are zero), their payload is the dense dim*dim block-layout matrix, and
-their checksum covers the payload only.  put() always writes version 2.
+A file of any other version, version 1 (a dense dim*dim payload) included,
+is refused from its header alone as corrupt; the CLI then rebuilds it and
+overwrites it with version 2, the only version put() writes.
 
 Fingerprints hash the IEEE-754 bit patterns of the parameters (plus the
 coupling-convention tag), never their decimal text, so 0.1 read from a
@@ -101,9 +101,10 @@ class CacheEntry:
     once (ValueError if it has nonzeros outside the band).  `.matrix` is
     the dense block-layout view, built on every access.  Header-only
     listings carry no band, and `.matrix` is then None.  The certificates
-    are None when unknown: for version-1 files, and where no unitarity
-    defect was measured (dissipative builds).  propagator.StepPropagator
-    is a CacheEntry, so a built propagator is stored as it is.
+    are None when unknown: for entries stored without them, and where no
+    unitarity defect was measured (dissipative builds).
+    propagator.StepPropagator is a CacheEntry, so a built propagator is
+    stored as it is.
     """
 
     def __init__(self, fingerprint: int, dim: int, N: int, dt: float,
@@ -214,58 +215,56 @@ class PropagatorCache:
         """Full entry on hit, None on miss, CacheCorruptError on damage."""
         path = self.path_for(fingerprint)
         try:
-            raw = path.read_bytes()
+            entry = self._read(path, with_band=True)
         except FileNotFoundError:
             return None
-        entry = self._parse(path, raw, with_band=True)
         if entry.fingerprint != fingerprint:
             raise CacheCorruptError(
                 path, f"header fingerprint {entry.fingerprint:016x} does not "
                       f"match the requested {fingerprint:016x}")
-        entry.created_at = path.stat().st_mtime
         return entry
 
-    def _parse(self, path: Path, raw: bytes, with_band: bool) -> CacheEntry:
-        if len(raw) < HEADER_SIZE + CHECKSUM_SIZE:
-            raise CacheCorruptError(path, "file shorter than header")
-        magic, version, dim, order, _, dt, fp, last, defect = _HEADER.unpack_from(raw)
-        if magic != MAGIC:
-            raise CacheCorruptError(path, f"bad magic {magic!r}")
-        if version == VERSION:
+    def _read(self, path: Path, with_band: bool) -> CacheEntry:
+        """Check the header, then read and verify the rest of the file.
+
+        A bad magic, version or size is refused after the 64-byte header,
+        before any of the payload is read.
+        """
+        # unbuffered, so the payload is read straight into one bytes object
+        with open(path, "rb", buffering=0) as fh:
+            header = fh.read(HEADER_SIZE)
+            if len(header) < HEADER_SIZE:
+                raise CacheCorruptError(path, "file shorter than header")
+            magic, version, dim, order, _, dt, fp, last, defect = _HEADER.unpack_from(header)
+            if magic != MAGIC:
+                raise CacheCorruptError(path, f"bad magic {magic!r}")
+            if version != VERSION:
+                raise CacheCorruptError(
+                    path, f"unsupported format version {version} (expected {VERSION})")
             if dim < 2 or dim % 2:
                 raise CacheCorruptError(path, f"odd or zero dimension {dim}")
             shape = (dim, 2 * band_half_width(dim, order) + 1)
-            certificates = _loaded(last), _loaded(defect)
-        elif version == 1:
-            shape = (dim, dim)
-            certificates = None, None
-        else:
-            raise CacheCorruptError(path, f"unsupported version {version}")
-        expect = HEADER_SIZE + shape[0] * shape[1] * 16 + CHECKSUM_SIZE
-        if len(raw) != expect:
-            raise CacheCorruptError(
-                path, f"size {len(raw)} does not match dim {dim} ({expect})")
-        view = memoryview(raw)
-        payload = view[HEADER_SIZE:-CHECKSUM_SIZE]
-        signed = view[:-CHECKSUM_SIZE] if version == VERSION else payload
-        if _checksum(signed) != raw[-CHECKSUM_SIZE:]:
+            expect = HEADER_SIZE + shape[0] * shape[1] * 16 + CHECKSUM_SIZE
+            stat = os.fstat(fh.fileno())
+            if stat.st_size != expect:
+                raise CacheCorruptError(
+                    path, f"size {stat.st_size} does not match dim {dim} ({expect})")
+            rest = fh.read()
+        payload = memoryview(rest)[:-CHECKSUM_SIZE]
+        if _checksum(header, payload) != rest[-CHECKSUM_SIZE:]:
             raise CacheCorruptError(path, "checksum mismatch")
         band = None
         if with_band:
-            # a read-only view of `raw`, copied only on big-endian hosts
-            values = np.frombuffer(payload, dtype="<c16").astype(
+            # a read-only view of `rest`, copied only on big-endian hosts
+            band = np.frombuffer(payload, dtype="<c16").astype(
                 np.complex128, copy=False).reshape(shape)
             try:
-                if version == VERSION:
-                    _check_band(values, dim, order)
-                    band = values
-                else:
-                    band = band_from_dense(values, order)
+                _check_band(band, dim, order)
             except ValueError as err:
                 raise CacheCorruptError(path, str(err)) from None
         return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt, band=band,
-                          last_term_norm=certificates[0],
-                          unitarity_defect=certificates[1])
+                          created_at=stat.st_mtime, last_term_norm=_loaded(last),
+                          unitarity_defect=_loaded(defect))
 
     def invalidate(self, fingerprint: int) -> bool:
         """Remove one entry; True if something was deleted."""
@@ -282,9 +281,7 @@ class PropagatorCache:
         out: list[tuple[Path, CacheEntry | CacheCorruptError]] = []
         for path in sorted(self.root.glob("*.sbp")):
             try:
-                entry = self._parse(path, path.read_bytes(), with_band=False)
-                entry.created_at = path.stat().st_mtime
-                out.append((path, entry))
+                out.append((path, self._read(path, with_band=False)))
             except CacheCorruptError as err:
                 out.append((path, err))
         return out

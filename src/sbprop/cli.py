@@ -68,8 +68,6 @@ def build_parser() -> _Parser:
                            help="override one config key (repeatable)")
     run_flags.add_argument("--out", metavar="PATH",
                            help="write CSV here instead of stdout")
-    run_flags.add_argument("--serial", action="store_true",
-                           help="force deterministic sequential mode")
     run_flags.add_argument("--normalize", action="store_true",
                            help="compare normalized instead of raw observables")
 
@@ -103,8 +101,6 @@ def _load(args: argparse.Namespace) -> RunConfig:
     cfg = load_run_config(args.config, args.set)
     if args.out:
         cfg.out = args.out
-    if args.serial:
-        cfg.serial = True
     if args.normalize:
         cfg.normalize = True
     return cfg
@@ -113,7 +109,13 @@ def _load(args: argparse.Namespace) -> RunConfig:
 def _steps_for(t_max: float, dt: float) -> int:
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ConfigError(f"t_max must be non-negative, got {t_max}")
-    return max(int(math.ceil(t_max / dt - 1e-9)), 0)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
+    steps = t_max / dt - 1e-9
+    if not math.isfinite(steps):
+        raise ConfigError(f"dt={dt} is too small for t_max={t_max}: "
+                          "the step count overflows")
+    return max(math.ceil(steps), 0)
 
 
 def _prepare(cfg: RunConfig) -> tuple[TransferMatrix, PropagatorConfig]:
@@ -225,7 +227,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     q, _ = _prepare(cfg)
     dec = diagonalize(q)
     levels = args.levels if args.levels is not None else cfg.levels
-    levels = max(1, min(int(levels), dec.dim - 1))
+    levels = min(int(levels), dec.dim - 1)
     deltas = level_differences(dec, levels)
     lines = ["j,energy,delta_e", f"0,{float(dec.energies[0])!r},0.0"]
     lines += [f"{j},{float(dec.energies[j])!r},{float(deltas[j - 1])!r}"

@@ -114,7 +114,6 @@ class RunConfig:
     out: str = ""
     normalize: bool = False
     snapshot_stride: int = 0
-    serial: bool = True
     p_values: str = ""
     levels: int = 20
 

@@ -3,7 +3,7 @@
 Every test session gets a throwaway propagator cache directory so tests
 never read or pollute the user's real store, and repeated runs inside one
 session still exercise the hit path.  `write_v1_entry` writes a cache file
-in the read-only format 1 by hand.
+in the retired format 1 by hand, which the store refuses.
 """
 
 import hashlib

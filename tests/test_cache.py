@@ -71,7 +71,7 @@ def test_flipped_payload_byte_is_reported_as_corrupt(tmp_path):
     assert exc.value.path == path
 
 
-@pytest.mark.parametrize("mutate", ["magic", "version", "truncate"])
+@pytest.mark.parametrize("mutate", ["magic", "version", "version=1", "truncate"])
 def test_header_damage_is_reported_as_corrupt(tmp_path, mutate):
     store = PropagatorCache(tmp_path)
     entry = make_entry(P=3)
@@ -82,17 +82,25 @@ def test_header_damage_is_reported_as_corrupt(tmp_path, mutate):
         blob[0] ^= 0x01
     elif mutate == "version":
         blob[8] ^= 0x02
+    elif mutate == "version=1":
+        # re-signed, so only the version is wrong
+        blob[8:12] = struct.pack("<I", 1)
+        blob = bytearray(resign(blob))
     else:
         blob = blob[: len(blob) // 2]
     path.write_bytes(bytes(blob))
-    with pytest.raises(CacheCorruptError):
+    with pytest.raises(CacheCorruptError) as exc:
         store.get(entry.fingerprint)
+    if mutate.startswith("version"):
+        assert "unsupported format version" in exc.value.reason
+    if mutate == "version=1":
+        assert exc.value.reason == "unsupported format version 1 (expected 2)"
 
 
 def test_header_layout_is_frozen(tmp_path, write_v1_entry, config_dir,
                                  capsys, monkeypatch):
-    # Format 1 is read-only: a hand-written v1 file keeps its frozen
-    # layout, reads back to the built band, and serves the CLI.
+    # Format 1 is retired: a hand-written v1 file keeps its frozen layout,
+    # is refused from its header alone, and the CLI rebuilds it as a v2 file.
     store = PropagatorCache(tmp_path / "store")
     entry = make_entry(P=2, dt=0.025, N=12)
     path = store.path_for(entry.fingerprint)
@@ -114,11 +122,9 @@ def test_header_layout_is_frozen(tmp_path, write_v1_entry, config_dir,
     flat = np.frombuffer(payload, dtype="<c16").reshape(dim, dim)
     assert np.array_equal(flat, entry.matrix)
 
-    q = build_transfer_matrix(FIG2, Truncation(P=2, N=12))
-    built = build_step_propagator(q, PropagatorConfig(dt=0.025, steps=1, N=12))
-    loaded = store.get(entry.fingerprint)
-    assert loaded.band.tobytes() == built.band.tobytes()
-    assert (loaded.last_term_norm, loaded.unitarity_defect) == (None, None)
+    with pytest.raises(CacheCorruptError) as exc:
+        store.get(entry.fingerprint)
+    assert exc.value.reason == "unsupported format version 1 (expected 2)"
 
     argv = ["evolve", "--config", str(config_dir / "fig2.cfg"), "--set", "P=2",
             "--set", "dt=0.025", "--set", "N=12", "--set", "t_max=5"]
@@ -128,8 +134,16 @@ def test_header_layout_is_frozen(tmp_path, write_v1_entry, config_dir,
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(store.root))
     assert main(argv) == 0
     warm = capsys.readouterr()
-    assert warm.out == cold.out and warm.err == ""
-    assert path.read_bytes() == raw                      # served, not rebuilt
+    assert warm.out == cold.out
+    assert warm.err == (f"warning: rebuilding corrupt cache entry ({path}: "
+                        "unsupported format version 1 (expected 2))\n")
+    # overwritten by the file a cold run stores, certificates and all
+    (cold_file,) = (tmp_path / "cold").glob("*.sbp")
+    assert path.read_bytes() == cold_file.read_bytes()
+    rebuilt = store.get(entry.fingerprint)
+    assert rebuilt.last_term_norm > 0.0 and rebuilt.unitarity_defect is not None
+    assert main(argv) == 0
+    assert capsys.readouterr() == cold
 
 
 def built_entry(P=2, dt=0.025, N=12, params=FIG2):

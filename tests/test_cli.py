@@ -52,7 +52,7 @@ def test_reruns_are_byte_identical(config_dir, capsys, tmp_path):
     code1, _, _ = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
                       "--set", "t_max=3.0", "--out", str(a))
     code2, _, _ = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
-                      "--set", "t_max=3.0", "--out", str(b), "--serial")
+                      "--set", "t_max=3.0", "--out", str(b))
     assert code1 == code2 == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -101,6 +101,21 @@ def test_exit_code_1_for_config_problems(config_dir, capsys, tmp_path):
     assert code == 1
     code, _, err = run(capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare", "spectrum"])
+@pytest.mark.parametrize("sets, reason", [
+    (["dt=0"], "dt must be positive and finite, got 0.0"),
+    (["dt=nan"], "dt must be positive and finite, got nan"),
+    (["dt=1e-300", "t_max=1e300"], "dt=1e-300 is too small for t_max=1e+300"),
+])
+def test_unusable_dt_is_a_config_error(config_dir, capsys, command, sets, reason):
+    argv = [command, "--config", cfg(config_dir, "fig2.cfg")]
+    for item in sets:
+        argv += ["--set", item]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
 
 
 def test_exit_code_2_for_numerical_failures(config_dir, capsys):
@@ -168,6 +183,14 @@ def test_spectrum_levels_clamped_to_dimension(config_dir, capsys):
                        "--levels", "999")
     assert code == 0
     assert len(out.strip().splitlines()) == 1 + 4  # header + dim rows
+
+
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_spectrum_refuses_fewer_than_one_level(config_dir, capsys, levels):
+    code, out, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--levels", levels)
+    assert code == 1 and out == ""
+    assert err == f"error: count must be a positive integer, got {levels}\n"
 
 
 def test_gs_scan_stdout_contract(config_dir, capsys, tmp_path):
@@ -280,8 +303,8 @@ def test_entry_renamed_to_another_fingerprint_is_rebuilt(config_dir, capsys,
     assert (tmp_path / "got.csv").read_bytes() != (tmp_path / "fig2.csv").read_bytes()
 
 
-def test_stored_matrix_outside_the_band_is_rebuilt(config_dir, capsys, tmp_path,
-                                                   monkeypatch, write_v1_entry):
+def test_dense_matrix_outside_the_band_is_not_stored(config_dir, capsys, tmp_path,
+                                                    monkeypatch):
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
     argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=1.0"]
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "a.csv"))
@@ -289,20 +312,18 @@ def test_stored_matrix_outside_the_band_is_rebuilt(config_dir, capsys, tmp_path,
 
     store = PropagatorCache()
     (path,) = store.root.glob("*.sbp")
+    stored = path.read_bytes()
     entry = store.get(int(path.stem, 16))
     bad = entry.matrix.copy()
-    bad[0, 1] = 1e-3  # e0 -> e1: a cross-chain entry, checksummed as valid
+    bad[0, 1] = 1e-3  # e0 -> e1: a cross-chain entry
     with pytest.raises(ValueError, match="parity-chain band"):
         store.put(CacheEntry(fingerprint=entry.fingerprint, dim=entry.dim,
                              N=entry.N, dt=entry.dt, matrix=bad))
-    write_v1_entry(path, entry.fingerprint, entry.dim, entry.N, entry.dt, bad)
-
+    # the refused put left the stored entry as it was, and it still serves
+    assert path.read_bytes() == stored
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "b.csv"))
-    assert code == 0
-    assert "rebuilding corrupt cache entry" in err and "parity-chain band" in err
+    assert code == 0 and err == ""
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "c.csv"))
-    assert code == 0 and "warning" not in err
 
 
 def test_v2_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
@@ -330,8 +351,8 @@ def test_v2_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
     assert code == 0 and "warning" not in err
 
 
-def test_v2_hit_v1_hit_and_miss_step_alike(config_dir, capsys, tmp_path,
-                                          monkeypatch, write_v1_entry):
+def test_v2_hit_v1_rebuild_and_miss_step_alike(config_dir, capsys, tmp_path,
+                                              monkeypatch, write_v1_entry):
     argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=5"]
     q, pcfg = _prepare(load_run_config(cfg(config_dir, "fig2.cfg"), ["t_max=5"]))
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
@@ -343,25 +364,28 @@ def test_v2_hit_v1_hit_and_miss_step_alike(config_dir, capsys, tmp_path,
     _, v2_out, err = run(capsys, *argv)
     assert err == ""
     path = PropagatorCache().path_for(miss.fingerprint)
-    assert int.from_bytes(path.read_bytes()[8:12], "little") == 2
+    v2_file = path.read_bytes()
+    assert int.from_bytes(v2_file[8:12], "little") == 2
 
+    # a version-1 file is refused from its header, rebuilt and overwritten
     write_v1_entry(path, miss.fingerprint, q.dim, pcfg.N, pcfg.dt, miss.matrix)
-    v1_hit = _obtain_propagator(q, pcfg)
-    _, v1_out, err = run(capsys, *argv)
-    assert err == "" and int.from_bytes(path.read_bytes()[8:12], "little") == 1
+    _, rebuilt_out, err = run(capsys, *argv)
+    assert err == (f"warning: rebuilding corrupt cache entry ({path}: "
+                   "unsupported format version 1 (expected 2))\n")
+    assert path.read_bytes() == v2_file
+    _, rerun_out, err = run(capsys, *argv)
+    assert err == ""
+    assert rebuilt_out == rerun_out == v2_out == miss_out
 
     assert miss.step_band.shape[1] < miss.band.shape[1]
-    for hit in (v2_hit, v1_hit):
-        assert hit.band.tobytes() == miss.band.tobytes()
-        assert hit.step_band.tobytes() == miss.step_band.tobytes()
-        assert hit.dropped_norm == miss.dropped_norm
-    assert v1_out == v2_out == miss_out
+    assert v2_hit.band.tobytes() == miss.band.tobytes()
+    assert v2_hit.step_band.tobytes() == miss.step_band.tobytes()
+    assert v2_hit.dropped_norm == miss.dropped_norm
 
-    # certificates survive a v2 hit; v1 entries never had them
+    # certificates survive a v2 hit
     assert miss.last_term_norm is not None and miss.unitarity_defect is not None
     assert (v2_hit.last_term_norm, v2_hit.unitarity_defect) == (
         miss.last_term_norm, miss.unitarity_defect)
-    assert (v1_hit.last_term_norm, v1_hit.unitarity_defect) == (None, None)
 
 
 def test_cache_list_shows_the_certificates(config_dir, capsys, tmp_path,
@@ -382,12 +406,15 @@ def test_cache_list_shows_the_certificates(config_dir, capsys, tmp_path,
     assert lines[f"{fig6.fingerprint:016x}"].endswith(
         f" last_term={fig6.last_term_norm:.3e} defect=-")
 
+    # a version-1 file is listed as corrupt, with the version as its reason
     store = PropagatorCache()
-    write_v1_entry(store.path_for(fig2.fingerprint), fig2.fingerprint,
-                   fig2.dim, fig2.N, fig2.dt, fig2.matrix)
+    path = store.path_for(fig2.fingerprint)
+    write_v1_entry(path, fig2.fingerprint, fig2.dim, fig2.N, fig2.dt, fig2.matrix)
     _, out, _ = run(capsys, "cache", "list")
-    lines = {line.split()[0]: line for line in out.splitlines()}
-    assert lines[f"{fig2.fingerprint:016x}"].endswith(" last_term=- defect=-")
+    assert f"corrupt {path.name}: unsupported format version 1 (expected 2)" in out.splitlines()
+    assert f"{fig6.fingerprint:016x} dim=" in out
+    _, out, _ = run(capsys, "cache", "info")
+    assert "entries=2 corrupt=1 " in out
 
 
 def test_out_onto_a_fifo_writes_through_it(config_dir, capsys, tmp_path):

@@ -1,5 +1,5 @@
-"""Memory guards: the cutoff scan and the squared checkpoints stay off dense
-matrices.
+"""Memory guards: the cutoff scan, the squared checkpoints and a run over a
+retired cache file stay off dense matrices.
 
 Each routine works on chain-sized pieces, so its traced peak stays below
 the size of one dense matrix of the kind it used to build.
@@ -9,14 +9,17 @@ import tracemalloc
 
 from sbprop import (
     ModelParams,
+    PropagatorCache,
     PropagatorConfig,
     Truncation,
     build_step_propagator,
     build_transfer_matrix,
     checkpoint_powers,
     gs_scan,
+    load_run_config,
     suggest_step,
 )
+from sbprop.cli import _prepare, main
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 DEEP = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=2.0, g_plus=2.0)
@@ -41,3 +44,21 @@ def test_checkpoint_powers_allocates_no_dense_propagator():
     prop = build_step_propagator(q, PropagatorConfig(dt=suggest_step(q), steps=1))
     # M's two chain blocks hold half the entries of the dense dim x dim M
     assert traced_peak(checkpoint_powers, prop, 1) < q.dim ** 2 * 16
+
+
+def test_evolve_over_a_version_1_file_reads_no_dense_payload(config_dir, tmp_path,
+                                                              monkeypatch, capsys,
+                                                              write_v1_entry):
+    # dim 802: the v1 payload is the dense M, 10.3 MB; it is refused from
+    # its header, and the rebuild works on the band alone
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    config = str(config_dir / "fig3_P400.cfg")
+    q, pcfg = _prepare(load_run_config(config, ["t_max=1"]))
+    prop = build_step_propagator(q, pcfg)
+    write_v1_entry(PropagatorCache().path_for(prop.fingerprint), prop.fingerprint,
+                   q.dim, pcfg.N, pcfg.dt, prop.matrix)
+    del prop
+
+    peak = traced_peak(main, ["evolve", "--config", config, "--set", "t_max=1"])
+    assert peak < q.dim ** 2 * 16
+    assert capsys.readouterr().err.startswith("warning: rebuilding corrupt cache entry")
