@@ -275,7 +275,11 @@ class PropagatorCache:
             return False
 
     def entries(self) -> list[tuple[Path, CacheEntry | CacheCorruptError]]:
-        """Header-only scan of the cache directory, sorted by name."""
+        """Header-only scan of the cache directory, sorted by name.
+
+        A file that cannot be read (a directory named *.sbp, no read
+        permission) is listed as a CacheCorruptError with the OS reason.
+        """
         if not self.root.is_dir():
             return []
         out: list[tuple[Path, CacheEntry | CacheCorruptError]] = []
@@ -284,6 +288,8 @@ class PropagatorCache:
                 out.append((path, self._read(path, with_band=False)))
             except CacheCorruptError as err:
                 out.append((path, err))
+            except OSError as err:
+                out.append((path, CacheCorruptError(path, err.strerror or str(err))))
         return out
 
     def clear(self) -> int:

@@ -1,9 +1,10 @@
 """Command-line harness: evolve | compare | spectrum | gs-scan | cache.
 
-Exit codes: 0 success, 1 usage/config error or unwritable output (a
-closed stdout pipe included), 2 numerical failure (series not converged,
-propagator not unitary, non-finite amplitudes), 3 method comparison above
-tolerance.
+Exit codes: 0 success, 1 usage/config error or an OS error such as
+unwritable output (a closed stdout pipe included) or a cache file that
+cannot be removed, 2 numerical failure (no acceptable dt, series not
+converged, propagator not unitary, non-finite amplitudes, eigensolver
+checks refused), 3 method comparison above tolerance.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .cache import CacheCorruptError, PropagatorCache, atomic_write, propagator_
 from .config import ConfigError, RunConfig, load_run_config, parse_p_values
 from .model import TransferMatrix, build_transfer_matrix
 from .propagator import (
-    NonFiniteState,
-    NotConverged,
-    NotUnitary,
     PropagatorConfig,
     StepPropagator,
     build_step_propagator,
@@ -31,8 +29,7 @@ from .propagator import (
     evolve,
     suggest_step,
 )
-from .spectral import NonHermitianInput, diagonalize, gs_scan, level_differences, teee_evolve
-from .states import TailMassTooLarge
+from .spectral import diagonalize, gs_scan, level_differences, teee_evolve
 from .trajectory import csv_lines, csv_rows
 
 EXIT_OK = 0
@@ -192,7 +189,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     q, pcfg = _prepare(cfg)
     prop = _obtain_propagator(q, pcfg)
     state = cfg.build_initial_state()
-    traj = evolve(state, prop, pcfg, q, snapshot_stride=cfg.snapshot_stride)
+    traj = evolve(state, prop, pcfg, q)
     _write_lines(csv_lines(traj), cfg.out)
     return EXIT_OK
 
@@ -297,10 +294,13 @@ def main(argv=None) -> int:
         # the interpreter's final flush of what is left stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
-    except (ConfigError, TailMassTooLarge, NonHermitianInput, ValueError) as err:
+    except (ValueError, OSError) as err:
+        # ConfigError, TailMassTooLarge and NonHermitianInput among them
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotConverged, NotUnitary, NonFiniteState) as err:
+    except RuntimeError as err:
+        # NotConverged, NotUnitary, NonFiniteState, and the refusals of
+        # suggest_step and diagonalize
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

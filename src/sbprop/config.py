@@ -113,7 +113,6 @@ class RunConfig:
     tail_tol: float = 1e-12
     out: str = ""
     normalize: bool = False
-    snapshot_stride: int = 0
     p_values: str = ""
     levels: int = 20
 
@@ -127,7 +126,7 @@ class RunConfig:
 
     def to_truncation(self) -> Truncation:
         try:
-            return Truncation(P=self.P, N=self.N)
+            return Truncation(P=self.P)
         except ValueError as err:
             raise ConfigError(str(err)) from None
 

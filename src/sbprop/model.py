@@ -88,16 +88,17 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Fock cutoff P (levels 0..P retained) and Taylor order N per step."""
+    """Fock cutoff P: levels 0..P are retained.
+
+    The Taylor order N of the step propagator is a separate approximation
+    and is set on propagator.PropagatorConfig alone.
+    """
 
     P: int
-    N: int = 30
 
     def __post_init__(self) -> None:
         if int(self.P) != self.P or self.P < 0:
             raise ValueError(f"P must be a non-negative integer, got {self.P}")
-        if int(self.N) != self.N or self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
 
     @property
     def dim(self) -> int:
@@ -224,16 +225,6 @@ class TransferMatrix:
         return float(np.where(excited, (a + lower) + upper,
                               (lower + upper) + a).max())
 
-    def energy(self, y: np.ndarray) -> float:
-        """Re <y|Q|y> for a chain-order vector y.
-
-        Re(d)|y|^2 summed, plus twice the real part of the upper
-        off-diagonal form; the lower one is its complex conjugate.
-        """
-        a, b = y[:-1], y[1:]
-        return float((self.diag.real * (y.real ** 2 + y.imag ** 2)).sum()
-                     + 2.0 * (self.off * (a.real * b.real + a.imag * b.imag)).sum())
-
 
 def build_transfer_matrix(params: ModelParams, trunc: Truncation) -> TransferMatrix:
     """Assemble Q for the truncated model.
@@ -263,7 +254,10 @@ def build_transfer_matrix(params: ModelParams, trunc: Truncation) -> TransferMat
     excited = order < n
     level = np.where(excited, order, order - n)
     diag = np.where(excited, diag_e[level], diag_g[level]).astype(np.complex128)
-    off = np.where(excited[:-1], params.g_minus, params.g_plus) * (level[:-1] + 1)
+    # a coupling past the float range becomes inf here; certify and
+    # diagonalize refuse what it leads to, so the warning is only noise
+    with np.errstate(over="ignore"):
+        off = np.where(excited[:-1], params.g_minus, params.g_plus) * (level[:-1] + 1)
     off[n - 1] = 0.0  # chain A ends here
 
     for a in (diag, off, order):

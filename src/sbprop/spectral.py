@@ -100,27 +100,33 @@ def diagonalize(q: TransferMatrix) -> SpectralDecomposition:
     One half-size eigh per parity chain; the eigenpairs are kept per
     chain, in chain order.  The residual max_j ||Q v_j - E_j v_j|| and the
     orthonormality defect ||V^T V - 1||_max are measured on every call
-    and enforced at 1e-10 (scaled by 1 + max|E| for the residual);
-    vectors of different chains are orthogonal exactly, so both are
-    measured per chain.
+    and enforced at 1e-10 (scaled by 1 + max|E| for the residual), and
+    every energy must be finite; a refusal is a RuntimeError.  Vectors of
+    different chains are orthogonal exactly, so both are measured per
+    chain.
     """
     _require_hermitian(q)
     n = q.trunc.P + 1
     chain_energies = np.empty((2, n))
     chain_vectors = np.empty((2, n, n))
     residual = ortho = 0.0
-    for c, block in enumerate(_chains(q)):
-        chain_energies[c], chain_vectors[c] = np.linalg.eigh(block)
-        e, v = chain_energies[c], chain_vectors[c]
-        residual = max(residual, float(
-            np.linalg.norm(block @ v - v * e, axis=0).max()))
-        ortho = max(ortho, float(np.abs(v.T @ v - np.eye(e.size)).max()))
+    # overflow shows up in the checks below, so the numpy warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, block in enumerate(_chains(q)):
+            chain_energies[c], chain_vectors[c] = np.linalg.eigh(block)
+            e, v = chain_energies[c], chain_vectors[c]
+            residual = max(residual, float(
+                np.linalg.norm(block @ v - v * e, axis=0).max()))
+            ortho = max(ortho, float(np.abs(v.T @ v - np.eye(e.size)).max()))
     energies = np.sort(chain_energies, axis=None, kind="stable")
 
+    if not np.isfinite(energies).all():
+        raise RuntimeError("eigensolver returned non-finite energies")
     scale = 1.0 + float(np.abs(energies).max())
-    if residual > RESIDUAL_TOL * scale:
+    # `not x <= bound`, so that a NaN fails the check
+    if not residual <= RESIDUAL_TOL * scale:
         raise RuntimeError(f"eigensolver residual {residual:.3e} above bound")
-    if ortho > ORTHO_TOL:
+    if not ortho <= ORTHO_TOL:
         raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
     return SpectralDecomposition(energies=energies, chain_energies=chain_energies,
                                  chain_vectors=chain_vectors,

@@ -136,24 +136,16 @@ def coherent_state(spec: CoherentSpec, P: int, *,
 
     tail = max(1.0 - retained, 0.0)
     if tail > tail_tol:
-        raise TailMassTooLarge(spec.alpha, P, tail, tail_tol,
-                               _required_cutoff(spec.alpha, tail_tol, P))
+        # carry the same recurrence on past P to the first cutoff whose
+        # tail is within tolerance, giving up at a generous limit
+        required = P
+        limit = P + int(8 * spec.alpha * spec.alpha) + 200
+        while required < limit and 1.0 - retained > tail_tol:
+            c *= spec.alpha / math.sqrt(required + 1.0)
+            retained += c * c
+            required += 1
+        raise TailMassTooLarge(spec.alpha, P, tail, tail_tol, required)
     return SpinorFockState(amps_e=e, amps_g=g)
-
-
-def _required_cutoff(alpha: float, tol: float, start: int) -> int:
-    """Smallest cutoff whose Poisson tail mass drops below tol."""
-    c = math.exp(-0.5 * alpha ** 2)
-    retained = c * c
-    p = 0
-    limit = start + int(8 * alpha * alpha) + 200
-    while p < limit:
-        if 1.0 - retained <= tol:
-            return p
-        c *= alpha / math.sqrt(p + 1.0)
-        retained += c * c
-        p += 1
-    return limit
 
 
 def fock_state(p0: int, spin: str, P: int) -> SpinorFockState:

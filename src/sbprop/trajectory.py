@@ -32,7 +32,6 @@ class Trajectory:
     energy_re: np.ndarray
     c_exp: np.ndarray
     parity: np.ndarray
-    snapshot_stride: int = 0
     snapshot_times: np.ndarray | None = field(default=None, repr=False)
     snapshots: np.ndarray | None = field(default=None, repr=False)
 
@@ -43,9 +42,11 @@ class Trajectory:
 class TrajectoryBuilder:
     """Accumulates rows; evolvers call record() once per block of time points.
 
-    The recorded vectors are in chain order (see model.chain_order);
-    snapshots are stored back in the block layout.  With q given, record()
-    also measures the energy Re <y|Q|y>.
+    The recorded vectors are in chain order (see model.chain_order).  With
+    snapshot_stride k > 0, every k-th recorded vector is kept, back in the
+    block layout, as Trajectory.snapshots; that is for library callers
+    that read states (evolve's keyword), and no CLI command asks for it.
+    With q given, record() also measures the energy Re <y|Q|y>.
     """
 
     def __init__(self, P: int, count: int, snapshot_stride: int = 0,
@@ -133,7 +134,6 @@ class TrajectoryBuilder:
             n_raw=self.n_raw, n_norm=n_norm,
             sz_raw=self.sz_raw, sz_norm=sz_norm,
             energy_re=self.energy_re, c_exp=self.c_exp, parity=self.parity,
-            snapshot_stride=self.snapshot_stride,
             snapshot_times=snap_t, snapshots=snaps,
         )
 

@@ -27,7 +27,7 @@ FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 
 
 def make_entry(P=8, dt=0.05, N=30):
-    q = build_transfer_matrix(FIG2, Truncation(P=P, N=N))
+    q = build_transfer_matrix(FIG2, Truncation(P=P))
     prop = build_step_propagator(q, PropagatorConfig(dt=dt, steps=1, N=N))
     fp = propagator_fingerprint(FIG2, P, N, dt)
     return CacheEntry(fingerprint=fp, dim=q.dim, N=N, dt=dt, matrix=prop.matrix)
@@ -147,7 +147,7 @@ def test_header_layout_is_frozen(tmp_path, write_v1_entry, config_dir,
 
 
 def built_entry(P=2, dt=0.025, N=12, params=FIG2):
-    q = build_transfer_matrix(params, Truncation(P=P, N=N))
+    q = build_transfer_matrix(params, Truncation(P=P))
     prop = build_step_propagator(q, PropagatorConfig(dt=dt, steps=1, N=N))
     entry = CacheEntry(prop.fingerprint, q.dim, N, dt, band=prop.band,
                        last_term_norm=prop.last_term_norm,

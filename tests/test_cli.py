@@ -1,5 +1,6 @@
 """Harness behavior end to end, via in-process main() calls."""
 
+import errno
 import hashlib
 import os
 import stat
@@ -93,6 +94,9 @@ def test_exit_code_1_for_config_problems(config_dir, capsys, tmp_path):
     # unknown key
     code, _, err = run(capsys, "evolve", "--set", "omega=1")
     assert code == 1 and "unknown config key" in err
+    # snapshots are a library keyword only: no command writes them
+    code, _, err = run(capsys, "evolve", "--set", "snapshot_stride=1")
+    assert code == 1 and err.startswith("error: unknown config key 'snapshot_stride'")
     # missing file
     code, _, err = run(capsys, "evolve", "--config", str(tmp_path / "nope.cfg"))
     assert code == 1 and "not found" in err
@@ -116,6 +120,40 @@ def test_unusable_dt_is_a_config_error(config_dir, capsys, command, sets, reason
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare", "spectrum"])
+@pytest.mark.parametrize("dt", ["auto", "0.05"])
+def test_taylor_order_below_one_is_a_config_error(config_dir, capsys, command, dt):
+    # N is read from PropagatorConfig alone, checked by suggest_step
+    # (auto dt) or by PropagatorConfig itself (explicit dt)
+    code, out, err = run(capsys, command, "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", "N=0", "--set", f"dt={dt}")
+    assert code == 1 and out == ""
+    assert err == "error: N must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare", "spectrum"])
+def test_no_acceptable_dt_is_a_numerical_failure(config_dir, capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--config", cfg(config_dir, "fig2.cfg"),
+                             "--set", "g_minus=1e200")
+    assert code == 2 and out == ""
+    assert err == "numerical failure: no acceptable dt found (parameters out of range)\n"
+
+
+@pytest.mark.parametrize("g_minus, reason", [
+    ("1e307", "eigensolver returned non-finite energies"),  # couplings overflow
+    ("1e305", "eigensolver residual inf above bound"),
+])
+def test_refused_eigensolve_is_a_numerical_failure(config_dir, capsys, g_minus, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg"),
+                             "--set", f"g_minus={g_minus}", "--set", "dt=0.01")
+    assert code == 2 and out == ""
+    assert err == f"numerical failure: {reason}\n"
 
 
 def test_exit_code_2_for_numerical_failures(config_dir, capsys):
@@ -576,6 +614,23 @@ def test_diverging_build_reports_one_line(config_dir, capsys, dt):
     assert code == 2 and out == ""
     assert err.startswith("numerical failure: last Taylor term has max-norm ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("action", ["list", "info", "clear"])
+def test_cache_entry_that_cannot_be_read_is_reported(capsys, tmp_path, monkeypatch,
+                                                     action):
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    (tmp_path / "abc.sbp").mkdir()
+    code, out, err = run(capsys, "cache", action)
+    if action == "clear":
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert code == 0 and err == ""
+    if action == "list":
+        assert out == f"corrupt abc.sbp: {os.strerror(errno.EISDIR)}\n"
+    else:
+        assert "entries=1 corrupt=1 " in out
 
 
 def test_unreadable_cache_store_is_a_miss_with_a_warning(config_dir, capsys, tmp_path,

@@ -158,10 +158,10 @@ def test_bad_parameters_are_rejected(kwargs):
         ModelParams(**kwargs)
 
 
-@pytest.mark.parametrize("P,N", [(-1, 30), (2.5, 30), (3, 0), (3, -2), (3, 1.5)])
-def test_bad_truncation_is_rejected(P, N):
+@pytest.mark.parametrize("P", [-1, 2.5])
+def test_bad_truncation_is_rejected(P):
     with pytest.raises(ValueError):
-        Truncation(P=P, N=N)
+        Truncation(P=P)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)

@@ -16,6 +16,7 @@ from sbprop import (
     build_step_propagator,
     build_transfer_matrix,
     checkpoint_powers,
+    energy_expectation,
     evolve,
     evolve_reusing,
     fock_state,
@@ -30,7 +31,7 @@ RWA = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1)
 
 
 def build(params, P, dt, N=30, tol=1e-12, steps=1):
-    q = build_transfer_matrix(params, Truncation(P=P, N=N))
+    q = build_transfer_matrix(params, Truncation(P=P))
     cfg = PropagatorConfig(dt=dt, steps=steps, N=N, tol=tol)
     return q, cfg, build_step_propagator(q, cfg)
 
@@ -205,7 +206,8 @@ def test_block_recording_matches_a_per_step_oracle():
     expected = []
     for k in range(steps + 1):
         assert np.allclose(traj.snapshots[k], y, rtol=0.0, atol=1e-12)
-        expected.append((k * cfg.dt, *w.measure(y), q.energy(y[q.order])))
+        energy = energy_expectation(SpinorFockState.from_vector(y), q).real
+        expected.append((k * cfg.dt, *w.measure(y), energy))
         y = m @ y
     expected = np.array(expected).T
     got = (traj.times, traj.norm2, traj.n_raw, traj.sz_raw, traj.c_exp,
@@ -279,8 +281,9 @@ def test_config_validation():
         PropagatorConfig(dt=0.0, steps=1)
     with pytest.raises(ValueError):
         PropagatorConfig(dt=0.1, steps=-1)
-    with pytest.raises(ValueError):
-        PropagatorConfig(dt=0.1, steps=1, N=0)
+    for N in (0, -2, 1.5):
+        with pytest.raises(ValueError):
+            PropagatorConfig(dt=0.1, steps=1, N=N)
     with pytest.raises(ValueError):
         PropagatorConfig(dt=0.1, steps=1, tol=-1e-12)
     q, cfg, prop = build(FIG2, 4, dt=0.05)

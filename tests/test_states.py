@@ -82,6 +82,19 @@ def test_tail_mass_error_reports_a_sufficient_cutoff():
     coherent_state(CoherentSpec(ALPHA, math.pi / 4), err.required_P)
 
 
+# (alpha, P, tail_tol) -> required_P, pinned from a walk of the recurrence
+# that restarted at p = 0; carrying it on from P gives the same floats
+@pytest.mark.parametrize("alpha, P, tol, required", [
+    (0.5, 0, 1e-12, 9), (2.0, 5, 1e-12, 25), (5.0, 50, 1e-17, 74),
+    (9.0, 60, 1e-15, 161), (12.0, 100, 1e-12, 236), (30.0, 10, 1e-12, 1119),
+    (1.0, 0, 1e-300, 18),
+])
+def test_required_cutoff_is_pinned(alpha, P, tol, required):
+    with pytest.raises(TailMassTooLarge) as exc:
+        coherent_state(CoherentSpec(alpha, math.pi / 4), P, tail_tol=tol)
+    assert exc.value.required_P == required
+
+
 def test_truthful_norm_and_photon_number_at_p50():
     state = coherent_state(CoherentSpec(ALPHA, math.pi / 4), 50, tail_tol=1e-5)
     n2 = norm_squared(state)
