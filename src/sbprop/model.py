@@ -39,6 +39,7 @@ __all__ = [
     "band_to_dense",
     "build_transfer_matrix",
     "chain_order",
+    "occupied_chains",
     "hermiticity_check",
 ]
 
@@ -116,6 +117,18 @@ def chain_order(P: int) -> np.ndarray:
     excited = np.concatenate([p % 2 == 0, p % 2 == 1])
     level = np.concatenate([p, p])
     return np.where(excited, level, n + level)
+
+
+def occupied_chains(y: np.ndarray) -> slice:
+    """The chains, from the first to the last, in which the chain-order
+    vector y has a nonzero amplitude: slice(0, 1) for chain A alone,
+    slice(1, 2) for chain B alone, slice(0, 2) otherwise (also for y = 0).
+
+    An operator that never couples the chains keeps a chain that starts at
+    exactly zero at exactly zero, so only these chains need its products.
+    """
+    occupied = np.asarray(y).reshape(2, -1).any(axis=1)
+    return slice(int(occupied.argmax()), 2 - int(occupied[::-1].argmax()))
 
 
 def band_half_width(dim: int, N: int) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import CacheEntry, propagator_fingerprint
-from .model import TransferMatrix, chain_order
+from .model import TransferMatrix, chain_order, occupied_chains
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -55,7 +55,10 @@ BLOCK_ROWS = 64
 
 
 class NotConverged(RuntimeError):
-    """Taylor series not converged at order N for this dt."""
+    """Taylor series not converged at order N for this dt.
+
+    dt_reduction is the factor that brings the last term to ~tol, or None
+    when the last term is not finite (the series diverged)."""
 
     def __init__(self, last_term_norm: float, tol: float, dt: float, N: int,
                  ratio: float):
@@ -63,13 +66,17 @@ class NotConverged(RuntimeError):
         self.tol = tol
         self.dt = dt
         self.N = N
-        # shrink dt by this factor and the last term lands at ~tol
-        self.dt_reduction = (tol / last_term_norm) ** (1.0 / N)
-        super().__init__(
-            f"last Taylor term has max-norm {last_term_norm:.3e} > tol "
-            f"{tol:.1e} at dt={dt} N={N} (term ratio ~{ratio:.3g}); "
-            f"reduce dt by a factor <= {self.dt_reduction:.3g} or raise N"
-        )
+        text = f"last Taylor term has max-norm {last_term_norm:.3e}"
+        if math.isfinite(last_term_norm):
+            # shrink dt by this factor and the last term lands at ~tol
+            self.dt_reduction = (tol / last_term_norm) ** (1.0 / N)
+            text += (f" > tol {tol:.1e} at dt={dt} N={N} (term ratio ~{ratio:.3g}); "
+                     f"reduce dt by a factor <= {self.dt_reduction:.3g} or raise N")
+        else:
+            # a term that overflowed gives no such factor
+            self.dt_reduction = None
+            text += f" at dt={dt} N={N}: the series diverges; reduce dt or the couplings"
+        super().__init__(text)
 
 
 class NotUnitary(RuntimeError):
@@ -175,16 +182,16 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
         return sliding_window_view(padded, width)
 
     scale = -1j * cfg.dt
-    d = windows(q.diag * scale, 0)      # Q[j, j]
-    lo = windows(q.off * scale, 1)      # Q[j-1, j]
-    up = windows(q.off * scale, 0)      # Q[j+1, j]
-
     term = np.zeros((dim, width), dtype=np.complex128)
     term[:, h] = 1.0
     m = term.copy()
-    # A diverging series overflows on its way; certify reports it once, as
-    # a last term that is not finite, so the numpy warnings are only noise.
+    # A diverging series, or a Q whose entries overflowed, overflows on its
+    # way; certify reports it once, as a last term that is not finite, so
+    # the numpy warnings are only noise.
     with np.errstate(over="ignore", invalid="ignore"):
+        d = windows(q.diag * scale, 0)      # Q[j, j]
+        lo = windows(q.off * scale, 1)      # Q[j-1, j]
+        up = windows(q.off * scale, 0)      # Q[j+1, j]
         for n in range(1, cfg.N + 1):
             nxt = term * d
             nxt[:, 1:] += term[:, :-1] * lo[:, 1:]
@@ -288,7 +295,11 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     zero-padded block of BLOCK_ROWS states.  Each step is one banded
     matrix-vector product from one row of the block into the next: a
     sliding window over a row lines up the entries that each band row
-    multiplies.  When the block is full its rows are measured together in
+    multiplies.  Only the band rows of the chains the initial state
+    occupies are stepped (model.occupied_chains): M never couples the
+    chains, so a chain that starts at exactly zero stays exactly zero, and
+    a Fock state, which lies in one chain, costs half a two-chain state's
+    products.  When the block is full its rows are measured together in
     one pass (TrajectoryBuilder.record: the observables and the energy,
     from |y|^2 formed once), and its last state is carried into row 0 of
     the next block.  Raises NonFiniteState with the first offending step
@@ -300,14 +311,16 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
         raise ValueError("snapshot_stride must be >= 0")
 
     dim, width = prop.step_band.shape
-    h = width // 2
-    rows = prop.step_band[:, None, :]
+    h, n = width // 2, dim // 2
     steps = int(cfg.steps)
     block = np.zeros((min(steps + 1, BLOCK_ROWS), dim + 2 * h), dtype=np.complex128)
     ys = block[:, h:h + dim]
-    windows = list(sliding_window_view(block, width, axis=1)[..., None])
-    outs = list(ys[:, :, None, None])
     ys[0] = state.vector[q.order]
+    chains = occupied_chains(ys[0])
+    stepped = slice(chains.start * n, chains.stop * n)
+    rows = prop.step_band[stepped, None, :]
+    windows = list(sliding_window_view(block, width, axis=1)[:, stepped, :, None])
+    outs = list(ys[:, stepped, None, None])
 
     times = np.arange(steps + 1) * cfg.dt
     builder = TrajectoryBuilder(state.P, steps + 1, snapshot_stride=snapshot_stride,
@@ -381,16 +394,19 @@ def jump(state: SpinorFockState, powers: list[np.ndarray], steps: int) -> Spinor
     """Advance by `steps` applications of M using the squared checkpoints.
 
     The state is carried in chain order through the chain blocks of
-    checkpoint_powers and returned in the block layout.
+    checkpoint_powers and returned in the block layout.  A chain whose
+    amplitudes are all exactly zero stays zero, so its block products are
+    skipped.
     """
     if steps < 0 or steps >= 2 ** len(powers):
         raise ValueError(f"steps must lie in 0..{2 ** len(powers) - 1}")
     order = chain_order(state.P)
     y = state.vector[order].reshape(2, -1, 1)
+    chains = occupied_chains(y)
     j = 0
     while steps:
         if steps & 1:
-            y = powers[j] @ y
+            y[chains] = powers[j][chains] @ y[chains]
         steps >>= 1
         j += 1
     out = np.empty(order.size, dtype=np.complex128)

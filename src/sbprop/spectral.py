@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (ModelParams, TransferMatrix, Truncation, build_transfer_matrix,
-                    chain_order, hermiticity_check)
+                    chain_order, hermiticity_check, occupied_chains)
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -146,8 +146,10 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
 
     F_j = <v_j|s0>, state(t) = sum_j F_j exp(-i E_j t) v_j, with each
     chain expanded over its own half-size eigenbasis and the rows recorded
-    in chain order.  Norm and the (constant) energy sum |F_j|^2 E_j are
-    exact up to the decomposition residual by construction.
+    in chain order.  A chain whose amplitudes are all exactly zero has
+    F = 0 there and stays zero, so it is written as zeros, not rotated.
+    Norm and the (constant) energy sum |F_j|^2 E_j are exact up to the
+    decomposition residual by construction.
     """
     vec0 = state.vector
     if vec0.size != dec.dim:
@@ -157,7 +159,10 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
         raise ValueError("times must be one-dimensional")
 
     y0 = vec0[chain_order(state.P)].reshape(2, -1, 1)
-    coeff = _real_times_complex(dec.chain_vectors.transpose(0, 2, 1), y0)
+    chains = occupied_chains(y0)
+    coeff = np.zeros((2, y0.shape[1], 1), dtype=np.complex128)
+    coeff[chains] = _real_times_complex(
+        dec.chain_vectors[chains].transpose(0, 2, 1), y0[chains])
     weight = coeff.real ** 2 + coeff.imag ** 2
     energy_const = float(weight.ravel() @ dec.chain_energies.ravel())
 
@@ -167,7 +172,7 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     chunk = max(1, 2 ** 19 // max(dec.dim, 1))
     for lo in range(0, times.size, chunk):
         ts = times[lo:lo + chunk]
-        builder.record(lo, ts, _chain_states(dec, coeff, ts), energy_const)
+        builder.record(lo, ts, _chain_states(dec, coeff, ts, chains), energy_const)
     return builder.build()
 
 
@@ -178,19 +183,22 @@ def _real_times_complex(v: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _chain_states(dec: SpectralDecomposition, coeff: np.ndarray,
-                  ts: np.ndarray) -> np.ndarray:
+                  ts: np.ndarray, chains: slice) -> np.ndarray:
     """The (ts.size, dim) chain-order states sum_j F_j exp(-i E_j t) v_j,
     one contiguous row per time point.
 
+    Only the given chains are rotated; the others are written as zeros.
     A function of its own so that the phase block is freed before the
     caller records these states and the states before the next chunk.
     """
-    phases = -1j * (dec.chain_energies[..., None] * ts)
+    phases = -1j * (dec.chain_energies[chains, :, None] * ts)
     np.exp(phases, out=phases)
-    phases *= coeff
-    states = _real_times_complex(dec.chain_vectors, phases)
+    phases *= coeff[chains]
+    rotated = _real_times_complex(dec.chain_vectors[chains], phases)
     del phases
-    return np.ascontiguousarray(states.reshape(dec.dim, ts.size).T)
+    states = np.zeros((ts.size, 2, dec.dim // 2), dtype=np.complex128)
+    states[:, chains] = rotated.transpose(2, 0, 1)
+    return states.reshape(ts.size, dec.dim)
 
 
 def level_differences(dec: SpectralDecomposition, count: int) -> np.ndarray:
@@ -280,6 +288,9 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     d_i = a_i - x, which keeps 0/0 out.  Each pivot row costs three ufunc
     calls, on contiguous rows of the pairs it touches.
 
+    Q with an entry that is not finite, or so large that max|diag| +
+    max|off| overflows, is refused with RuntimeError.
+
     Every pair's arithmetic is elementwise and its own, so E0 at a cutoff
     does not depend on which other cutoffs are scanned, and E0 is
     non-increasing in P: the pivots of a larger block extend those of a
@@ -291,7 +302,12 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     # that b^2 can neither overflow nor underflow.  Scaling by a power of
     # two commutes with every rounding below, so E0 is the float the
     # unscaled arithmetic gives wherever that arithmetic stays in range.
-    e = int(np.frexp(np.abs(q.diag.real).max() + np.abs(q.off).max())[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.abs(q.diag.real).max() + np.abs(q.off).max()
+    if not np.isfinite(top):
+        raise RuntimeError("transfer matrix entries overflow; no finite "
+                           "ground-state energy")
+    e = int(np.frexp(top)[1])
     a = np.ldexp(q.diag.real.reshape(2, n), -e)            # a[c, i]: slot i of chain c
     b = np.ldexp(np.stack([q.off[:n - 1], q.off[n:]]), -e)  # b[c, i] couples i, i+1
     b2 = b * b

@@ -156,6 +156,22 @@ def test_refused_eigensolve_is_a_numerical_failure(config_dir, capsys, g_minus, 
     assert err == f"numerical failure: {reason}\n"
 
 
+@pytest.mark.parametrize("command, name, reason", [
+    ("gs-scan", "fig5a.cfg",
+     "transfer matrix entries overflow; no finite ground-state energy"),
+    ("evolve", "fig2.cfg", "last Taylor term has max-norm nan at dt=0.01 N=30: the "
+                           "series diverges; reduce dt or the couplings"),
+], ids=["gs-scan", "evolve"])
+def test_overflowing_couplings_are_a_numerical_failure(config_dir, capsys, command,
+                                                       name, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--config", cfg(config_dir, name),
+                             "--set", "g_minus=1e307", "--set", "dt=0.01")
+    assert code == 2 and out == ""
+    assert err == f"numerical failure: {reason}\n"
+
+
 def test_exit_code_2_for_numerical_failures(config_dir, capsys):
     code, _, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
                        "--set", "dt=0.1")

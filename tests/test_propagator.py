@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+import sbprop.propagator
 from sbprop import (
     ModelParams,
     ObservableWeights,
@@ -153,6 +155,19 @@ def test_checkpoint_jump_matches_stepping():
         checkpoint_powers(prop, 0)
 
 
+@pytest.mark.parametrize("spin, empty", [("e", slice(11, 22)), ("g", slice(0, 11))])
+def test_jump_skips_the_empty_chain_without_changing_a_bit(monkeypatch, spin, empty):
+    q, cfg, prop = build(FIG2, 10, dt=0.05)
+    s0 = fock_state(0, spin, 10)  # chain A for e, chain B for g
+    powers = checkpoint_powers(prop, 4)
+    skipped = [jump(s0, powers, steps).vector for steps in (1, 5, 13)]
+    monkeypatch.setattr(sbprop.propagator, "occupied_chains",
+                        lambda y: slice(0, 2))
+    full = [jump(s0, powers, steps).vector for steps in (1, 5, 13)]
+    for a, b in zip(skipped, full):
+        assert np.array_equal(a, b) and not a[q.order[empty]].any()
+
+
 @pytest.mark.parametrize("P, N", [(0, 30), (1, 30), (20, 5), (20, 30)])
 def test_checkpoint_powers_are_the_chain_blocks_of_dense_powers(P, N):
     q, cfg, prop = build(FIG2, P, dt=0.002, N=N, tol=1e-6)
@@ -180,18 +195,60 @@ def test_runaway_growth_raises_with_the_step_index():
 def test_non_finite_state_names_the_first_bad_step_inside_a_block():
     q, cfg, prop = build(FIG2, 50, dt=0.25, N=3, tol=1e12, steps=400)
     m = prop.matrix
-    y = fock_state(0, "e", 50).vector
-    first = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while np.isfinite(y).all():
-            y = m @ y
-            first += 1
-    # evolve checks whole blocks of rows; this step is neither the first
-    # nor the last row of its block
-    assert first <= 400 and first % (BLOCK_ROWS - 1) > 1
-    with pytest.raises(NonFiniteState) as exc:
-        evolve(fock_state(0, "e", 50), prop, cfg, q)
-    assert exc.value.step == first
+    # |0,e> lies in chain A and |0,g> in chain B; evolve steps only that
+    # chain, the dense loop both
+    for spin in ("e", "g"):
+        y = fock_state(0, spin, 50).vector
+        first = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.isfinite(y).all():
+                y = m @ y
+                first += 1
+        # evolve checks whole blocks of rows; this step is neither the
+        # first nor the last row of its block
+        assert first <= 400 and first % (BLOCK_ROWS - 1) > 1
+        with pytest.raises(NonFiniteState) as exc:
+            evolve(fock_state(0, spin, 50), prop, cfg, q)
+        assert exc.value.step == first, spin
+
+
+def both_chain_steps(prop, y, steps):
+    """evolve's kernel, one np.matmul over the full step band per step, on
+    the chain-order vector y; the chain-order states of steps 0..steps."""
+    dim, width = prop.step_band.shape
+    h = width // 2
+    padded = np.zeros(dim + 2 * h, dtype=np.complex128)
+    windows = sliding_window_view(padded, width)[..., None]
+    states = [y]
+    for _ in range(steps):
+        padded[h:h + dim] = states[-1]
+        states.append(np.matmul(prop.step_band[:, None, :], windows).ravel())
+    return np.array(states)
+
+
+@pytest.mark.parametrize("params, P", [(FIG2, 50), (DEEP, 60)])
+@pytest.mark.parametrize("state", ["chain A", "chain B", "both"])
+def test_single_chain_steps_match_the_both_chain_kernel_bitwise(params, P, state):
+    steps = 2 * BLOCK_ROWS + 7
+    q = build_transfer_matrix(params, Truncation(P=P))
+    q, cfg, prop = build(params, P, dt=suggest_step(q), steps=steps)
+    s0 = {"chain A": fock_state(0, "e", P), "chain B": fock_state(0, "g", P),
+          "both": SpinorFockState.from_vector(
+              (fock_state(0, "e", P).vector + fock_state(0, "g", P).vector)
+              / np.sqrt(2.0))}[state]
+    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    got = traj.snapshots[:, q.order]  # chain order
+    want = both_chain_steps(prop, s0.vector[q.order], steps)
+    n = P + 1
+    occupied = {"chain A": [0], "chain B": [1], "both": [0, 1]}[state]
+    for c in (0, 1):
+        rows = slice(c * n, (c + 1) * n)
+        if c in occupied:
+            assert got[:, rows].tobytes() == want[:, rows].tobytes()
+        else:
+            # never stepped: every amplitude stays +0, every byte zero
+            assert got[:, rows].tobytes() == bytes(got[:, rows].nbytes)
+            assert not want[:, rows].any()
 
 
 def test_block_recording_matches_a_per_step_oracle():

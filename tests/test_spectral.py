@@ -279,6 +279,17 @@ def test_vectors_view_is_the_dense_block_layout_construction(params, P):
     assert not dec.vectors.flags.writeable
 
 
+@pytest.mark.parametrize("spin", ["e", "g"])
+def test_teee_skips_the_empty_chain_without_changing_a_bit(monkeypatch, spin):
+    dec = diagonalize(build_transfer_matrix(FIG2, Truncation(P=30)))
+    times = np.linspace(0.0, 20.0, 201)
+    skipped = teee_evolve(fock_state(0, spin, 30), dec, times)
+    monkeypatch.setattr(spectral, "occupied_chains", lambda y: slice(0, 2))
+    full = teee_evolve(fock_state(0, spin, 30), dec, times)
+    for name in ("norm2", "n_raw", "sz_raw", "energy_re", "c_exp", "parity"):
+        assert getattr(skipped, name).tobytes() == getattr(full, name).tobytes(), name
+
+
 @pytest.mark.parametrize("P", [0, 5, 50, 400])
 def test_per_chain_teee_matches_the_dense_eigenbasis_oracle(P):
     q = build_transfer_matrix(DEEP, Truncation(P=P))
