@@ -275,10 +275,12 @@ class PropagatorCache:
             return False
 
     def entries(self) -> list[tuple[Path, CacheEntry | CacheCorruptError]]:
-        """Header-only scan of the cache directory, sorted by name.
+        """Every entry of the cache directory, sorted by name, without its band.
 
-        A file that cannot be read (a directory named *.sbp, no read
-        permission) is listed as a CacheCorruptError with the OS reason.
+        Each file is read in full and its checksum verified, so damage
+        anywhere in it lists the file as corrupt.  A file that cannot be
+        read (a directory named *.sbp, no read permission) is listed as a
+        CacheCorruptError with the OS reason.
         """
         if not self.root.is_dir():
             return []

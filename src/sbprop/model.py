@@ -17,9 +17,10 @@ the two chains laid end to end ("chain order").  The dense block-layout
 matrix is rebuilt on demand for tests.
 
 An operator that never couples the chains and reaches at most h slots
-along each chain, as the step propagator M does (h = min(N, P)), is held
-in band storage: band[i, k] = M[i, i + k - h] in chain slots.  The band
-helpers below map that storage to and from the dense block layout.
+along each chain is held in band storage: band[i, k] = M[i, i + k - h] in
+chain slots.  Q is such a band with h = 1 (TransferMatrix.band), and so is
+the step propagator M with h = min(N, P).  The band helpers below map that
+storage to and from the dense block layout.
 """
 
 from __future__ import annotations
@@ -136,19 +137,15 @@ def band_half_width(dim: int, N: int) -> int:
     return min(N, dim // 2 - 1)
 
 
-def _band_cells(dim: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row i, slot j = i + k - h, and whether j lies in row i's chain,
-    for every cell (i, k) of a band of half-width h."""
-    n = dim // 2
-    i = np.arange(dim)[:, None]
-    j = i + np.arange(-h, h + 1)
-    lo = np.where(i < n, 0, n)  # first slot of row i's chain
-    return i, j, (j >= lo) & (j < lo + n)
-
-
 def band_inside(dim: int, h: int) -> np.ndarray:
-    """inside[i, k]: band cell (i, k) of half-width h lies in row i's chain."""
-    return _band_cells(dim, h)[2]
+    """inside[i, k]: band cell (i, k) of half-width h lies in row i's chain.
+
+    The mask depends only on the chain-local slot of row i, so it is built
+    for one chain and repeated for the other.
+    """
+    n = dim // 2
+    j = np.arange(n)[:, None] + np.arange(-h, h + 1)  # chain-local slot i + k - h
+    return np.tile((j >= 0) & (j < n), (2, 1))
 
 
 def _band_index(dim: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -157,9 +154,10 @@ def _band_index(dim: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (inside, rows, cols): inside is band_inside(dim, h); rows/cols
     are the block-layout positions of those cells, in band[inside] order.
     """
-    i, j, inside = _band_cells(dim, h)
+    inside = band_inside(dim, h)
+    i, k = np.nonzero(inside)
     order = chain_order(dim // 2 - 1)
-    return inside, np.broadcast_to(order[i], j.shape)[inside], order[j[inside]]
+    return inside, order[i], order[i + k - h]
 
 
 def band_from_dense(m: np.ndarray, N: int) -> np.ndarray:
@@ -213,15 +211,20 @@ class TransferMatrix:
         return self.diag.size
 
     @property
+    def band(self) -> np.ndarray:
+        """Q in band storage of half-width 1, built on every access:
+        columns Q[i, i-1], Q[i, i] and Q[i, i+1] in chain slots."""
+        band = np.zeros((self.dim, 3), dtype=np.complex128)
+        band[1:, 0] = self.off
+        band[:, 1] = self.diag
+        band[:-1, 2] = self.off
+        band.setflags(write=False)
+        return band
+
+    @property
     def matrix(self) -> np.ndarray:
         """Dense Q in the block layout, built on every access."""
-        m = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        i = self.order
-        m[i, i] = self.diag
-        m[i[:-1], i[1:]] = self.off
-        m[i[1:], i[:-1]] = self.off
-        m.setflags(write=False)
-        return m
+        return band_to_dense(self.band)
 
     def one_norm(self) -> float:
         """Largest absolute column sum of Q, equal to that of the dense matrix.
@@ -231,9 +234,7 @@ class TransferMatrix:
         is the same float the dense reduction gives and suggest_step picks
         the same dt from either storage.
         """
-        a = np.abs(self.diag)
-        lower = np.abs(np.concatenate([[0.0], self.off]))
-        upper = np.abs(np.concatenate([self.off, [0.0]]))
+        lower, a, upper = np.abs(self.band).T
         excited = self.order <= self.trunc.P
         return float(np.where(excited, (a + lower) + upper,
                               (lower + upper) + a).max())

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import CacheEntry, propagator_fingerprint
-from .model import TransferMatrix, chain_order, occupied_chains
+from .model import TransferMatrix, band_half_width, chain_order, occupied_chains
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -172,16 +172,8 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     are enforced (certify).
     """
     dim = q.dim
-    h = min(cfg.N, q.trunc.P)
+    h = band_half_width(dim, cfg.N)
     width = 2 * h + 1
-
-    def windows(values: np.ndarray, shift: int) -> np.ndarray:
-        # out[i, k] = values[i + k - h - shift], zero outside values
-        padded = np.zeros(dim + 2 * h, dtype=np.complex128)
-        padded[h + shift:h + shift + values.size] = values
-        return sliding_window_view(padded, width)
-
-    scale = -1j * cfg.dt
     term = np.zeros((dim, width), dtype=np.complex128)
     term[:, h] = 1.0
     m = term.copy()
@@ -189,9 +181,11 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     # way; certify reports it once, as a last term that is not finite, so
     # the numpy warnings are only noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        d = windows(q.diag * scale, 0)      # Q[j, j]
-        lo = windows(q.off * scale, 1)      # Q[j-1, j]
-        up = windows(q.off * scale, 0)      # Q[j+1, j]
+        # [lo, d, up][i, k] = -i dt times Q[j-1, j], Q[j, j] and Q[j+1, j]
+        # at slot j = i + k - h, zero outside Q (Q is symmetric off its
+        # diagonal); rows made contiguous, so each window has unit stride
+        scaled = np.pad((q.band * (-1j * cfg.dt)).T.copy(), ((0, 0), (h, h)))
+        lo, d, up = sliding_window_view(scaled, width, axis=1)
         for n in range(1, cfg.N + 1):
             nxt = term * d
             nxt[:, 1:] += term[:, :-1] * lo[:, 1:]

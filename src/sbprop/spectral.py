@@ -72,19 +72,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.energies.size
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """Dense block-layout eigenvector columns in the order of energies,
-        built on every access."""
-        n = self.chain_energies.shape[1]
-        order = chain_order(n - 1)
-        v = np.zeros((self.dim, self.dim))
-        v[order[:n], :n] = self.chain_vectors[0]
-        v[order[n:], n:] = self.chain_vectors[1]
-        v = v[:, np.argsort(self.chain_energies, axis=None, kind="stable")]
-        v.setflags(write=False)
-        return v
-
 
 def _chains(q: TransferMatrix):
     """Dense real tridiagonal block of each parity chain of Q."""
@@ -259,7 +246,11 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
         plateau = int(ps[hits[0]])
 
     half = min(ps.size // 2, ps.size - 2)  # keep >= 2 points under the fit
-    slope = float(np.polyfit(ps[half:].astype(float), e0[half:], 1)[0])
+    # fit E0 / 2^e, |E0| < 2^e, so that the fit cannot overflow where E0
+    # is finite; the power of two scales exactly back into the slope
+    e = int(np.frexp(np.abs(e0[half:]).max())[1])
+    fit = np.polyfit(ps[half:].astype(float), np.ldexp(e0[half:], -e), 1)
+    slope = float(np.ldexp(fit[0], e))
     decreasing = bool(np.all(np.diff(e0) < 0.0))
 
     if converged:
@@ -289,7 +280,8 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     calls, on contiguous rows of the pairs it touches.
 
     Q with an entry that is not finite, or so large that max|diag| +
-    max|off| overflows, is refused with RuntimeError.
+    max|off| overflows, is refused with RuntimeError, and so is an E0 that
+    overflows.
 
     Every pair's arithmetic is elementwise and its own, so E0 at a cutoff
     does not depend on which other cutoffs are scanned, and E0 is
@@ -349,7 +341,11 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
         x *= 0.5
         inside = (lo < x) & (x < hi)
         if not inside.any():
-            return np.ldexp(lo.min(axis=0)[::-1], e)
+            with np.errstate(over="ignore"):
+                e0 = np.ldexp(lo.min(axis=0)[::-1], e)
+            if not np.isfinite(e0).all():
+                raise RuntimeError("ground-state energy overflows a double")
+            return e0
         lowest.fill(np.inf)
         with np.errstate(divide="ignore"):     # b^2 / +0 is the -inf wanted
             for calls in blocks:

@@ -8,6 +8,7 @@ the squared norm.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,7 +109,8 @@ def coherent_state(spec: CoherentSpec, P: int, *,
 
     amps_e[p] = exp(-alpha^2/2) alpha^p / sqrt(p!) * sin(theta) and the
     ground block carries cos(theta).  Amplitudes come from the stable
-    recurrence c_{p+1} = c_p * (alpha/sqrt(p+1)) -- never from factorials.
+    recurrence c_{p+1} = c_p * (alpha/sqrt(p+1)) -- never from factorials
+    (see _coherent_levels).
 
     Raises TailMassTooLarge when the Poisson weight above P exceeds
     tail_tol, reporting the cutoff that would suffice.
@@ -119,19 +121,12 @@ def coherent_state(spec: CoherentSpec, P: int, *,
         raise ValueError("tail_tol must be positive")
     P = int(P)
 
-    c0 = math.exp(-0.5 * spec.alpha ** 2)
-    se, cg = math.sin(spec.theta), math.cos(spec.theta)
+    levels = _coherent_levels(spec)
     e = np.empty(P + 1, dtype=np.complex128)
     g = np.empty(P + 1, dtype=np.complex128)
-    e[0] = c0 * se
-    g[0] = c0 * cg
-    c = c0
-    retained = c0 * c0
-    for p in range(P):
-        ratio = spec.alpha / math.sqrt(p + 1.0)
-        e[p + 1] = e[p] * ratio
-        g[p + 1] = g[p] * ratio
-        c *= ratio
+    retained = 0.0
+    for p in range(P + 1):
+        c, e[p], g[p] = next(levels)
         retained += c * c
 
     tail = max(1.0 - retained, 0.0)
@@ -141,11 +136,43 @@ def coherent_state(spec: CoherentSpec, P: int, *,
         required = P
         limit = P + int(8 * spec.alpha * spec.alpha) + 200
         while required < limit and 1.0 - retained > tail_tol:
-            c *= spec.alpha / math.sqrt(required + 1.0)
+            c = next(levels)[0]
             retained += c * c
             required += 1
         raise TailMassTooLarge(spec.alpha, P, tail, tail_tol, required)
     return SpinorFockState(amps_e=e, amps_g=g)
+
+
+# ln 2 in two parts, the first with its low 32 bits zero, so that
+# shift * _LN2_HI is exact for shift < 2^20 (Cody & Waite)
+_LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
+_LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
+
+
+def _coherent_levels(spec: CoherentSpec):
+    """Yield (c_p, e_p, g_p) for p = 0, 1, ...: c_p = exp(-alpha^2/2)
+    alpha^p / sqrt(p!) and the amplitudes e_p = c_p sin(theta), g_p =
+    c_p cos(theta), each carried by its own recurrence x_{p+1} = x_p *
+    alpha / sqrt(p+1).
+
+    Above alpha ~ 37.6, exp(-alpha^2/2) is not a normal float and every
+    amplitude up to the Poisson peak would underflow on the way.  The
+    recurrence then runs on 2^shift times the amplitudes, starting from
+    exp(shift ln 2 - alpha^2/2) in [1, 2), and lowers shift whenever they
+    grow past 1; each value is yielded scaled back.  Scaling by a power of
+    two is exact, and wherever exp(-alpha^2/2) is normal shift is 0
+    throughout, so those floats are the plain recurrence's.
+    """
+    half = 0.5 * spec.alpha ** 2
+    shift = math.ceil(half / math.log(2.0)) if math.exp(-half) < np.finfo(float).tiny else 0
+    c = math.exp((shift * _LN2_HI - half) + shift * _LN2_LO)
+    run = (c, c * math.sin(spec.theta), c * math.cos(spec.theta))
+    for p in itertools.count(1):
+        yield tuple(math.ldexp(x, -shift) for x in run)
+        ratio = spec.alpha / math.sqrt(p)
+        k = min(shift, max(0, math.frexp(run[0] * ratio)[1]))
+        run = tuple(math.ldexp(x * ratio, -k) for x in run)
+        shift -= k
 
 
 def fock_state(p0: int, spin: str, P: int) -> SpinorFockState:

@@ -91,6 +91,11 @@ def test_exit_code_1_for_config_problems(config_dir, capsys, tmp_path):
     code, _, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig1.cfg"),
                        "--set", "tail_tol=1e-12")
     assert code == 1 and "tail mass" in err
+    # negative run length
+    code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", "t_max=-1")
+    assert code == 1 and out == ""
+    assert err == "error: t_max must be non-negative, got -1.0\n"
     # unknown key
     code, _, err = run(capsys, "evolve", "--set", "omega=1")
     assert code == 1 and "unknown config key" in err
@@ -170,6 +175,29 @@ def test_overflowing_couplings_are_a_numerical_failure(config_dir, capsys, comma
                              "--set", "g_minus=1e307", "--set", "dt=0.01")
     assert code == 2 and out == ""
     assert err == f"numerical failure: {reason}\n"
+
+
+def test_slope_of_energies_near_the_float_limit_is_finite(config_dir, capsys):
+    # every E0 is finite (down to about -6e307), and so must the fitted slope be
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "gs-scan", "--config", cfg(config_dir, "fig5a.cfg"),
+                             "--set", "g_minus=1e306")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    slope = float(next(l for l in lines if l.startswith("slope="))[len("slope="):])
+    assert slope == pytest.approx(-1e306, rel=1e-3)
+    assert lines[-1] == "classification=Unbounded"
+
+
+def test_ground_energy_past_the_float_limit_is_a_numerical_failure(config_dir, capsys):
+    # the entries of Q are finite, but E0 lies below -1.8e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "gs-scan", "--config", cfg(config_dir, "fig5a.cfg"),
+                             "--set", "g_minus=2e306", "--set", "g_plus=2e306")
+    assert code == 2 and out == ""
+    assert err == "numerical failure: ground-state energy overflows a double\n"
 
 
 def test_exit_code_2_for_numerical_failures(config_dir, capsys):
@@ -440,6 +468,30 @@ def test_v2_hit_v1_rebuild_and_miss_step_alike(config_dir, capsys, tmp_path,
     assert miss.last_term_norm is not None and miss.unitarity_defect is not None
     assert (v2_hit.last_term_norm, v2_hit.unitarity_defect) == (
         miss.last_term_norm, miss.unitarity_defect)
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda blob: blob[:40], "file shorter than header"),
+    (lambda blob: blob[:12] + (101).to_bytes(4, "little") + blob[16:],
+     "odd or zero dimension 101"),
+    (lambda blob: blob[:12] + bytes(4) + blob[16:], "odd or zero dimension 0"),
+], ids=["short", "odd", "zero"])
+def test_damaged_header_is_rebuilt(config_dir, capsys, tmp_path, monkeypatch,
+                                   damage, reason):
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=1"]
+    _, cold_out, err = run(capsys, *argv)
+    assert err == ""
+    (path,) = PropagatorCache().root.glob("*.sbp")
+    good = path.read_bytes()
+
+    path.write_bytes(damage(good))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == cold_out
+    assert err == f"warning: rebuilding corrupt cache entry ({path}: {reason})\n"
+    assert path.read_bytes() == good
+    _, out, err = run(capsys, *argv)
+    assert err == "" and out == cold_out
 
 
 def test_cache_list_shows_the_certificates(config_dir, capsys, tmp_path,

@@ -88,11 +88,32 @@ def test_tail_mass_error_reports_a_sufficient_cutoff():
     (0.5, 0, 1e-12, 9), (2.0, 5, 1e-12, 25), (5.0, 50, 1e-17, 74),
     (9.0, 60, 1e-15, 161), (12.0, 100, 1e-12, 236), (30.0, 10, 1e-12, 1119),
     (1.0, 0, 1e-300, 18),
+    # exp(-alpha^2/2) underflows; scipy's Poisson tail names 1889 as well
+    (40.0, 1000, 1e-12, 1889),
 ])
 def test_required_cutoff_is_pinned(alpha, P, tol, required):
     with pytest.raises(TailMassTooLarge) as exc:
         coherent_state(CoherentSpec(alpha, math.pi / 4), P, tail_tol=tol)
     assert exc.value.required_P == required
+
+
+@pytest.mark.parametrize("alpha", [38.5, 40.0, 50.0])
+def test_amplitudes_past_the_normal_range_of_exp_match_poisson(alpha):
+    # exp(-alpha^2/2) is subnormal above alpha ~ 37.6 and zero above 38.6;
+    # the amplitudes up to the Poisson peak must still not underflow.  P is
+    # one above the first cutoff whose Poisson tail is within 1e-12, since
+    # that cutoff's own tail (9.7e-13 at alpha = 40) is too close to pin.
+    lam = alpha * alpha
+    levels = np.arange(int(lam), int(lam + 20 * alpha))
+    P = int(levels[np.argmax(scipy.stats.poisson(lam).sf(levels) <= 1e-12)]) + 1
+    state = coherent_state(CoherentSpec(alpha, math.pi / 4), P)
+    want = np.sqrt(scipy.stats.poisson(lam).pmf(np.arange(P + 1)) / 2.0)
+    # scipy's log-space pmf is itself good to about 3e-12 of the peak here
+    peak = want.max()
+    assert np.abs(state.amps_e.real - want).max() < 5e-12 * peak
+    assert np.abs(state.amps_g.real - want).max() < 5e-12 * peak
+    assert norm_squared(state) == pytest.approx(1.0 - poisson_tail(P, alpha), abs=1e-14)
+    assert abs(norm_squared(state) - 1.0) <= 1e-12
 
 
 def test_truthful_norm_and_photon_number_at_p50():
