@@ -29,7 +29,7 @@ from .propagator import (
     evolve,
     suggest_step,
 )
-from .spectral import diagonalize, gs_scan, level_differences, teee_evolve
+from .spectral import diagonalize, gs_scan, lowest_energies, teee_evolve
 from .trajectory import csv_lines, csv_rows
 
 EXIT_OK = 0
@@ -222,13 +222,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load(args)
     q, _ = _prepare(cfg)
-    dec = diagonalize(q)
     levels = args.levels if args.levels is not None else cfg.levels
-    levels = min(int(levels), dec.dim - 1)
-    deltas = level_differences(dec, levels)
-    lines = ["j,energy,delta_e", f"0,{float(dec.energies[0])!r},0.0"]
-    lines += [f"{j},{float(dec.energies[j])!r},{float(deltas[j - 1])!r}"
-              for j in range(1, levels + 1)]
+    energies = lowest_energies(q, min(int(levels), q.dim - 1))
+    deltas = energies - energies[0]
+    lines = ["j,energy,delta_e", f"0,{float(energies[0])!r},0.0"]
+    lines += [f"{j},{float(energies[j])!r},{float(deltas[j])!r}"
+              for j in range(1, energies.size)]
     _write_lines(lines, cfg.out)
     return EXIT_OK
 
@@ -300,7 +299,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as err:
         # NotConverged, NotUnitary, NonFiniteState, and the refusals of
-        # suggest_step and diagonalize
+        # suggest_step, diagonalize, lowest_energies (its finite-energy
+        # check and its Sturm certificate) and gs_scan
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -57,25 +57,33 @@ BLOCK_ROWS = 64
 class NotConverged(RuntimeError):
     """Taylor series not converged at order N for this dt.
 
-    dt_reduction is the factor that brings the last term to ~tol, or None
-    when the last term is not finite (the series diverged)."""
+    Raised when the last term is above tol, or when it is not but the
+    bound on the terms after it (tail, see certify) is.  dt_reduction is
+    the factor that brings the last term to ~tol, or None when the last
+    term is not finite (the series diverged) or was not the reason."""
 
     def __init__(self, last_term_norm: float, tol: float, dt: float, N: int,
-                 ratio: float):
+                 ratio: float, tail: float | None = None):
         self.last_term_norm = last_term_norm
         self.tol = tol
         self.dt = dt
         self.N = N
-        text = f"last Taylor term has max-norm {last_term_norm:.3e}"
-        if math.isfinite(last_term_norm):
+        self.tail = tail
+        self.dt_reduction = None
+        if tail is not None:
+            text = (f"Taylor tail bound {tail:.3e} > tol {tol:.1e} at dt={dt} N={N} "
+                    f"(last term {last_term_norm:.3e}, term ratio ~{ratio:.3g}); "
+                    "reduce dt or raise N")
+        elif math.isfinite(last_term_norm):
             # shrink dt by this factor and the last term lands at ~tol
             self.dt_reduction = (tol / last_term_norm) ** (1.0 / N)
-            text += (f" > tol {tol:.1e} at dt={dt} N={N} (term ratio ~{ratio:.3g}); "
-                     f"reduce dt by a factor <= {self.dt_reduction:.3g} or raise N")
+            text = (f"last Taylor term has max-norm {last_term_norm:.3e}"
+                    f" > tol {tol:.1e} at dt={dt} N={N} (term ratio ~{ratio:.3g}); "
+                    f"reduce dt by a factor <= {self.dt_reduction:.3g} or raise N")
         else:
             # a term that overflowed gives no such factor
-            self.dt_reduction = None
-            text += f" at dt={dt} N={N}: the series diverges; reduce dt or the couplings"
+            text = (f"last Taylor term has max-norm {last_term_norm:.3e} at dt={dt} "
+                    f"N={N}: the series diverges; reduce dt or the couplings")
         super().__init__(text)
 
 
@@ -204,22 +212,33 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
 def certify(prop: CacheEntry, q: TransferMatrix, cfg: PropagatorConfig) -> None:
     """Refuse prop if a build certificate is above its bound for cfg.tol.
 
-    The last Taylor term must be at most cfg.tol (NotConverged).  The
-    unitarity defect must be at most UNITARITY_TOL, or cfg.tol when that
-    is looser: accepting a truncation error of tol per step accepts about
-    as much loss of unitarity (NotUnitary).  A tol of 1 or more accepts a
-    last term as large as the entries of a unitary M, so it certifies no
-    defect, which is then only recorded.  The last term can be tiny while
-    the defect is not: at large dt*|Q| the terms grow by many orders of
-    magnitude before they shrink, and their cancellation loses the digits
-    unitarity needs.  A certificate is a pure function of the fingerprint's
-    inputs, so a cache hit is refused exactly when a rebuild would be.  An
-    unknown certificate (None) passes.
+    The last Taylor term must be at most cfg.tol, and so must the bound
+    on the terms left out (NotConverged).  With a = ||Q dt||_1 and
+    r = a/(N+2), term N+j is term N times (Q dt)^j N!/(N+j)!, and
+    ||T A||_max <= ||T||_max ||A||_1, so the tail sum_{k>N} (Q dt)^k/k!
+    has max-norm at most last * (a/(N+1)) / (1 - r); for r >= 1 there is
+    no bound, and prop is refused (Al-Mohy & Higham, SIAM J. Sci. Comput.
+    33(2), 2011).  The unitarity defect must be at most UNITARITY_TOL, or
+    cfg.tol when that is looser: accepting a truncation error of tol per
+    step accepts about as much loss of unitarity (NotUnitary).  A tol of 1
+    or more accepts a last term as large as the entries of a unitary M, so
+    it certifies no defect, which is then only recorded.  The last term
+    can be tiny while the defect is not: at large dt*|Q| the terms grow by
+    many orders of magnitude before they shrink, and their cancellation
+    loses the digits unitarity needs.  A certificate is a pure function of
+    the fingerprint's inputs, so a cache hit is refused exactly when a
+    rebuild would be.  An unknown certificate (None) passes.
     """
     last = prop.last_term_norm
-    if last is not None and not last <= cfg.tol:
-        ratio = q.one_norm() * cfg.dt / (cfg.N + 1)
-        raise NotConverged(last, cfg.tol, cfg.dt, cfg.N, ratio)
+    if last is not None:
+        a = q.one_norm() * cfg.dt
+        ratio = a / (cfg.N + 1)
+        if not last <= cfg.tol:
+            raise NotConverged(last, cfg.tol, cfg.dt, cfg.N, ratio)
+        r = a / (cfg.N + 2)
+        tail = last * ratio / (1.0 - r) if r < 1.0 else math.inf
+        if not tail <= cfg.tol:
+            raise NotConverged(last, cfg.tol, cfg.dt, cfg.N, ratio, tail)
     bound = math.inf if cfg.tol >= 1.0 else max(UNITARITY_TOL, cfg.tol)
     defect = prop.unitarity_defect
     if defect is not None and not defect <= bound:

@@ -7,6 +7,12 @@ the two parity chains, so each chain is diagonalized on its own, as a
 half-size tridiagonal matrix.  Dissipative matrices are refused here by
 design; that regime belongs to the Taylor route alone.
 
+`spectrum` needs only the lowest energies, so it runs eigvalsh (no
+vectors) on each chain and certifies the levels it returns by Sturm
+counts: the number of negative LDL^T pivots of a chain block minus x is
+the number of its eigenvalues below x (Sylvester inertia; Demmel,
+Applied Numerical Linear Algebra, 1997, section 5.3.4).
+
 The ground-state scan needs only the lowest eigenvalue of each chain at
 every cutoff.  A chain's entries do not depend on P, so the chain at
 cutoff P is the leading (P+1)-block of the chain at the largest cutoff,
@@ -32,6 +38,7 @@ __all__ = [
     "SpectralDecomposition",
     "GsScanResult",
     "diagonalize",
+    "lowest_energies",
     "teee_evolve",
     "level_differences",
     "gs_scan",
@@ -46,6 +53,12 @@ UNBOUNDED_SLOPE = 1e-3    # in units of omega_f, sign-flipped below
 # "any negative pivot among its first P+1", so a ring of rows is reduced
 # into that answer whenever it is full; a larger ring only adds memory.
 SWEEP_ROWS = 32
+# lowest_energies tests a Sturm midpoint only where its two levels lie
+# more than GAP_EPS * n * ||chain|| apart: half that gap, 4 n eps ||chain||,
+# exceeds eigvalsh's error (at most about n eps ||chain||) plus the
+# count's (exact for the chain perturbed by about 3 eps ||chain||).
+GAP_EPS = 8 * np.finfo(float).eps
+NON_FINITE = "eigensolver returned non-finite energies"
 
 
 class NonHermitianInput(ValueError):
@@ -73,51 +86,161 @@ class SpectralDecomposition:
         return self.energies.size
 
 
-def _chains(q: TransferMatrix):
-    """Dense real tridiagonal block of each parity chain of Q."""
+def _chain_entries(q: TransferMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """a[c, i]: Q at slot i of chain c; b[c, i]: the coupling of slots i
+    and i+1 of chain c."""
     n = q.trunc.P + 1
-    for lo in (0, n):
-        d, off = q.diag[lo:lo + n].real, q.off[lo:lo + n - 1]
-        yield np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+    return q.diag.real.reshape(2, n), np.stack([q.off[:n - 1], q.off[n:]])
+
+
+def _scaled_chains(q: TransferMatrix) -> tuple[np.ndarray, np.ndarray, int]:
+    """_chain_entries of Q / 2^e, and e, for Q with finite entries.
+
+    max|a| + max|b| lies in [2^(e-2), 2^e), so the scaled entries lie
+    below 1 and not far below it: b^2 can neither overflow nor underflow.
+    Scaling by a power of two commutes with every rounding, so arithmetic
+    on the scaled chains gives the unscaled floats times 2^-e wherever
+    the unscaled arithmetic stays in range.
+    """
+    a, b = _chain_entries(q)
+    # the halves, so that the sum stays finite; halving is exact
+    e = int(np.frexp(np.abs(q.diag.real).max() / 2 + np.abs(q.off).max() / 2)[1]) + 1
+    return np.ldexp(a, -e), np.ldexp(b, -e), e
+
+
+def _chain_blocks(a: np.ndarray, b: np.ndarray):
+    """The dense tridiagonal block of each chain, one at a time."""
+    n = a.shape[1]
+    for diag, off in zip(a, b):
+        block = np.zeros((n, n))
+        flat = block.reshape(-1)
+        flat[::n + 1] = diag
+        flat[1::n + 1] = off
+        flat[n::n + 1] = off
+        yield block
 
 
 def diagonalize(q: TransferMatrix) -> SpectralDecomposition:
     """Full real-symmetric eigendecomposition with verified quality.
 
     One half-size eigh per parity chain; the eigenpairs are kept per
-    chain, in chain order.  The residual max_j ||Q v_j - E_j v_j|| and the
-    orthonormality defect ||V^T V - 1||_max are measured on every call
-    and enforced at 1e-10 (scaled by 1 + max|E| for the residual), and
-    every energy must be finite; a refusal is a RuntimeError.  Vectors of
-    different chains are orthogonal exactly, so both are measured per
-    chain.
+    chain, in chain order.  Every energy must be finite; the residual
+    max_j ||Q v_j - E_j v_j|| and the orthonormality defect
+    ||V^T V - 1||_max are measured on every call and enforced at 1e-10
+    (scaled by 1 + max|E| for the residual).  A refusal is a
+    RuntimeError.  The residual is measured on Q / 2^e (_scaled_chains),
+    so its squares cannot overflow where the energies are finite.
+    Vectors of different chains are orthogonal exactly, so both are
+    measured per chain.
     """
     _require_hermitian(q)
-    n = q.trunc.P + 1
+    a, b = _chain_entries(q)
+    n = a.shape[1]
     chain_energies = np.empty((2, n))
     chain_vectors = np.empty((2, n, n))
-    residual = ortho = 0.0
     # overflow shows up in the checks below, so the numpy warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for c, block in enumerate(_chains(q)):
+        for c, block in enumerate(_chain_blocks(a, b)):
             chain_energies[c], chain_vectors[c] = np.linalg.eigh(block)
-            e, v = chain_energies[c], chain_vectors[c]
-            residual = max(residual, float(
-                np.linalg.norm(block @ v - v * e, axis=0).max()))
-            ortho = max(ortho, float(np.abs(v.T @ v - np.eye(e.size)).max()))
     energies = np.sort(chain_energies, axis=None, kind="stable")
-
     if not np.isfinite(energies).all():
-        raise RuntimeError("eigensolver returned non-finite energies")
-    scale = 1.0 + float(np.abs(energies).max())
+        raise RuntimeError(NON_FINITE)
+
+    a, b, e = _scaled_chains(q)
+    residual = ortho = 0.0
+    for c, block in enumerate(_chain_blocks(a, b)):
+        v = chain_vectors[c]
+        residual = max(residual, float(np.linalg.norm(
+            block @ v - v * np.ldexp(chain_energies[c], -e), axis=0).max()))
+        ortho = max(ortho, float(np.abs(v.T @ v - np.eye(n)).max()))
+    bound = np.ldexp(RESIDUAL_TOL * (1.0 + float(np.abs(energies).max())), -e)
+    with np.errstate(over="ignore"):    # only a refused residual can overflow
+        unscaled = float(np.ldexp(residual, e))
     # `not x <= bound`, so that a NaN fails the check
-    if not residual <= RESIDUAL_TOL * scale:
-        raise RuntimeError(f"eigensolver residual {residual:.3e} above bound")
+    if not residual <= bound:
+        raise RuntimeError(f"eigensolver residual {unscaled:.3e} above bound")
     if not ortho <= ORTHO_TOL:
         raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
     return SpectralDecomposition(energies=energies, chain_energies=chain_energies,
                                  chain_vectors=chain_vectors,
-                                 residual=residual, ortho_defect=ortho)
+                                 residual=unscaled, ortho_defect=ortho)
+
+
+def lowest_energies(q: TransferMatrix, count: int) -> np.ndarray:
+    """The count + 1 lowest energies of Q, ascending, without eigenvectors.
+
+    One eigvalsh per parity chain; the two chains' energies are
+    stable-sorted together, as in diagonalize.  The levels returned are
+    certified by one Sturm-count sweep over both chains instead of by
+    diagonalize's vector-based checks: in chain c, at the midpoint above
+    each of its returned levels (between its j-th and (j+1)-th energy),
+    the chain block minus x must have exactly j + 1 negative pivots.  A
+    midpoint whose gap is at most GAP_EPS * n * ||chain|| is not tested,
+    since rounding may put it on either side of both levels; an exact tie
+    or a near-tie is certified as a group by the next midpoint that is.
+    A non-finite energy or a failed count is a RuntimeError.
+    """
+    _require_hermitian(q)
+    _check_count(count, q.dim - 1)
+    a, b = _chain_entries(q)
+    # LAPACK refuses non-finite entries, which have no finite energies
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise RuntimeError(NON_FINITE)
+    chains = [np.linalg.eigvalsh(block) for block in _chain_blocks(a, b)]
+    merged = np.concatenate(chains)
+    order = np.argsort(merged, kind="stable")[:int(count) + 1]
+    energies = merged[order]
+    if not np.isfinite(energies).all():
+        raise RuntimeError(NON_FINITE)
+
+    # chain c's returned levels are its first printed[c] energies
+    printed = np.bincount(order >= chains[0].size, minlength=2)
+    a, b, e = _scaled_chains(q)
+    n = a.shape[1]
+    norm = np.abs(a).max(axis=1) + 2 * np.abs(b).max(axis=1, initial=0.0)
+    x = np.zeros((2, printed.max()))
+    tested = np.zeros(x.shape, dtype=bool)
+    for c, chain in enumerate(chains):
+        levels = np.ldexp(chain[:printed[c] + 1], -e)
+        lo, hi = levels[:-1], levels[1:]
+        x[c, :lo.size] = (lo + hi) / 2
+        tested[c, :lo.size] = hi - lo > GAP_EPS * n * norm[c]
+    below = _sturm_counts(a, b, x)
+    expected = np.arange(1, x.shape[1] + 1)
+    wrong = tested & (below != expected)
+    if wrong.any():
+        c, j = np.argwhere(wrong)[0]
+        raise RuntimeError(
+            f"eigensolver levels fail their Sturm count: chain {'AB'[c]} has "
+            f"{below[c, j]} eigenvalues below the midpoint above its level {j}, "
+            f"not {j + 1}")
+    return energies
+
+
+def _sturm_counts(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """below[c, s]: the eigenvalues of chain c's block under x[c, s].
+
+    The count of negative pivots d_i = (a_i - x) - b_{i-1}^2 / d_{i-1},
+    with a, b scaled by _scaled_chains and the rules of _ground_energies:
+    a zero pivot is +0, so the next one is -inf, and a zero coupling
+    starts a decoupled block, d_i = a_i - x.
+    """
+    b2 = b * b
+    dead = [np.flatnonzero(row == 0.0) for row in b2.T]   # per slot, the chains
+    below = np.zeros(x.shape, dtype=np.int64)
+    d = np.subtract(a[:, :1], x)
+    t = np.empty_like(x)
+    # b^2 / +0 is the -inf wanted; a 0 / 0 at a zero coupling is replaced
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(a.shape[1]):
+            if i:
+                np.divide(b2[:, i - 1, None], d, out=t)
+                if dead[i - 1].size:
+                    t[dead[i - 1]] = 0.0
+                np.subtract(a[:, i, None], x, out=d)
+                d -= t
+            below += d < 0.0
+    return below
 
 
 def _require_hermitian(q: TransferMatrix) -> None:
@@ -190,11 +313,15 @@ def _chain_states(dec: SpectralDecomposition, coeff: np.ndarray,
 
 def level_differences(dec: SpectralDecomposition, count: int) -> np.ndarray:
     """First `count` excitation energies E_j - E_0, j = 1..count."""
+    _check_count(count, dec.dim - 1)
+    return dec.energies[1:count + 1] - dec.energies[0]
+
+
+def _check_count(count: int, available: int) -> None:
     if int(count) != count or count < 1:
         raise ValueError(f"count must be a positive integer, got {count}")
-    if count > dec.dim - 1:
-        raise ValueError(f"count {count} exceeds available levels {dec.dim - 1}")
-    return dec.energies[1:count + 1] - dec.energies[0]
+    if count > available:
+        raise ValueError(f"count {count} exceeds available levels {available}")
 
 
 @dataclass(frozen=True)
@@ -290,18 +417,12 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     """
     q = build_transfer_matrix(params, Truncation(P=int(ps[-1])))
     n, m = q.trunc.P + 1, ps.size
-    # Work on Q / 2^e, whose entries lie below 1 and not far below, so
-    # that b^2 can neither overflow nor underflow.  Scaling by a power of
-    # two commutes with every rounding below, so E0 is the float the
-    # unscaled arithmetic gives wherever that arithmetic stays in range.
     with np.errstate(over="ignore", invalid="ignore"):
         top = np.abs(q.diag.real).max() + np.abs(q.off).max()
     if not np.isfinite(top):
         raise RuntimeError("transfer matrix entries overflow; no finite "
                            "ground-state energy")
-    e = int(np.frexp(top)[1])
-    a = np.ldexp(q.diag.real.reshape(2, n), -e)            # a[c, i]: slot i of chain c
-    b = np.ldexp(np.stack([q.off[:n - 1], q.off[n:]]), -e)  # b[c, i] couples i, i+1
+    a, b, e = _scaled_chains(q)
     b2 = b * b
     edge = np.zeros((2, 1))
     left = a - np.abs(np.hstack([edge, b]))

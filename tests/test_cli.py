@@ -150,7 +150,6 @@ def test_no_acceptable_dt_is_a_numerical_failure(config_dir, capsys, command):
 
 @pytest.mark.parametrize("g_minus, reason", [
     ("1e307", "eigensolver returned non-finite energies"),  # couplings overflow
-    ("1e305", "eigensolver residual inf above bound"),
 ])
 def test_refused_eigensolve_is_a_numerical_failure(config_dir, capsys, g_minus, reason):
     with warnings.catch_warnings():
@@ -159,6 +158,23 @@ def test_refused_eigensolve_is_a_numerical_failure(config_dir, capsys, g_minus, 
                              "--set", f"g_minus={g_minus}", "--set", "dt=0.01")
     assert code == 2 and out == ""
     assert err == f"numerical failure: {reason}\n"
+
+
+def test_energies_near_the_float_limit_are_printed(config_dir, capsys):
+    # the energies lie near -5e306; squared, the entries of Q overflow,
+    # those of Q / 2^e do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg"),
+                             "--set", "g_minus=1e305", "--set", "dt=0.01")
+    assert code == 0 and err == ""
+    energies = np.array([float(line.split(",")[1]) for line in out.splitlines()[1:]])
+    q, _ = _prepare(load_run_config(cfg(config_dir, "fig2.cfg"),
+                                    ["g_minus=1e305", "dt=0.01"]))
+    e = int(np.frexp(np.abs(q.matrix).sum(axis=1).max())[1])
+    exact = np.ldexp(np.linalg.eigvalsh(np.ldexp(q.matrix.real, -e)), e)
+    assert energies[0] == pytest.approx(-5e306, rel=1e-3)
+    assert np.abs(energies - exact[:energies.size]).max() <= 1e-12 * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("command, name, reason", [
@@ -273,6 +289,37 @@ def test_spectrum_refuses_fewer_than_one_level(config_dir, capsys, levels):
                          "--levels", levels)
     assert code == 1 and out == ""
     assert err == f"error: count must be a positive integer, got {levels}\n"
+
+
+@pytest.mark.parametrize("fault", ["drop", "shift"])
+@pytest.mark.parametrize("chain", [0, 1])
+def test_spectrum_refuses_levels_that_fail_their_sturm_count(config_dir, capsys,
+                                                             monkeypatch, fault, chain):
+    # "drop" loses level 2 of one chain, "shift" moves it between levels
+    # 3 and 4; either way a midpoint counts one eigenvalue too many
+    true_eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def faulty(block):
+        w = true_eigvalsh(block)
+        calls.append(None)
+        if len(calls) - 1 != chain:
+            return w
+        if fault == "drop":
+            return np.delete(w, 2)
+        return np.sort(np.concatenate([np.delete(w, 2), [(w[3] + w[4]) / 2]]))
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
+    code, out, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg"))
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert f"chain {'AB'[chain]}" in err
+
+
+def test_spectrum_reruns_are_byte_identical(config_dir, capsys):
+    argv = ("spectrum", "--config", cfg(config_dir, "fig3_P400.cfg"), "--levels", "40")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and first == run(capsys, *argv)
 
 
 def test_gs_scan_stdout_contract(config_dir, capsys, tmp_path):
@@ -559,6 +606,19 @@ def test_evolve_allocates_no_dense_matrix(config_dir, capsys, tmp_path, monkeypa
         assert peak < dense, outcome
 
 
+def test_spectrum_traces_fewer_than_four_chain_blocks(config_dir, capsys):
+    # dim 802: eigvalsh sees one 401 x 401 chain block at a time, and no
+    # eigenvectors are formed
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig3_P400.cfg"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert peak < 4 * 401 ** 2 * 8
+
+
 def test_spectrum_and_compare_allocate_no_dense_matrix(config_dir, capsys, tmp_path,
                                                        monkeypatch):
     # dim 802: the eigenpairs are kept per chain, two 401 x 401 blocks
@@ -634,6 +694,40 @@ def test_stored_unitarity_defect_above_the_bound_is_refused_on_a_hit(
     assert code == 2 and out == ""
     assert err.startswith("numerical failure: unitarity defect")
     assert f"{stored[1].unitarity_defect:.3e}" in err
+
+
+@pytest.mark.parametrize("dt, tol, tail, last", [
+    ("0.05", "10", "4.959e+01", "4.916e+00"),
+    ("0.0625", "1e12", "inf", "9.601e+00"),    # ||Q dt||_1 / (N+2) = 1.11
+])
+def test_build_whose_tail_bound_is_above_tol_is_refused(config_dir, capsys, tmp_path,
+                                                        monkeypatch, dt, tol, tail, last):
+    # order 3: the last term passes tol, the bound on the terms after it
+    # does not
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", "N=3", "--set", f"dt={dt}", "--set", f"tol={tol}",
+                         "--set", "t_max=0")
+    assert code == 2 and out == ""
+    assert err == (f"numerical failure: Taylor tail bound {tail} > tol {float(tol):.1e} "
+                   f"at dt={dt} N=3 (last term {last}, term ratio "
+                   f"~{88.975 * float(dt) / 4:.3g}); reduce dt or raise N\n")
+    assert not list((tmp_path / "store").glob("*.sbp"))
+
+
+def test_hit_whose_tail_bound_is_above_tol_is_refused_as_a_rebuild_would_be(
+        config_dir, capsys, tmp_path, monkeypatch):
+    # the entry stored at tol=100 (tail bound 49.6) is found at tol=10
+    argv = ("evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "N=3",
+            "--set", "dt=0.05", "--set", "t_max=0")
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
+    cold = run(capsys, *argv, "--set", "tol=10")
+    assert cold[0] == 2 and cold[2].startswith("numerical failure: Taylor tail bound")
+
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "warm"))
+    assert run(capsys, *argv, "--set", "tol=100")[0] == 0
+    monkeypatch.setattr(sbprop.cli, "build_step_propagator", must_not_build)
+    assert run(capsys, *argv, "--set", "tol=10") == cold
 
 
 @pytest.mark.parametrize("name, last", [("fig6.cfg", "3.729e-06"),

@@ -20,6 +20,8 @@ from sbprop import (
     fock_state,
     gs_scan,
     level_differences,
+    load_run_config,
+    lowest_energies,
     norm_squared,
     teee_evolve,
 )
@@ -104,6 +106,61 @@ def test_teee_validation():
         level_differences(dec, 0)
     with pytest.raises(ValueError):
         level_differences(dec, dec.dim)
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3_P400"])
+def test_lowest_energies_agree_with_the_full_decomposition(config_dir, name):
+    # fig1 (rotating-wave) has zero couplings, an exact tie in chain B and
+    # a 1.8e-15 split in chain A, all certified without a refusal
+    cfg = load_run_config(config_dir / f"{name}.cfg", [])
+    q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
+    want = diagonalize(q).energies
+    for count in (1, 20, q.dim - 1):
+        got = lowest_energies(q, count)
+        assert got.shape == (count + 1,)
+        assert np.abs(got - want[:count + 1]).max() <= 1e-12 * (1 + np.abs(want).max())
+
+
+def test_lowest_energies_validation():
+    q = build_transfer_matrix(FIG2, Truncation(P=4))
+    for count in (0, -3, 1.5, q.dim):
+        with pytest.raises(ValueError):
+            lowest_energies(q, count)
+    damped = ModelParams(omega_f=1.0, omega_0=0.75, beta=0.01)
+    with pytest.raises(NonHermitianInput):
+        lowest_energies(build_transfer_matrix(damped, Truncation(P=4)), 1)
+    assert lowest_energies(q, 2.0).tobytes() == lowest_energies(q, 2).tobytes()
+    # P = 0: each chain is one level, so no midpoint is tested
+    q0 = build_transfer_matrix(FIG2, Truncation(P=0))
+    assert lowest_energies(q0, 1).tolist() == [-0.375, 0.375]
+
+
+@pytest.mark.parametrize("params", [
+    FIG2, DEEP, RWA, ModelParams(omega_f=1.0, omega_0=0.0),
+    ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.0, g_plus=0.5)])
+def test_sturm_counts_match_the_one_float_recurrence(params):
+    # shifts at the chain's own diagonal entries make pivots exactly 0
+    P = 12
+    q = build_transfer_matrix(params, Truncation(P=P))
+    a, b, e = spectral._scaled_chains(q)
+    rng = np.random.default_rng(3)
+    x = np.stack([np.concatenate([rng.uniform(-1.0, 1.0, 8), a[c, :6]]) for c in (0, 1)])
+    counts = spectral._sturm_counts(a, b, x)
+    for c, (d, off) in enumerate(chain_blocks(params, P)):
+        want = [sturm_count(d, off, np.ldexp(v, e)) for v in x[c]]
+        assert counts[c].tolist() == want, c
+
+
+def test_diagonalize_scales_its_residual_by_a_power_of_two():
+    # at g_minus = 1e305 the energies (near -5e306) and the eigenpairs are
+    # finite and accurate, but the squares of Q's entries overflow
+    q = build_transfer_matrix(ModelParams(omega_f=1.0, omega_0=0.75, g_minus=1e305,
+                                          g_plus=0.4), Truncation(P=50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = diagonalize(q)
+    assert dec.energies.tobytes() == dense_decomposition(q)[0].tobytes()
+    assert dec.residual <= 1e-10 * (1.0 + np.abs(dec.energies).max())
 
 
 def test_gs_scan_converges_for_moderate_coupling():
