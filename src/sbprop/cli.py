@@ -221,7 +221,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    q, _ = _prepare(cfg)
+    # the spectrum takes no time step: no dt search, no step count
+    q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
     levels = args.levels if args.levels is not None else cfg.levels
     energies = lowest_energies(q, min(int(levels), q.dim - 1))
     deltas = energies - energies[0]

@@ -20,6 +20,12 @@ and the LDL^T pivots of that block are the first P+1 pivots of the big
 chain.  One Sturm-count sweep over the big chain therefore answers "is x
 above E0?" for every cutoff at once, and bisection on those answers gives
 E0(P) for the whole scan (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
+Each sweep probes PROBES shifts per bracket (multisection).  In IEEE
+arithmetic the count is monotone in the shift (Demmel, Dhillon & Ren,
+ETNA 3, 1995), so any probe sequence that stops only where no float lies
+strictly inside a bracket ends on the float a one-shift bisection ends on.
+
+Both routines count through one engine, _sturm_sweep.
 """
 
 from __future__ import annotations
@@ -49,10 +55,16 @@ ORTHO_TOL = 1e-10
 CONVERGED_RTOL = 1e-8     # classification test between P_max and midpoint
 PLATEAU_RTOL = 1e-6       # plateau detection (diagnostic, looser on purpose)
 UNBOUNDED_SLOPE = 1e-3    # in units of omega_f, sign-flipped below
-# Pivot rows one bisection sweep holds at once.  Each cutoff needs only
-# "any negative pivot among its first P+1", so a ring of rows is reduced
-# into that answer whenever it is full; a larger ring only adds memory.
-SWEEP_ROWS = 32
+# Pivot rows one Sturm sweep holds at once.  Their negatives are counted
+# whenever the ring is full; a larger ring only adds memory.
+SWEEP_ROWS = 8
+# The ufunc buffer, in elements, during a sweep.  numpy sets up operand
+# buffers of this size for a call over a strided block; at its default of
+# 8192 that is up to 192 kB per call, which costs more than the
+# arithmetic of a ring block (buffers do not change a result).
+SWEEP_BUFSIZE = 1024
+# Shifts one sweep of the ground-state scan probes inside each bracket.
+PROBES = 7
 # lowest_energies tests a Sturm midpoint only where its two levels lie
 # more than GAP_EPS * n * ||chain|| apart: half that gap, 4 n eps ||chain||,
 # exceeds eigvalsh's error (at most about n eps ||chain||) plus the
@@ -205,7 +217,7 @@ def lowest_energies(q: TransferMatrix, count: int) -> np.ndarray:
         lo, hi = levels[:-1], levels[1:]
         x[c, :lo.size] = (lo + hi) / 2
         tested[c, :lo.size] = hi - lo > GAP_EPS * n * norm[c]
-    below = _sturm_counts(a, b, x)
+    below = _sturm_sweep(a, b, x, np.full(x.shape[1], n))()
     expected = np.arange(1, x.shape[1] + 1)
     wrong = tested & (below != expected)
     if wrong.any():
@@ -215,32 +227,6 @@ def lowest_energies(q: TransferMatrix, count: int) -> np.ndarray:
             f"{below[c, j]} eigenvalues below the midpoint above its level {j}, "
             f"not {j + 1}")
     return energies
-
-
-def _sturm_counts(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """below[c, s]: the eigenvalues of chain c's block under x[c, s].
-
-    The count of negative pivots d_i = (a_i - x) - b_{i-1}^2 / d_{i-1},
-    with a, b scaled by _scaled_chains and the rules of _ground_energies:
-    a zero pivot is +0, so the next one is -inf, and a zero coupling
-    starts a decoupled block, d_i = a_i - x.
-    """
-    b2 = b * b
-    dead = [np.flatnonzero(row == 0.0) for row in b2.T]   # per slot, the chains
-    below = np.zeros(x.shape, dtype=np.int64)
-    d = np.subtract(a[:, :1], x)
-    t = np.empty_like(x)
-    # b^2 / +0 is the -inf wanted; a 0 / 0 at a zero coupling is replaced
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(a.shape[1]):
-            if i:
-                np.divide(b2[:, i - 1, None], d, out=t)
-                if dead[i - 1].size:
-                    t[dead[i - 1]] = 0.0
-                np.subtract(a[:, i, None], x, out=d)
-                d -= t
-            below += d < 0.0
-    return below
 
 
 def _require_hermitian(q: TransferMatrix) -> None:
@@ -391,20 +377,22 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
 
 
 def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
-    """E0 of Q at every cutoff in ps (strictly increasing), by one bisection
-    on Sturm counts taken over both chains of Q at the largest cutoff.
+    """E0 of Q at every cutoff in ps (strictly increasing), by one
+    multisection on Sturm counts taken over both chains of Q at the
+    largest cutoff.
 
     Pair (c, j) brackets the lowest eigenvalue of chain c's leading block
     at cutoff ps[j]: from Gershgorin below, and from just above the
     block's smallest diagonal (which bounds it by the Rayleigh quotient).
-    A sweep runs the pivot recurrence d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}
-    once over the chain slots, with one shift x per pair; pair (c, j) reads
-    "x is above E0" as any negative pivot among its first ps[j] + 1.
-    Bisection stops when no midpoint lies strictly inside a bracket, and
-    E0 is the low end.  A zero pivot is +0, so the next one is -inf; a slot
-    whose coupling b_{i-1} is 0 starts a decoupled block and takes
-    d_i = a_i - x, which keeps 0/0 out.  Each pivot row costs three ufunc
-    calls, on contiguous rows of the pairs it touches.
+    Each step is one _sturm_sweep over the chain slots with PROBES shifts
+    per pair, lo + (hi - lo) k / (PROBES + 1) for k = 1..PROBES; pair
+    (c, j) reads "x is above E0" as a negative pivot among its first
+    ps[j] + 1.  The new bracket runs from the largest probe with none to
+    the smallest probe with one.  Where that grid is not strictly
+    increasing and strictly inside (lo, hi), which happens once a bracket
+    is a few floats wide, all of the pair's probes are the midpoint.  The
+    multisection stops when no midpoint lies strictly inside a bracket,
+    and E0 is the low end: the float a one-shift bisection ends on.
 
     Q with an entry that is not finite, or so large that max|diag| +
     max|off| overflows, is refused with RuntimeError, and so is an E0 that
@@ -416,14 +404,13 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     smaller one.
     """
     q = build_transfer_matrix(params, Truncation(P=int(ps[-1])))
-    n, m = q.trunc.P + 1, ps.size
+    m = ps.size
     with np.errstate(over="ignore", invalid="ignore"):
         top = np.abs(q.diag.real).max() + np.abs(q.off).max()
     if not np.isfinite(top):
         raise RuntimeError("transfer matrix entries overflow; no finite "
                            "ground-state energy")
     a, b, e = _scaled_chains(q)
-    b2 = b * b
     edge = np.zeros((2, 1))
     left = a - np.abs(np.hstack([edge, b]))
     # Gershgorin: in the leading block at cutoff P, rows i < P have both
@@ -434,45 +421,108 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     lo = np.minimum(inner, left)[:, desc]
     hi = np.nextafter(np.minimum.accumulate(a, axis=1)[:, desc], np.inf)
 
-    # Row i of a sweep touches only the pairs whose cutoff is at least i:
-    # the first active[i] columns.  Every call in `blocks` writes those
-    # cells alone, so a ring cell holds +inf or a pivot of its own pair.
-    rows = min(n, SWEEP_ROWS)
-    pivots = np.full((rows, 2, m), np.inf)
-    quotient = np.empty((2, m))
-    x = np.empty((2, m))
-    active = m - np.searchsorted(ps, np.arange(n))
-    blocks = [[] for _ in range(0, n, rows)]
-    for i, k in enumerate(active):
-        r, calls = i % rows, blocks[i // rows]
-        d = pivots[r, :, :k]
-        calls.append((np.subtract, a[:, i, None], x[:, :k], d))
-        # a chain whose coupling b_{i-1} is zero keeps d_i = a_i - x; r - 1
-        # wraps to the last row of the (full) previous block
-        live = np.flatnonzero(b2[:, i - 1]) if i else []
-        if len(live):
-            c = live[0] if len(live) == 1 else slice(None)
-            t = quotient[c, :k]
-            calls += [(np.divide, b2[c, i - 1, None], pivots[r - 1, c, :k], t),
-                      (np.subtract, d[c], t, d[c])]
-
-    lowest = np.empty((2, m))
+    # each pair's probes are PROBES consecutive columns of x
+    fractions = np.arange(1, PROBES + 1) / (PROBES + 1)
+    x = np.empty((2, m * PROBES))
+    probes = x.reshape(2, m, PROBES)
+    sweep = _sturm_sweep(a, b, x, np.repeat(desc + 1, PROBES))
     while True:
-        np.add(lo, hi, out=x)
-        x *= 0.5
-        inside = (lo < x) & (x < hi)
+        mid = (lo + hi) * 0.5
+        inside = (lo < mid) & (mid < hi)
         if not inside.any():
             with np.errstate(over="ignore"):
                 e0 = np.ldexp(lo.min(axis=0)[::-1], e)
             if not np.isfinite(e0).all():
                 raise RuntimeError("ground-state energy overflows a double")
             return e0
-        lowest.fill(np.inf)
-        with np.errstate(divide="ignore"):     # b^2 / +0 is the -inf wanted
-            for calls in blocks:
-                for f, u, v, out in calls:
-                    f(u, v, out)
-                np.minimum(lowest, pivots.min(axis=0), out=lowest)
-        below = lowest < 0.0
-        hi = np.where(inside & below, x, hi)
-        lo = np.where(inside & ~below, x, lo)
+        probes[...] = fractions
+        probes *= (hi - lo)[..., None]
+        probes += lo[..., None]
+        grid = ((lo < probes[..., 0]) & (probes[..., -1] < hi)
+                & (np.diff(probes, axis=2) > 0.0).all(axis=2))
+        np.copyto(probes, mid[..., None], where=~grid[..., None])
+        below = sweep().reshape(probes.shape) > 0
+        hi = np.where(inside, np.minimum(hi, np.where(below, probes, np.inf).min(axis=2)), hi)
+        lo = np.where(inside, np.maximum(lo, np.where(below, -np.inf, probes).max(axis=2)), lo)
+
+
+def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarray):
+    """A function that counts negative LDL^T pivots for the shifts that x
+    holds when it is called.
+
+    a and b are chains scaled by _scaled_chains, x (2, cols) holds one
+    shift per chain and column, and column s is counted over the leading
+    block of lengths[s] slots.  lengths must be non-increasing, so that
+    the columns a slot touches are a leading slice of x.  Each call
+    returns below[c, s]: the number of negative pivots among the first
+    lengths[s] of d_i = (a_i - x) - b_{i-1}^2 / d_{i-1} of chain c minus
+    x[c, s], that is, the eigenvalues of that block below x[c, s].
+
+    A zero pivot is +0, so the next one is -inf; a slot whose coupling
+    b_{i-1} is 0 starts a decoupled block and takes d_i = a_i - x, which
+    keeps 0/0 out.
+
+    The pivots go through a ring of SWEEP_ROWS rows, one block of slots at
+    a time.  A block forms a_i - x for all of its slots in one call, then
+    costs two calls per slot (quotient and pivot) and four to count its
+    negatives.  It runs over every column its first slot touches; a
+    column's pivots past its own last slot are masked out of the count.
+    The calls are planned once, so that a multisection pays for each of
+    its sweeps in ufunc calls alone.
+    """
+    n, cols = a.shape[1], x.shape[1]
+    b2 = b * b
+    rows = min(n, SWEEP_ROWS)
+    pivots = np.empty((rows, 2, cols))
+    negative = np.empty(pivots.shape, dtype=bool)
+    quotient = np.empty((2, cols))
+    # active[i]: the columns slot i touches; live[i]: the chains whose
+    # coupling b_{i-1} is not zero (a chain whose coupling is zero keeps
+    # d_i = a_i - x)
+    active = np.searchsorted(-lengths, -np.arange(n), side="left")
+    live = [[]] + [np.flatnonzero(col).tolist() for col in b2.T]
+    blocks = []
+    for top in range(0, n, rows):
+        h, k = min(rows, n - top), active[top]
+        ring, t = pivots[:h, :, :k], quotient[:, :k]
+        # the previous block's last row, which slot top reads first
+        prev = pivots[rows - 1, :, :k]
+        calls = [(np.subtract, a[:, top, None], x[:, :k], ring[0])]
+        for r, d in enumerate(ring):
+            i = top + r
+            if r == 1:
+                # a_i - x of the later slots at once, now that slot top has
+                # read the previous block's last row
+                calls.append((np.subtract, a[:, i:top + h].T[:, :, None], x[:, :k], ring[1:]))
+            if len(live[i]) == 2:
+                calls += [(np.divide, b2[:, i - 1, None], prev, t), (np.subtract, d, t, d)]
+            elif live[i]:
+                c = live[i][0]
+                calls += [(np.divide, b2[c, i - 1], prev[c], t[c]),
+                          (np.subtract, d[c], t[c], d[c])]
+            prev = d
+        # the columns from `full` on stop inside the block
+        full = active[top + h - 1]
+        flags = negative[:h, :, :k]
+        counted = np.arange(h)[:, None, None] < lengths[full:k] - top
+        blocks.append((calls, k, ring, flags, flags[:, :, full:], counted))
+
+    def sweep() -> np.ndarray:
+        below = np.zeros((2, cols), dtype=np.int64)
+        bufsize = np.setbufsize(SWEEP_BUFSIZE)
+        try:
+            # b^2 / +0 is the +inf wanted, so the next pivot is -inf, and
+            # so is b^2 over a pivot too small for the quotient to be finite
+            with np.errstate(divide="ignore", over="ignore"):
+                for calls, k, ring, flags, stopping, counted in blocks:
+                    for f, u, v, out in calls:
+                        f(u, v, out)
+                    np.less(ring, 0.0, out=flags)
+                    stopping &= counted
+                    # at most SWEEP_ROWS per block, so a byte holds the sum
+                    below[:, :k] += flags.view(np.uint8).sum(axis=0, dtype=np.uint8)
+        finally:
+            np.setbufsize(bufsize)
+        return below
+
+    return sweep

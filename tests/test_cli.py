@@ -112,7 +112,7 @@ def test_exit_code_1_for_config_problems(config_dir, capsys, tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("command", ["evolve", "compare", "spectrum"])
+@pytest.mark.parametrize("command", ["evolve", "compare"])
 @pytest.mark.parametrize("sets, reason", [
     (["dt=0"], "dt must be positive and finite, got 0.0"),
     (["dt=nan"], "dt must be positive and finite, got nan"),
@@ -127,7 +127,7 @@ def test_unusable_dt_is_a_config_error(config_dir, capsys, command, sets, reason
     assert err.startswith(f"error: {reason}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["evolve", "compare", "spectrum"])
+@pytest.mark.parametrize("command", ["evolve", "compare"])
 @pytest.mark.parametrize("dt", ["auto", "0.05"])
 def test_taylor_order_below_one_is_a_config_error(config_dir, capsys, command, dt):
     # N is read from PropagatorConfig alone, checked by suggest_step
@@ -138,7 +138,7 @@ def test_taylor_order_below_one_is_a_config_error(config_dir, capsys, command, d
     assert err == "error: N must be a positive integer, got 0\n"
 
 
-@pytest.mark.parametrize("command", ["evolve", "compare", "spectrum"])
+@pytest.mark.parametrize("command", ["evolve", "compare"])
 def test_no_acceptable_dt_is_a_numerical_failure(config_dir, capsys, command):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -146,6 +146,32 @@ def test_no_acceptable_dt_is_a_numerical_failure(config_dir, capsys, command):
                              "--set", "g_minus=1e200")
     assert code == 2 and out == ""
     assert err == "numerical failure: no acceptable dt found (parameters out of range)\n"
+
+
+@pytest.mark.parametrize("sets, reference", [
+    (["dt=0"], []),
+    (["dt=nan"], []),
+    (["dt=1e-300", "t_max=1e300"], []),
+    (["N=0", "dt=auto"], []),
+    (["N=0", "dt=0.05"], []),
+    # no dt is acceptable here, and an explicit one skips the search
+    (["g_minus=1e200"], ["g_minus=1e200", "dt=0.01"]),
+], ids=["dt=0", "dt=nan", "dt=1e-300-t_max=1e300", "N=0-dt=auto", "N=0-dt=0.05",
+        "g_minus=1e200"])
+def test_spectrum_reads_no_taylor_setting(config_dir, capsys, sets, reference):
+    # spectrum builds Q alone: the time step, its search and the Taylor
+    # order belong to evolve and compare
+    def spectrum(items):
+        argv = ["spectrum", "--config", cfg(config_dir, "fig2.cfg")]
+        for item in items:
+            argv += ["--set", item]
+        return run(capsys, *argv)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = spectrum(sets)
+    assert code == 0 and err == ""
+    assert (code, out, err) == spectrum(reference)
 
 
 @pytest.mark.parametrize("g_minus, reason", [
@@ -314,6 +340,21 @@ def test_spectrum_refuses_levels_that_fail_their_sturm_count(config_dir, capsys,
     assert code == 2 and out == ""
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert f"chain {'AB'[chain]}" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gs-scan", "--config", "fig5a.cfg"], "gs_scan_fig5a.txt"),
+    (["gs-scan", "--config", "fig5b.cfg"], "gs_scan_fig5b.txt"),
+    (["spectrum", "--config", "fig3_P400.cfg", "--levels", "40"],
+     "spectrum_fig3_P400_levels40.txt"),
+])
+def test_stdout_matches_the_committed_bytes(config_dir, capsys, argv, name):
+    # the files hold the stdout of the one-shift bisection that gs-scan
+    # used before its multisection; energies must keep every bit
+    argv[2] = cfg(config_dir, argv[2])
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
 def test_spectrum_reruns_are_byte_identical(config_dir, capsys):

@@ -23,6 +23,7 @@ from sbprop import (
     load_run_config,
     lowest_energies,
     norm_squared,
+    parse_p_values,
     teee_evolve,
 )
 
@@ -145,10 +146,21 @@ def test_sturm_counts_match_the_one_float_recurrence(params):
     a, b, e = spectral._scaled_chains(q)
     rng = np.random.default_rng(3)
     x = np.stack([np.concatenate([rng.uniform(-1.0, 1.0, 8), a[c, :6]]) for c in (0, 1)])
-    counts = spectral._sturm_counts(a, b, x)
-    for c, (d, off) in enumerate(chain_blocks(params, P)):
-        want = [sturm_count(d, off, np.ldexp(v, e)) for v in x[c]]
-        assert counts[c].tolist() == want, c
+    chains = chain_blocks(params, P)
+    # every column over the whole chain, then over leading blocks that end
+    # inside a ring of spectral.SWEEP_ROWS slots, at its last slot and past it
+    for lengths in (np.full(x.shape[1], P + 1), np.repeat([13, 12, 9, 8, 5, 3, 1], 2)):
+        counts = spectral._sturm_sweep(a, b, x, lengths)()
+        for c, (d, off) in enumerate(chains):
+            want = [sturm_count(d[:n], off[:n - 1], np.ldexp(v, e))
+                    for v, n in zip(x[c], lengths)]
+            assert counts[c].tolist() == want, (c, lengths.tolist())
+
+    # the count is monotone in the shift, zero pivots included
+    x = np.sort(np.hstack([rng.uniform(-1.0, 1.0, (2, 40)), a]), axis=1)
+    counts = spectral._sturm_sweep(a, b, x, np.full(x.shape[1], P + 1))()
+    assert np.all(np.diff(counts, axis=1) >= 0)
+    assert counts[:, 0].tolist() == [0, 0] and counts[:, -1].tolist() == [P + 1] * 2
 
 
 def test_diagonalize_scales_its_residual_by_a_power_of_two():
@@ -290,6 +302,59 @@ def test_gs_scan_scales_exactly_by_powers_of_two(power):
     assert gs_scan(scaled, ps).e0.tobytes() == want.tobytes()
 
 
+def assert_matches_the_bisection(params, ps):
+    with np.errstate(over="ignore"):   # the bisection's b^2 / d may overflow to inf
+        want = bisection_ground_energies(params, np.asarray(ps))
+    assert gs_scan(params, ps).e0.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["fig5a", "fig5b", "fig1", "fig2", "fig3_P200", "fig3_P400"])
+def test_multisection_matches_the_bisection_on_every_config(config_dir, name):
+    # the gs-scan grid of fig5a and fig5b, every cutoff up to P elsewhere
+    cfg = load_run_config(config_dir / f"{name}.cfg", [])
+    ps = parse_p_values(cfg.p_values) if cfg.p_values else range(cfg.P + 1)
+    assert_matches_the_bisection(cfg.to_params(), list(ps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=hermitian_params, ps=cutoff_grids)
+def test_multisection_matches_the_bisection_on_random_scans(params, ps):
+    assert_matches_the_bisection(params, ps)
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+def test_multisection_matches_the_bisection_at_scaled_couplings(power):
+    scaled = ModelParams(*(np.ldexp(v, power) for v in (1.0, 1.0, 2.0, 2.0)))
+    assert_matches_the_bisection(scaled, [1, 5, 30])
+
+
+@pytest.mark.parametrize("name", ["fig5a", "fig5b"])
+def test_multisection_falls_back_to_the_midpoint_on_narrow_brackets(config_dir, monkeypatch,
+                                                                    name):
+    # a bracket a few floats wide puts several points of the PROBES grid
+    # on one float, and the pair probes its midpoint PROBES times instead
+    collapsed = []
+    real = spectral._sturm_sweep
+
+    def spy(a, b, x, lengths):
+        sweep = real(a, b, x, lengths)
+
+        def probing():
+            probes = x.reshape(2, -1, spectral.PROBES)
+            collapsed.append(bool((probes == probes[..., :1]).all(axis=2).any()))
+            return sweep()
+        return probing
+
+    monkeypatch.setattr(spectral, "_sturm_sweep", spy)
+    cfg = load_run_config(config_dir / f"{name}.cfg", [])
+    ps = parse_p_values(cfg.p_values)
+    e0 = gs_scan(cfg.to_params(), ps).e0
+    assert any(collapsed) and not collapsed[0]
+    # the one-shift bisection took 57 sweeps on fig5a and 54 on fig5b
+    assert len(collapsed) <= 22
+    assert e0.tobytes() == bisection_ground_energies(cfg.to_params(), np.asarray(ps)).tobytes()
+
+
 def test_gs_scan_assembles_q_once(monkeypatch):
     calls = []
 
@@ -387,3 +452,99 @@ def test_per_chain_teee_matches_the_dense_eigenbasis_oracle(P):
     assert len(empty) == 0
     for name in expected:
         assert getattr(empty, name).shape == (0,), name
+
+
+# The one-shift bisection that gs_scan ran before its multisection, kept
+# verbatim as the reference whose every bit the multisection must match:
+# both stop only where no float lies strictly inside a bracket, and the
+# count is monotone in the shift, so both end on the same float.
+SWEEP_ROWS = 32
+_scaled_chains = spectral._scaled_chains
+
+
+def bisection_ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
+    """E0 of Q at every cutoff in ps (strictly increasing), by one bisection
+    on Sturm counts taken over both chains of Q at the largest cutoff.
+
+    Pair (c, j) brackets the lowest eigenvalue of chain c's leading block
+    at cutoff ps[j]: from Gershgorin below, and from just above the
+    block's smallest diagonal (which bounds it by the Rayleigh quotient).
+    A sweep runs the pivot recurrence d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}
+    once over the chain slots, with one shift x per pair; pair (c, j) reads
+    "x is above E0" as any negative pivot among its first ps[j] + 1.
+    Bisection stops when no midpoint lies strictly inside a bracket, and
+    E0 is the low end.  A zero pivot is +0, so the next one is -inf; a slot
+    whose coupling b_{i-1} is 0 starts a decoupled block and takes
+    d_i = a_i - x, which keeps 0/0 out.  Each pivot row costs three ufunc
+    calls, on contiguous rows of the pairs it touches.
+
+    Q with an entry that is not finite, or so large that max|diag| +
+    max|off| overflows, is refused with RuntimeError, and so is an E0 that
+    overflows.
+
+    Every pair's arithmetic is elementwise and its own, so E0 at a cutoff
+    does not depend on which other cutoffs are scanned, and E0 is
+    non-increasing in P: the pivots of a larger block extend those of a
+    smaller one.
+    """
+    q = build_transfer_matrix(params, Truncation(P=int(ps[-1])))
+    n, m = q.trunc.P + 1, ps.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.abs(q.diag.real).max() + np.abs(q.off).max()
+    if not np.isfinite(top):
+        raise RuntimeError("transfer matrix entries overflow; no finite "
+                           "ground-state energy")
+    a, b, e = _scaled_chains(q)
+    b2 = b * b
+    edge = np.zeros((2, 1))
+    left = a - np.abs(np.hstack([edge, b]))
+    # Gershgorin: in the leading block at cutoff P, rows i < P have both
+    # neighbours and row P only the left one
+    inner = np.minimum.accumulate(left - np.abs(np.hstack([b, edge])), axis=1)
+    inner = np.hstack([edge + np.inf, inner[:, :-1]])
+    desc = ps[::-1]                            # pairs by descending cutoff
+    lo = np.minimum(inner, left)[:, desc]
+    hi = np.nextafter(np.minimum.accumulate(a, axis=1)[:, desc], np.inf)
+
+    # Row i of a sweep touches only the pairs whose cutoff is at least i:
+    # the first active[i] columns.  Every call in `blocks` writes those
+    # cells alone, so a ring cell holds +inf or a pivot of its own pair.
+    rows = min(n, SWEEP_ROWS)
+    pivots = np.full((rows, 2, m), np.inf)
+    quotient = np.empty((2, m))
+    x = np.empty((2, m))
+    active = m - np.searchsorted(ps, np.arange(n))
+    blocks = [[] for _ in range(0, n, rows)]
+    for i, k in enumerate(active):
+        r, calls = i % rows, blocks[i // rows]
+        d = pivots[r, :, :k]
+        calls.append((np.subtract, a[:, i, None], x[:, :k], d))
+        # a chain whose coupling b_{i-1} is zero keeps d_i = a_i - x; r - 1
+        # wraps to the last row of the (full) previous block
+        live = np.flatnonzero(b2[:, i - 1]) if i else []
+        if len(live):
+            c = live[0] if len(live) == 1 else slice(None)
+            t = quotient[c, :k]
+            calls += [(np.divide, b2[c, i - 1, None], pivots[r - 1, c, :k], t),
+                      (np.subtract, d[c], t, d[c])]
+
+    lowest = np.empty((2, m))
+    while True:
+        np.add(lo, hi, out=x)
+        x *= 0.5
+        inside = (lo < x) & (x < hi)
+        if not inside.any():
+            with np.errstate(over="ignore"):
+                e0 = np.ldexp(lo.min(axis=0)[::-1], e)
+            if not np.isfinite(e0).all():
+                raise RuntimeError("ground-state energy overflows a double")
+            return e0
+        lowest.fill(np.inf)
+        with np.errstate(divide="ignore"):     # b^2 / +0 is the -inf wanted
+            for calls in blocks:
+                for f, u, v, out in calls:
+                    f(u, v, out)
+                np.minimum(lowest, pivots.min(axis=0), out=lowest)
+        below = lowest < 0.0
+        hi = np.where(inside & below, x, hi)
+        lo = np.where(inside & ~below, x, lo)
