@@ -300,8 +300,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as err:
         # NotConverged, NotUnitary, NonFiniteState, and the refusals of
-        # suggest_step, diagonalize, lowest_energies (its finite-energy
-        # check and its Sturm certificate) and gs_scan
+        # suggest_step, of the eigensolves' shared gate (Q or its energies
+        # not finite), of diagonalize's residual and orthonormality checks,
+        # of lowest_energies' Sturm certificate and of gs_scan
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -19,8 +19,11 @@ matrix is rebuilt on demand for tests.
 An operator that never couples the chains and reaches at most h slots
 along each chain is held in band storage: band[i, k] = M[i, i + k - h] in
 chain slots.  Q is such a band with h = 1 (TransferMatrix.band), and so is
-the step propagator M with h = min(N, P).  The band helpers below map that
-storage to and from the dense block layout.
+the step propagator M with h = min(N, P).  chain_block writes the dense
+block of a chain from its band rows; it is how every dense chain block in
+the package is formed (the eigensolves of Q, the squared checkpoints of
+M).  The other band helpers map band storage to and from the dense block
+layout.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "band_inside",
     "band_to_dense",
     "build_transfer_matrix",
+    "chain_block",
     "chain_order",
     "occupied_chains",
     "hermiticity_check",
@@ -146,6 +150,25 @@ def band_inside(dim: int, h: int) -> np.ndarray:
     n = dim // 2
     j = np.arange(n)[:, None] + np.arange(-h, h + 1)  # chain-local slot i + k - h
     return np.tile((j >= 0) & (j < n), (2, 1))
+
+
+def chain_block(rows: np.ndarray) -> np.ndarray:
+    """The dense block of one chain from its n band rows: rows[..., i, k]
+    is the block's entry (i, i + k - h).  Leading axes are kept, so the
+    (2, n, width) rows of both chains give both (2, n, n) blocks.
+
+    Band column k is diagonal k - h of the block; it is written through a
+    strided view of that diagonal in the flattened block.
+    """
+    *lead, n, width = rows.shape
+    h = width // 2
+    block = np.zeros((*lead, n, n), dtype=rows.dtype)
+    flat = block.reshape(*lead, n * n)
+    for k in range(width):
+        o = k - h
+        lo, hi = max(0, -o), min(n, n - o)
+        flat[..., lo * (n + 1) + o::n + 1][..., :hi - lo] = rows[..., lo:hi, k]
+    return block
 
 
 def _band_index(dim: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

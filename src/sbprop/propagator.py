@@ -26,7 +26,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import CacheEntry, propagator_fingerprint
-from .model import TransferMatrix, band_half_width, chain_order, occupied_chains
+from .model import (TransferMatrix, band_half_width, chain_block, chain_order,
+                    occupied_chains)
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -374,33 +375,15 @@ def checkpoint_powers(prop: StepPropagator, count: int) -> list[np.ndarray]:
     M never couples the parity chains, so each power is kept as its two
     chain blocks: an array of shape (2, n, n), n = dim / 2, holding chain
     A's and chain B's block in chain order (see model.chain_order).  M's
-    blocks are read straight from the band; each squaring is one stacked
-    product of both blocks.
+    blocks are written straight from the band (model.chain_block); each
+    squaring is one stacked product of both blocks.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    powers = [_chain_blocks(prop.band)]
+    powers = [chain_block(prop.band.reshape(2, prop.dim // 2, -1))]
     for _ in range(count - 1):
         powers.append(powers[-1] @ powers[-1])
     return powers
-
-
-def _chain_blocks(band: np.ndarray) -> np.ndarray:
-    """The (2, n, n) chain blocks of the operator held in band storage.
-
-    Band column k is diagonal k - h of each block; it is written through a
-    strided view of that diagonal in the flattened block.
-    """
-    dim, width = band.shape
-    n, h = dim // 2, width // 2
-    chains = band.reshape(2, n, width)
-    blocks = np.zeros((2, n, n), dtype=band.dtype)
-    flat = blocks.reshape(2, n * n)
-    for k in range(width):
-        o = k - h
-        lo, hi = max(0, -o), min(n, n - o)
-        flat[:, lo * (n + 1) + o::n + 1][:, :hi - lo] = chains[:, lo:hi, k]
-    return blocks
 
 
 def jump(state: SpinorFockState, powers: list[np.ndarray], steps: int) -> SpinorFockState:

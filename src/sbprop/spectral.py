@@ -7,6 +7,13 @@ the two parity chains, so each chain is diagonalized on its own, as a
 half-size tridiagonal matrix.  Dissipative matrices are refused here by
 design; that regime belongs to the Taylor route alone.
 
+diagonalize (eigh) and lowest_energies (eigvalsh) reach LAPACK through
+one gate, _chain_eigensolves: Q must be Hermitian and finite, and each
+chain's dense block is written from Q's band rows (model.chain_block)
+and handed over once, one chain at a time.  No other dense block is
+formed: diagonalize measures its residual through the tridiagonal
+chains themselves.
+
 `spectrum` needs only the lowest energies, so it runs eigvalsh (no
 vectors) on each chain and certifies the levels it returns by Sturm
 counts: the number of negative LDL^T pivots of a chain block minus x is
@@ -35,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (ModelParams, TransferMatrix, Truncation, build_transfer_matrix,
-                    chain_order, hermiticity_check, occupied_chains)
+                    chain_block, chain_order, hermiticity_check, occupied_chains)
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -70,6 +77,9 @@ PROBES = 7
 # exceeds eigvalsh's error (at most about n eps ||chain||) plus the
 # count's (exact for the chain perturbed by about 3 eps ||chain||).
 GAP_EPS = 8 * np.finfo(float).eps
+# _scaled_chains keeps its scaled entries below 2^SCALE_ROOM: their
+# squares, and sums of up to 2^20 of those, stay finite.
+SCALE_ROOM = 500
 NON_FINITE = "eigensolver returned non-finite energies"
 
 
@@ -98,72 +108,83 @@ class SpectralDecomposition:
         return self.energies.size
 
 
-def _chain_entries(q: TransferMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """a[c, i]: Q at slot i of chain c; b[c, i]: the coupling of slots i
-    and i+1 of chain c."""
-    n = q.trunc.P + 1
-    return q.diag.real.reshape(2, n), np.stack([q.off[:n - 1], q.off[n:]])
-
-
 def _scaled_chains(q: TransferMatrix) -> tuple[np.ndarray, np.ndarray, int]:
-    """_chain_entries of Q / 2^e, and e, for Q with finite entries.
+    """The chains of Q / 2^e, and e, for Q with finite entries: a[c, i] is
+    the entry at slot i of chain c, b[c, i] the coupling of its slots i
+    and i+1.
 
-    max|a| + max|b| lies in [2^(e-2), 2^e), so the scaled entries lie
-    below 1 and not far below it: b^2 can neither overflow nor underflow.
-    Scaling by a power of two commutes with every rounding, so arithmetic
-    on the scaled chains gives the unscaled floats times 2^-e wherever
-    the unscaled arithmetic stays in range.
+    e is at most the exponent that puts max|a| + max|b| in [2^(e-2), 2^e),
+    which leaves the scaled entries below 1, so that b^2 cannot overflow.
+    It is lowered, to 0 at the least, where dividing by that 2^e would
+    take a nonzero entry into the subnormal range or deeper into it, but
+    by at most SCALE_ROOM: the scaled entries stay below 2^SCALE_ROOM.
+    Where the scaled entries keep every bit, scaling by a power of two
+    commutes with every rounding, so arithmetic on the scaled chains gives
+    the unscaled floats times 2^-e wherever the unscaled arithmetic stays
+    in range.
     """
-    a, b = _chain_entries(q)
+    n = q.trunc.P + 1
+    a, b = q.diag.real.reshape(2, n), np.stack([q.off[:n - 1], q.off[n:]])
+    mags = np.abs(np.concatenate([q.diag.real, q.off]))
     # the halves, so that the sum stays finite; halving is exact
-    e = int(np.frexp(np.abs(q.diag.real).max() / 2 + np.abs(q.off).max() / 2)[1]) + 1
+    top = int(np.frexp(mags[:q.dim].max() / 2 + mags[q.dim:].max() / 2)[1]) + 1
+    # x / 2^e is normal for every nonzero x exactly when e <= exact
+    least = mags[mags > 0].min(initial=np.inf)
+    exact = max(int(np.frexp(least)[1]) - np.finfo(float).minexp - 1, 0)
+    e = min(top, max(exact, top - SCALE_ROOM))
     return np.ldexp(a, -e), np.ldexp(b, -e), e
 
 
-def _chain_blocks(a: np.ndarray, b: np.ndarray):
-    """The dense tridiagonal block of each chain, one at a time."""
-    n = a.shape[1]
-    for diag, off in zip(a, b):
-        block = np.zeros((n, n))
-        flat = block.reshape(-1)
-        flat[::n + 1] = diag
-        flat[1::n + 1] = off
-        flat[n::n + 1] = off
-        yield block
+def _chain_eigensolves(q: TransferMatrix, solve):
+    """Yield solve (np.linalg.eigh or eigvalsh) of each parity chain's
+    dense block, chain A first.
+
+    The one way from Q to LAPACK.  Q must be Hermitian (NonHermitianInput),
+    and Q with an entry that is not finite, which has no finite energies
+    and which LAPACK refuses, is refused with RuntimeError.  Each block is
+    written from its chain's rows of q.band (model.chain_block), handed to
+    LAPACK once and dropped before the next is written.
+    """
+    _require_hermitian(q)
+    rows = q.band.real
+    if not np.isfinite(rows).all():
+        raise RuntimeError(NON_FINITE)
+    for chain in rows.reshape(2, q.dim // 2, -1):
+        yield solve(chain_block(chain))
 
 
 def diagonalize(q: TransferMatrix) -> SpectralDecomposition:
     """Full real-symmetric eigendecomposition with verified quality.
 
-    One half-size eigh per parity chain; the eigenpairs are kept per
-    chain, in chain order.  Every energy must be finite; the residual
-    max_j ||Q v_j - E_j v_j|| and the orthonormality defect
-    ||V^T V - 1||_max are measured on every call and enforced at 1e-10
-    (scaled by 1 + max|E| for the residual).  A refusal is a
-    RuntimeError.  The residual is measured on Q / 2^e (_scaled_chains),
-    so its squares cannot overflow where the energies are finite.
-    Vectors of different chains are orthogonal exactly, so both are
-    measured per chain.
+    One half-size eigh per parity chain (_chain_eigensolves); the
+    eigenpairs are kept per chain, in chain order.  Every energy must be
+    finite; the residual max_j ||Q v_j - E_j v_j|| and the orthonormality
+    defect ||V^T V - 1||_max are measured on every call and enforced at
+    1e-10 (scaled by 1 + max|E| for the residual); a refusal is a
+    RuntimeError.
+    The residual is measured on Q / 2^e (_scaled_chains), so its squares
+    cannot overflow where the energies are finite, and through the
+    tridiagonal chain itself: a v - v E plus b v shifted up and down a
+    slot, so no dense block is formed for it.  Vectors of different
+    chains are orthogonal exactly, so both are measured per chain.
     """
-    _require_hermitian(q)
-    a, b = _chain_entries(q)
-    n = a.shape[1]
+    n = q.dim // 2
     chain_energies = np.empty((2, n))
     chain_vectors = np.empty((2, n, n))
-    # overflow shows up in the checks below, so the numpy warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, block in enumerate(_chain_blocks(a, b)):
-            chain_energies[c], chain_vectors[c] = np.linalg.eigh(block)
+    for c, (w, v) in enumerate(_chain_eigensolves(q, np.linalg.eigh)):
+        chain_energies[c], chain_vectors[c] = w, v
     energies = np.sort(chain_energies, axis=None, kind="stable")
     if not np.isfinite(energies).all():
         raise RuntimeError(NON_FINITE)
 
     a, b, e = _scaled_chains(q)
     residual = ortho = 0.0
-    for c, block in enumerate(_chain_blocks(a, b)):
-        v = chain_vectors[c]
-        residual = max(residual, float(np.linalg.norm(
-            block @ v - v * np.ldexp(chain_energies[c], -e), axis=0).max()))
+    for c, v in enumerate(chain_vectors):
+        r = a[c, :, None] * v
+        r -= v * np.ldexp(chain_energies[c], -e)
+        r[1:] += b[c, :, None] * v[:-1]
+        r[:-1] += b[c, :, None] * v[1:]
+        residual = max(residual, float(np.linalg.norm(r, axis=0).max()))
         ortho = max(ortho, float(np.abs(v.T @ v - np.eye(n)).max()))
     bound = np.ldexp(RESIDUAL_TOL * (1.0 + float(np.abs(energies).max())), -e)
     with np.errstate(over="ignore"):    # only a refused residual can overflow
@@ -181,24 +202,20 @@ def diagonalize(q: TransferMatrix) -> SpectralDecomposition:
 def lowest_energies(q: TransferMatrix, count: int) -> np.ndarray:
     """The count + 1 lowest energies of Q, ascending, without eigenvectors.
 
-    One eigvalsh per parity chain; the two chains' energies are
-    stable-sorted together, as in diagonalize.  The levels returned are
-    certified by one Sturm-count sweep over both chains instead of by
-    diagonalize's vector-based checks: in chain c, at the midpoint above
-    each of its returned levels (between its j-th and (j+1)-th energy),
-    the chain block minus x must have exactly j + 1 negative pivots.  A
-    midpoint whose gap is at most GAP_EPS * n * ||chain|| is not tested,
-    since rounding may put it on either side of both levels; an exact tie
-    or a near-tie is certified as a group by the next midpoint that is.
-    A non-finite energy or a failed count is a RuntimeError.
+    One eigvalsh per parity chain (_chain_eigensolves); the two chains'
+    energies are stable-sorted together, as in diagonalize.  The levels
+    returned are certified by one Sturm-count sweep over both chains
+    instead of by diagonalize's vector-based checks: in chain c, at the
+    midpoint above each of its returned levels (between its j-th and
+    (j+1)-th energy), the chain block minus x must have exactly j + 1
+    negative pivots.  A midpoint whose gap is at most GAP_EPS * n *
+    ||chain|| is not tested, since rounding may put it on either side of
+    both levels; an exact tie or a near-tie is certified as a group by the
+    next midpoint that is.  A non-finite energy or a failed count is a
+    RuntimeError.
     """
-    _require_hermitian(q)
     _check_count(count, q.dim - 1)
-    a, b = _chain_entries(q)
-    # LAPACK refuses non-finite entries, which have no finite energies
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise RuntimeError(NON_FINITE)
-    chains = [np.linalg.eigvalsh(block) for block in _chain_blocks(a, b)]
+    chains = list(_chain_eigensolves(q, np.linalg.eigvalsh))
     merged = np.concatenate(chains)
     order = np.argsort(merged, kind="stable")[:int(count) + 1]
     energies = merged[order]

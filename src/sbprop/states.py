@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
+# Levels past P + 200 that the search for a sufficient cutoff walks at
+# most (about 0.1 s), so that any alpha is refused promptly.
+SEARCH_LEVELS = 2 ** 15
 
 
 class TailMassTooLarge(ValueError):
@@ -113,15 +116,24 @@ def coherent_state(spec: CoherentSpec, P: int, *,
     (see _coherent_levels).
 
     Raises TailMassTooLarge when the Poisson weight above P exceeds
-    tail_tol, reporting the cutoff that would suffice.
+    tail_tol, reporting the first cutoff that would suffice.  The search
+    for it walks at most 8 alpha^2 + 200 levels past P, and never more
+    than SEARCH_LEVELS + 200; where it gives up, it reports the cutoff it
+    reached, whose tail is still above tail_tol, so that P must exceed it.
     """
     if int(P) != P or P < 0:
         raise ValueError(f"P must be a non-negative integer, got {P}")
     if not (math.isfinite(tail_tol) and tail_tol > 0.0):
         raise ValueError("tail_tol must be positive")
     P = int(P)
-
-    levels = _coherent_levels(spec)
+    lam = spec.alpha * spec.alpha
+    limit = P + 200 + int(min(8 * lam, SEARCH_LEVELS))
+    # lam >= 4 limit puts limit past SEARCH_LEVELS and the Poisson mass up
+    # to limit below exp(-1.6 limit) (Chernoff), so every amplitude the
+    # walk reaches is 0.0, and _coherent_levels, whose alpha ** 2 may
+    # overflow, is not run.
+    levels = (_coherent_levels(spec) if lam < 4 * limit
+              else itertools.repeat((0.0, 0.0, 0.0)))
     e = np.empty(P + 1, dtype=np.complex128)
     g = np.empty(P + 1, dtype=np.complex128)
     retained = 0.0
@@ -132,9 +144,8 @@ def coherent_state(spec: CoherentSpec, P: int, *,
     tail = max(1.0 - retained, 0.0)
     if tail > tail_tol:
         # carry the same recurrence on past P to the first cutoff whose
-        # tail is within tolerance, giving up at a generous limit
+        # tail is within tolerance, giving up at limit
         required = P
-        limit = P + int(8 * spec.alpha * spec.alpha) + 200
         while required < limit and 1.0 - retained > tail_tol:
             c = next(levels)[0]
             retained += c * c

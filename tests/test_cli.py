@@ -112,6 +112,17 @@ def test_exit_code_1_for_config_problems(config_dir, capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("alpha", ["1e6", "1e200"])
+def test_huge_coherent_amplitude_is_refused_in_one_line(config_dir, capsys, alpha):
+    # alpha^2 overflows a double at 1e200; at 1e6 a walk to a sufficient
+    # cutoff would take about 1e12 levels
+    code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig1.cfg"),
+                         "--set", f"alpha={alpha}")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: coherent state alpha={float(alpha)} keeps tail mass "
+                          "1.000e+00 above P=50") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["evolve", "compare"])
 @pytest.mark.parametrize("sets, reason", [
     (["dt=0"], "dt must be positive and finite, got 0.0"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbprop import ModelParams, Truncation, build_transfer_matrix, hermiticity_check
+from sbprop.model import chain_block
 
 
 def interleaved_reference(params: ModelParams, P: int) -> np.ndarray:
@@ -109,6 +110,23 @@ def test_matches_interleaved_reference_bit_for_bit(params, P):
     q = build_transfer_matrix(params, Truncation(P=P))
     ref = to_block_order(interleaved_reference(params, P), P)
     assert np.array_equal(q.matrix, ref)
+
+
+@pytest.mark.parametrize("P", [0, 1, 7])
+def test_chain_blocks_of_q_are_the_dense_matrix_in_chain_order(P):
+    params = ModelParams(omega_f=2.5, omega_0=-0.3, g_minus=1.1, g_plus=0.9,
+                         beta=0.2, gamma=0.1)
+    q = build_transfer_matrix(params, Truncation(P=P))
+    n = P + 1
+    blocks = chain_block(q.band.reshape(2, n, 3))
+    dense = q.matrix[np.ix_(q.order, q.order)]
+    for c in range(2):
+        slots = slice(c * n, (c + 1) * n)
+        assert blocks[c].tobytes() == dense[slots, slots].tobytes()
+        # one chain's rows alone give the same block
+        assert chain_block(q.band[slots]).tobytes() == blocks[c].tobytes()
+    # the real part of the rows gives a real block
+    assert chain_block(q.band.real[:n]).dtype == np.float64
 
 
 def test_interleaved_ordering_is_banded():

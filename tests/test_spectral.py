@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
@@ -26,6 +26,7 @@ from sbprop import (
     parse_p_values,
     teee_evolve,
 )
+from sbprop.model import chain_block
 
 RWA = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1)
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
@@ -175,6 +176,57 @@ def test_diagonalize_scales_its_residual_by_a_power_of_two():
     assert dec.residual <= 1e-10 * (1.0 + np.abs(dec.energies).max())
 
 
+def test_infinite_couplings_are_refused_alike_by_both_eigensolves():
+    # 1e308 * 2 overflows: LAPACK would refuse the block, so neither route
+    # hands it over
+    q = build_transfer_matrix(ModelParams(omega_f=1.0, omega_0=0.75, g_minus=1e308,
+                                          g_plus=1e308), Truncation(P=5))
+    for solve in (diagonalize, lambda q: lowest_energies(q, 3)):
+        with pytest.raises(RuntimeError, match="^eigensolver returned non-finite energies$"):
+            solve(q)
+
+
+def test_each_chain_block_is_written_once(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(spectral, "chain_block",
+                        lambda rows: blocks.append(rows.shape) or chain_block(rows))
+    q = build_transfer_matrix(FIG2, Truncation(P=30))
+    for solve in (diagonalize, lambda q: lowest_energies(q, 3)):
+        blocks.clear()
+        solve(q)
+        assert blocks == [(31, 3), (31, 3)]
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3_P400"])
+@pytest.mark.parametrize("noise", [0.0, 1e-12])
+def test_chain_residual_is_the_dense_block_residual(config_dir, monkeypatch, name, noise):
+    # noise moves the vectors off the eigenvectors, so that the residual
+    # stands far above the rounding of either product
+    eigh = np.linalg.eigh
+
+    def noisy(block):
+        w, v = eigh(block)
+        return w, v + noise * np.cos(np.arange(v.size)).reshape(v.shape)
+
+    monkeypatch.setattr(np.linalg, "eigh", noisy)
+    cfg = load_run_config(config_dir / f"{name}.cfg", [])
+    q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
+    dec = diagonalize(q)
+    a, b, e = spectral._scaled_chains(q)
+    dense = 0.0
+    for c in range(2):
+        block = np.diag(a[c]) + np.diag(b[c], 1) + np.diag(b[c], -1)
+        v = dec.chain_vectors[c]
+        r = block @ v - v * np.ldexp(dec.chain_energies[c], -e)
+        dense = max(dense, float(np.linalg.norm(r, axis=0).max()))
+    # each entry of either residual is the exact one within a few roundings
+    # of its terms, and a column of v has unit norm
+    scale = np.abs(a).max() + 2 * np.abs(b).max() + np.ldexp(np.abs(dec.energies).max(), -e)
+    rounding = np.ldexp(8 * np.finfo(float).eps * scale, e)
+    assert abs(dec.residual - np.ldexp(dense, e)) <= rounding
+    assert noise == 0.0 or dec.residual > 100 * rounding
+
+
 def test_gs_scan_converges_for_moderate_coupling():
     result = gs_scan(FIG2, range(4, 41, 4))
     assert result.classification == "Converged"
@@ -250,6 +302,8 @@ cutoff_grids = st.lists(st.integers(0, 120), min_size=2, max_size=12,
 
 @settings(max_examples=40, deadline=None)
 @given(params=hermitian_params, ps=cutoff_grids)
+# omega_0 / 2 is subnormal: scaled by the largest entry, 2^6, it lost bits
+@example(params=ModelParams(omega_f=2.0, omega_0=1.307518396529771e-308), ps=[0, 16])
 def test_gs_scan_matches_a_tridiagonal_eigensolver(params, ps):
     e0 = gs_scan(params, ps).e0
     assert np.isfinite(e0).all()

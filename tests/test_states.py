@@ -32,6 +32,7 @@ from sbprop import (
     normalize,
     parity_expectation,
 )
+from sbprop.states import SEARCH_LEVELS
 
 ALPHA = 5.0  # mean photon number 25; the workhorse example throughout
 
@@ -95,6 +96,22 @@ def test_required_cutoff_is_pinned(alpha, P, tol, required):
     with pytest.raises(TailMassTooLarge) as exc:
         coherent_state(CoherentSpec(alpha, math.pi / 4), P, tail_tol=tol)
     assert exc.value.required_P == required
+
+
+@pytest.mark.parametrize("alpha", [300.0, 363.0, 364.0, 1e3, 1e6, 1e200, 1.7e308])
+def test_cutoff_search_gives_up_at_a_cutoff_that_is_still_needed(alpha):
+    # the search walks at most SEARCH_LEVELS + 200 levels past P; above
+    # alpha ~ 363 it walks zeros, and alpha^2 overflows above ~1.3e154
+    with pytest.raises(TailMassTooLarge) as exc:
+        coherent_state(CoherentSpec(alpha, math.pi / 4), 50)
+    err = exc.value
+    assert err.required_P == 50 + 200 + SEARCH_LEVELS
+    assert err.tail == 1.0
+    if alpha * alpha < math.inf:
+        assert poisson_tail(err.required_P, alpha) > 1e-12
+    # a tolerance that accepts any tail keeps the (zero) amplitudes
+    state = coherent_state(CoherentSpec(alpha, math.pi / 4), 50, tail_tol=1.0)
+    assert norm_squared(state) < 1e-300
 
 
 @pytest.mark.parametrize("alpha", [38.5, 40.0, 50.0])
