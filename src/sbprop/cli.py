@@ -187,8 +187,9 @@ def _write_file(lines, path: Path) -> None:
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _load(args)
     q, pcfg = _prepare(cfg)
-    prop = _obtain_propagator(q, pcfg)
+    # a refused state must cost no build of M and leave no cache entry
     state = cfg.build_initial_state()
+    prop = _obtain_propagator(q, pcfg)
     traj = evolve(state, prop, pcfg, q)
     _write_lines(csv_lines(traj), cfg.out)
     return EXIT_OK
@@ -200,8 +201,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("dissipative parameters: the eigendecomposition "
                           "reference cannot be built, compare needs beta=gamma=0")
     q, pcfg = _prepare(cfg)
-    prop = _obtain_propagator(q, pcfg)
     state = cfg.build_initial_state()
+    prop = _obtain_propagator(q, pcfg)
     traj = evolve(state, prop, pcfg, q)
     ref = teee_evolve(state, diagonalize(q), traj.times)
 

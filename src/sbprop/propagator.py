@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,6 +54,10 @@ UNITARITY_TOL = 1e-9
 # States evolve() holds at once.  Checking and measuring them together
 # amortises the per-call overhead; a larger block only adds memory.
 BLOCK_ROWS = 64
+# Consecutive band rows of one chain that evolve applies as one dense
+# panel (see StepPropagator.panels): one BLAS call per TILE_ROWS rows, at
+# (TILE_ROWS + 2w) / (2w + 1) times the flops of one call per row.
+TILE_ROWS = 8
 
 
 class NotConverged(RuntimeError):
@@ -141,7 +146,8 @@ class StepPropagator(CacheEntry):
     eps * max|band|, derived from the band alone, so the same band always
     steps the same way.  dropped_norm certifies what the slice leaves out:
     the largest row sum of |entries| beyond w, so no step moves any
-    amplitude by more than dropped_norm * max|y|.
+    amplitude by more than dropped_norm * max|y|.  panels holds step_band
+    again, cut into the dense tiles evolve multiplies by.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *, fingerprint: int,
@@ -156,6 +162,29 @@ class StepPropagator(CacheEntry):
         self.band.setflags(write=False)
         self.dim = self.band.shape[0]
         self.step_band, self.dropped_norm = _trim(self.band)
+
+    @cached_property
+    def panels(self) -> np.ndarray:
+        """step_band as (2, tiles, T, T + 2w) dense panels, T = TILE_ROWS.
+
+        Panel t of chain c holds the chain's band rows tT .. tT + T - 1,
+        row i shifted right by i, so that its columns meet the chain-local
+        slots tT - w .. tT + T - 1 + w.  Each chain's rows are padded with
+        zero rows to tiles * T, so no panel straddles the two chains and
+        the corners and the padding rows are exact zeros.  Built from
+        step_band on first use and kept, read-only.
+        """
+        dim, width = self.step_band.shape
+        n = dim // 2
+        tiles = -(-n // TILE_ROWS)
+        rows = np.zeros((2, tiles * TILE_ROWS, width), dtype=np.complex128)
+        rows[:, :n] = self.step_band.reshape(2, n, width)
+        panels = np.zeros((2, tiles, TILE_ROWS, TILE_ROWS + width - 1),
+                          dtype=np.complex128)
+        for i in range(TILE_ROWS):
+            panels[:, :, i, i:i + width] = rows[:, i::TILE_ROWS]
+        panels.setflags(write=False)
+        return panels
 
 
 def _trim(band: np.ndarray) -> tuple[np.ndarray, float]:
@@ -305,36 +334,42 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     """Apply M step by step, recording every observable row including t=0.
 
     Steps use prop.step_band, M without its negligible outer diagonals
-    (see StepPropagator).  The state is carried in chain order through a
-    zero-padded block of BLOCK_ROWS states.  Each step is one banded
-    matrix-vector product from one row of the block into the next: a
-    sliding window over a row lines up the entries that each band row
-    multiplies.  Only the band rows of the chains the initial state
-    occupies are stepped (model.occupied_chains): M never couples the
-    chains, so a chain that starts at exactly zero stays exactly zero, and
-    a Fock state, which lies in one chain, costs half a two-chain state's
-    products.  When the block is full its rows are measured together in
-    one pass (TrajectoryBuilder.record: the observables and the energy,
-    from |y|^2 formed once), and its last state is carried into row 0 of
-    the next block.  Raises NonFiniteState with the first offending step
-    index if amplitudes blow up; a block is scanned for them only when its
-    norm2 column is not finite.
+    (see StepPropagator), as its dense panels of TILE_ROWS rows
+    (StepPropagator.panels).  The state is carried through a block of
+    BLOCK_ROWS states; in each, a chain's slots are padded with zeros to
+    a whole number of panels and by w zero slots on either side, so each
+    panel multiplies a window of its own chain alone.  A step is one
+    stacked matrix-vector product, one panel by one window each, from
+    one row of the block into the next.  Only the chains the initial
+    state occupies are stepped (model.occupied_chains): M never couples
+    the chains, so a chain that starts at exactly zero stays exactly
+    zero, and a Fock state, which lies in one chain, costs half a
+    two-chain state's products.  A stepped chain's bits do not depend on
+    whether the other is stepped.  When the block is full its rows are
+    measured together in one pass (TrajectoryBuilder.record: the
+    observables and the energy, over the stepped chains), and its last
+    state is carried into row 0 of the next block.  Raises NonFiniteState
+    with the first offending step index if amplitudes blow up; a block is
+    scanned for them only when its norm2 column is not finite.
     """
     _check_compatible(state.vector.size, prop, cfg, q)
     if snapshot_stride < 0:
         raise ValueError("snapshot_stride must be >= 0")
 
     dim, width = prop.step_band.shape
-    h, n = width // 2, dim // 2
+    w, n = width // 2, dim // 2
+    panels = prop.panels
+    tiles, tile, span = panels.shape[1:]
     steps = int(cfg.steps)
-    block = np.zeros((min(steps + 1, BLOCK_ROWS), dim + 2 * h), dtype=np.complex128)
-    ys = block[:, h:h + dim]
-    ys[0] = state.vector[q.order]
+    block = np.zeros((min(steps + 1, BLOCK_ROWS), 2, tiles * tile + 2 * w),
+                     dtype=np.complex128)
+    ys = block[:, :, w:w + n]
+    ys[0] = state.vector[q.order].reshape(2, n)
     chains = occupied_chains(ys[0])
-    stepped = slice(chains.start * n, chains.stop * n)
-    rows = prop.step_band[stepped, None, :]
-    windows = list(sliding_window_view(block, width, axis=1)[:, stepped, :, None])
-    outs = list(ys[:, stepped, None, None])
+    panels = panels[chains]
+    windows = list(sliding_window_view(block, span, axis=2)[:, chains, ::tile, :, None])
+    outs = list(block[:, chains, w:w + tiles * tile].reshape(
+        block.shape[0], -1, tiles, tile, 1))
 
     times = np.arange(steps + 1) * cfg.dt
     builder = TrajectoryBuilder(state.P, steps + 1, snapshot_stride=snapshot_stride,
@@ -344,21 +379,22 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     # the numpy warnings that precede it are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            n = min(len(outs), steps + 1 - k0)
-            for j in range(1, n):
-                np.matmul(rows, windows[j - 1], out=outs[j])
-            y = ys[lo:n]
-            norm2 = builder.record(k0 + lo, times[k0 + lo:k0 + n], y)
+            rows = min(len(outs), steps + 1 - k0)
+            for j in range(1, rows):
+                np.matmul(panels, windows[j - 1], out=outs[j])
+            y = ys[lo:rows]
+            norm2 = builder.record(k0 + lo, times[k0 + lo:k0 + rows], y,
+                                   chains=chains)
             # norm2 is finite unless an amplitude is not, or |y|^2 overflowed;
             # only then are the amplitudes themselves scanned
             if not np.isfinite(norm2).all():
-                finite = np.isfinite(y).all(axis=1)
+                finite = np.isfinite(y).all(axis=(1, 2))
                 if not finite.all():
                     raise NonFiniteState(k0 + lo + int(finite.argmin()))
-            if k0 + n > steps:
+            if k0 + rows > steps:
                 return builder.build()
-            ys[0] = ys[n - 1]
-            k0, lo = k0 + n - 1, 1
+            block[0] = block[rows - 1]
+            k0, lo = k0 + rows - 1, 1
 
 
 def evolve_reusing(states: list[SpinorFockState], prop: StepPropagator,

@@ -285,7 +285,8 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     chunk = max(1, 2 ** 19 // max(dec.dim, 1))
     for lo in range(0, times.size, chunk):
         ts = times[lo:lo + chunk]
-        builder.record(lo, ts, _chain_states(dec, coeff, ts, chains), energy_const)
+        builder.record(lo, ts, _chain_states(dec, coeff, ts, chains), energy_const,
+                       chains=chains)
     return builder.build()
 
 
@@ -297,7 +298,7 @@ def _real_times_complex(v: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _chain_states(dec: SpectralDecomposition, coeff: np.ndarray,
                   ts: np.ndarray, chains: slice) -> np.ndarray:
-    """The (ts.size, dim) chain-order states sum_j F_j exp(-i E_j t) v_j,
+    """The (ts.size, 2, n) chain-order states sum_j F_j exp(-i E_j t) v_j,
     one contiguous row per time point.
 
     Only the given chains are rotated; the others are written as zeros.
@@ -311,7 +312,7 @@ def _chain_states(dec: SpectralDecomposition, coeff: np.ndarray,
     del phases
     states = np.zeros((ts.size, 2, dec.dim // 2), dtype=np.complex128)
     states[:, chains] = rotated.transpose(2, 0, 1)
-    return states.reshape(ts.size, dec.dim)
+    return states
 
 
 def level_differences(dec: SpectralDecomposition, count: int) -> np.ndarray:

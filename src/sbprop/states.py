@@ -120,6 +120,8 @@ def coherent_state(spec: CoherentSpec, P: int, *,
     for it walks at most 8 alpha^2 + 200 levels past P, and never more
     than SEARCH_LEVELS + 200; where it gives up, it reports the cutoff it
     reached, whose tail is still above tail_tol, so that P must exceed it.
+    A tail_tol of 1 or more accepts any tail, but a state whose squared
+    norm is 0.0 has no normalized observables: ValueError.
     """
     if int(P) != P or P < 0:
         raise ValueError(f"P must be a non-negative integer, got {P}")
@@ -151,6 +153,9 @@ def coherent_state(spec: CoherentSpec, P: int, *,
             retained += c * c
             required += 1
         raise TailMassTooLarge(spec.alpha, P, tail, tail_tol, required)
+    if retained == 0.0:
+        raise ValueError(f"coherent state alpha={spec.alpha} has squared norm "
+                         f"0.0 up to P={P}; raise P")
     return SpinorFockState(amps_e=e, amps_g=g)
 
 

@@ -52,6 +52,7 @@ class TrajectoryBuilder:
     def __init__(self, P: int, count: int, snapshot_stride: int = 0,
                  q: TransferMatrix | None = None):
         order = chain_order(P)
+        n = P + 1
         w = ObservableWeights(P)
         # in chain order parity is -1 on every slot of chain A and +1 on
         # chain B, so its column measures n_B - n_A
@@ -60,15 +61,17 @@ class TrajectoryBuilder:
         self._off = None
         if q is not None:
             cols.append(q.diag.real)
-            # a second, zero row: numpy hands a vector-vector product to
-            # BLAS dot, which splits long vectors across threads, while a
-            # matrix-vector product computes each output on one thread, so
-            # its bits do not depend on the thread count
-            self._off = np.zeros((2, 2 * q.dim - 2))
-            self._off[0] = np.repeat(2.0 * q.off, 2)
-        # one weight per float of the complex vector: re and im share it
-        self._weights = np.repeat(np.stack(cols), 2, axis=1)
-        self._squares = np.empty((0, self._weights.shape[1]))
+            # per chain, a second, zero row: numpy hands a vector-vector
+            # product to BLAS dot, which splits long vectors across
+            # threads, while a matrix-vector product computes each output
+            # on one thread, so its bits do not depend on the thread count.
+            # Q never couples the chains, so off[n - 1] is not used.
+            self._off = np.zeros((2, 2, 2 * n - 2))
+            self._off[:, 0] = np.repeat(2.0 * np.delete(q.off, n - 1), 2).reshape(2, -1)
+        # per chain, one weight per float of the complex vector: re and im
+        # share it
+        self._weights = np.stack(np.split(np.repeat(np.stack(cols), 2, axis=1), 2, axis=1))
+        self._squares = np.empty((0, 2 * n))
         self._to_block = np.argsort(order)
         self.times = np.empty(count)
         self.norm2 = np.empty(count)
@@ -80,47 +83,58 @@ class TrajectoryBuilder:
         self.snapshot_stride = int(snapshot_stride)
         self._snaps: list[np.ndarray] = []
 
-    def _measure(self, block: np.ndarray) -> np.ndarray:
+    def _measure(self, block: np.ndarray, chains: slice) -> np.ndarray:
         """(rows, 5 or 6): norm2, photon, inversion, excitation, parity
-        and, with q, the energy of each row of block.
+        and, with q, the energy of each row of the (rows, 2, n) block,
+        summed over the given chains.
 
-        |y|^2 is formed once, from the float view of the block, into a
-        buffer kept for the next block.  Each row is then one
-        matrix-vector product with the weights, so a row measures the same
-        bits alone or anywhere in a block.  The off-diagonal energy reuses
-        the buffer: the float view times itself shifted by one complex
-        slot, summed against the doubled off-diagonal of Q.
+        Each chain is measured with its own products and the chains'
+        results are added, so a chain left out costs nothing and adds
+        nothing.  Per chain, |y|^2 is formed once, from the float view of
+        its rows, into a buffer kept for the next block.  Each row is then
+        one matrix-vector product with the chain's weights, so a row
+        measures the same bits alone or anywhere in a block.  The
+        off-diagonal energy reuses the buffer: the float view times itself
+        shifted by one complex slot, summed against the doubled
+        off-diagonal of Q in that chain.
         """
         rows = block.shape[0]
-        y = block.view(np.float64)
         if self._squares.shape[0] < rows:
-            self._squares = np.empty((rows, y.shape[1]))
+            self._squares = np.empty((rows, self._squares.shape[1]))
         buf = self._squares[:rows]
-        np.multiply(y, y, out=buf)
-        cols = np.matmul(self._weights, buf[:, :, None])[:, :, 0]
-        if self._off is not None:
-            pairs = np.multiply(y[:, :-2], y[:, 2:], out=buf[:, :-2])
-            cols[:, -1] += np.matmul(self._off, pairs[:, :, None])[:, 0, 0]
-        return cols
+        total = None
+        for c in range(chains.start, chains.stop):
+            y = block[:, c].view(np.float64)
+            np.multiply(y, y, out=buf)
+            cols = np.matmul(self._weights[c], buf[:, :, None])[:, :, 0]
+            if self._off is not None:
+                pairs = np.multiply(y[:, :-2], y[:, 2:], out=buf[:, :-2])
+                cols[:, -1] += np.matmul(self._off[c], pairs[:, :, None])[:, 0, 0]
+            total = cols if total is None else total + cols
+        return total
 
     def record(self, k0: int, t: np.ndarray, block: np.ndarray,
-               energy_re=None) -> np.ndarray:
-        """Rows k0, k0+1, ... from the state vectors in the rows of block.
+               energy_re=None, *, chains: slice = slice(0, 2)) -> np.ndarray:
+        """Rows k0, k0+1, ... from the chain-order state vectors in block.
 
-        Each row of block must be contiguous.  t holds one value per row;
-        energy_re too, or one constant, or None to measure it with q.
-        Returns the recorded norm2 values.
+        block is (rows, dim), or (rows, 2, n) with a chain per middle
+        index; each chain's slots in a row must be contiguous.  Only the
+        given chains are measured: the others must be exactly zero.  t
+        holds one value per row; energy_re too, or one constant, or None
+        to measure it with q.  Returns the recorded norm2 values.
         """
+        block = block.reshape(block.shape[0], 2, -1)
         rows = slice(k0, k0 + block.shape[0])
-        cols = self._measure(block)
+        cols = self._measure(block, chains)
         (self.norm2[rows], self.n_raw[rows], self.sz_raw[rows],
          self.c_exp[rows], self.parity[rows]) = cols.T[:5]
         self.times[rows] = t
         self.energy_re[rows] = cols[:, 5] if energy_re is None else energy_re
         if self.snapshot_stride:
             first = -k0 % self.snapshot_stride
+            kept = block[first::self.snapshot_stride]
             # indexing by an array copies, so block may be reused
-            self._snaps.append(block[first::self.snapshot_stride][:, self._to_block])
+            self._snaps.append(kept.reshape(kept.shape[0], -1)[:, self._to_block])
         return self.norm2[rows]
 
     def build(self) -> Trajectory:

@@ -125,6 +125,52 @@ def test_huge_coherent_amplitude_is_refused_in_one_line(config_dir, capsys, alph
 
 @pytest.mark.parametrize("command", ["evolve", "compare"])
 @pytest.mark.parametrize("sets, reason", [
+    (["alpha=1e200"], "alpha=1e+200 keeps tail mass 1.000e+00 above P=50 "
+                      "(tolerance 1.0e-05); P >= 33018 is needed"),
+    # tail_tol = 1 accepts the whole weight above P = 50, where alpha = 100
+    # leaves every amplitude at 0.0: no n_norm or sz_norm could be formed
+    (["alpha=100", "tail_tol=1", "t_max=0.2"], "alpha=100.0 has squared norm 0.0 "
+                                               "up to P=50; raise P"),
+], ids=["tail", "zero-norm"])
+def test_refused_state_builds_and_stores_no_propagator(config_dir, capsys, tmp_path,
+                                                       monkeypatch, command, sets, reason):
+    store = tmp_path / "store"
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(store))
+    monkeypatch.setattr(sbprop.cli, "build_step_propagator", must_not_build)
+    argv = [command, "--config", cfg(config_dir, "fig1.cfg")]
+    for item in sets:
+        argv += ["--set", item]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: coherent state {reason}\n"
+    assert not store.exists() or not any(store.iterdir())
+
+
+@pytest.mark.parametrize("sets", [["--config", "fig1.cfg", "--set", "t_max=2"],
+                                  ["--config", "fig3_P400.cfg", "--set", "t_max=1"],
+                                  ["--config", "fig3_P400.cfg", "--set", "P=2000",
+                                   "--set", "t_max=0.25"]],
+                         ids=["fig1", "fig3_P400", "P2000"])
+def test_evolve_bytes_do_not_depend_on_the_blas_thread_count(config_dir, tmp_path, sets):
+    # each panel product is one small BLAS matrix-vector call, computed on
+    # one thread whatever the thread count; each thread count builds M in
+    # a cache of its own
+    argv = [cfg(config_dir, a) if a.endswith(".cfg") else a for a in sets]
+    src = Path(sbprop.cli.__file__).resolve().parent.parent
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   SBPROP_CACHE_DIR=str(tmp_path / threads),
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "sbprop.cli", "evolve", *argv],
+                              env=env, capture_output=True, check=True)
+        assert done.stderr == b""
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("command", ["evolve", "compare"])
+@pytest.mark.parametrize("sets, reason", [
     (["dt=0"], "dt must be positive and finite, got 0.0"),
     (["dt=nan"], "dt must be positive and finite, got nan"),
     (["dt=1e-300", "t_max=1e300"], "dt=1e-300 is too small for t_max=1e+300"),
@@ -358,10 +404,14 @@ def test_spectrum_refuses_levels_that_fail_their_sturm_count(config_dir, capsys,
     (["gs-scan", "--config", "fig5b.cfg"], "gs_scan_fig5b.txt"),
     (["spectrum", "--config", "fig3_P400.cfg", "--levels", "40"],
      "spectrum_fig3_P400_levels40.txt"),
+    (["evolve", "--config", "fig2.cfg", "--set", "t_max=2"], "evolve_fig2_tmax2.txt"),
+    (["evolve", "--config", "fig1.cfg", "--set", "t_max=2"], "evolve_fig1_tmax2.txt"),
 ])
 def test_stdout_matches_the_committed_bytes(config_dir, capsys, argv, name):
-    # the files hold the stdout of the one-shift bisection that gs-scan
-    # used before its multisection; energies must keep every bit
+    # the gs-scan files hold the stdout of the one-shift bisection that
+    # gs-scan used before its multisection, the evolve files that of the
+    # tiled step kernel on one chain (fig2) and on two (fig1); a change
+    # that moves a bit of an energy or a CSV cell shows here
     argv[2] = cfg(config_dir, argv[2])
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""

@@ -25,7 +25,7 @@ from sbprop import (
     jump,
     suggest_step,
 )
-from sbprop.propagator import BLOCK_ROWS
+from sbprop.propagator import BLOCK_ROWS, TILE_ROWS
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 DEEP = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=2.0, g_plus=2.0)
@@ -213,9 +213,49 @@ def test_non_finite_state_names_the_first_bad_step_inside_a_block():
         assert exc.value.step == first, spin
 
 
-def both_chain_steps(prop, y, steps):
-    """evolve's kernel, one np.matmul over the full step band per step, on
-    the chain-order vector y; the chain-order states of steps 0..steps."""
+def dense_panels(prop, order):
+    """The TILE_ROWS-row panels of each chain cut from the dense chain
+    blocks of M, its entries beyond the step band's half-width w zeroed:
+    (2, tiles, TILE_ROWS, TILE_ROWS + 2w)."""
+    dim, width = prop.step_band.shape
+    w, n = width // 2, dim // 2
+    tiles = -(-n // TILE_ROWS)
+    m = prop.matrix[np.ix_(order, order)]  # chain order
+    # padded[c, r, w + s] = M[r, s] within chain c, rows and slots padded
+    padded = np.zeros((2, tiles * TILE_ROWS, tiles * TILE_ROWS + 2 * w), dtype=complex)
+    padded[0, :n, w:w + n] = m[:n, :n]
+    padded[1, :n, w:w + n] = m[n:, n:]
+    r, j = np.indices(padded.shape[1:])
+    padded[:, (j < r) | (j > r + 2 * w)] = 0.0
+    span = TILE_ROWS + 2 * w
+    return np.array([[padded[c, t * TILE_ROWS:(t + 1) * TILE_ROWS,
+                             t * TILE_ROWS:t * TILE_ROWS + span]
+                      for t in range(tiles)] for c in (0, 1)])
+
+
+def both_chain_steps(prop, order, y, steps):
+    """evolve's tiled kernel on both chains, one step per call from its own
+    buffer: one np.matmul of the stacked panels of both chains (from the
+    dense M) by the windows over each chain's padded slots; the
+    chain-order states of steps 0..steps."""
+    panels = dense_panels(prop, order)
+    _, tiles, tile, span = panels.shape
+    w, n = (span - tile) // 2, y.size // 2
+    padded = np.zeros((2, tiles * tile + 2 * w), dtype=np.complex128)
+    padded[:, w:w + n] = y.reshape(2, n)
+    windows = sliding_window_view(padded, span, axis=1)[:, ::tile, :, None]
+    states = [y]
+    for _ in range(steps):
+        out = np.matmul(panels.reshape(-1, tile, span), windows.reshape(-1, span, 1))
+        padded[:, w:w + tiles * tile] = out.reshape(2, -1)
+        states.append(padded[:, w:w + n].ravel())
+    return np.array(states)
+
+
+def per_row_steps(prop, y, steps):
+    """The per-row kernel evolve stepped with before its panels: one
+    np.matmul of each row of the step band by its window, both chains at
+    once; the chain-order states of steps 0..steps."""
     dim, width = prop.step_band.shape
     h = width // 2
     padded = np.zeros(dim + 2 * h, dtype=np.complex128)
@@ -227,7 +267,23 @@ def both_chain_steps(prop, y, steps):
     return np.array(states)
 
 
-@pytest.mark.parametrize("params, P", [(FIG2, 50), (DEEP, 60)])
+@pytest.mark.parametrize("params, P", [(FIG2, 0), (FIG2, 3), (FIG2, 6), (FIG2, 7),
+                                       (FIG2, 50), (DEEP, 400)])
+def test_panels_are_the_step_band_cut_into_tiles(params, P):
+    # n = P + 1 slots per chain: fewer than, exactly and not a multiple of
+    # TILE_ROWS
+    q = build_transfer_matrix(params, Truncation(P=P))
+    q, cfg, prop = build(params, P, dt=suggest_step(q))
+    w = prop.step_band.shape[1] // 2
+    tiles = -(-(P + 1) // TILE_ROWS)
+    assert prop.panels.shape == (2, tiles, TILE_ROWS, TILE_ROWS + 2 * w)
+    assert prop.panels.tobytes() == dense_panels(prop, q.order).tobytes()
+    assert not prop.panels.flags.writeable
+    assert prop.panels is prop.panels  # derived once
+
+
+@pytest.mark.parametrize("params, P", [(FIG2, 50), (DEEP, 60), (DEEP, 400), (FIG2, 6),
+                                       (FIG2, 0)])
 @pytest.mark.parametrize("state", ["chain A", "chain B", "both"])
 def test_single_chain_steps_match_the_both_chain_kernel_bitwise(params, P, state):
     steps = 2 * BLOCK_ROWS + 7
@@ -239,7 +295,7 @@ def test_single_chain_steps_match_the_both_chain_kernel_bitwise(params, P, state
               / np.sqrt(2.0))}[state]
     traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
     got = traj.snapshots[:, q.order]  # chain order
-    want = both_chain_steps(prop, s0.vector[q.order], steps)
+    want = both_chain_steps(prop, q.order, s0.vector[q.order], steps)
     n = P + 1
     occupied = {"chain A": [0], "chain B": [1], "both": [0, 1]}[state]
     for c in (0, 1):
@@ -250,6 +306,25 @@ def test_single_chain_steps_match_the_both_chain_kernel_bitwise(params, P, state
             # never stepped: every amplitude stays +0, every byte zero
             assert got[:, rows].tobytes() == bytes(got[:, rows].nbytes)
             assert not want[:, rows].any()
+
+
+@pytest.mark.parametrize("params, P, steps, spin", [
+    (FIG2, 50, 400, "both"), (DEEP, 400, 640, "e"), (DEEP, 400, 160, "both"),
+    (DEEP, 6, 300, "g"), (FIG2, 0, 50, "both")])
+def test_tiled_steps_match_the_per_row_kernel(params, P, steps, spin):
+    # the panels sum each row's products in another order than one dot
+    # per row: the states agree to rounding, not bit for bit
+    q = build_transfer_matrix(params, Truncation(P=P))
+    q, cfg, prop = build(params, P, dt=suggest_step(q), steps=steps)
+    if spin == "both":
+        s0 = SpinorFockState(amps_e=np.linspace(1.0, 0.1, P + 1) * np.exp(0.3j),
+                             amps_g=np.linspace(-0.2, 0.5, P + 1) + 0.1j)
+    else:
+        s0 = fock_state(0, spin, P)
+    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    want = per_row_steps(prop, s0.vector[q.order], steps)
+    scale = np.abs(want).max(axis=1)
+    assert np.all(np.abs(traj.snapshots[:, q.order] - want).max(axis=1) <= 1e-13 * scale)
 
 
 def test_block_recording_matches_a_per_step_oracle():

@@ -109,9 +109,9 @@ def test_cutoff_search_gives_up_at_a_cutoff_that_is_still_needed(alpha):
     assert err.tail == 1.0
     if alpha * alpha < math.inf:
         assert poisson_tail(err.required_P, alpha) > 1e-12
-    # a tolerance that accepts any tail keeps the (zero) amplitudes
-    state = coherent_state(CoherentSpec(alpha, math.pi / 4), 50, tail_tol=1.0)
-    assert norm_squared(state) < 1e-300
+    # a tolerance that accepts any tail still refuses a state of norm 0
+    with pytest.raises(ValueError, match="squared norm 0.0 up to P=50"):
+        coherent_state(CoherentSpec(alpha, math.pi / 4), 50, tail_tol=1.0)
 
 
 @pytest.mark.parametrize("alpha", [38.5, 40.0, 50.0])

@@ -118,16 +118,16 @@ def test_a_row_measures_the_same_bits_alone_and_anywhere_in_a_block(P):
 
 
 def test_measured_bits_do_not_depend_on_the_blas_thread_count():
-    # dim 5202: long enough that BLAS splits a plain dot product of its
-    # float view across threads
+    # P = 5200: each chain's float view holds 10,402 floats, long enough
+    # that BLAS splits a plain dot product of it across threads
     script = (
         "import hashlib, numpy as np\n"
         "from sbprop import ModelParams, Truncation, build_transfer_matrix\n"
         "from sbprop.trajectory import TrajectoryBuilder\n"
-        "q = build_transfer_matrix(ModelParams(1.0, 1.0, 2.0, 2.0), Truncation(P=2600))\n"
+        "q = build_transfer_matrix(ModelParams(1.0, 1.0, 2.0, 2.0), Truncation(P=5200))\n"
         "rng = np.random.default_rng(5)\n"
         "y = rng.normal(size=(3, q.dim)) + 1j * rng.normal(size=(3, q.dim))\n"
-        "b = TrajectoryBuilder(2600, 3, q=q)\n"
+        "b = TrajectoryBuilder(5200, 3, q=q)\n"
         "b.record(0, np.zeros(3), y)\n"
         "cols = (b.norm2, b.n_raw, b.sz_raw, b.c_exp, b.parity, b.energy_re)\n"
         "print(hashlib.sha256(np.concatenate(cols).tobytes()).hexdigest())\n")
@@ -139,3 +139,31 @@ def test_measured_bits_do_not_depend_on_the_blas_thread_count():
                               capture_output=True, text=True, check=True)
         digests.add(done.stdout)
     assert len(digests) == 1
+
+
+@pytest.mark.parametrize("P", [0, 50, 400])
+def test_each_chain_is_measured_on_its_own_and_the_results_added(P):
+    q = build_transfer_matrix(DEEP, Truncation(P=P))
+    n = P + 1
+    rng = np.random.default_rng(P)
+    y = random_rows(rng, 9, q.dim).reshape(9, 2, n)
+
+    def columns(block, chains):
+        builder = TrajectoryBuilder(P, 9, q=q)
+        builder.record(0, np.zeros(9), block, chains=chains)
+        return np.column_stack(measured(builder))
+
+    both = columns(y, slice(0, 2))
+    a, b = columns(y, slice(0, 1)), columns(y, slice(1, 2))
+    assert both.tobytes() == (a + b).tobytes()
+    # a chain left out is never read: NaN there changes nothing
+    for c, alone in ((0, a), (1, b)):
+        other = y.copy()
+        other[:, 1 - c] = np.nan
+        assert columns(other, slice(c, c + 1)).tobytes() == alone.tobytes()
+        # and a zero chain adds nothing: skipping it measures the same values
+        zero = y.copy()
+        zero[:, 1 - c] = 0.0
+        assert np.array_equal(columns(zero, slice(c, c + 1)), columns(zero, slice(0, 2)))
+    # (rows, dim) and (rows, 2, n) are the same rows
+    assert columns(y.reshape(9, -1), slice(0, 2)).tobytes() == both.tobytes()
