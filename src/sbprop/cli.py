@@ -22,6 +22,8 @@ from .cache import CacheCorruptError, PropagatorCache, atomic_write, propagator_
 from .config import ConfigError, RunConfig, load_run_config, parse_p_values
 from .model import TransferMatrix, build_transfer_matrix
 from .propagator import (
+    MAX_STEP,
+    NotConverged,
     PropagatorConfig,
     StepPropagator,
     build_step_propagator,
@@ -158,6 +160,31 @@ def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropaga
     return prop
 
 
+def _obtain_for_run(cfg: RunConfig, q: TransferMatrix,
+                    pcfg: PropagatorConfig) -> tuple[StepPropagator, PropagatorConfig]:
+    """_obtain_propagator, retried once when an automatic dt is refused.
+
+    suggest_step bounds term N+1 while certify checks term N, so the dt it
+    picks can leave the last term just above tol.  When cfg leaves dt to
+    suggest_step and the last term (not the tail bound) refuses it, M is
+    obtained once more at the largest MAX_STEP / 2^k at most dt times the
+    refusal's dt_reduction, with the step count recomputed; a second
+    refusal stands.  An explicit dt is refused as it is.
+    """
+    try:
+        return _obtain_propagator(q, pcfg), pcfg
+    except NotConverged as err:
+        # dt_reduction is None for a tail-bound or diverging refusal, and
+        # 0.0 when tol / last underflowed
+        if cfg.dt is not None or not err.dt_reduction:
+            raise
+        dt = MAX_STEP
+        while dt > pcfg.dt * err.dt_reduction:
+            dt /= 2.0
+    pcfg = PropagatorConfig(dt=dt, steps=_steps_for(cfg.t_max, dt), N=pcfg.N, tol=pcfg.tol)
+    return _obtain_propagator(q, pcfg), pcfg
+
+
 def _write_lines(lines, out_path: str) -> None:
     if not out_path:
         for line in lines:
@@ -189,7 +216,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     q, pcfg = _prepare(cfg)
     # a refused state must cost no build of M and leave no cache entry
     state = cfg.build_initial_state()
-    prop = _obtain_propagator(q, pcfg)
+    prop, pcfg = _obtain_for_run(cfg, q, pcfg)
     traj = evolve(state, prop, pcfg, q)
     _write_lines(csv_lines(traj), cfg.out)
     return EXIT_OK
@@ -202,7 +229,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                           "reference cannot be built, compare needs beta=gamma=0")
     q, pcfg = _prepare(cfg)
     state = cfg.build_initial_state()
-    prop = _obtain_propagator(q, pcfg)
+    prop, pcfg = _obtain_for_run(cfg, q, pcfg)
     traj = evolve(state, prop, pcfg, q)
     ref = teee_evolve(state, diagonalize(q), traj.times)
 

@@ -11,10 +11,12 @@ initial state and every step of a run.
 Q is tridiagonal in chain order (see model), so Q^n has half-bandwidth n
 and M has half-bandwidth h = min(N, P) there: it is held in band storage
 band[i, k] = M[i, i + k - h] (chain slots), which makes the build
-O(N^2 P) and each step O(N P).  The outer diagonals of M fall below
-double precision long before h, so evolve steps with the narrower band
-that holds every entry above eps * max|M|.  The dense block-layout M is
-only built for callers that ask for `.matrix`.
+O(N^2 P) and each step O(N P).  The build works diagonal-major, one
+contiguous row per diagonal, and term n only on its own diagonals
+h-n..h+n.  The outer diagonals of M fall below double precision long
+before h, so evolve steps with the narrower band that holds every entry
+above eps * max|M|.  The dense block-layout M is only built for callers
+that ask for `.matrix`.
 """
 
 from __future__ import annotations
@@ -203,37 +205,53 @@ def _trim(band: np.ndarray) -> tuple[np.ndarray, float]:
 def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropagator:
     """Accumulate M to order N in band storage and certify the truncation.
 
-    term_n Q is formed in band storage: its column j mixes columns j-1, j
-    and j+1 of term_n, weighted by Q[j-1, j], Q[j, j] and Q[j+1, j].  For
-    Hermitian Q the unitarity defect max|M+M - 1| is measured once at build
-    time (one banded product) and carried on the result; both certificates
-    are enforced (certify).
+    The terms and M are held diagonal-major, one contiguous row per
+    diagonal: term[k, i] = term_n[i, i + k - h].  Row k of term_n Q mixes
+    rows k-1, k and k+1 of term_n, weighted by Q[j-1, j], Q[j, j] and
+    Q[j+1, j] at slot j = i + k - h.  term_n is zero outside diagonals
+    h-n..h+n, so order n works on those rows alone; the others stay zero.
+    M is transposed to the row-major band once, at the end.  For Hermitian
+    Q the unitarity defect max|M+M - 1| is measured once at build time
+    (one banded product) and carried on the result; both certificates are
+    enforced (certify).
     """
     dim = q.dim
     h = band_half_width(dim, cfg.N)
     width = 2 * h + 1
-    term = np.zeros((dim, width), dtype=np.complex128)
-    term[:, h] = 1.0
+    term = np.zeros((width, dim), dtype=np.complex128)
+    term[h] = 1.0
     m = term.copy()
+    nxt = np.empty_like(term)
+    tmp = np.empty_like(term)
     # A diverging series, or a Q whose entries overflowed, overflows on its
     # way; certify reports it once, as a last term that is not finite, so
     # the numpy warnings are only noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        # [lo, d, up][i, k] = -i dt times Q[j-1, j], Q[j, j] and Q[j+1, j]
+        # [lo, d, up][k, i] = -i dt times Q[j-1, j], Q[j, j] and Q[j+1, j]
         # at slot j = i + k - h, zero outside Q (Q is symmetric off its
-        # diagonal); rows made contiguous, so each window has unit stride
+        # diagonal): views of the padded rows, each row contiguous
         scaled = np.pad((q.band * (-1j * cfg.dt)).T.copy(), ((0, 0), (h, h)))
-        lo, d, up = sliding_window_view(scaled, width, axis=1)
+        lo, d, up = sliding_window_view(scaled, dim, axis=1)
         for n in range(1, cfg.N + 1):
-            nxt = term * d
-            nxt[:, 1:] += term[:, :-1] * lo[:, 1:]
-            nxt[:, :-1] += term[:, 1:] * up[:, :-1]
-            term = nxt / n
-            m += term
+            # term_n lives in rows a..b-1; row 0 has no row k-1 to mix
+            # in, and row 2h no row k+1
+            a, b = max(h - n, 0), min(h + n, 2 * h) + 1
+            np.multiply(term[a:b], d[a:b], out=nxt[a:b])
+            a1, b1 = max(a, 1), min(b, 2 * h)
+            np.multiply(term[a1 - 1:b - 1], lo[a1:b], out=tmp[a1:b])
+            nxt[a1:b] += tmp[a1:b]
+            np.multiply(term[a + 1:b1 + 1], up[a:b1], out=tmp[a:b1])
+            nxt[a:b1] += tmp[a:b1]
+            np.divide(nxt[a:b], n, out=term[a:b])
+            m[a:b] += term[a:b]
         last = float(np.abs(term).max())
-        defect = _unitarity_defect(m) if q.hermitian else None
+        # freed before the defect measurement allocates its own buffers
+        del term, nxt, tmp
+        band = np.ascontiguousarray(m.T)
+        del m
+        defect = _unitarity_defect(band) if q.hermitian else None
     fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)
-    prop = StepPropagator(band=m, fingerprint=fp, dt=cfg.dt, N=cfg.N,
+    prop = StepPropagator(band=band, fingerprint=fp, dt=cfg.dt, N=cfg.N,
                           last_term_norm=last, unitarity_defect=defect)
     certify(prop, q, cfg)
     return prop
@@ -298,7 +316,9 @@ def suggest_step(q: TransferMatrix, N: int = 30, tol: float = 1e-12) -> float:
     """Largest dt of the form 0.1/2^k whose remainder bound beats tol.
 
     The bound is the scalar ratio test on the 1-norm,
-    (|Q|_1 dt)^(N+1) / (N+1)!, evaluated in log space.
+    (|Q|_1 dt)^(N+1) / (N+1)!, evaluated in log space.  It bounds term
+    N+1, while certify checks term N, so the build at this dt can still
+    be refused by a hair (the CLI then retries once at a smaller dt).
     """
     if int(N) != N or N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")

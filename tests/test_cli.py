@@ -17,7 +17,7 @@ import pytest
 import sbprop.cli
 import sbprop.propagator
 from sbprop import CacheEntry, PropagatorCache, load_run_config
-from sbprop.cli import _obtain_propagator, _prepare, main
+from sbprop.cli import _obtain_for_run, _obtain_propagator, _prepare, main
 
 HEADER = "t,norm2,n_raw,n_norm,sz_raw,sz_norm,energy_re,C_exp,parity"
 
@@ -865,6 +865,52 @@ def test_hit_built_at_a_stricter_tol_is_served(config_dir, capsys, tmp_path,
     assert run(capsys, *argv)[0] == 0
     monkeypatch.setattr(sbprop.cli, "build_step_propagator", must_not_build)
     assert run(capsys, *argv, "--set", "tol=1e-8") == cold
+
+
+@pytest.mark.parametrize("name, dt", [
+    ("fig1", 0.025), ("fig2", 0.05), ("fig3_P200", 0.003125), ("fig3_P400", 0.0015625),
+    ("fig5a", 0.025), ("fig5b", 0.003125), ("fig6", 0.05)])
+def test_shipped_configs_run_at_their_suggested_dt(config_dir, tmp_path, monkeypatch,
+                                                   name, dt):
+    # the automatic dt of each shipped config, pinned: it is certified as
+    # suggested, so the refusal retry never moves it
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    run_cfg = load_run_config(cfg(config_dir, f"{name}.cfg"), ["t_max=1"])
+    q, pcfg = _prepare(run_cfg)
+    assert pcfg.dt == dt
+    prop, used = _obtain_for_run(run_cfg, q, pcfg)
+    assert used == pcfg and prop.dt == dt
+
+
+def test_refused_automatic_dt_is_retried_once_at_a_smaller_one(config_dir, capsys,
+                                                                tmp_path, monkeypatch):
+    # at tol=1e-16, suggest_step picks 0.025 for fig1 (it bounds term
+    # N+1), and the last term, term N, is 1.016e-16: the run rebuilds at
+    # the largest 0.1/2^k below 0.025 * 0.999
+    argv = ("evolve", "--config", cfg(config_dir, "fig1.cfg"), "--set", "tol=1e-16",
+            "--set", "t_max=0.1")
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
+    cold = run(capsys, *argv)
+    assert cold[0] == 0 and cold[2] == ""
+    rows = cold[1].splitlines()
+    assert [row.split(",")[0] for row in rows[1:3]] == ["0.0", "0.0125"]
+    assert len(rows) == 10  # 8 steps of 0.0125, plus t=0 and the header
+    assert [e.dt for _, e in PropagatorCache().entries()] == [0.0125]
+
+    # an explicit dt is refused as it is
+    explicit = run(capsys, *argv, "--set", "dt=0.025")
+    assert explicit == (2, "", "numerical failure: last Taylor term has max-norm "
+                        "1.016e-16 > tol 1.0e-16 at dt=0.025 N=20 (term ratio "
+                        "~0.0649); reduce dt by a factor <= 0.999 or raise N\n")
+
+    # a hit at 0.025 stored at a looser tol is refused as the build is,
+    # and the run goes on to the smaller dt alike
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "warm"))
+    assert run(capsys, *argv, "--set", "tol=1e-12")[0] == 0
+    assert run(capsys, *argv) == cold
+    monkeypatch.setattr(sbprop.cli, "build_step_propagator", must_not_build)
+    assert run(capsys, *argv) == cold
+    assert run(capsys, "compare", *argv[1:])[0] == 0
 
 
 @pytest.mark.parametrize("dt", ["1e5", "1e10"])

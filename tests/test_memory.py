@@ -1,5 +1,6 @@
 """Memory guards: the cutoff scan, the squared checkpoints and a run over a
-retired cache file stay off dense matrices.
+retired cache file stay off dense matrices, and the build of M stays
+within a few copies of its band.
 
 Each routine works on chain-sized pieces, so its traced peak stays below
 the size of one dense matrix of the kind it used to build.
@@ -37,6 +38,16 @@ def traced_peak(fn, *args):
 def test_gs_scan_peak_is_below_one_dense_chain_block():
     # one float64 block of the largest chain is 401 x 401
     assert traced_peak(gs_scan, DEEP, range(10, 401)) < 401 ** 2 * 8
+
+
+def test_build_peak_stays_below_five_bands():
+    # P = 2000 in deep strong coupling: the band is 4002 x 61 complex, 3.9 MB.
+    # The Taylor loop holds term, M and two buffers of that size; the
+    # full-width loop with a new array per product peaked at 6.1 bands.
+    q = build_transfer_matrix(DEEP, Truncation(P=2000))
+    cfg = PropagatorConfig(dt=suggest_step(q), steps=1)
+    band_bytes = q.dim * (2 * cfg.N + 1) * 16
+    assert traced_peak(build_step_propagator, q, cfg) < 5 * band_bytes
 
 
 def test_checkpoint_powers_allocates_no_dense_propagator():

@@ -1,5 +1,7 @@
 """Taylor step propagator: certificates, suggested steps, evolution loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,13 +25,19 @@ from sbprop import (
     evolve_reusing,
     fock_state,
     jump,
+    load_run_config,
     suggest_step,
 )
-from sbprop.propagator import BLOCK_ROWS, TILE_ROWS
+from sbprop.cli import _prepare
+from sbprop.model import band_half_width
+from sbprop.propagator import BLOCK_ROWS, TILE_ROWS, _unitarity_defect
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 DEEP = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=2.0, g_plus=2.0)
 RWA = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1)
+DAMPED = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4,
+                     beta=0.01, gamma=0.01)
+CONFIGS = ["fig1", "fig2", "fig3_P200", "fig3_P400", "fig5a", "fig5b", "fig6"]
 
 
 def build(params, P, dt, N=30, tol=1e-12, steps=1):
@@ -80,6 +88,92 @@ def test_fig2_step_of_0_1_fails_the_certificate():
     good = build_step_propagator(q, PropagatorConfig(dt=dt, steps=1))
     assert good.last_term_norm <= 1e-12
     assert good.unitarity_defect < 1e-9
+
+
+def full_width_build(q, cfg):
+    """The Taylor loop build_step_propagator ran before it held M
+    diagonal-major: every order over the whole row-major (dim, 2h+1)
+    band, a new array per product.  Returns the band, the last term's
+    max-norm and the unitarity defect (None for dissipative Q)."""
+    h = band_half_width(q.dim, cfg.N)
+    width = 2 * h + 1
+    term = np.zeros((q.dim, width), dtype=np.complex128)
+    term[:, h] = 1.0
+    m = term.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.pad((q.band * (-1j * cfg.dt)).T.copy(), ((0, 0), (h, h)))
+        lo, d, up = sliding_window_view(scaled, width, axis=1)
+        for n in range(1, cfg.N + 1):
+            nxt = term * d
+            nxt[:, 1:] += term[:, :-1] * lo[:, 1:]
+            nxt[:, :-1] += term[:, 1:] * up[:, :-1]
+            term = nxt / n
+            m += term
+        last = float(np.abs(term).max())
+        defect = _unitarity_defect(m) if q.hermitian else None
+    return m, last, defect
+
+
+def assert_built_as_the_full_width_loop(q, cfg):
+    # the certificates are compared, not enforced: a refused build is
+    # the same band as an accepted one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sbprop.propagator, "certify", lambda *args: None)
+        prop = build_step_propagator(q, cfg)
+    band, last, defect = full_width_build(q, cfg)
+    assert prop.band.tobytes() == band.tobytes()
+    assert prop.last_term_norm == last
+    assert prop.unitarity_defect == defect
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_shipped_builds_are_the_full_width_loop_bytes(config_dir, name):
+    q, cfg = _prepare(load_run_config(config_dir / f"{name}.cfg", []))
+    assert_built_as_the_full_width_loop(q, cfg)
+
+
+@pytest.mark.parametrize("params", [FIG2, DEEP, DAMPED], ids=["fig2", "deep", "damped"])
+@pytest.mark.parametrize("P", [0, 1, 3])
+@pytest.mark.parametrize("N", [1, 2, 60])
+def test_clipped_band_builds_are_the_full_width_loop_bytes(params, P, N):
+    # h = min(N, P): for N > P the band is clipped below N, and every
+    # order past h works on all 2h + 1 diagonals
+    q = build_transfer_matrix(params, Truncation(P=P))
+    assert_built_as_the_full_width_loop(q, PropagatorConfig(dt=0.05, steps=1, N=N))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    omega_0=st.floats(min_value=-2.0, max_value=2.0),
+    g_minus=st.floats(min_value=0.0, max_value=2.0),
+    g_plus=st.floats(min_value=0.0, max_value=2.0),
+    damping=st.sampled_from([0.0, 0.003, 0.05]),
+    P=st.integers(min_value=0, max_value=40),
+    N=st.integers(min_value=1, max_value=40),
+    dt=st.sampled_from([0.003125, 0.025, 0.1, 0.3]),
+)
+def test_builds_are_the_full_width_loop_bytes(omega_0, g_minus, g_plus, damping, P, N,
+                                              dt):
+    params = ModelParams(omega_f=1.0, omega_0=omega_0, g_minus=g_minus, g_plus=g_plus,
+                         beta=damping, gamma=damping / 2)
+    q = build_transfer_matrix(params, Truncation(P=P))
+    assert_built_as_the_full_width_loop(q, PropagatorConfig(dt=dt, steps=1, N=N))
+
+
+def test_diverging_build_is_refused_once_without_warnings():
+    # at dt = 1e10 the terms overflow to nan on their way, in the full
+    # width loop and the diagonal-major one alike
+    q = build_transfer_matrix(FIG2, Truncation(P=50))
+    cfg = PropagatorConfig(dt=1e10, steps=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotConverged) as exc:
+            build_step_propagator(q, cfg)
+        _, last, _ = full_width_build(q, cfg)
+    assert np.isnan(last) and np.isnan(exc.value.last_term_norm)
+    assert exc.value.dt_reduction is None
+    assert str(exc.value) == ("last Taylor term has max-norm nan at dt=10000000000.0 "
+                              "N=30: the series diverges; reduce dt or the couplings")
 
 
 def test_suggest_step_halves_until_the_bound_holds():

@@ -119,18 +119,26 @@ def test_a_row_measures_the_same_bits_alone_and_anywhere_in_a_block(P):
 
 def test_measured_bits_do_not_depend_on_the_blas_thread_count():
     # P = 5200: each chain's float view holds 10,402 floats, long enough
-    # that BLAS splits a plain dot product of it across threads
+    # that BLAS splits a plain dot product of it across threads.  The
+    # diagonal part of the energy (about 5e7) swamps the last bits of the
+    # off-diagonal sum, so the energy is also measured with Q's diagonal
+    # zeroed, where the off-diagonal sum is all there is.
     script = (
-        "import hashlib, numpy as np\n"
+        "import dataclasses, hashlib, numpy as np\n"
         "from sbprop import ModelParams, Truncation, build_transfer_matrix\n"
         "from sbprop.trajectory import TrajectoryBuilder\n"
         "q = build_transfer_matrix(ModelParams(1.0, 1.0, 2.0, 2.0), Truncation(P=5200))\n"
+        "off_only = dataclasses.replace(q, diag=np.zeros_like(q.diag))\n"
         "rng = np.random.default_rng(5)\n"
         "y = rng.normal(size=(3, q.dim)) + 1j * rng.normal(size=(3, q.dim))\n"
         "b = TrajectoryBuilder(5200, 3, q=q)\n"
         "b.record(0, np.zeros(3), y)\n"
         "cols = (b.norm2, b.n_raw, b.sz_raw, b.c_exp, b.parity, b.energy_re)\n"
-        "print(hashlib.sha256(np.concatenate(cols).tobytes()).hexdigest())\n")
+        "print(hashlib.sha256(np.concatenate(cols).tobytes()).hexdigest())\n"
+        "b = TrajectoryBuilder(5200, 3, q=off_only)\n"
+        "b.record(0, np.zeros(3), y)\n"
+        "assert np.abs(b.energy_re).min() > 0.0\n"
+        "print(hashlib.sha256(b.energy_re.tobytes()).hexdigest())\n")
     digests = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
