@@ -32,7 +32,7 @@ from .propagator import (
     suggest_step,
 )
 from .spectral import diagonalize, gs_scan, lowest_energies, teee_evolve
-from .trajectory import csv_lines, csv_rows
+from .trajectory import TrajectoryBuilder, csv_lines, csv_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,19 +160,37 @@ def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropaga
     return prop
 
 
-def _obtain_for_run(cfg: RunConfig, q: TransferMatrix,
-                    pcfg: PropagatorConfig) -> tuple[StepPropagator, PropagatorConfig]:
-    """_obtain_propagator, retried once when an automatic dt is refused.
+def _trajectory_for(cfg: RunConfig, q: TransferMatrix,
+                    pcfg: PropagatorConfig) -> TrajectoryBuilder:
+    """The record of a run of pcfg.steps steps; a run too long to hold in
+    memory is a ConfigError."""
+    try:
+        # couplings near the float limit overflow the doubled energy
+        # weights; M's build then refuses them, so the warning is noise
+        with np.errstate(over="ignore"):
+            return TrajectoryBuilder(q.trunc.P, pcfg.steps + 1, q=q)
+    except MemoryError as err:
+        raise ConfigError(f"t_max={cfg.t_max} at dt={pcfg.dt} is {pcfg.steps} steps, "
+                          f"too many to record: {err}") from None
+
+
+def _obtain_for_run(cfg: RunConfig, q: TransferMatrix, pcfg: PropagatorConfig
+                    ) -> tuple[StepPropagator, PropagatorConfig, TrajectoryBuilder]:
+    """_obtain_propagator, retried once when an automatic dt is refused,
+    plus the run's record.
 
     suggest_step bounds term N+1 while certify checks term N, so the dt it
     picks can leave the last term just above tol.  When cfg leaves dt to
     suggest_step and the last term (not the tail bound) refuses it, M is
     obtained once more at the largest MAX_STEP / 2^k at most dt times the
     refusal's dt_reduction, with the step count recomputed; a second
-    refusal stands.  An explicit dt is refused as it is.
+    refusal stands.  An explicit dt is refused as it is.  Each attempt
+    allocates its record (_trajectory_for) before it obtains M, so a step
+    count too large to hold is refused before its M is built or stored.
     """
+    record = _trajectory_for(cfg, q, pcfg)
     try:
-        return _obtain_propagator(q, pcfg), pcfg
+        return _obtain_propagator(q, pcfg), pcfg, record
     except NotConverged as err:
         # dt_reduction is None for a tail-bound or diverging refusal, and
         # 0.0 when tol / last underflowed
@@ -181,8 +199,10 @@ def _obtain_for_run(cfg: RunConfig, q: TransferMatrix,
         dt = MAX_STEP
         while dt > pcfg.dt * err.dt_reduction:
             dt /= 2.0
+    del record  # freed before the retry allocates its own
     pcfg = PropagatorConfig(dt=dt, steps=_steps_for(cfg.t_max, dt), N=pcfg.N, tol=pcfg.tol)
-    return _obtain_propagator(q, pcfg), pcfg
+    record = _trajectory_for(cfg, q, pcfg)
+    return _obtain_propagator(q, pcfg), pcfg, record
 
 
 def _write_lines(lines, out_path: str) -> None:
@@ -216,8 +236,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     q, pcfg = _prepare(cfg)
     # a refused state must cost no build of M and leave no cache entry
     state = cfg.build_initial_state()
-    prop, pcfg = _obtain_for_run(cfg, q, pcfg)
-    traj = evolve(state, prop, pcfg, q)
+    prop, pcfg, record = _obtain_for_run(cfg, q, pcfg)
+    traj = evolve(state, prop, pcfg, q, builder=record)
     _write_lines(csv_lines(traj), cfg.out)
     return EXIT_OK
 
@@ -229,8 +249,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                           "reference cannot be built, compare needs beta=gamma=0")
     q, pcfg = _prepare(cfg)
     state = cfg.build_initial_state()
-    prop, pcfg = _obtain_for_run(cfg, q, pcfg)
-    traj = evolve(state, prop, pcfg, q)
+    prop, pcfg, record = _obtain_for_run(cfg, q, pcfg)
+    traj = evolve(state, prop, pcfg, q, builder=record)
     ref = teee_evolve(state, diagonalize(q), traj.times)
 
     if cfg.normalize:

@@ -13,10 +13,11 @@ and M has half-bandwidth h = min(N, P) there: it is held in band storage
 band[i, k] = M[i, i + k - h] (chain slots), which makes the build
 O(N^2 P) and each step O(N P).  The build works diagonal-major, one
 contiguous row per diagonal, and term n only on its own diagonals
-h-n..h+n.  The outer diagonals of M fall below double precision long
-before h, so evolve steps with the narrower band that holds every entry
-above eps * max|M|.  The dense block-layout M is only built for callers
-that ask for `.matrix`.
+h-n..h+n.  The unitarity defect is measured in long contiguous passes
+over M's columns, O(h) array operations in all.  The outer diagonals of
+M fall below double precision long before h, so evolve steps with the
+narrower band that holds every entry above eps * max|M|.  The dense
+block-layout M is only built for callers that ask for `.matrix`.
 """
 
 from __future__ import annotations
@@ -210,10 +211,13 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     rows k-1, k and k+1 of term_n, weighted by Q[j-1, j], Q[j, j] and
     Q[j+1, j] at slot j = i + k - h.  term_n is zero outside diagonals
     h-n..h+n, so order n works on those rows alone; the others stay zero.
-    M is transposed to the row-major band once, at the end.  For Hermitian
-    Q the unitarity defect max|M+M - 1| is measured once at build time
-    (one banded product) and carried on the result; both certificates are
-    enforced (certify).
+    The division by n is a multiplication by the complex 1/n + 0j, which
+    numpy's division by n + 0j also forms, so every nonzero entry has the
+    bits a division gives; only the sign of a zero can differ, and M never
+    holds a -0.  M is transposed to the row-major band once, at the end.
+    For Hermitian Q the unitarity defect max|M+M - 1| is measured once at
+    build time (_unitarity_defect) and carried on the result; both
+    certificates are enforced (certify).
     """
     dim = q.dim
     h = band_half_width(dim, cfg.N)
@@ -242,7 +246,7 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
             nxt[a1:b] += tmp[a1:b]
             np.multiply(term[a + 1:b1 + 1], up[a:b1], out=tmp[a:b1])
             nxt[a:b1] += tmp[a:b1]
-            np.divide(nxt[a:b], n, out=term[a:b])
+            np.multiply(nxt[a:b], complex(1.0 / n, 0.0), out=term[a:b])
             m[a:b] += term[a:b]
         last = float(np.abs(term).max())
         # freed before the defect measurement allocates its own buffers
@@ -294,18 +298,32 @@ def certify(prop: CacheEntry, q: TransferMatrix, cfg: PropagatorConfig) -> None:
 
 
 def _unitarity_defect(band: np.ndarray) -> float:
-    """max|M+M - 1| from the band of M, one diagonal of M+M at a time."""
+    """max|M+M - 1| from the band of M, one diagonal of M+M at a time.
+
+    M's columns are copied once, one strided slice of the band per row
+    t, into col[t, j] = M[j + t - h, j], whose rows are zero-padded to
+    stride s = dim + 2h + 1.  (M+M)[j, j+o] = sum over t >= o of
+    conj(col[t, j]) col[t - o, j + o], and col[t - o, j + o] lies
+    o (s - 1) places before col[t, j] in the flat array, so offset o is
+    one flat product of two equally long runs of it, summed over t in
+    row order into a length-s vector.  The entries below the diagonal
+    mirror these.
+    """
     dim, width = band.shape
     h = width // 2
-    # col[j, t] = M[j + t - h, j]: column j of M, top to bottom
-    t = np.arange(width)
-    padded = np.pad(band, ((h, h), (0, 0)))
-    col = padded[np.arange(dim)[:, None] + t, width - 1 - t]
+    s = dim + width
+    col = np.zeros((width, s), dtype=np.complex128)
+    for t in range(width):
+        lo, hi = max(h - t, 0), min(dim + h - t, dim)
+        col[t, lo:hi] = band[lo + t - h:hi + t - h, width - 1 - t]
+    flat = col.ravel()
+    conj = np.conjugate(flat)
+    prod = np.empty_like(flat)
     worst = 0.0
-    # (M+M)[j, j+o] = sum over rows r of conj(M[r, j]) M[r, j+o]; the
-    # entries below the diagonal mirror these
     for o in range(min(width, dim)):
-        g = (col[:dim - o, o:].conj() * col[o:, :width - o]).sum(axis=1)
+        size = (width - o) * s
+        np.multiply(conj[o * s:], flat[o:o + size], out=prod[:size])
+        g = prod[:size].reshape(width - o, s).sum(axis=0)[:dim - o]
         if o == 0:
             g -= 1.0
         worst = max(worst, float(np.abs(g).max()))
@@ -350,7 +368,8 @@ def _check_compatible(state_dim: int, prop: StepPropagator,
 
 
 def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
-           q: TransferMatrix, *, snapshot_stride: int = 0) -> Trajectory:
+           q: TransferMatrix, *, snapshot_stride: int = 0,
+           builder: TrajectoryBuilder | None = None) -> Trajectory:
     """Apply M step by step, recording every observable row including t=0.
 
     Steps use prop.step_band, M without its negligible outer diagonals
@@ -371,16 +390,26 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     state is carried into row 0 of the next block.  Raises NonFiniteState
     with the first offending step index if amplitudes blow up; a block is
     scanned for them only when its norm2 column is not finite.
+
+    The rows are recorded into builder, a TrajectoryBuilder of
+    cfg.steps + 1 rows for state.P and q, which a caller can allocate
+    before it builds M; when None, evolve makes one with snapshot_stride.
     """
     _check_compatible(state.vector.size, prop, cfg, q)
     if snapshot_stride < 0:
         raise ValueError("snapshot_stride must be >= 0")
+    steps = int(cfg.steps)
+    if builder is None:
+        builder = TrajectoryBuilder(state.P, steps + 1,
+                                    snapshot_stride=snapshot_stride, q=q)
+    elif snapshot_stride or builder.times.size != steps + 1:
+        raise ValueError(f"builder must hold cfg.steps + 1 = {steps + 1} rows "
+                         "and take the snapshot_stride itself")
 
     dim, width = prop.step_band.shape
     w, n = width // 2, dim // 2
     panels = prop.panels
     tiles, tile, span = panels.shape[1:]
-    steps = int(cfg.steps)
     block = np.zeros((min(steps + 1, BLOCK_ROWS), 2, tiles * tile + 2 * w),
                      dtype=np.complex128)
     ys = block[:, :, w:w + n]
@@ -391,9 +420,6 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     outs = list(block[:, chains, w:w + tiles * tile].reshape(
         block.shape[0], -1, tiles, tile, 1))
 
-    times = np.arange(steps + 1) * cfg.dt
-    builder = TrajectoryBuilder(state.P, steps + 1, snapshot_stride=snapshot_stride,
-                                q=q)
     k0 = lo = 0  # step held in row 0; first row not yet recorded
     # Overflow on the way to a blow-up is reported once, via NonFiniteState;
     # the numpy warnings that precede it are just noise.
@@ -403,8 +429,8 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
             for j in range(1, rows):
                 np.matmul(panels, windows[j - 1], out=outs[j])
             y = ys[lo:rows]
-            norm2 = builder.record(k0 + lo, times[k0 + lo:k0 + rows], y,
-                                   chains=chains)
+            norm2 = builder.record(k0 + lo, np.arange(k0 + lo, k0 + rows) * cfg.dt,
+                                   y, chains=chains)
             # norm2 is finite unless an amplitude is not, or |y|^2 overflowed;
             # only then are the amplitudes themselves scanned
             if not np.isfinite(norm2).all():

@@ -878,7 +878,7 @@ def test_shipped_configs_run_at_their_suggested_dt(config_dir, tmp_path, monkeyp
     run_cfg = load_run_config(cfg(config_dir, f"{name}.cfg"), ["t_max=1"])
     q, pcfg = _prepare(run_cfg)
     assert pcfg.dt == dt
-    prop, used = _obtain_for_run(run_cfg, q, pcfg)
+    prop, used, _ = _obtain_for_run(run_cfg, q, pcfg)
     assert used == pcfg and prop.dt == dt
 
 
@@ -911,6 +911,29 @@ def test_refused_automatic_dt_is_retried_once_at_a_smaller_one(config_dir, capsy
     monkeypatch.setattr(sbprop.cli, "build_step_propagator", must_not_build)
     assert run(capsys, *argv) == cold
     assert run(capsys, "compare", *argv[1:])[0] == 0
+
+
+def test_step_count_too_large_to_record_is_refused_before_its_build(
+        config_dir, capsys, tmp_path, monkeypatch):
+    # at N=1 the automatic dt 1.19e-8 is refused, and the retry's dt,
+    # 1.14e-14, is 8.8e12 steps to t_max = 0.1: their record cannot be
+    # allocated, so M at that dt is neither built nor stored
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    built, original = [], sbprop.cli.build_step_propagator
+
+    def build(q, pcfg):
+        built.append(pcfg.dt)
+        return original(q, pcfg)
+
+    monkeypatch.setattr(sbprop.cli, "build_step_propagator", build)
+    code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", "N=1", "--set", "t_max=0.1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: t_max=0.1 at dt=1.1368683772161604e-14 is "
+                          "8796093022208 steps, too many to record: ")
+    assert err.count("\n") == 1
+    assert len(built) == 1 and built[0] > 1e-8
+    assert PropagatorCache().entries() == []
 
 
 @pytest.mark.parametrize("dt", ["1e5", "1e10"])

@@ -1,6 +1,6 @@
 """Memory guards: the cutoff scan, the squared checkpoints and a run over a
-retired cache file stay off dense matrices, and the build of M stays
-within a few copies of its band.
+retired cache file stay off dense matrices, and the build of M and its
+unitarity defect stay within a few copies of its band.
 
 Each routine works on chain-sized pieces, so its traced peak stays below
 the size of one dense matrix of the kind it used to build.
@@ -21,6 +21,7 @@ from sbprop import (
     suggest_step,
 )
 from sbprop.cli import _prepare, main
+from sbprop.propagator import _unitarity_defect
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 DEEP = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=2.0, g_plus=2.0)
@@ -48,6 +49,15 @@ def test_build_peak_stays_below_five_bands():
     cfg = PropagatorConfig(dt=suggest_step(q), steps=1)
     band_bytes = q.dim * (2 * cfg.N + 1) * 16
     assert traced_peak(build_step_propagator, q, cfg) < 5 * band_bytes
+
+
+def test_defect_peak_stays_below_three_and_a_half_bands():
+    # P = 2000 in deep strong coupling: the measurement holds M's columns
+    # zero-padded, their conjugates and one product buffer, each about a
+    # band, and one row sum at a time
+    q = build_transfer_matrix(DEEP, Truncation(P=2000))
+    prop = build_step_propagator(q, PropagatorConfig(dt=suggest_step(q), steps=1))
+    assert traced_peak(_unitarity_defect, prop.band) < 3.5 * prop.band.nbytes
 
 
 def test_checkpoint_powers_allocates_no_dense_propagator():

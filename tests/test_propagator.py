@@ -29,8 +29,9 @@ from sbprop import (
     suggest_step,
 )
 from sbprop.cli import _prepare
-from sbprop.model import band_half_width
+from sbprop.model import band_half_width, band_to_dense
 from sbprop.propagator import BLOCK_ROWS, TILE_ROWS, _unitarity_defect
+from sbprop.trajectory import TrajectoryBuilder
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 DEEP = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=2.0, g_plus=2.0)
@@ -90,6 +91,41 @@ def test_fig2_step_of_0_1_fails_the_certificate():
     assert good.unitarity_defect < 1e-9
 
 
+def reference_unitarity_defect(band):
+    """max|M+M - 1| as measured before the flat-run form: a gather of
+    M's columns, and each entry of M+M summed in numpy's pairwise order.
+    The oracle for _unitarity_defect, which sums in row order."""
+    dim, width = band.shape
+    h = width // 2
+    # col[j, t] = M[j + t - h, j]: column j of M, top to bottom
+    t = np.arange(width)
+    padded = np.pad(band, ((h, h), (0, 0)))
+    col = padded[np.arange(dim)[:, None] + t, width - 1 - t]
+    worst = 0.0
+    # (M+M)[j, j+o] = sum over rows r of conj(M[r, j]) M[r, j+o]; the
+    # entries below the diagonal mirror these
+    for o in range(min(width, dim)):
+        g = (col[:dim - o, o:].conj() * col[o:, :width - o]).sum(axis=1)
+        if o == 0:
+            g -= 1.0
+        worst = max(worst, float(np.abs(g).max()))
+    return worst
+
+
+def assert_defect_agrees(prop):
+    # both sums add the same 2h+1 products per entry of M+M, in another
+    # order; the dense product is the definition itself.  A dissipative M
+    # carries no defect, but its band is measured all the same.
+    value = _unitarity_defect(prop.band)
+    assert prop.unitarity_defect in (None, value)
+    m = band_to_dense(prop.band)
+    dense = float(np.abs(m.conj().T @ m - np.eye(prop.dim)).max())
+    bound = prop.band.shape[1] * np.finfo(float).eps * max(1.0, value)
+    assert abs(value - reference_unitarity_defect(prop.band)) <= bound
+    assert abs(value - dense) <= bound
+    return value
+
+
 def full_width_build(q, cfg):
     """The Taylor loop build_step_propagator ran before it held M
     diagonal-major: every order over the whole row-major (dim, 2h+1)
@@ -114,16 +150,23 @@ def full_width_build(q, cfg):
     return m, last, defect
 
 
-def assert_built_as_the_full_width_loop(q, cfg):
-    # the certificates are compared, not enforced: a refused build is
-    # the same band as an accepted one
+def uncertified_build(q, cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sbprop.propagator, "certify", lambda *args: None)
-        prop = build_step_propagator(q, cfg)
+        return build_step_propagator(q, cfg)
+
+
+def assert_built_as_the_full_width_loop(q, cfg):
+    # the certificates are compared, not enforced: a refused build is
+    # the same band as an accepted one.  full_width_build measures its
+    # defect with the package's own function, so the defect is also held
+    # to its oracles.
+    prop = uncertified_build(q, cfg)
     band, last, defect = full_width_build(q, cfg)
     assert prop.band.tobytes() == band.tobytes()
     assert prop.last_term_norm == last
     assert prop.unitarity_defect == defect
+    assert_defect_agrees(prop)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -158,6 +201,14 @@ def test_builds_are_the_full_width_loop_bytes(omega_0, g_minus, g_plus, damping,
                          beta=damping, gamma=damping / 2)
     q = build_transfer_matrix(params, Truncation(P=P))
     assert_built_as_the_full_width_loop(q, PropagatorConfig(dt=dt, steps=1, N=N))
+
+
+def test_large_defect_agrees_with_the_reference(config_dir):
+    # fig2 at dt = 0.5: the terms grow far before they shrink, and M is
+    # far from unitary
+    q, cfg = _prepare(load_run_config(config_dir / "fig2.cfg", ["dt=0.5", "N=150"]))
+    defect = assert_defect_agrees(uncertified_build(q, cfg))
+    assert defect == pytest.approx(1.0e2, rel=0.05)
 
 
 def test_diverging_build_is_refused_once_without_warnings():
@@ -221,6 +272,20 @@ def test_evolution_is_linear_in_the_initial_state():
     ta, tb, tm = evolve_reusing([a, b, mix], prop, cfg, q, snapshot_stride=40)
     combined = (ta.snapshots[-1] + 1j * tb.snapshots[-1]) / 2
     assert np.abs(tm.snapshots[-1] - combined).max() < 1e-13
+
+
+def test_evolve_into_a_given_builder_records_the_same_bits():
+    q, cfg, prop = build(FIG2, 10, dt=0.05, steps=2 * BLOCK_ROWS + 5)
+    s0 = fock_state(0, "e", 10)
+    own = evolve(s0, prop, cfg, q)
+    given = evolve(s0, prop, cfg, q, builder=TrajectoryBuilder(10, cfg.steps + 1, q=q))
+    for a, b in zip(own.__dict__.values(), given.__dict__.values()):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError, match="builder must hold"):
+        evolve(s0, prop, cfg, q, builder=TrajectoryBuilder(10, cfg.steps, q=q))
+    with pytest.raises(ValueError, match="builder must hold"):
+        evolve(s0, prop, cfg, q, snapshot_stride=1,
+               builder=TrajectoryBuilder(10, cfg.steps + 1, q=q))
 
 
 def test_evolve_reusing_matches_single_runs_bitwise():
