@@ -27,11 +27,10 @@ from .propagator import (
     NotUnitary,
     PropagatorConfig,
     StepPropagator,
+    advance,
     build_step_propagator,
-    checkpoint_powers,
     evolve,
     evolve_reusing,
-    jump,
     suggest_step,
 )
 from .spectral import (
@@ -87,11 +86,11 @@ __all__ = [
     "Trajectory",
     "TransferMatrix",
     "Truncation",
+    "advance",
     "atomic_inversion",
     "build_step_propagator",
     "build_transfer_matrix",
     "canonical_blob",
-    "checkpoint_powers",
     "coherent_state",
     "csv_lines",
     "default_cache_dir",
@@ -104,7 +103,6 @@ __all__ = [
     "gs_scan",
     "hermiticity_check",
     "inner",
-    "jump",
     "level_differences",
     "load_run_config",
     "lowest_energies",

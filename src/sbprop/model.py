@@ -21,9 +21,9 @@ along each chain is held in band storage: band[i, k] = M[i, i + k - h] in
 chain slots.  Q is such a band with h = 1 (TransferMatrix.band), and so is
 the step propagator M with h = min(N, P).  chain_block writes the dense
 block of a chain from its band rows; it is how every dense chain block in
-the package is formed (the eigensolves of Q, the squared checkpoints of
-M).  The other band helpers map band storage to and from the dense block
-layout.
+the package is formed (the eigensolves of Q).  M is only ever applied
+through its band, never as dense blocks.  The other band helpers map band
+storage to and from the dense block layout.
 """
 
 from __future__ import annotations

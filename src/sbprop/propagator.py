@@ -30,8 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import CacheEntry, propagator_fingerprint
-from .model import (TransferMatrix, band_half_width, chain_block, chain_order,
-                    occupied_chains)
+from .model import TransferMatrix, band_half_width, occupied_chains
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -46,8 +45,7 @@ __all__ = [
     "suggest_step",
     "evolve",
     "evolve_reusing",
-    "checkpoint_powers",
-    "jump",
+    "advance",
 ]
 
 MAX_STEP = 0.1  # largest dt suggest_step will ever return
@@ -367,10 +365,14 @@ def _check_compatible(state_dim: int, prop: StepPropagator,
             "for different parameters")
 
 
-def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
-           q: TransferMatrix, *, snapshot_stride: int = 0,
-           builder: TrajectoryBuilder | None = None) -> Trajectory:
-    """Apply M step by step, recording every observable row including t=0.
+def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
+                   cfg: PropagatorConfig, q: TransferMatrix):
+    """Step state cfg.steps times with M; yield (k, ys, chains) per block.
+
+    ys is a (rows, 2, n) view of the chain-order states of steps k, k+1,
+    ..., a chain per middle index, each chain's slots contiguous; chains
+    is the slice of chains stepped.  The view is only valid until the next
+    iteration.  Every step is yielded once, step 0 in the first block.
 
     Steps use prop.step_band, M without its negligible outer diagonals
     (see StepPropagator), as its dense panels of TILE_ROWS rows
@@ -384,28 +386,12 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     the chains, so a chain that starts at exactly zero stays exactly
     zero, and a Fock state, which lies in one chain, costs half a
     two-chain state's products.  A stepped chain's bits do not depend on
-    whether the other is stepped.  When the block is full its rows are
-    measured together in one pass (TrajectoryBuilder.record: the
-    observables and the energy, over the stepped chains), and its last
-    state is carried into row 0 of the next block.  Raises NonFiniteState
-    with the first offending step index if amplitudes blow up; a block is
-    scanned for them only when its norm2 column is not finite.
-
-    The rows are recorded into builder, a TrajectoryBuilder of
-    cfg.steps + 1 rows for state.P and q, which a caller can allocate
-    before it builds M; when None, evolve makes one with snapshot_stride.
+    whether the other is stepped.  When a block has been yielded, its
+    last state is carried into row 0 of the next.  A run that blows up
+    overflows on its way; callers iterate under np.errstate and report it
+    once, as NonFiniteState.
     """
-    _check_compatible(state.vector.size, prop, cfg, q)
-    if snapshot_stride < 0:
-        raise ValueError("snapshot_stride must be >= 0")
     steps = int(cfg.steps)
-    if builder is None:
-        builder = TrajectoryBuilder(state.P, steps + 1,
-                                    snapshot_stride=snapshot_stride, q=q)
-    elif snapshot_stride or builder.times.size != steps + 1:
-        raise ValueError(f"builder must hold cfg.steps + 1 = {steps + 1} rows "
-                         "and take the snapshot_stride itself")
-
     dim, width = prop.step_band.shape
     w, n = width // 2, dim // 2
     panels = prop.panels
@@ -420,73 +406,84 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     outs = list(block[:, chains, w:w + tiles * tile].reshape(
         block.shape[0], -1, tiles, tile, 1))
 
-    k0 = lo = 0  # step held in row 0; first row not yet recorded
+    k0 = lo = 0  # step held in row 0; first row not yet yielded
+    while True:
+        rows = min(len(outs), steps + 1 - k0)
+        for j in range(1, rows):
+            np.matmul(panels, windows[j - 1], out=outs[j])
+        yield k0 + lo, ys[lo:rows], chains
+        if k0 + rows > steps:
+            return
+        block[0] = block[rows - 1]
+        k0, lo = k0 + rows - 1, 1
+
+
+def _raise_first_non_finite(k: int, ys: np.ndarray) -> None:
+    """Raise NonFiniteState for the first of the states of steps k, k+1,
+    ... in ys that holds an amplitude that is not finite, if any does."""
+    finite = np.isfinite(ys).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteState(k + int(finite.argmin()))
+
+
+def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
+           q: TransferMatrix, *, builder: TrajectoryBuilder | None = None) -> Trajectory:
+    """Apply M step by step, recording every observable row including t=0.
+
+    The states come from the one step kernel (_stepped_blocks, shared with
+    advance), a block of up to BLOCK_ROWS at a time; each block's rows are
+    measured together in one pass (TrajectoryBuilder.record: the
+    observables and the energy, over the stepped chains).  Raises
+    NonFiniteState with the first offending step index if amplitudes blow
+    up; a block is scanned for them only when its norm2 column is not
+    finite.
+
+    The rows are recorded into builder, a TrajectoryBuilder of
+    cfg.steps + 1 rows made with q, which a caller can allocate before it
+    builds M; when None, evolve makes one.
+    """
+    _check_compatible(state.vector.size, prop, cfg, q)
+    steps = int(cfg.steps)
+    if builder is None:
+        builder = TrajectoryBuilder(state.P, steps + 1, q=q)
+    elif builder.times.size != steps + 1 or builder.q is not q:
+        raise ValueError(f"builder must hold cfg.steps + 1 = {steps + 1} rows "
+                         "and measure with this q")
     # Overflow on the way to a blow-up is reported once, via NonFiniteState;
     # the numpy warnings that precede it are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            rows = min(len(outs), steps + 1 - k0)
-            for j in range(1, rows):
-                np.matmul(panels, windows[j - 1], out=outs[j])
-            y = ys[lo:rows]
-            norm2 = builder.record(k0 + lo, np.arange(k0 + lo, k0 + rows) * cfg.dt,
-                                   y, chains=chains)
+        for k, ys, chains in _stepped_blocks(state, prop, cfg, q):
+            norm2 = builder.record(k, np.arange(k, k + len(ys)) * cfg.dt, ys,
+                                   chains=chains)
             # norm2 is finite unless an amplitude is not, or |y|^2 overflowed;
             # only then are the amplitudes themselves scanned
             if not np.isfinite(norm2).all():
-                finite = np.isfinite(y).all(axis=(1, 2))
-                if not finite.all():
-                    raise NonFiniteState(k0 + lo + int(finite.argmin()))
-            if k0 + rows > steps:
-                return builder.build()
-            block[0] = block[rows - 1]
-            k0, lo = k0 + rows - 1, 1
+                _raise_first_non_finite(k, ys)
+    return builder.build()
+
+
+def advance(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
+            q: TransferMatrix) -> SpinorFockState:
+    """The state after cfg.steps applications of M, bit for bit evolve's.
+
+    It comes from evolve's step kernel (_stepped_blocks) and holds one
+    block of states, not a record of the run.  Raises NonFiniteState at
+    the step evolve would: an amplitude that is not finite never becomes
+    finite again under M (a product with inf or NaN, even by an exact
+    zero, is not finite), so only a block whose last state is not finite
+    is scanned.
+    """
+    _check_compatible(state.vector.size, prop, cfg, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, ys, _ in _stepped_blocks(state, prop, cfg, q):
+            if not np.isfinite(ys[-1]).all():
+                _raise_first_non_finite(k, ys)
+    out = np.empty(q.dim, dtype=np.complex128)
+    out[q.order] = ys[-1].ravel()
+    return SpinorFockState.from_vector(out)
 
 
 def evolve_reusing(states: list[SpinorFockState], prop: StepPropagator,
-                   cfg: PropagatorConfig, q: TransferMatrix, *,
-                   snapshot_stride: int = 0) -> list[Trajectory]:
+                   cfg: PropagatorConfig, q: TransferMatrix) -> list[Trajectory]:
     """Evolve several initial states with the one prebuilt M."""
-    return [evolve(s, prop, cfg, q, snapshot_stride=snapshot_stride)
-            for s in states]
-
-
-def checkpoint_powers(prop: StepPropagator, count: int) -> list[np.ndarray]:
-    """[M, M^2, M^4, ...] up to M^(2^(count-1)), by repeated squaring.
-
-    M never couples the parity chains, so each power is kept as its two
-    chain blocks: an array of shape (2, n, n), n = dim / 2, holding chain
-    A's and chain B's block in chain order (see model.chain_order).  M's
-    blocks are written straight from the band (model.chain_block); each
-    squaring is one stacked product of both blocks.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    powers = [chain_block(prop.band.reshape(2, prop.dim // 2, -1))]
-    for _ in range(count - 1):
-        powers.append(powers[-1] @ powers[-1])
-    return powers
-
-
-def jump(state: SpinorFockState, powers: list[np.ndarray], steps: int) -> SpinorFockState:
-    """Advance by `steps` applications of M using the squared checkpoints.
-
-    The state is carried in chain order through the chain blocks of
-    checkpoint_powers and returned in the block layout.  A chain whose
-    amplitudes are all exactly zero stays zero, so its block products are
-    skipped.
-    """
-    if steps < 0 or steps >= 2 ** len(powers):
-        raise ValueError(f"steps must lie in 0..{2 ** len(powers) - 1}")
-    order = chain_order(state.P)
-    y = state.vector[order].reshape(2, -1, 1)
-    chains = occupied_chains(y)
-    j = 0
-    while steps:
-        if steps & 1:
-            y[chains] = powers[j][chains] @ y[chains]
-        steps >>= 1
-        j += 1
-    out = np.empty(order.size, dtype=np.complex128)
-    out[order] = y.ravel()
-    return SpinorFockState.from_vector(out)
+    return [evolve(s, prop, cfg, q) for s in states]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ class Trajectory:
     energy_re: np.ndarray
     c_exp: np.ndarray
     parity: np.ndarray
-    snapshot_times: np.ndarray | None = field(default=None, repr=False)
-    snapshots: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return self.times.size
@@ -42,15 +40,13 @@ class Trajectory:
 class TrajectoryBuilder:
     """Accumulates rows; evolvers call record() once per block of time points.
 
-    The recorded vectors are in chain order (see model.chain_order).  With
-    snapshot_stride k > 0, every k-th recorded vector is kept, back in the
-    block layout, as Trajectory.snapshots; that is for library callers
-    that read states (evolve's keyword), and no CLI command asks for it.
-    With q given, record() also measures the energy Re <y|Q|y>.
+    The recorded vectors are in chain order (see model.chain_order); they
+    are measured, not kept (propagator.advance returns a state).  With q
+    given, record() also measures the energy Re <y|Q|y>; q is kept, so
+    evolve can refuse a builder made for another Q.
     """
 
-    def __init__(self, P: int, count: int, snapshot_stride: int = 0,
-                 q: TransferMatrix | None = None):
+    def __init__(self, P: int, count: int, q: TransferMatrix | None = None):
         order = chain_order(P)
         n = P + 1
         w = ObservableWeights(P)
@@ -58,6 +54,7 @@ class TrajectoryBuilder:
         # chain B, so its column measures n_B - n_A
         cols = [np.ones(order.size),
                 *(v[order] for v in (w.photon, w.inversion, w.excitation, w.parity))]
+        self.q = q
         self._off = None
         if q is not None:
             cols.append(q.diag.real)
@@ -72,7 +69,6 @@ class TrajectoryBuilder:
         # share it
         self._weights = np.stack(np.split(np.repeat(np.stack(cols), 2, axis=1), 2, axis=1))
         self._squares = np.empty((0, 2 * n))
-        self._to_block = np.argsort(order)
         self.times = np.empty(count)
         self.norm2 = np.empty(count)
         self.n_raw = np.empty(count)
@@ -80,8 +76,6 @@ class TrajectoryBuilder:
         self.energy_re = np.empty(count)
         self.c_exp = np.empty(count)
         self.parity = np.empty(count)
-        self.snapshot_stride = int(snapshot_stride)
-        self._snaps: list[np.ndarray] = []
 
     def _measure(self, block: np.ndarray, chains: slice) -> np.ndarray:
         """(rows, 5 or 6): norm2, photon, inversion, excitation, parity
@@ -130,25 +124,17 @@ class TrajectoryBuilder:
          self.c_exp[rows], self.parity[rows]) = cols.T[:5]
         self.times[rows] = t
         self.energy_re[rows] = cols[:, 5] if energy_re is None else energy_re
-        if self.snapshot_stride:
-            first = -k0 % self.snapshot_stride
-            kept = block[first::self.snapshot_stride]
-            # indexing by an array copies, so block may be reused
-            self._snaps.append(kept.reshape(kept.shape[0], -1)[:, self._to_block])
         return self.norm2[rows]
 
     def build(self) -> Trajectory:
         with np.errstate(invalid="ignore", divide="ignore"):
             n_norm = np.where(self.norm2 > 0.0, self.n_raw / self.norm2, np.nan)
             sz_norm = np.where(self.norm2 > 0.0, self.sz_raw / self.norm2, np.nan)
-        snaps = np.concatenate(self._snaps) if self._snaps else None
-        snap_t = self.times[::self.snapshot_stride].copy() if self._snaps else None
         return Trajectory(
             times=self.times, norm2=self.norm2,
             n_raw=self.n_raw, n_norm=n_norm,
             sz_raw=self.sz_raw, sz_norm=sz_norm,
             energy_re=self.energy_re, c_exp=self.c_exp, parity=self.parity,
-            snapshot_times=snap_t, snapshots=snaps,
         )
 
 

@@ -99,7 +99,7 @@ def test_exit_code_1_for_config_problems(config_dir, capsys, tmp_path):
     # unknown key
     code, _, err = run(capsys, "evolve", "--set", "omega=1")
     assert code == 1 and "unknown config key" in err
-    # snapshots are a library keyword only: no command writes them
+    # a removed library keyword is no config key either
     code, _, err = run(capsys, "evolve", "--set", "snapshot_stride=1")
     assert code == 1 and err.startswith("error: unknown config key 'snapshot_stride'")
     # missing file

@@ -1,6 +1,7 @@
-"""The runtime dependency stays numpy only."""
+"""The runtime dependency stays numpy only, and every exported name exists."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -24,3 +25,14 @@ def test_package_imports_only_the_stdlib_and_numpy():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.partition(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+def test_every_exported_name_resolves():
+    # a name removed from a module but left in an __all__ would only fail
+    # at `from sbprop import *` or at its caller
+    modules = [sbprop] + [importlib.import_module(f"sbprop.{path.stem}")
+                          for path in sorted(Path(sbprop.__file__).parent.glob("*.py"))
+                          if path.stem != "__init__"]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

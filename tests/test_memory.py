@@ -1,6 +1,7 @@
-"""Memory guards: the cutoff scan, the squared checkpoints and a run over a
-retired cache file stay off dense matrices, and the build of M and its
-unitarity defect stay within a few copies of its band.
+"""Memory guards: the cutoff scan and a run over a retired cache file stay
+off dense matrices, the build of M and its unitarity defect stay within a
+few copies of its band, and advance holds one block of states however
+many steps it takes.
 
 Each routine works on chain-sized pieces, so its traced peak stays below
 the size of one dense matrix of the kind it used to build.
@@ -13,15 +14,16 @@ from sbprop import (
     PropagatorCache,
     PropagatorConfig,
     Truncation,
+    advance,
     build_step_propagator,
     build_transfer_matrix,
-    checkpoint_powers,
+    fock_state,
     gs_scan,
     load_run_config,
     suggest_step,
 )
 from sbprop.cli import _prepare, main
-from sbprop.propagator import _unitarity_defect
+from sbprop.propagator import BLOCK_ROWS, _unitarity_defect
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 DEEP = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=2.0, g_plus=2.0)
@@ -60,11 +62,17 @@ def test_defect_peak_stays_below_three_and_a_half_bands():
     assert traced_peak(_unitarity_defect, prop.band) < 3.5 * prop.band.nbytes
 
 
-def test_checkpoint_powers_allocates_no_dense_propagator():
+def test_advance_holds_one_block_however_many_steps():
+    # P = 100: BLOCK_ROWS states take 0.2 MB, 20,000 states 65 MB and
+    # evolve's record of 20,000 rows 1.1 MB
     q = build_transfer_matrix(FIG2, Truncation(P=100))
-    prop = build_step_propagator(q, PropagatorConfig(dt=suggest_step(q), steps=1))
-    # M's two chain blocks hold half the entries of the dense dim x dim M
-    assert traced_peak(checkpoint_powers, prop, 1) < q.dim ** 2 * 16
+    dt = suggest_step(q)
+    prop = build_step_propagator(q, PropagatorConfig(dt=dt, steps=1))
+    block_bytes = BLOCK_ROWS * q.dim * 16
+    s0 = fock_state(0, "e", 100)
+    short, long = (traced_peak(advance, s0, prop, PropagatorConfig(dt=dt, steps=k), q)
+                   for k in (200, 20000))
+    assert long - short < block_bytes
 
 
 def test_evolve_over_a_version_1_file_reads_no_dense_payload(config_dir, tmp_path,

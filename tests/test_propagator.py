@@ -17,20 +17,19 @@ from sbprop import (
     PropagatorConfig,
     SpinorFockState,
     Truncation,
+    advance,
     build_step_propagator,
     build_transfer_matrix,
-    checkpoint_powers,
     energy_expectation,
     evolve,
     evolve_reusing,
     fock_state,
-    jump,
     load_run_config,
     suggest_step,
 )
 from sbprop.cli import _prepare
-from sbprop.model import band_half_width, band_to_dense
-from sbprop.propagator import BLOCK_ROWS, TILE_ROWS, _unitarity_defect
+from sbprop.model import band_half_width, band_to_dense, chain_block
+from sbprop.propagator import BLOCK_ROWS, TILE_ROWS, _stepped_blocks, _unitarity_defect
 from sbprop.trajectory import TrajectoryBuilder
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
@@ -45,6 +44,15 @@ def build(params, P, dt, N=30, tol=1e-12, steps=1):
     q = build_transfer_matrix(params, Truncation(P=P))
     cfg = PropagatorConfig(dt=dt, steps=steps, N=N, tol=tol)
     return q, cfg, build_step_propagator(q, cfg)
+
+
+def stepped_states(s0, prop, cfg, q):
+    """The chain-order states of steps 0..cfg.steps from the step kernel
+    evolve and advance share, each block copied before the next replaces
+    it: (cfg.steps + 1, dim)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [ys.copy() for _, ys, _ in _stepped_blocks(s0, prop, cfg, q)]
+    return np.concatenate(blocks).reshape(cfg.steps + 1, -1)
 
 
 def test_diagonal_matrix_reproduces_the_scalar_series():
@@ -269,9 +277,8 @@ def test_evolution_is_linear_in_the_initial_state():
     b = fock_state(3, "g", 12)
     mix = SpinorFockState(amps_e=(a.amps_e + 1j * b.amps_e) / 2,
                           amps_g=(a.amps_g + 1j * b.amps_g) / 2)
-    ta, tb, tm = evolve_reusing([a, b, mix], prop, cfg, q, snapshot_stride=40)
-    combined = (ta.snapshots[-1] + 1j * tb.snapshots[-1]) / 2
-    assert np.abs(tm.snapshots[-1] - combined).max() < 1e-13
+    ya, yb, ym = (advance(s, prop, cfg, q).vector for s in (a, b, mix))
+    assert np.abs(ym - (ya + 1j * yb) / 2).max() < 1e-13
 
 
 def test_evolve_into_a_given_builder_records_the_same_bits():
@@ -280,12 +287,13 @@ def test_evolve_into_a_given_builder_records_the_same_bits():
     own = evolve(s0, prop, cfg, q)
     given = evolve(s0, prop, cfg, q, builder=TrajectoryBuilder(10, cfg.steps + 1, q=q))
     for a, b in zip(own.__dict__.values(), given.__dict__.values()):
-        assert (a is None and b is None) or a.tobytes() == b.tobytes()
-    with pytest.raises(ValueError, match="builder must hold"):
-        evolve(s0, prop, cfg, q, builder=TrajectoryBuilder(10, cfg.steps, q=q))
-    with pytest.raises(ValueError, match="builder must hold"):
-        evolve(s0, prop, cfg, q, snapshot_stride=1,
-               builder=TrajectoryBuilder(10, cfg.steps + 1, q=q))
+        assert a.tobytes() == b.tobytes()
+    q8 = build_transfer_matrix(FIG2, Truncation(P=8))
+    for wrong in (TrajectoryBuilder(10, cfg.steps, q=q),  # one row short
+                  TrajectoryBuilder(8, cfg.steps + 1, q=q8),  # another P
+                  TrajectoryBuilder(10, cfg.steps + 1)):  # no q, so no energy
+        with pytest.raises(ValueError, match="builder must hold"):
+            evolve(s0, prop, cfg, q, builder=wrong)
 
 
 def test_evolve_reusing_matches_single_runs_bitwise():
@@ -300,47 +308,64 @@ def test_evolve_reusing_matches_single_runs_bitwise():
         assert np.array_equal(s.norm2, t.norm2)
 
 
-def test_checkpoint_jump_matches_stepping():
-    q, cfg, prop = build(FIG2, 10, dt=0.05, steps=13)
-    s0 = fock_state(0, "e", 10)
-    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
-    powers = checkpoint_powers(prop, 4)  # M, M^2, M^4, M^8: covers 0..15
-    for steps in [0, 1, 5, 13]:
-        jumped = jump(s0, powers, steps)
-        assert np.abs(jumped.vector - traj.snapshots[steps]).max() < 1e-12
-    with pytest.raises(ValueError):
-        jump(s0, powers, 16)
-    with pytest.raises(ValueError):
-        checkpoint_powers(prop, 0)
+def two_chain_state(P):
+    return SpinorFockState(amps_e=np.linspace(1.0, 0.1, P + 1) * np.exp(0.3j),
+                           amps_g=np.linspace(-0.2, 0.5, P + 1) + 0.1j)
+
+
+@pytest.mark.parametrize("state", ["chain A", "both"])
+def test_advance_matches_stepping(state):
+    # step counts that end on the first row of a block, inside one, on a
+    # block's last row and one past it
+    counts = [0, 1, 62, 63, 64, 65, 126, 127, 128, 200]
+    q, cfg, prop = build(FIG2, 10, dt=0.05, steps=max(counts))
+    s0 = fock_state(0, "e", 10) if state == "chain A" else two_chain_state(10)
+    rows = stepped_states(s0, prop, cfg, q)
+    dense = [s0.vector]
+    for _ in range(max(counts)):
+        dense.append(prop.matrix @ dense[-1])
+    inverse = np.argsort(q.order)
+    for k in counts:
+        got = advance(s0, prop, PropagatorConfig(dt=cfg.dt, steps=k), q)
+        assert got.vector.tobytes() == rows[k][inverse].tobytes(), k
+        assert np.abs(got.vector - dense[k]).max() < 1e-12, k
+    # advancing in two legs is advancing once, bit for bit
+    for k1, k2 in [(0, 65), (1, 62), (63, 64), (64, 136), (127, 73)]:
+        half = advance(s0, prop, PropagatorConfig(dt=cfg.dt, steps=k1), q)
+        both = advance(half, prop, PropagatorConfig(dt=cfg.dt, steps=k2), q)
+        assert both.vector.tobytes() == rows[k1 + k2][inverse].tobytes(), (k1, k2)
+    with pytest.raises(ValueError, match="fingerprint"):
+        advance(s0, prop, PropagatorConfig(dt=0.1, steps=5), q)
 
 
 @pytest.mark.parametrize("spin, empty", [("e", slice(11, 22)), ("g", slice(0, 11))])
-def test_jump_skips_the_empty_chain_without_changing_a_bit(monkeypatch, spin, empty):
+def test_advance_skips_the_empty_chain_without_changing_a_bit(monkeypatch, spin, empty):
     q, cfg, prop = build(FIG2, 10, dt=0.05)
     s0 = fock_state(0, spin, 10)  # chain A for e, chain B for g
-    powers = checkpoint_powers(prop, 4)
-    skipped = [jump(s0, powers, steps).vector for steps in (1, 5, 13)]
+    counts = (1, 5, 13, 130)
+
+    def run():
+        return [advance(s0, prop, PropagatorConfig(dt=cfg.dt, steps=k), q).vector
+                for k in counts]
+
+    skipped = run()
     monkeypatch.setattr(sbprop.propagator, "occupied_chains",
                         lambda y: slice(0, 2))
-    full = [jump(s0, powers, steps).vector for steps in (1, 5, 13)]
+    full = run()
     for a, b in zip(skipped, full):
         assert np.array_equal(a, b) and not a[q.order[empty]].any()
 
 
 @pytest.mark.parametrize("P, N", [(0, 30), (1, 30), (20, 5), (20, 30)])
-def test_checkpoint_powers_are_the_chain_blocks_of_dense_powers(P, N):
+def test_chain_blocks_of_m_are_the_dense_matrix_in_chain_order(P, N):
+    # band half-width min(N, P): 0, 1, N < P and N > P
     q, cfg, prop = build(FIG2, P, dt=0.002, N=N, tol=1e-6)
     n = P + 1
-    powers = checkpoint_powers(prop, 3)
     dense = prop.matrix[np.ix_(q.order, q.order)]  # chain order
-    # M's blocks are gathered from the band, so they are exact
-    assert np.array_equal(powers[0], [dense[:n, :n], dense[n:, n:]])
-    for power in powers:
-        assert power.shape == (2, n, n)
-        assert not dense[:n, n:].any() and not dense[n:, :n].any()
-        assert np.abs(power[0] - dense[:n, :n]).max() < 1e-14
-        assert np.abs(power[1] - dense[n:, n:]).max() < 1e-14
-        dense = dense @ dense
+    assert not dense[:n, n:].any() and not dense[n:, :n].any()
+    # the blocks are gathered from the band, so they are exact
+    blocks = chain_block(prop.band.reshape(2, n, -1))
+    assert np.array_equal(blocks, [dense[:n, :n], dense[n:, n:]])
 
 
 def test_runaway_growth_raises_with_the_step_index():
@@ -369,6 +394,9 @@ def test_non_finite_state_names_the_first_bad_step_inside_a_block():
         assert first <= 400 and first % (BLOCK_ROWS - 1) > 1
         with pytest.raises(NonFiniteState) as exc:
             evolve(fock_state(0, spin, 50), prop, cfg, q)
+        assert exc.value.step == first, spin
+        with pytest.raises(NonFiniteState) as exc:
+            advance(fock_state(0, spin, 50), prop, cfg, q)
         assert exc.value.step == first, spin
 
 
@@ -452,8 +480,7 @@ def test_single_chain_steps_match_the_both_chain_kernel_bitwise(params, P, state
           "both": SpinorFockState.from_vector(
               (fock_state(0, "e", P).vector + fock_state(0, "g", P).vector)
               / np.sqrt(2.0))}[state]
-    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
-    got = traj.snapshots[:, q.order]  # chain order
+    got = stepped_states(s0, prop, cfg, q)
     want = both_chain_steps(prop, q.order, s0.vector[q.order], steps)
     n = P + 1
     occupied = {"chain A": [0], "chain B": [1], "both": [0, 1]}[state]
@@ -476,28 +503,27 @@ def test_tiled_steps_match_the_per_row_kernel(params, P, steps, spin):
     q = build_transfer_matrix(params, Truncation(P=P))
     q, cfg, prop = build(params, P, dt=suggest_step(q), steps=steps)
     if spin == "both":
-        s0 = SpinorFockState(amps_e=np.linspace(1.0, 0.1, P + 1) * np.exp(0.3j),
-                             amps_g=np.linspace(-0.2, 0.5, P + 1) + 0.1j)
+        s0 = two_chain_state(P)
     else:
         s0 = fock_state(0, spin, P)
-    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    got = stepped_states(s0, prop, cfg, q)
     want = per_row_steps(prop, s0.vector[q.order], steps)
     scale = np.abs(want).max(axis=1)
-    assert np.all(np.abs(traj.snapshots[:, q.order] - want).max(axis=1) <= 1e-13 * scale)
+    assert np.all(np.abs(got - want).max(axis=1) <= 1e-13 * scale)
 
 
 def test_block_recording_matches_a_per_step_oracle():
     steps = 3 * BLOCK_ROWS + 5
     q, cfg, prop = build(FIG2, 10, dt=0.05, steps=steps)
-    s0 = SpinorFockState(amps_e=np.linspace(1.0, 0.1, 11) * np.exp(0.3j),
-                         amps_g=np.linspace(-0.2, 0.5, 11) + 0.1j)
-    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    s0 = two_chain_state(10)
+    traj = evolve(s0, prop, cfg, q)
     assert len(traj) == steps + 1
+    states = stepped_states(s0, prop, cfg, q)
 
     m, w, y = prop.matrix, ObservableWeights(10), s0.vector
     expected = []
     for k in range(steps + 1):
-        assert np.allclose(traj.snapshots[k], y, rtol=0.0, atol=1e-12)
+        assert np.allclose(states[k], y[q.order], rtol=0.0, atol=1e-12)
         energy = energy_expectation(SpinorFockState.from_vector(y), q).real
         expected.append((k * cfg.dt, *w.measure(y), energy))
         y = m @ y
@@ -520,31 +546,24 @@ def test_trimmed_step_band_matches_the_full_band_dense_oracle(params, P, steps):
     assert 0.0 < prop.dropped_norm < 1e-15
 
     s0 = fock_state(0, "e", P)
-    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    traj = evolve(s0, prop, cfg, q)
+    states = stepped_states(s0, prop, cfg, q)
     m, weights, y = prop.matrix, ObservableWeights(P), s0.vector
     for k in range(steps + 1):
-        assert np.abs(traj.snapshots[k] - y).max() < 1e-12
+        assert np.abs(states[k] - y[q.order]).max() < 1e-12
         n_raw, sz_raw = weights.measure(y)[1:3]
         assert abs(traj.n_raw[k] - n_raw) < 1e-12 * max(1.0, n_raw)
         assert abs(traj.sz_raw[k] - sz_raw) < 1e-12
         y = m @ y
 
 
-def test_strided_snapshots_are_rows_of_the_stride_one_run():
-    q, cfg, prop = build(FIG2, 10, dt=0.05, steps=3 * BLOCK_ROWS + 5)
-    s0 = fock_state(1, "g", 10)
-    every = evolve(s0, prop, cfg, q, snapshot_stride=1)
-    some = evolve(s0, prop, cfg, q, snapshot_stride=7)
-    assert np.array_equal(some.snapshots, every.snapshots[::7])
-    assert np.array_equal(some.snapshot_times, every.times[::7])
-    assert np.array_equal(some.n_raw, every.n_raw)
-
-
 def test_zero_steps_give_one_row():
     q, cfg, prop = build(FIG2, 6, dt=0.05, steps=0)
-    traj = evolve(fock_state(0, "e", 6), prop, cfg, q, snapshot_stride=3)
-    assert len(traj) == 1 and traj.snapshots.shape == (1, 14)
+    traj = evolve(fock_state(0, "e", 6), prop, cfg, q)
+    assert len(traj) == 1
     assert (traj.times[0], traj.norm2[0], traj.sz_raw[0]) == (0.0, 1.0, 1.0)
+    s0 = two_chain_state(6)
+    assert advance(s0, prop, cfg, q).vector.tobytes() == s0.vector.tobytes()
 
 
 def test_mismatched_propagator_is_refused():
@@ -578,9 +597,6 @@ def test_config_validation():
             PropagatorConfig(dt=0.1, steps=1, N=N)
     with pytest.raises(ValueError):
         PropagatorConfig(dt=0.1, steps=1, tol=-1e-12)
-    q, cfg, prop = build(FIG2, 4, dt=0.05)
-    with pytest.raises(ValueError):
-        evolve(fock_state(0, "e", 4), prop, cfg, q, snapshot_stride=-1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -606,7 +622,7 @@ def test_overflowing_norm_of_finite_amplitudes_is_not_a_failure():
     # norm2 column is not finite, yet the exact scan finds nothing to refuse
     q, cfg, prop = build(FIG2, 10, dt=0.05, steps=3 * BLOCK_ROWS + 5)
     s0 = SpinorFockState(amps_e=np.full(11, 1e160), amps_g=np.full(11, -1e160j))
-    traj = evolve(s0, prop, cfg, q, snapshot_stride=1)
+    traj = evolve(s0, prop, cfg, q)
     assert len(traj) == cfg.steps + 1
     assert np.all(traj.norm2 == np.inf)
-    assert np.isfinite(traj.snapshots).all()
+    assert np.isfinite(advance(s0, prop, cfg, q).vector).all()
