@@ -10,7 +10,8 @@ File layout, format version 2 (little-endian throughout):
     bytes 24..31  step size dt (f64)
     bytes 32..39  fingerprint (u64)
     bytes 40..47  last_term_norm (f64, NaN when not known)
-    bytes 48..55  unitarity_defect (f64, NaN for dissipative builds)
+    bytes 48..55  unitarity_defect of the band that evolve steps with
+                  (f64, NaN for dissipative builds)
     bytes 56..63  zero padding
     then the chain-order band of M (see model), dim*(2h+1) complex
          doubles, row-major, re/im interleaved, h = min(N, dim/2 - 1)

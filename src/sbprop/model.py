@@ -23,12 +23,14 @@ the step propagator M with h = min(N, P).  chain_block writes the dense
 block of a chain from its band rows; it is how every dense chain block in
 the package is formed (the eigensolves of Q).  M is only ever applied
 through its band, never as dense blocks.  The other band helpers map band
-storage to and from the dense block layout.
+storage to and from the dense block layout.  small_ufunc_buffer is the
+one place the package sets numpy's ufunc buffer size.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +48,15 @@ __all__ = [
     "chain_order",
     "occupied_chains",
     "hermiticity_check",
+    "small_ufunc_buffer",
 ]
+
+# The ufunc buffer, in elements, inside small_ufunc_buffer.  numpy sets up
+# operand buffers of this size for a call over strided operands (the Taylor
+# build's sliding-window rows, a Sturm sweep's ring block); at its default
+# of 8192 that is up to 192 kB per call, which can cost more than the
+# call's arithmetic.  Buffers do not change a result.
+UFUNC_BUFSIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -310,3 +320,14 @@ def hermiticity_check(q: TransferMatrix) -> float:
     break the symmetry.
     """
     return float(np.abs(q.diag - q.diag.conj()).max())
+
+
+@contextmanager
+def small_ufunc_buffer():
+    """Run the block with numpy's ufunc buffer at UFUNC_BUFSIZE elements,
+    and give the caller's size back on the way out, on error as well."""
+    old = np.setbufsize(UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)

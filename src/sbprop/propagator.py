@@ -2,22 +2,24 @@
 
 M(dt) = sum_{n=0}^{N} (-i dt)^n / n! Q^n, accumulated with the running-term
 recurrence term_{n+1} = term_n (-i dt/(n+1)) Q.  The max-norm of the last
-included term and, for Hermitian Q, the unitarity defect are the build
-certificates; `certify` refuses a propagator whose certificates exceed the
-bounds for the requested tolerance rather than silently degrading, on a
-fresh build and on a cache hit alike.  One M is reused across every
-initial state and every step of a run.
+included term and, for Hermitian Q, the unitarity defect of the band
+evolve steps with are the build certificates; `certify` refuses a
+propagator whose certificates exceed the bounds for the requested
+tolerance rather than silently degrading, on a fresh build and on a cache
+hit alike.  One M is reused across every initial state and every step of
+a run.
 
 Q is tridiagonal in chain order (see model), so Q^n has half-bandwidth n
 and M has half-bandwidth h = min(N, P) there: it is held in band storage
 band[i, k] = M[i, i + k - h] (chain slots), which makes the build
 O(N^2 P) and each step O(N P).  The build works diagonal-major, one
 contiguous row per diagonal, and term n only on its own diagonals
-h-n..h+n.  The unitarity defect is measured in long contiguous passes
-over M's columns, O(h) array operations in all.  The outer diagonals of
-M fall below double precision long before h, so evolve steps with the
-narrower band that holds every entry above eps * max|M|.  The dense
-block-layout M is only built for callers that ask for `.matrix`.
+h-n..h+n.  The outer diagonals of M fall below double precision long
+before h, so evolve steps with the narrower band, half-width w, that
+holds every entry above eps * max|M|.  The unitarity defect is measured
+over that band, in long contiguous passes over its columns: O(w) array
+operations, each over O(w P) entries.  The dense block-layout M is only
+built for callers that ask for `.matrix`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import CacheEntry, propagator_fingerprint
-from .model import TransferMatrix, band_half_width, occupied_chains
+from .model import TransferMatrix, band_half_width, occupied_chains, small_ufunc_buffer
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -95,7 +97,8 @@ class NotConverged(RuntimeError):
 
 
 class NotUnitary(RuntimeError):
-    """A Hermitian propagator whose M+M is too far from the identity."""
+    """A Hermitian propagator too far from unitary: S+S - 1 is above the
+    bound in max-norm, S the band of M that evolve steps with."""
 
     def __init__(self, defect: float, bound: float, dt: float, N: int):
         self.defect = defect
@@ -212,10 +215,13 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     The division by n is a multiplication by the complex 1/n + 0j, which
     numpy's division by n + 0j also forms, so every nonzero entry has the
     bits a division gives; only the sign of a zero can differ, and M never
-    holds a -0.  M is transposed to the row-major band once, at the end.
-    For Hermitian Q the unitarity defect max|M+M - 1| is measured once at
-    build time (_unitarity_defect) and carried on the result; both
-    certificates are enforced (certify).
+    holds a -0.  M is transposed to the row-major band once, at the end,
+    and cut to the step band S that evolve applies (_trim).  For Hermitian
+    Q the unitarity defect max|S+S - 1| is then measured once
+    (_unitarity_defect) and carried on the result; both certificates are
+    enforced (certify).  The loop and the defect run under
+    model.small_ufunc_buffer: their operands are strided windows, and
+    numpy's default buffers for them cost more than they save.
     """
     dim = q.dim
     h = band_half_width(dim, cfg.N)
@@ -228,7 +234,7 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     # A diverging series, or a Q whose entries overflowed, overflows on its
     # way; certify reports it once, as a last term that is not finite, so
     # the numpy warnings are only noise.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
         # [lo, d, up][k, i] = -i dt times Q[j-1, j], Q[j, j] and Q[j+1, j]
         # at slot j = i + k - h, zero outside Q (Q is symmetric off its
         # diagonal): views of the padded rows, each row contiguous
@@ -251,10 +257,11 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
         del term, nxt, tmp
         band = np.ascontiguousarray(m.T)
         del m
-        defect = _unitarity_defect(band) if q.hermitian else None
-    fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)
-    prop = StepPropagator(band=band, fingerprint=fp, dt=cfg.dt, N=cfg.N,
-                          last_term_norm=last, unitarity_defect=defect)
+        fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)
+        prop = StepPropagator(band=band, fingerprint=fp, dt=cfg.dt, N=cfg.N,
+                              last_term_norm=last)
+        if q.hermitian:
+            prop.unitarity_defect = _unitarity_defect(prop.step_band)
     certify(prop, q, cfg)
     return prop
 
@@ -268,9 +275,14 @@ def certify(prop: CacheEntry, q: TransferMatrix, cfg: PropagatorConfig) -> None:
     ||T A||_max <= ||T||_max ||A||_1, so the tail sum_{k>N} (Q dt)^k/k!
     has max-norm at most last * (a/(N+1)) / (1 - r); for r >= 1 there is
     no bound, and prop is refused (Al-Mohy & Higham, SIAM J. Sci. Comput.
-    33(2), 2011).  The unitarity defect must be at most UNITARITY_TOL, or
-    cfg.tol when that is looser: accepting a truncation error of tol per
-    step accepts about as much loss of unitarity (NotUnitary).  A tol of 1
+    33(2), 2011).  The unitarity defect, max|S+S - 1| over the step band S
+    that evolve applies, must be at most UNITARITY_TOL, or cfg.tol when
+    that is looser: accepting a truncation error of tol per step accepts
+    about as much loss of unitarity (NotUnitary).  It certifies all of M
+    as well: M+M - S+S is S+D + D+S + D+D for the dropped diagonals D,
+    whose entries lie below eps * max|M|, so the two defects differ by at
+    most 2(h - w) dropped_norm (2 max|M| + dropped_norm): 1.3e-14 or less
+    on the shipped configs, far below any bound.  A tol of 1
     or more accepts a last term as large as the entries of a unitary M, so
     it certifies no defect, which is then only recorded.  The last term
     can be tiny while the defect is not: at large dt*|Q| the terms grow by
@@ -298,14 +310,15 @@ def certify(prop: CacheEntry, q: TransferMatrix, cfg: PropagatorConfig) -> None:
 def _unitarity_defect(band: np.ndarray) -> float:
     """max|M+M - 1| from the band of M, one diagonal of M+M at a time.
 
-    M's columns are copied once, one strided slice of the band per row
-    t, into col[t, j] = M[j + t - h, j], whose rows are zero-padded to
-    stride s = dim + 2h + 1.  (M+M)[j, j+o] = sum over t >= o of
-    conj(col[t, j]) col[t - o, j + o], and col[t - o, j + o] lies
-    o (s - 1) places before col[t, j] in the flat array, so offset o is
-    one flat product of two equally long runs of it, summed over t in
-    row order into a length-s vector.  The entries below the diagonal
-    mirror these.
+    M is whatever operator the band holds; the build passes its step band
+    S (see build_step_propagator).  M's columns are copied once, one
+    strided slice of the band per row t, into col[t, j] = M[j + t - h, j],
+    whose rows are zero-padded to stride s = dim + 2h + 1.
+    (M+M)[j, j+o] = sum over t >= o of conj(col[t, j]) col[t - o, j + o],
+    and col[t - o, j + o] lies o (s - 1) places before col[t, j] in the
+    flat array, so offset o is one flat product of two equally long runs
+    of it, summed over t in row order into a length-s vector.  The entries
+    below the diagonal mirror these.
     """
     dim, width = band.shape
     h = width // 2

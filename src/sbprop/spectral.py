@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (ModelParams, TransferMatrix, Truncation, build_transfer_matrix,
-                    chain_block, chain_order, hermiticity_check, occupied_chains)
+                    chain_block, chain_order, hermiticity_check, occupied_chains,
+                    small_ufunc_buffer)
 from .states import SpinorFockState
 from .trajectory import Trajectory, TrajectoryBuilder
 
@@ -65,11 +66,6 @@ UNBOUNDED_SLOPE = 1e-3    # in units of omega_f, sign-flipped below
 # Pivot rows one Sturm sweep holds at once.  Their negatives are counted
 # whenever the ring is full; a larger ring only adds memory.
 SWEEP_ROWS = 8
-# The ufunc buffer, in elements, during a sweep.  numpy sets up operand
-# buffers of this size for a call over a strided block; at its default of
-# 8192 that is up to 192 kB per call, which costs more than the
-# arithmetic of a ring block (buffers do not change a result).
-SWEEP_BUFSIZE = 1024
 # Shifts one sweep of the ground-state scan probes inside each bracket.
 PROBES = 7
 # lowest_energies tests a Sturm midpoint only where its two levels lie
@@ -486,7 +482,10 @@ def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarra
     negatives.  It runs over every column its first slot touches; a
     column's pivots past its own last slot are masked out of the count.
     The calls are planned once, so that a multisection pays for each of
-    its sweeps in ufunc calls alone.
+    its sweeps in ufunc calls alone.  A sweep runs under
+    model.small_ufunc_buffer: at numpy's default buffer size, setting up
+    the buffers of a call over a strided ring block costs more than the
+    block's arithmetic.
     """
     n, cols = a.shape[1], x.shape[1]
     b2 = b * b
@@ -527,20 +526,16 @@ def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarra
 
     def sweep() -> np.ndarray:
         below = np.zeros((2, cols), dtype=np.int64)
-        bufsize = np.setbufsize(SWEEP_BUFSIZE)
-        try:
-            # b^2 / +0 is the +inf wanted, so the next pivot is -inf, and
-            # so is b^2 over a pivot too small for the quotient to be finite
-            with np.errstate(divide="ignore", over="ignore"):
-                for calls, k, ring, flags, stopping, counted in blocks:
-                    for f, u, v, out in calls:
-                        f(u, v, out)
-                    np.less(ring, 0.0, out=flags)
-                    stopping &= counted
-                    # at most SWEEP_ROWS per block, so a byte holds the sum
-                    below[:, :k] += flags.view(np.uint8).sum(axis=0, dtype=np.uint8)
-        finally:
-            np.setbufsize(bufsize)
+        # b^2 / +0 is the +inf wanted, so the next pivot is -inf, and so is
+        # b^2 over a pivot too small for the quotient to be finite
+        with small_ufunc_buffer(), np.errstate(divide="ignore", over="ignore"):
+            for calls, k, ring, flags, stopping, counted in blocks:
+                for f, u, v, out in calls:
+                    f(u, v, out)
+                np.less(ring, 0.0, out=flags)
+                stopping &= counted
+                # at most SWEEP_ROWS per block, so a byte holds the sum
+                below[:, :k] += flags.view(np.uint8).sum(axis=0, dtype=np.uint8)
         return below
 
     return sweep

@@ -42,11 +42,14 @@ class TrajectoryBuilder:
 
     The recorded vectors are in chain order (see model.chain_order); they
     are measured, not kept (propagator.advance returns a state).  With q
-    given, record() also measures the energy Re <y|Q|y>; q is kept, so
-    evolve can refuse a builder made for another Q.
+    given, record() also measures the energy Re <y|Q|y>; q must be
+    truncated at the builder's P (ValueError), and is kept, so evolve can
+    refuse a builder made for another Q.
     """
 
     def __init__(self, P: int, count: int, q: TransferMatrix | None = None):
+        if q is not None and q.trunc.P != P:
+            raise ValueError(f"q is truncated at P = {q.trunc.P}, the builder at P = {P}")
         order = chain_order(P)
         n = P + 1
         w = ObservableWeights(P)
@@ -115,8 +118,12 @@ class TrajectoryBuilder:
         index; each chain's slots in a row must be contiguous.  Only the
         given chains are measured: the others must be exactly zero.  t
         holds one value per row; energy_re too, or one constant, or None
-        to measure it with q.  Returns the recorded norm2 values.
+        to measure it with q (ValueError for a builder made without q).
+        Returns the recorded norm2 values.
         """
+        if energy_re is None and self.q is None:
+            raise ValueError("energy_re=None measures the energy with q, and this "
+                             "builder was made without q")
         block = block.reshape(block.shape[0], 2, -1)
         rows = slice(k0, k0 + block.shape[0])
         cols = self._measure(block, chains)

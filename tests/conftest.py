@@ -4,6 +4,8 @@ Every test session gets a throwaway propagator cache directory so tests
 never read or pollute the user's real store, and repeated runs inside one
 session still exercise the hit path.  `write_v1_entry` writes a cache file
 in the retired format 1 by hand, which the store refuses.
+`caller_bufsize` sets a ufunc buffer size of the test's own, for tests
+that check the package gives it back.
 """
 
 import hashlib
@@ -48,3 +50,12 @@ def _write_v1_entry(path: Path, fingerprint: int, dim: int, N: int, dt: float,
 @pytest.fixture
 def write_v1_entry():
     return _write_v1_entry
+
+
+@pytest.fixture
+def caller_bufsize():
+    """A ufunc buffer size that is neither numpy's default nor the one
+    model.small_ufunc_buffer sets; numpy's own is restored afterwards."""
+    old = np.setbufsize(4096)
+    yield 4096
+    np.setbufsize(old)

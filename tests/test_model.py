@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbprop import ModelParams, Truncation, build_transfer_matrix, hermiticity_check
-from sbprop.model import chain_block
+from sbprop.model import UFUNC_BUFSIZE, chain_block, small_ufunc_buffer
 
 
 def interleaved_reference(params: ModelParams, P: int) -> np.ndarray:
@@ -203,3 +203,11 @@ def test_reference_agreement_property(omega_f, omega_0, g_minus, g_plus,
     assert np.array_equal(q.matrix, to_block_order(interleaved_reference(params, P), P))
     if params.is_hermitian():
         assert hermiticity_check(q) == 0.0
+
+
+def test_small_ufunc_buffer_gives_the_caller_its_size_back_on_error(caller_bufsize):
+    with pytest.raises(ZeroDivisionError):
+        with small_ufunc_buffer():
+            assert np.getbufsize() == UFUNC_BUFSIZE
+            1 / 0
+    assert np.getbufsize() == caller_bufsize

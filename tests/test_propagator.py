@@ -14,6 +14,7 @@ from sbprop import (
     ObservableWeights,
     NonFiniteState,
     NotConverged,
+    NotUnitary,
     PropagatorConfig,
     SpinorFockState,
     Truncation,
@@ -28,8 +29,8 @@ from sbprop import (
     suggest_step,
 )
 from sbprop.cli import _prepare
-from sbprop.model import band_half_width, band_to_dense, chain_block
-from sbprop.propagator import BLOCK_ROWS, TILE_ROWS, _stepped_blocks, _unitarity_defect
+from sbprop.model import UFUNC_BUFSIZE, band_half_width, band_to_dense, chain_block
+from sbprop.propagator import BLOCK_ROWS, TILE_ROWS, _stepped_blocks, _trim, _unitarity_defect
 from sbprop.trajectory import TrajectoryBuilder
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
@@ -134,11 +135,27 @@ def assert_defect_agrees(prop):
     return value
 
 
+def assert_stepped_defect_certifies_m(prop):
+    # M = S + D, S the step band and D the diagonals _trim drops, so
+    # M+M - S+S = S+D + D+S + D+D.  An entry of A+B is at most max|A|
+    # times a column 1-norm of B, and a column of D meets at most 2(h - w)
+    # dropped diagonals, each entry at most dropped_norm.  Each measured
+    # defect also carries the rounding of its sums (assert_defect_agrees).
+    full, stepped = _unitarity_defect(prop.band), _unitarity_defect(prop.step_band)
+    width, kept = prop.band.shape[1], prop.step_band.shape[1]
+    column = (width - kept) * prop.dropped_norm
+    exact = column * (2.0 * np.abs(prop.band).max() + prop.dropped_norm)
+    rounding = 2 * width * np.finfo(float).eps * max(1.0, full)
+    assert abs(full - stepped) <= exact + rounding
+    return full, stepped
+
+
 def full_width_build(q, cfg):
     """The Taylor loop build_step_propagator ran before it held M
     diagonal-major: every order over the whole row-major (dim, 2h+1)
     band, a new array per product.  Returns the band, the last term's
-    max-norm and the unitarity defect (None for dissipative Q)."""
+    max-norm and the unitarity defect of the step band _trim cuts from it
+    (None for dissipative Q)."""
     h = band_half_width(q.dim, cfg.N)
     width = 2 * h + 1
     term = np.zeros((q.dim, width), dtype=np.complex128)
@@ -154,7 +171,7 @@ def full_width_build(q, cfg):
             term = nxt / n
             m += term
         last = float(np.abs(term).max())
-        defect = _unitarity_defect(m) if q.hermitian else None
+        defect = _unitarity_defect(_trim(m)[0]) if q.hermitian else None
     return m, last, defect
 
 
@@ -175,12 +192,61 @@ def assert_built_as_the_full_width_loop(q, cfg):
     assert prop.last_term_norm == last
     assert prop.unitarity_defect == defect
     assert_defect_agrees(prop)
+    return assert_stepped_defect_certifies_m(prop)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_shipped_builds_are_the_full_width_loop_bytes(config_dir, name):
     q, cfg = _prepare(load_run_config(config_dir / f"{name}.cfg", []))
-    assert_built_as_the_full_width_loop(q, cfg)
+    # on every shipped config the step band's defect is all of M's, to the bit
+    full, stepped = assert_built_as_the_full_width_loop(q, cfg)
+    assert full == stepped
+
+
+def test_build_measures_the_defect_over_the_step_band(monkeypatch):
+    seen = []
+
+    def spy(band):
+        seen.append((band, np.getbufsize()))
+        return _unitarity_defect(band)
+
+    monkeypatch.setattr(sbprop.propagator, "_unitarity_defect", spy)
+    _, _, prop = build(FIG2, 50, dt=0.05)
+    [(band, bufsize)] = seen
+    assert band is prop.step_band
+    assert band.shape[1] < prop.band.shape[1]
+    assert bufsize == UFUNC_BUFSIZE
+    # a dissipative build measures none
+    seen.clear()
+    _, _, damped = build(DAMPED, 50, dt=0.05)
+    assert seen == [] and damped.unitarity_defect is None
+
+
+def test_a_build_whose_stepped_defect_is_not_that_of_m():
+    # the outer diagonals _trim drops add products of about 1e-16 to the
+    # sums of M+M, and here they move its largest entry by 3.2e-17
+    q = build_transfer_matrix(ModelParams(omega_f=1.0, omega_0=1.899, g_minus=1.707,
+                                          g_plus=0.3), Truncation(P=21))
+    prop = build_step_propagator(q, PropagatorConfig(dt=0.003125, steps=1, N=10))
+    assert (prop.band.shape[1], prop.step_band.shape[1]) == (21, 15)
+    full, stepped = assert_stepped_defect_certifies_m(prop)
+    assert prop.unitarity_defect == stepped == 2.5407226475359564e-16
+    assert full == 2.2206537962885773e-16
+
+
+@pytest.mark.parametrize("sets, refusal", [([], None), (["dt=1e10"], NotConverged),
+                                            (["dt=0.5", "N=150"], NotUnitary)],
+                         ids=["accepted", "not_converged", "not_unitary"])
+def test_build_gives_the_caller_its_ufunc_buffer_back(config_dir, caller_bufsize, sets,
+                                                      refusal):
+    q, cfg = _prepare(load_run_config(config_dir / "fig2.cfg", sets))
+    try:
+        build_step_propagator(q, cfg)
+    except (NotConverged, NotUnitary) as err:
+        assert type(err) is refusal
+    else:
+        assert refusal is None
+    assert np.getbufsize() == caller_bufsize
 
 
 @pytest.mark.parametrize("params", [FIG2, DEEP, DAMPED], ids=["fig2", "deep", "damped"])

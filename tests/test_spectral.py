@@ -243,6 +243,11 @@ def test_gs_scan_flags_deep_strong_coupling_as_unbounded():
     assert np.all(np.diff(result.e0) < 0.0)
 
 
+def test_gs_scan_gives_the_caller_its_ufunc_buffer_back(caller_bufsize):
+    gs_scan(FIG2, [4, 8, 12])
+    assert np.getbufsize() == caller_bufsize
+
+
 def test_gs_scan_tiny_exact_case():
     # P=0 and P=1 share E0 = -omega_0/2 exactly in the photon-conserving
     # model, so the scan must classify Converged with a zero-width plateau

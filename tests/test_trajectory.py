@@ -175,3 +175,16 @@ def test_each_chain_is_measured_on_its_own_and_the_results_added(P):
         assert np.array_equal(columns(zero, slice(c, c + 1)), columns(zero, slice(0, 2)))
     # (rows, dim) and (rows, 2, n) are the same rows
     assert columns(y.reshape(9, -1), slice(0, 2)).tobytes() == both.tobytes()
+
+
+def test_builder_refuses_q_of_another_cutoff_and_an_energy_it_cannot_measure():
+    q10 = build_transfer_matrix(FIG2, Truncation(P=10))
+    with pytest.raises(ValueError, match=r"q is truncated at P = 10, the builder at P = 12"):
+        TrajectoryBuilder(12, 5, q=q10)
+    builder = TrajectoryBuilder(10, 5)
+    y = random_rows(np.random.default_rng(0), 5, q10.dim)
+    with pytest.raises(ValueError, match="made without q"):
+        builder.record(0, np.zeros(5), y)
+    # a given energy is recorded as before
+    builder.record(0, np.zeros(5), y, 0.5)
+    assert np.all(builder.energy_re == 0.5)
