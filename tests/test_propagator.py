@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -14,7 +14,6 @@ from sbprop import (
     ObservableWeights,
     NonFiniteState,
     NotConverged,
-    NotUnitary,
     PropagatorConfig,
     SpinorFockState,
     Truncation,
@@ -123,10 +122,11 @@ def reference_unitarity_defect(band):
 
 def assert_defect_agrees(prop):
     # both sums add the same 2h+1 products per entry of M+M, in another
-    # order; the dense product is the definition itself.  A dissipative M
-    # carries no defect, but its band is measured all the same.
+    # order; the dense product is the definition itself.  The recorded
+    # defect is the step band's; a dissipative M carries none, but its
+    # band is measured all the same.
     value = _unitarity_defect(prop.band)
-    assert prop.unitarity_defect in (None, value)
+    assert prop.unitarity_defect in (None, _unitarity_defect(prop.step_band))
     m = band_to_dense(prop.band)
     dense = float(np.abs(m.conj().T @ m - np.eye(prop.dim)).max())
     bound = prop.band.shape[1] * np.finfo(float).eps * max(1.0, value)
@@ -234,18 +234,12 @@ def test_a_build_whose_stepped_defect_is_not_that_of_m():
     assert full == 2.2206537962885773e-16
 
 
-@pytest.mark.parametrize("sets, refusal", [([], None), (["dt=1e10"], NotConverged),
-                                            (["dt=0.5", "N=150"], NotUnitary)],
-                         ids=["accepted", "not_converged", "not_unitary"])
-def test_build_gives_the_caller_its_ufunc_buffer_back(config_dir, caller_bufsize, sets,
-                                                      refusal):
-    q, cfg = _prepare(load_run_config(config_dir / "fig2.cfg", sets))
-    try:
-        build_step_propagator(q, cfg)
-    except (NotConverged, NotUnitary) as err:
-        assert type(err) is refusal
-    else:
-        assert refusal is None
+def test_build_gives_the_caller_its_ufunc_buffer_back(config_dir, caller_bufsize):
+    # certify refuses a build only after the buffer is given back, so an
+    # accepted build covers the refused ones; an error inside the helper
+    # is test_model's
+    q, cfg = _prepare(load_run_config(config_dir / "fig2.cfg", []))
+    build_step_propagator(q, cfg)
     assert np.getbufsize() == caller_bufsize
 
 
@@ -260,6 +254,8 @@ def test_clipped_band_builds_are_the_full_width_loop_bytes(params, P, N):
 
 
 @settings(max_examples=40, deadline=None)
+# the pinned build whose stepped defect is not that of M
+@example(omega_0=1.899, g_minus=1.707, g_plus=0.3, damping=0.0, P=21, N=10, dt=0.003125)
 @given(
     omega_0=st.floats(min_value=-2.0, max_value=2.0),
     g_minus=st.floats(min_value=0.0, max_value=2.0),
