@@ -1,15 +1,20 @@
 """Command-line harness: evolve | compare | spectrum | gs-scan | cache.
 
-Exit codes: 0 success, 1 usage/config error or an OS error such as
+Exit codes: 0 success, 1 usage/config error, an OS error such as
 unwritable output (a closed stdout pipe included) or a cache file that
-cannot be removed, 2 numerical failure (no acceptable dt, series not
-converged, propagator not unitary, non-finite amplitudes, eigensolver
-checks refused), 3 method comparison above tolerance.
+cannot be removed, or an allocation that fails (MemoryError), 2 numerical
+failure (no acceptable dt, series not converged, propagator not unitary,
+non-finite amplitudes, eigensolver checks refused), 3 method comparison
+above tolerance.
+
+`main` may be called any number of times in one process.  It builds its
+parser on the first call and reuses it; nothing else is kept between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -62,7 +67,9 @@ def build_parser() -> _Parser:
     run_flags = _Parser(add_help=False)
     run_flags.add_argument("--config", metavar="PATH",
                            help="flat key=value config file")
-    run_flags.add_argument("--set", action="append", default=[],
+    # default None, not a list: the parser main reuses shares its defaults
+    # with every Namespace it returns
+    run_flags.add_argument("--set", action="append", default=None,
                            metavar="KEY=VALUE",
                            help="override one config key (repeatable)")
     run_flags.add_argument("--out", metavar="PATH",
@@ -94,6 +101,14 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=["list", "info", "clear"])
     p.set_defaults(func=cmd_cache)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser(), built on the first main call and reused by every
+    later one: parsing leaves the parser as it was, and no default is a
+    mutable object, so one call's arguments cannot reach the next."""
+    return build_parser()
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
@@ -324,7 +339,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as err:
@@ -345,6 +360,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         # ConfigError, TailMassTooLarge and NonHermitianInput among them
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as err:
+        # numpy's names the array it could not allocate; a bare one is empty
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as err:
         # NotConverged, NotUnitary, NonFiniteState, and the refusals of

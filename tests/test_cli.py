@@ -993,3 +993,151 @@ def test_closed_stdout_pipe_exits_1_quietly(config_dir):
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err == ""
+
+
+def package_env():
+    """The environment of a child Python that imports this sbprop."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(sbprop.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's shared parser dropped before and after the test."""
+    sbprop.cli._parser.cache_clear()
+    yield
+    sbprop.cli._parser.cache_clear()
+
+
+def test_set_overrides_do_not_leak_into_the_next_call(config_dir, capsys, fresh_parser):
+    argv = ("evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=0")
+    alone = run(capsys, *argv)
+    assert alone == (0, HEADER + "\n0.0,1.0,0.0,0.0,1.0,1.0,0.375,1.0,-1.0\n", "")
+    other = run(capsys, *argv, "--set", "omega_0=1.5", "--set", "g_minus=0.3")
+    assert other[0] == 0 and other != alone
+    assert run(capsys, *argv) == alone
+    # a parse hands out no list the parser keeps
+    parser = sbprop.cli._parser()
+    assert parser.parse_args(["evolve"]).set is None
+    first = parser.parse_args(["evolve", "--set", "a=1"]).set
+    first.append("b=2")
+    assert parser.parse_args(["evolve", "--set", "c=3"]).set == ["c=3"]
+    assert parser.parse_args(["evolve"]).set is None
+
+
+@pytest.mark.parametrize("bad", [
+    ("evolve", "--levels", "3"),    # a flag of another command
+    ("evolve", "--set"),            # a flag without its value
+    ("cache", "nope"),              # a choice not offered
+    ("frobnicate",),                # no such command
+])
+def test_usage_error_leaves_the_next_call_as_it_would_be_alone(config_dir, capsys,
+                                                               fresh_parser, bad):
+    argv = ("evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=0.5")
+    alone = run(capsys, *argv)
+    assert alone[0] == 0
+    refused = run(capsys, *bad)
+    assert refused[0] == 1 and refused[1] == "" and refused[2].startswith("error: ")
+    assert run(capsys, *argv) == alone
+    assert run(capsys, *bad) == refused
+    # the same message as from a parser that never parsed before
+    sbprop.cli._parser.cache_clear()
+    assert run(capsys, *bad) == refused
+
+
+def test_commands_alternating_in_one_process_match_fresh_processes(
+        config_dir, capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    commands = [
+        ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=2"],
+        ["spectrum", "--config", cfg(config_dir, "fig3_P400.cfg"), "--levels", "40"],
+        ["gs-scan", "--config", cfg(config_dir, "fig5a.cfg")],
+        ["cache", "info"],
+        ["cache", "list"],
+    ]
+    assert run(capsys, *commands[0])[0] == 0  # the store holds fig2's entry from here on
+    alone = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "sbprop.cli", *argv],
+                              capture_output=True, text=True, env=package_env(),
+                              timeout=120)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    data = Path(__file__).parent / "data"
+    assert alone[0][1].encode() == (data / "evolve_fig2_tmax2.txt").read_bytes()
+    assert alone[1][1].encode() == (data / "spectrum_fig3_P400_levels40.txt").read_bytes()
+    assert alone[2][1].encode() == (data / "gs_scan_fig5a.txt").read_bytes()
+    assert "\nentries=1 corrupt=0 " in alone[3][1]
+    assert alone[4][1].count("\n") == 1 and " dim=102 N=30 " in alone[4][1]
+    for _ in range(2):
+        for argv, expected in zip(commands, alone):
+            assert run(capsys, *argv) == expected
+
+
+def test_help_exits_0_and_leaves_the_parser_usable(config_dir, capsys, fresh_parser):
+    argv = ("evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=0")
+    alone = run(capsys, *argv)
+    helps = []
+    for flags in (["--help"], ["evolve", "--help"], ["--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(flags)
+        assert exit_.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0].out.startswith("usage: sbprop ") and helps[0].err == ""
+    assert helps[1].out.startswith("usage: sbprop evolve ")
+    assert helps[2] == helps[0]
+    assert run(capsys, *argv) == alone
+
+
+def test_main_builds_one_parser_for_many_calls(config_dir, capsys, monkeypatch,
+                                               fresh_parser):
+    built, original = [], sbprop.cli.build_parser
+
+    def spy():
+        built.append(None)
+        return original()
+
+    monkeypatch.setattr(sbprop.cli, "build_parser", spy)
+    for _ in range(3):
+        assert run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                   "--set", "t_max=0")[0] == 0
+        assert run(capsys, "cache", "info")[0] == 0
+        assert run(capsys, "frobnicate")[0] == 1
+    assert len(built) == 1
+    # the public builder still hands out a new parser on every call
+    assert original() is not original()
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = ("import argparse\n"
+              "built = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "def spy(self, *a, **k):\n"
+              "    built.append(type(self).__name__)\n"
+              "    init(self, *a, **k)\n"
+              "argparse.ArgumentParser.__init__ = spy\n"
+              "import sbprop, sbprop.cli\n"
+              "print(len(built), sbprop.cli._parser.cache_info().currsize)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=package_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 29.1 TiB for an array with shape "
+                 "(2000001, 2000001) and data type float64"),
+     "error: Unable to allocate 29.1 TiB for an array with shape "
+     "(2000001, 2000001) and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_failed_allocation_is_one_error_line(config_dir, capsys, monkeypatch, error,
+                                             line):
+    # the allocation itself is faked: a real one this large may succeed
+    # under overcommit and then fill the machine's memory
+    def allocate(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(sbprop.cli, "lowest_energies", allocate)
+    assert run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg")) == (1, "", line)
+    monkeypatch.setattr(sbprop.cli, "evolve", allocate)
+    assert run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+               "--set", "t_max=0") == (1, "", line)
