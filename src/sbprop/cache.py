@@ -1,25 +1,29 @@
 """On-disk store for step propagators, keyed by a parameter fingerprint.
 
-File layout, format version 2 (little-endian throughout):
+File layout, format version 3 (little-endian throughout):
 
     bytes 0..7    magic "SBPROP01"
-    bytes 8..11   format version (u32, 2)
+    bytes 8..11   format version (u32, 3)
     bytes 12..15  matrix dimension dim (u32)
     bytes 16..19  Taylor order N (u32)
-    bytes 20..23  reserved (zero)
+    bytes 20..23  band half-width w (u32), at most h = min(N, dim/2 - 1)
     bytes 24..31  step size dt (f64)
     bytes 32..39  fingerprint (u64)
     bytes 40..47  last_term_norm (f64, NaN when not known)
-    bytes 48..55  unitarity_defect of the band that evolve steps with
-                  (f64, NaN for dissipative builds)
-    bytes 56..63  zero padding
-    then the chain-order band of M (see model), dim*(2h+1) complex
-         doubles, row-major, re/im interleaved, h = min(N, dim/2 - 1)
+    bytes 48..55  unitarity_defect of the band (f64, NaN for dissipative
+                  builds)
+    bytes 56..63  dropped_norm, the largest row 1-norm of the diagonals
+                  of M beyond w (f64, NaN when not known)
+    then the chain-order band of the step propagator (see model and
+         propagator), dim*(2w+1) complex doubles, row-major, re/im
+         interleaved: 0.50 MB at P = 400 (w = 19), about 2.6 MB at
+         P = 2000 (w = 20)
     then an 8-byte blake2b checksum of header and payload
 
-A file of any other version, version 1 (a dense dim*dim payload) included,
-is refused from its header alone as corrupt; the CLI then rebuilds it and
-overwrites it with version 2, the only version put() writes.
+A file of any other version is refused from its header alone as corrupt:
+version 1 (a dense dim*dim payload) and version 2 (all 2h+1 diagonals of
+M, bytes 20..23 and 56..63 zero).  The CLI then rebuilds it and
+overwrites it with version 3, the only version put() writes.
 
 Fingerprints hash the IEEE-754 bit patterns of the parameters (plus the
 coupling-convention tag), never their decimal text, so 0.1 read from a
@@ -38,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ModelParams, band_from_dense, band_half_width, band_inside, band_to_dense
+from .model import ModelParams, band_from_dense, band_half_width, band_to_dense
 
 __all__ = [
     "CacheCorruptError",
@@ -50,10 +54,10 @@ __all__ = [
 ]
 
 MAGIC = b"SBPROP01"
-VERSION = 2
+VERSION = 3
 HEADER_SIZE = 64
 CHECKSUM_SIZE = 8
-_HEADER = struct.Struct("<8sIIIIdQdd")  # 56 bytes used, zero-padded to 64
+_HEADER = struct.Struct("<8sIIIIdQddd")  # all 64 bytes
 
 # Tags which lowering/raising coupling convention the matrices were built
 # with; bump if the assignment in model.build_transfer_matrix ever changes.
@@ -96,14 +100,17 @@ def default_cache_dir() -> Path:
 
 
 class CacheEntry:
-    """One stored propagator: the chain-order band of M and its certificates.
+    """One stored propagator: its chain-order band and its certificates.
 
-    `matrix=` may be given in place of `band=`; its band is gathered at
-    once (ValueError if it has nonzeros outside the band).  `.matrix` is
-    the dense block-layout view, built on every access.  Header-only
-    listings carry no band, and `.matrix` is then None.  The certificates
-    are None when unknown: for entries stored without them, and where no
-    unitarity defect was measured (dissipative builds).
+    The band has half-width w, at most min(N, P): the step band of
+    propagator.StepPropagator.  `matrix=` may be given in place of
+    `band=`; its band is gathered at once, out to its outermost nonzero
+    diagonal (ValueError if it has nonzeros outside the band of
+    half-width min(N, P)).  `.matrix` is the dense block-layout view,
+    built on every access.  Header-only listings carry no band, only its
+    half-width w, and `.matrix` is then None.  The certificates are None
+    when unknown: for entries stored without them, and where no unitarity
+    defect was measured (dissipative builds).
     propagator.StepPropagator is a CacheEntry, so a built propagator is
     stored as it is.
     """
@@ -112,8 +119,10 @@ class CacheEntry:
                  matrix: np.ndarray | None = None,
                  created_at: float | None = None, *,
                  band: np.ndarray | None = None,
+                 w: int | None = None,
                  last_term_norm: float | None = None,
-                 unitarity_defect: float | None = None):
+                 unitarity_defect: float | None = None,
+                 dropped_norm: float | None = None):
         if matrix is not None:
             if band is not None:
                 raise ValueError("give at most one of matrix and band")
@@ -123,9 +132,11 @@ class CacheEntry:
         self.N = N
         self.dt = dt
         self.band = band
+        self.w = w if band is None else band.shape[1] // 2
         self.created_at = created_at
         self.last_term_norm = last_term_norm
         self.unitarity_defect = unitarity_defect
+        self.dropped_norm = dropped_norm
 
     @property
     def matrix(self) -> np.ndarray | None:
@@ -133,14 +144,27 @@ class CacheEntry:
 
 
 def _check_band(band: np.ndarray, dim: int, N: int) -> None:
-    """ValueError unless band is a (dim, 2h+1) band with nothing outside the chains."""
+    """ValueError unless band is a (dim, 2w+1) band, w <= min(N, P), with
+    nothing outside the chains.
+
+    The cells outside a chain are two w x w corners of its rows: cell
+    (i, k) of chain-local row i lies before the chain's first slot when
+    i + k < w, and past its last when the same holds counted from the
+    chain's last row and the band's last column.  Only those corners are
+    read, so the check allocates no array the size of the band.
+    """
     if dim < 2 or dim % 2:
         raise ValueError(f"dimension must be even and positive, got {dim}")
     h = band_half_width(dim, N)
-    if band.shape != (dim, 2 * h + 1):
+    if band.ndim != 2 or band.shape[0] != dim or band.shape[1] % 2 == 0 \
+            or band.shape[1] > 2 * h + 1:
         raise ValueError(f"band shape {band.shape} does not match dim {dim} "
-                         f"and N {N} ({dim}, {2 * h + 1})")
-    if band[~band_inside(dim, h)].any():
+                         f"and N {N} ({dim}, odd width up to {2 * h + 1})")
+    n, w = dim // 2, band.shape[1] // 2
+    rows = band.reshape(2, n, 2 * w + 1)
+    before = np.add.outer(np.arange(w), np.arange(w)) < w
+    if (rows[:, :w, :w][:, before].any()
+            or rows[:, n - w:, w + 1:][:, before[::-1, ::-1]].any()):
         raise ValueError("nonzero entries in band cells outside the parity-chain band")
 
 
@@ -190,17 +214,17 @@ class PropagatorCache:
         return self.root / f"{fingerprint:016x}.sbp"
 
     def put(self, entry: CacheEntry) -> Path:
-        """Atomically write one version-2 entry (temp file + rename); returns the path."""
+        """Atomically write one version-3 entry (temp file + rename); returns the path."""
         if entry.band is None:
             raise ValueError("cannot store an entry without its band")
         band = np.asarray(entry.band, dtype=np.complex128)
         _check_band(band, entry.dim, entry.N)
 
-        header = _HEADER.pack(MAGIC, VERSION, entry.dim, entry.N, 0,
+        header = _HEADER.pack(MAGIC, VERSION, entry.dim, entry.N, band.shape[1] // 2,
                               float(entry.dt), entry.fingerprint,
                               _stored(entry.last_term_norm),
-                              _stored(entry.unitarity_defect))
-        header = header.ljust(HEADER_SIZE, b"\0")
+                              _stored(entry.unitarity_defect),
+                              _stored(entry.dropped_norm))
         # a byte view of the band: no second copy of the payload
         payload = memoryview(np.ascontiguousarray(band, dtype="<c16")).cast("B")
 
@@ -228,15 +252,17 @@ class PropagatorCache:
     def _read(self, path: Path, with_band: bool) -> CacheEntry:
         """Check the header, then read and verify the rest of the file.
 
-        A bad magic, version or size is refused after the 64-byte header,
-        before any of the payload is read.
+        A bad magic, version, dimension, band half-width or size is
+        refused after the 64-byte header, before any of the payload is
+        read.
         """
         # unbuffered, so the payload is read straight into one bytes object
         with open(path, "rb", buffering=0) as fh:
             header = fh.read(HEADER_SIZE)
             if len(header) < HEADER_SIZE:
                 raise CacheCorruptError(path, "file shorter than header")
-            magic, version, dim, order, _, dt, fp, last, defect = _HEADER.unpack_from(header)
+            (magic, version, dim, order, w, dt, fp,
+             last, defect, dropped) = _HEADER.unpack_from(header)
             if magic != MAGIC:
                 raise CacheCorruptError(path, f"bad magic {magic!r}")
             if version != VERSION:
@@ -244,7 +270,11 @@ class PropagatorCache:
                     path, f"unsupported format version {version} (expected {VERSION})")
             if dim < 2 or dim % 2:
                 raise CacheCorruptError(path, f"odd or zero dimension {dim}")
-            shape = (dim, 2 * band_half_width(dim, order) + 1)
+            h = band_half_width(dim, order)
+            if w > h:
+                raise CacheCorruptError(
+                    path, f"band half-width {w} above min(N, P) = {h}")
+            shape = (dim, 2 * w + 1)
             expect = HEADER_SIZE + shape[0] * shape[1] * 16 + CHECKSUM_SIZE
             stat = os.fstat(fh.fileno())
             if stat.st_size != expect:
@@ -263,9 +293,10 @@ class PropagatorCache:
                 _check_band(band, dim, order)
             except ValueError as err:
                 raise CacheCorruptError(path, str(err)) from None
-        return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt, band=band,
+        return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt, band=band, w=w,
                           created_at=stat.st_mtime, last_term_norm=_loaded(last),
-                          unitarity_defect=_loaded(defect))
+                          unitarity_defect=_loaded(defect),
+                          dropped_norm=_loaded(dropped))
 
     def invalidate(self, fingerprint: int) -> bool:
         """Remove one entry; True if something was deleted."""

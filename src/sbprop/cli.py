@@ -150,7 +150,8 @@ def _load_cached(store: PropagatorCache, fp: int, q: TransferMatrix,
     certify(entry, q, pcfg)
     return StepPropagator(band=entry.band, fingerprint=fp, dt=entry.dt, N=entry.N,
                           last_term_norm=entry.last_term_norm,
-                          unitarity_defect=entry.unitarity_defect)
+                          unitarity_defect=entry.unitarity_defect,
+                          dropped_norm=entry.dropped_norm)
 
 
 def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropagator:
@@ -325,6 +326,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
                                       time.localtime(item.created_at))
                 print(f"{item.fingerprint:016x} dim={item.dim} N={item.N} "
                       f"dt={item.dt!r} created={stamp} "
+                      f"w={item.w} dropped={_certificate(item.dropped_norm)} "
                       f"last_term={_certificate(item.last_term_norm)} "
                       f"defect={_certificate(item.unitarity_defect)}")
     elif args.action == "info":

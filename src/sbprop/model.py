@@ -18,8 +18,9 @@ matrix is rebuilt on demand for tests.
 
 An operator that never couples the chains and reaches at most h slots
 along each chain is held in band storage: band[i, k] = M[i, i + k - h] in
-chain slots.  Q is such a band with h = 1 (TransferMatrix.band), and so is
-the step propagator M with h = min(N, P).  chain_block writes the dense
+chain slots.  Q is such a band with h = 1 (TransferMatrix.band), the
+Taylor sum M is one with h = min(N, P), and the step propagator keeps M
+out to its last significant diagonal, w <= h.  chain_block writes the dense
 block of a chain from its band rows; it is how every dense chain block in
 the package is formed (the eigensolves of Q).  M is only ever applied
 through its band, never as dense blocks.  The other band helpers map band
@@ -194,22 +195,27 @@ def _band_index(dim: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def band_from_dense(m: np.ndarray, N: int) -> np.ndarray:
-    """The band of a dense block-layout propagator of Taylor order N.
+    """The band of a dense block-layout propagator of Taylor order N, out
+    to m's outermost nonzero diagonal in chain order.
 
-    Raises ValueError when m has any nonzero outside that band (across
-    the chains, or farther than N from the diagonal in chain order).
+    Raises ValueError when m has any nonzero outside the band of
+    half-width min(N, P) (across the chains, or farther than that from
+    the diagonal in chain order).
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise ValueError(f"expected a square matrix of even dimension, got {m.shape}")
     dim = m.shape[0]
-    inside, rows, cols = _band_index(dim, band_half_width(dim, N))
+    h = band_half_width(dim, N)
+    inside, rows, cols = _band_index(dim, h)
     band = np.zeros(inside.shape, dtype=np.complex128)
     band[inside] = m[rows, cols]
     # the gathered cells are distinct entries of m, so equal counts mean
     # every entry left out is exactly zero
     if np.count_nonzero(band) != np.count_nonzero(m):
         raise ValueError("matrix has nonzero entries outside the parity-chain band")
-    return band
+    offsets = np.nonzero(band.any(axis=0))[0] - h
+    w = int(np.abs(offsets).max(initial=0))
+    return np.ascontiguousarray(band[:, h - w:h + w + 1])
 
 
 def band_to_dense(band: np.ndarray) -> np.ndarray:

@@ -6,20 +6,21 @@ included term and, for Hermitian Q, the unitarity defect of the band
 evolve steps with are the build certificates; `certify` refuses a
 propagator whose certificates exceed the bounds for the requested
 tolerance rather than silently degrading, on a fresh build and on a cache
-hit alike.  One M is reused across every initial state and every step of
-a run.
+hit alike.  One propagator is built once, stored once and reused across
+every initial state and every step of a run.
 
 Q is tridiagonal in chain order (see model), so Q^n has half-bandwidth n
-and M has half-bandwidth h = min(N, P) there: it is held in band storage
-band[i, k] = M[i, i + k - h] (chain slots), which makes the build
-O(N^2 P) and each step O(N P).  The build works diagonal-major, one
-contiguous row per diagonal, and term n only on its own diagonals
-h-n..h+n.  The outer diagonals of M fall below double precision long
-before h, so evolve steps with the narrower band, half-width w, that
-holds every entry above eps * max|M|.  The unitarity defect is measured
-over that band, in long contiguous passes over its columns: O(w) array
-operations, each over O(w P) entries.  The dense block-layout M is only
-built for callers that ask for `.matrix`.
+and M has half-bandwidth h = min(N, P) there: the build holds it in band
+storage band[i, k] = M[i, i + k - h] (chain slots), which makes the build
+O(N^2 P).  The build works diagonal-major, one contiguous row per
+diagonal, and term n only on its own diagonals h-n..h+n.  The outer
+diagonals of M fall below double precision long before h, so the build
+keeps only the narrower band, half-width w, that holds every entry above
+eps * max|M|, and drops the rest at once.  That band is the propagator:
+evolve steps with it, O(w P) per step, the cache stores it, and the
+unitarity defect is measured over it, in long contiguous passes over its
+columns: O(w) array operations, each over O(w P) entries.  The dense
+block-layout form is only built for callers that ask for `.matrix`.
 """
 
 from __future__ import annotations
@@ -137,52 +138,56 @@ class PropagatorConfig:
 
 
 class StepPropagator(CacheEntry):
-    """M(dt) as its chain-order band, plus provenance and build certificates.
+    """The step propagator as its chain-order band, plus provenance and
+    build certificates.
 
-    A CacheEntry (band, dim, fingerprint, dt, N, the certificates, the
+    A CacheEntry (band, w, dim, fingerprint, dt, N, the certificates, the
     `matrix=` gather and the dense `.matrix` view) built from exactly one
     of the band (build_step_propagator, cache hits) or the dense
     block-layout matrix (tests); a dense matrix with any nonzero outside
-    the band is refused with ValueError.
+    the band of half-width min(N, P) is refused with ValueError.
 
-    step_band is the contiguous central (dim, 2w+1) slice of band that
-    evolve steps with: w is the outermost diagonal holding any entry above
-    eps * max|band|, derived from the band alone, so the same band always
-    steps the same way.  dropped_norm certifies what the slice leaves out:
-    the largest row sum of |entries| beyond w, so no step moves any
-    amplitude by more than dropped_norm * max|y|.  panels holds step_band
-    again, cut into the dense tiles evolve multiplies by.
+    band is the (dim, 2w+1) central slice of the Taylor sum M that
+    build_step_propagator keeps (_trim): w is the outermost diagonal of M
+    holding any entry above eps * max|M|.  It is the only band the
+    propagator holds; evolve steps with it and the cache stores it.
+    dropped_norm certifies what the slice leaves out of M: the largest
+    row sum of |entries| beyond w, so no step moves any amplitude by more
+    than dropped_norm * max|y| (None when unknown, as for an entry stored
+    from its dense matrix).  panels holds the band again, cut into the
+    dense tiles evolve multiplies by.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *, fingerprint: int,
                  dt: float, N: int, last_term_norm: float | None = None,
                  unitarity_defect: float | None = None,
+                 dropped_norm: float | None = None,
                  band: np.ndarray | None = None):
         if (matrix is None) == (band is None):
             raise ValueError("give exactly one of matrix and band")
         super().__init__(fingerprint, None, N, dt, matrix, band=band,
                          last_term_norm=last_term_norm,
-                         unitarity_defect=unitarity_defect)
+                         unitarity_defect=unitarity_defect,
+                         dropped_norm=dropped_norm)
         self.band.setflags(write=False)
         self.dim = self.band.shape[0]
-        self.step_band, self.dropped_norm = _trim(self.band)
 
     @cached_property
     def panels(self) -> np.ndarray:
-        """step_band as (2, tiles, T, T + 2w) dense panels, T = TILE_ROWS.
+        """The band as (2, tiles, T, T + 2w) dense panels, T = TILE_ROWS.
 
         Panel t of chain c holds the chain's band rows tT .. tT + T - 1,
         row i shifted right by i, so that its columns meet the chain-local
         slots tT - w .. tT + T - 1 + w.  Each chain's rows are padded with
         zero rows to tiles * T, so no panel straddles the two chains and
         the corners and the padding rows are exact zeros.  Built from
-        step_band on first use and kept, read-only.
+        the band on first use and kept, read-only.
         """
-        dim, width = self.step_band.shape
+        dim, width = self.band.shape
         n = dim // 2
         tiles = -(-n // TILE_ROWS)
         rows = np.zeros((2, tiles * TILE_ROWS, width), dtype=np.complex128)
-        rows[:, :n] = self.step_band.reshape(2, n, width)
+        rows[:, :n] = self.band.reshape(2, n, width)
         panels = np.zeros((2, tiles, TILE_ROWS, TILE_ROWS + width - 1),
                           dtype=np.complex128)
         for i in range(TILE_ROWS):
@@ -199,9 +204,9 @@ def _trim(band: np.ndarray) -> tuple[np.ndarray, float]:
     significant = np.nonzero(mag.max(axis=0) > np.finfo(float).eps * mag.max())[0]
     w = int(np.abs(significant - h).max()) if significant.size else 0
     dropped = mag[:, :h - w].sum(axis=1) + mag[:, h + w + 1:].sum(axis=1)
-    step_band = np.ascontiguousarray(band[:, h - w:h + w + 1])
-    step_band.setflags(write=False)
-    return step_band, float(dropped.max(initial=0.0))
+    kept = np.ascontiguousarray(band[:, h - w:h + w + 1])
+    kept.setflags(write=False)
+    return kept, float(dropped.max(initial=0.0))
 
 
 def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropagator:
@@ -216,8 +221,9 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     numpy's division by n + 0j also forms, so every nonzero entry has the
     bits a division gives; only the sign of a zero can differ, and M never
     holds a -0.  M is transposed to the row-major band once, at the end,
-    and cut to the step band S that evolve applies (_trim).  For Hermitian
-    Q the unitarity defect max|S+S - 1| is then measured once
+    and cut to the step band S that evolve applies (_trim); the result
+    holds S alone, and the rest of M is freed.  For Hermitian Q the
+    unitarity defect max|S+S - 1| is then measured once
     (_unitarity_defect) and carried on the result; both certificates are
     enforced (certify).  The loop and the defect run under
     model.small_ufunc_buffer: their operands are strided windows, and
@@ -257,11 +263,12 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
         del term, nxt, tmp
         band = np.ascontiguousarray(m.T)
         del m
+        band, dropped = _trim(band)
         fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)
         prop = StepPropagator(band=band, fingerprint=fp, dt=cfg.dt, N=cfg.N,
-                              last_term_norm=last)
+                              last_term_norm=last, dropped_norm=dropped)
         if q.hermitian:
-            prop.unitarity_defect = _unitarity_defect(prop.step_band)
+            prop.unitarity_defect = _unitarity_defect(prop.band)
     certify(prop, q, cfg)
     return prop
 
@@ -387,8 +394,8 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
     is the slice of chains stepped.  The view is only valid until the next
     iteration.  Every step is yielded once, step 0 in the first block.
 
-    Steps use prop.step_band, M without its negligible outer diagonals
-    (see StepPropagator), as its dense panels of TILE_ROWS rows
+    Steps use prop.band, M without its negligible outer diagonals (see
+    StepPropagator), as its dense panels of TILE_ROWS rows
     (StepPropagator.panels).  The state is carried through a block of
     BLOCK_ROWS states; in each, a chain's slots are padded with zeros to
     a whole number of panels and by w zero slots on either side, so each
@@ -405,7 +412,7 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
     once, as NonFiniteState.
     """
     steps = int(cfg.steps)
-    dim, width = prop.step_band.shape
+    dim, width = prop.band.shape
     w, n = width // 2, dim // 2
     panels = prop.panels
     tiles, tile, span = panels.shape[1:]

@@ -2,13 +2,15 @@
 
 Every test session gets a throwaway propagator cache directory so tests
 never read or pollute the user's real store, and repeated runs inside one
-session still exercise the hit path.  `write_v1_entry` writes a cache file
-in the retired format 1 by hand, which the store refuses.
+session still exercise the hit path.  `write_v1_entry` and
+`write_v2_entry` write a cache file in the retired formats 1 and 2 by
+hand, which the store refuses.
 `caller_bufsize` sets a ufunc buffer size of the test's own, for tests
 that check the package gives it back.
 """
 
 import hashlib
+import math
 import os
 import struct
 from pathlib import Path
@@ -50,6 +52,27 @@ def _write_v1_entry(path: Path, fingerprint: int, dim: int, N: int, dt: float,
 @pytest.fixture
 def write_v1_entry():
     return _write_v1_entry
+
+
+def _write_v2_entry(path: Path, fingerprint: int, dim: int, N: int, dt: float,
+                    band: np.ndarray, last_term_norm: float = math.nan,
+                    unitarity_defect: float = math.nan) -> None:
+    """Format 2: 64-byte header, bytes 20..23 and 56..63 zero, the band of
+    all 2h+1 diagonals of M, h = min(N, P), checksum of header and payload.
+    band is padded with zero diagonals out to h."""
+    pad = min(N, dim // 2 - 1) - band.shape[1] // 2
+    payload = np.ascontiguousarray(np.pad(band, ((0, 0), (pad, pad))),
+                                   dtype="<c16").tobytes()
+    header = struct.pack("<8sIIIIdQdd", b"SBPROP01", 2, dim, N, 0, dt, fingerprint,
+                         last_term_norm, unitarity_defect).ljust(64, b"\0")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(header + payload
+                     + hashlib.blake2b(header + payload, digest_size=8).digest())
+
+
+@pytest.fixture
+def write_v2_entry():
+    return _write_v2_entry
 
 
 @pytest.fixture

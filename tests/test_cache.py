@@ -19,9 +19,11 @@ from sbprop import (
     build_step_propagator,
     build_transfer_matrix,
     canonical_blob,
+    load_run_config,
     propagator_fingerprint,
 )
-from sbprop.cli import main
+from sbprop.cli import _prepare, main
+from sbprop.model import band_inside
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 
@@ -71,7 +73,8 @@ def test_flipped_payload_byte_is_reported_as_corrupt(tmp_path):
     assert exc.value.path == path
 
 
-@pytest.mark.parametrize("mutate", ["magic", "version", "version=1", "truncate"])
+@pytest.mark.parametrize("mutate", ["magic", "version", "version=1", "version=2",
+                                    "truncate"])
 def test_header_damage_is_reported_as_corrupt(tmp_path, mutate):
     store = PropagatorCache(tmp_path)
     entry = make_entry(P=3)
@@ -82,9 +85,9 @@ def test_header_damage_is_reported_as_corrupt(tmp_path, mutate):
         blob[0] ^= 0x01
     elif mutate == "version":
         blob[8] ^= 0x02
-    elif mutate == "version=1":
+    elif mutate in ("version=1", "version=2"):
         # re-signed, so only the version is wrong
-        blob[8:12] = struct.pack("<I", 1)
+        blob[8:12] = struct.pack("<I", int(mutate[-1]))
         blob = bytearray(resign(blob))
     else:
         blob = blob[: len(blob) // 2]
@@ -93,57 +96,71 @@ def test_header_damage_is_reported_as_corrupt(tmp_path, mutate):
         store.get(entry.fingerprint)
     if mutate.startswith("version"):
         assert "unsupported format version" in exc.value.reason
-    if mutate == "version=1":
-        assert exc.value.reason == "unsupported format version 1 (expected 2)"
+    if mutate in ("version=1", "version=2"):
+        assert exc.value.reason == f"unsupported format version {mutate[-1]} (expected 3)"
 
 
-def test_header_layout_is_frozen(tmp_path, write_v1_entry, config_dir,
+def test_header_layout_is_frozen(tmp_path, write_v1_entry, write_v2_entry, config_dir,
                                  capsys, monkeypatch):
-    # Format 1 is retired: a hand-written v1 file keeps its frozen layout,
-    # is refused from its header alone, and the CLI rebuilds it as a v2 file.
+    # Formats 1 and 2 are retired: a hand-written v1 or v2 file keeps its
+    # frozen layout, is refused from its header alone, and the CLI rebuilds
+    # it as a v3 file.
     store = PropagatorCache(tmp_path / "store")
-    entry = make_entry(P=2, dt=0.025, N=12)
+    prop, entry = built_entry(P=2, dt=0.025, N=12)
     path = store.path_for(entry.fingerprint)
-    write_v1_entry(path, entry.fingerprint, entry.dim, entry.N, entry.dt,
-                   entry.matrix)
-    raw = path.read_bytes()
-
-    magic, version, dim, n, reserved, dt, fp = struct.unpack_from("<8sIIIIdQ", raw, 0)
-    assert magic == b"SBPROP01"
-    assert version == 1
-    assert dim == 6 and n == 12 and reserved == 0
-    assert dt == 0.025
-    assert fp == entry.fingerprint
-    assert raw[40:64] == bytes(24)                       # header zero padding
-
-    payload = raw[64:-8]
-    assert len(payload) == dim * dim * 16                # row-major complex128
-    assert raw[-8:] == hashlib.blake2b(payload, digest_size=8).digest()
-    flat = np.frombuffer(payload, dtype="<c16").reshape(dim, dim)
-    assert np.array_equal(flat, entry.matrix)
-
-    with pytest.raises(CacheCorruptError) as exc:
-        store.get(entry.fingerprint)
-    assert exc.value.reason == "unsupported format version 1 (expected 2)"
-
     argv = ["evolve", "--config", str(config_dir / "fig2.cfg"), "--set", "P=2",
             "--set", "dt=0.025", "--set", "N=12", "--set", "t_max=5"]
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
     assert main(argv) == 0
     cold = capsys.readouterr()
-    monkeypatch.setenv("SBPROP_CACHE_DIR", str(store.root))
-    assert main(argv) == 0
-    warm = capsys.readouterr()
-    assert warm.out == cold.out
-    assert warm.err == (f"warning: rebuilding corrupt cache entry ({path}: "
-                        "unsupported format version 1 (expected 2))\n")
-    # overwritten by the file a cold run stores, certificates and all
     (cold_file,) = (tmp_path / "cold").glob("*.sbp")
-    assert path.read_bytes() == cold_file.read_bytes()
-    rebuilt = store.get(entry.fingerprint)
-    assert rebuilt.last_term_norm > 0.0 and rebuilt.unitarity_defect is not None
-    assert main(argv) == 0
-    assert capsys.readouterr() == cold
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(store.root))
+
+    for version in (1, 2):
+        if version == 1:
+            write_v1_entry(path, entry.fingerprint, entry.dim, entry.N, entry.dt,
+                           entry.matrix)
+        else:
+            write_v2_entry(path, entry.fingerprint, entry.dim, entry.N, entry.dt,
+                           entry.band, prop.last_term_norm, prop.unitarity_defect)
+        raw = path.read_bytes()
+
+        magic, got, dim, n, reserved, dt, fp = struct.unpack_from("<8sIIIIdQ", raw, 0)
+        assert magic == b"SBPROP01"
+        assert got == version
+        assert dim == 6 and n == 12 and reserved == 0
+        assert dt == 0.025
+        assert fp == entry.fingerprint
+        payload = raw[64:-8]
+        if version == 1:
+            assert raw[40:64] == bytes(24)                   # header zero padding
+            assert len(payload) == dim * dim * 16            # row-major complex128
+            assert raw[-8:] == hashlib.blake2b(payload, digest_size=8).digest()
+            flat = np.frombuffer(payload, dtype="<c16").reshape(dim, dim)
+            assert np.array_equal(flat, entry.matrix)
+        else:
+            assert struct.unpack_from("<dd", raw, 40) == (prop.last_term_norm,
+                                                          prop.unitarity_defect)
+            assert raw[56:64] == bytes(8)                    # header zero padding
+            h = min(12, dim // 2 - 1)
+            assert len(payload) == dim * (2 * h + 1) * 16    # all of M's diagonals
+            assert raw[-8:] == hashlib.blake2b(raw[:-8], digest_size=8).digest()
+
+        with pytest.raises(CacheCorruptError) as exc:
+            store.get(entry.fingerprint)
+        reason = f"unsupported format version {version} (expected 3)"
+        assert exc.value.reason == reason
+
+        assert main(argv) == 0
+        warm = capsys.readouterr()
+        assert warm.out == cold.out
+        assert warm.err == f"warning: rebuilding corrupt cache entry ({path}: {reason})\n"
+        # overwritten by the file a cold run stores, certificates and all
+        assert path.read_bytes() == cold_file.read_bytes()
+        rebuilt = store.get(entry.fingerprint)
+        assert rebuilt.last_term_norm > 0.0 and rebuilt.unitarity_defect is not None
+        assert main(argv) == 0
+        assert capsys.readouterr() == cold
 
 
 def built_entry(P=2, dt=0.025, N=12, params=FIG2):
@@ -151,37 +168,40 @@ def built_entry(P=2, dt=0.025, N=12, params=FIG2):
     prop = build_step_propagator(q, PropagatorConfig(dt=dt, steps=1, N=N))
     entry = CacheEntry(prop.fingerprint, q.dim, N, dt, band=prop.band,
                        last_term_norm=prop.last_term_norm,
-                       unitarity_defect=prop.unitarity_defect)
+                       unitarity_defect=prop.unitarity_defect,
+                       dropped_norm=prop.dropped_norm)
     return prop, entry
 
 
-def test_v2_layout(tmp_path):
+def test_v3_layout(tmp_path):
     store = PropagatorCache(tmp_path)
-    prop, entry = built_entry()
+    prop, entry = built_entry(P=40, dt=0.05, N=30)
     store.put(entry)
     raw = store.path_for(entry.fingerprint).read_bytes()
 
-    (magic, version, dim, n, reserved, dt, fp,
-     last, defect) = struct.unpack_from("<8sIIIIdQdd", raw, 0)
+    (magic, version, dim, n, w, dt, fp,
+     last, defect, dropped) = struct.unpack_from("<8sIIIIdQddd", raw, 0)
     assert magic == b"SBPROP01"
-    assert version == 2
-    assert dim == 6 and n == 12 and reserved == 0
-    assert dt == 0.025
+    assert version == 3
+    assert dim == 82 and n == 30
+    assert w == prop.band.shape[1] // 2 < min(30, dim // 2 - 1)
+    assert dt == 0.05
     assert fp == entry.fingerprint
     assert last == prop.last_term_norm > 0.0
     assert defect == prop.unitarity_defect
-    assert raw[56:64] == bytes(8)
+    assert dropped == prop.dropped_norm > 0.0
 
     payload = raw[64:-8]
-    h = min(12, dim // 2 - 1)
-    assert len(payload) == dim * (2 * h + 1) * 16        # chain-order band
+    assert len(payload) == dim * (2 * w + 1) * 16        # chain-order band
     assert raw[-8:] == hashlib.blake2b(raw[:-8], digest_size=8).digest()
-    band = np.frombuffer(payload, dtype="<c16").reshape(dim, 2 * h + 1)
+    band = np.frombuffer(payload, dtype="<c16").reshape(dim, 2 * w + 1)
     assert band.tobytes() == prop.band.tobytes()
 
     loaded = store.get(entry.fingerprint)
+    assert loaded.w == w
     assert loaded.last_term_norm == prop.last_term_norm
     assert loaded.unitarity_defect == prop.unitarity_defect
+    assert loaded.dropped_norm == prop.dropped_norm
 
     # unknown certificates (a dissipative defect, a bare matrix) are NaN
     damped = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4,
@@ -192,14 +212,37 @@ def test_v2_layout(tmp_path):
     raw = store.path_for(entry.fingerprint).read_bytes()
     assert struct.unpack_from("<d", raw, 40)[0] == prop.last_term_norm
     assert math.isnan(struct.unpack_from("<d", raw, 48)[0])
+    assert struct.unpack_from("<d", raw, 56)[0] == prop.dropped_norm
     assert store.get(entry.fingerprint).unitarity_defect is None
     bare = make_entry(P=2, dt=0.025, N=12)
     store.put(bare)
     raw = store.path_for(bare.fingerprint).read_bytes()
-    assert all(math.isnan(v) for v in struct.unpack_from("<dd", raw, 40))
+    assert all(math.isnan(v) for v in struct.unpack_from("<ddd", raw, 40))
+    assert store.get(bare.fingerprint).dropped_norm is None
 
 
-@pytest.mark.parametrize("offset", [24, 44, 52, 60])  # dt, both certificates, padding
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3_P400", "fig5a", "fig6"])
+def test_entry_stored_from_its_dense_matrix_holds_the_built_payload(tmp_path, config_dir,
+                                                                    name):
+    # the way a caller with only the dense matrix stores M: the band is
+    # gathered out to the matrix's own outermost nonzero diagonal, so the
+    # payload is the built one and a hit steps with the same 2w+1 diagonals
+    q, pcfg = _prepare(load_run_config(config_dir / f"{name}.cfg", []))
+    prop = build_step_propagator(q, pcfg)
+    built, dense = PropagatorCache(tmp_path / "built"), PropagatorCache(tmp_path / "dense")
+    built.put(prop)
+    dense.put(CacheEntry(fingerprint=prop.fingerprint, dim=q.dim, N=pcfg.N, dt=pcfg.dt,
+                         matrix=prop.matrix))
+    want = built.path_for(prop.fingerprint).read_bytes()
+    got = dense.path_for(prop.fingerprint).read_bytes()
+    assert got[64:-8] == want[64:-8]
+    assert got[:40] == want[:40]                # w in bytes 20..23 included
+    hit = dense.get(prop.fingerprint)
+    assert hit.band.shape == prop.band.shape == (q.dim, 2 * hit.w + 1)
+    assert hit.dropped_norm is hit.last_term_norm is hit.unitarity_defect is None
+
+
+@pytest.mark.parametrize("offset", [24, 44, 52, 60])  # dt, the three certificates
 def test_flipped_v2_header_byte_is_reported_as_corrupt(tmp_path, offset):
     store = PropagatorCache(tmp_path)
     _, entry = built_entry()
@@ -217,16 +260,26 @@ def resign(blob: bytearray) -> bytes:
     return bytes(blob)
 
 
-def test_v2_payload_must_fit_the_band(tmp_path):
+def test_v3_payload_must_fit_the_band(tmp_path):
     store = PropagatorCache(tmp_path)
     _, entry = built_entry(P=4, N=12)
+    assert entry.band.shape == (10, 9)
     store.put(entry)
     path = store.path_for(entry.fingerprint)
     good = path.read_bytes()
 
-    # a header claiming N = 1: the payload is too wide for its band
+    # a header claiming N = 1: its band half-width 4 is above min(N, P),
+    # refused from the header alone
     blob = bytearray(good)
     blob[16:20] = struct.pack("<I", 1)
+    path.write_bytes(resign(blob))
+    with pytest.raises(CacheCorruptError) as exc:
+        store.get(entry.fingerprint)
+    assert exc.value.reason == "band half-width 4 above min(N, P) = 1"
+
+    # a header claiming w = 3: the payload is too long for its band
+    blob = bytearray(good)
+    blob[20:24] = struct.pack("<I", 3)
     path.write_bytes(resign(blob))
     with pytest.raises(CacheCorruptError, match="does not match dim"):
         store.get(entry.fingerprint)
@@ -241,6 +294,22 @@ def test_v2_payload_must_fit_the_band(tmp_path):
         store.put(CacheEntry(entry.fingerprint, entry.dim, entry.N, entry.dt,
                              band=np.frombuffer(blob[64:-8], dtype="<c16")
                              .reshape(entry.band.shape)))
+
+
+@pytest.mark.parametrize("P, w", [(0, 0), (1, 1), (3, 1), (3, 3), (8, 5), (8, 8)])
+def test_every_band_cell_outside_the_chains_is_refused(tmp_path, P, w):
+    # put reads only the two corners of each chain's rows; each cell the
+    # band_inside mask leaves out is refused on its own
+    dim = 2 * (P + 1)
+    inside = band_inside(dim, w)
+    band = np.where(inside, 1.0 + 0j, 0j)
+    store = PropagatorCache(tmp_path)
+    store.put(CacheEntry(1, dim, 30, 0.05, band=band))
+    for i, k in np.argwhere(~inside):
+        bad = band.copy()
+        bad[i, k] = 1e-300j
+        with pytest.raises(ValueError, match="parity-chain band"):
+            store.put(CacheEntry(1, dim, 30, 0.05, band=bad))
 
 
 def test_fingerprint_separates_every_input():

@@ -131,13 +131,18 @@ def test_step_propagator_band_shape_in_chain_order():
     params = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
     q = build_transfer_matrix(params, Truncation(P=40))
     prop = build_step_propagator(q, PropagatorConfig(dt=0.05, steps=1))
-    # M in chain order has half-bandwidth exactly N and no cross-chain block
+    # M in chain order has half-bandwidth exactly N, the propagator's band
+    # its own half-width w < N, and neither has a cross-chain block
+    m, _ = dense_taylor(dense_q(params, 40), 0.05, prop.N)
+    w = prop.band.shape[1] // 2
+    assert w < prop.N
     order = q.order
-    chain = prop.matrix[np.ix_(order, order)]
-    i, j = np.nonzero(chain)
-    assert np.abs(i - j).max() == prop.N
     n = q.trunc.P + 1
-    assert not chain[:n, n:].any() and not chain[n:, :n].any()
+    for dense, half_width in ((m, prop.N), (prop.matrix, w)):
+        chain = dense[np.ix_(order, order)]
+        i, j = np.nonzero(chain)
+        assert np.abs(i - j).max() == half_width
+        assert not chain[:n, n:].any() and not chain[n:, :n].any()
 
 
 @pytest.mark.parametrize("where", ["far_from_diagonal", "across_chains"])

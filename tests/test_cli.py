@@ -16,7 +16,7 @@ import pytest
 
 import sbprop.cli
 import sbprop.propagator
-from sbprop import CacheEntry, PropagatorCache, load_run_config
+from sbprop import CacheEntry, PropagatorCache, build_step_propagator, load_run_config
 from sbprop.cli import _obtain_for_run, _obtain_propagator, _prepare, main
 
 HEADER = "t,norm2,n_raw,n_norm,sz_raw,sz_norm,energy_re,C_exp,parity"
@@ -557,7 +557,7 @@ def test_dense_matrix_outside_the_band_is_not_stored(config_dir, capsys, tmp_pat
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_v2_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
+def test_v3_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
                                                     tmp_path, monkeypatch):
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
     argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=1.0"]
@@ -566,9 +566,10 @@ def test_v2_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
 
     (path,) = (tmp_path / "store").glob("*.sbp")
     blob = bytearray(path.read_bytes())
-    dim, h = 102, 30
+    dim, w = 102, int.from_bytes(blob[20:24], "little")
+    assert w == 16
     # row n - 1 (the last slot of chain A), offset +1: chain B's first slot
-    cell = 64 + ((dim // 2 - 1) * (2 * h + 1) + h + 1) * 16
+    cell = 64 + ((dim // 2 - 1) * (2 * w + 1) + w + 1) * 16
     assert blob[cell:cell + 16] == bytes(16)
     blob[cell:cell + 8] = np.float64(1e-3).tobytes()
     blob[-8:] = hashlib.blake2b(bytes(blob[:-8]), digest_size=8).digest()
@@ -582,8 +583,9 @@ def test_v2_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
     assert code == 0 and "warning" not in err
 
 
-def test_v2_hit_v1_rebuild_and_miss_step_alike(config_dir, capsys, tmp_path,
-                                              monkeypatch, write_v1_entry):
+def test_hit_old_format_rebuilds_and_miss_step_alike(config_dir, capsys, tmp_path,
+                                                     monkeypatch, write_v1_entry,
+                                                     write_v2_entry):
     argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=5"]
     q, pcfg = _prepare(load_run_config(cfg(config_dir, "fig2.cfg"), ["t_max=5"]))
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "cold"))
@@ -591,32 +593,42 @@ def test_v2_hit_v1_rebuild_and_miss_step_alike(config_dir, capsys, tmp_path,
 
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
     miss = _obtain_propagator(q, pcfg)
-    v2_hit = _obtain_propagator(q, pcfg)
-    _, v2_out, err = run(capsys, *argv)
-    assert err == ""
+    trimmed = []
+    trim = sbprop.propagator._trim
+    monkeypatch.setattr(sbprop.propagator, "_trim",
+                        lambda band: trimmed.append(band.shape) or trim(band))
+    hit = _obtain_propagator(q, pcfg)
+    _, hit_out, err = run(capsys, *argv)
+    assert err == "" and trimmed == []          # a hit cuts nothing
     path = PropagatorCache().path_for(miss.fingerprint)
-    v2_file = path.read_bytes()
-    assert int.from_bytes(v2_file[8:12], "little") == 2
+    v3_file = path.read_bytes()
+    assert int.from_bytes(v3_file[8:12], "little") == 3
 
-    # a version-1 file is refused from its header, rebuilt and overwritten
-    write_v1_entry(path, miss.fingerprint, q.dim, pcfg.N, pcfg.dt, miss.matrix)
-    _, rebuilt_out, err = run(capsys, *argv)
-    assert err == (f"warning: rebuilding corrupt cache entry ({path}: "
-                   "unsupported format version 1 (expected 2))\n")
-    assert path.read_bytes() == v2_file
+    # a version-1 or version-2 file is refused from its header, rebuilt
+    # and overwritten
+    for version in (1, 2):
+        if version == 1:
+            write_v1_entry(path, miss.fingerprint, q.dim, pcfg.N, pcfg.dt, miss.matrix)
+        else:
+            write_v2_entry(path, miss.fingerprint, q.dim, pcfg.N, pcfg.dt, miss.band,
+                           miss.last_term_norm, miss.unitarity_defect)
+        _, rebuilt_out, err = run(capsys, *argv)
+        assert err == (f"warning: rebuilding corrupt cache entry ({path}: "
+                       f"unsupported format version {version} (expected 3))\n")
+        assert path.read_bytes() == v3_file
+        assert rebuilt_out == miss_out
+    assert trimmed == [(q.dim, 61)] * 2         # once per rebuild, from all of M
     _, rerun_out, err = run(capsys, *argv)
-    assert err == ""
-    assert rebuilt_out == rerun_out == v2_out == miss_out
+    assert err == "" and len(trimmed) == 2
+    assert rerun_out == hit_out == miss_out
 
-    assert miss.step_band.shape[1] < miss.band.shape[1]
-    assert v2_hit.band.tobytes() == miss.band.tobytes()
-    assert v2_hit.step_band.tobytes() == miss.step_band.tobytes()
-    assert v2_hit.dropped_norm == miss.dropped_norm
-
-    # certificates survive a v2 hit
-    assert miss.last_term_norm is not None and miss.unitarity_defect is not None
-    assert (v2_hit.last_term_norm, v2_hit.unitarity_defect) == (
-        miss.last_term_norm, miss.unitarity_defect)
+    # a hit is the miss bit for bit: its band, w and certificates
+    assert hit.band.shape == (q.dim, 2 * hit.w + 1) == (q.dim, 33)
+    assert hit.w == miss.w
+    assert hit.band.tobytes() == miss.band.tobytes()
+    for name in ("dropped_norm", "last_term_norm", "unitarity_defect"):
+        assert getattr(miss, name) is not None, name
+        assert getattr(hit, name).hex() == getattr(miss, name).hex(), name
 
 
 @pytest.mark.parametrize("damage, reason", [
@@ -624,7 +636,9 @@ def test_v2_hit_v1_rebuild_and_miss_step_alike(config_dir, capsys, tmp_path,
     (lambda blob: blob[:12] + (101).to_bytes(4, "little") + blob[16:],
      "odd or zero dimension 101"),
     (lambda blob: blob[:12] + bytes(4) + blob[16:], "odd or zero dimension 0"),
-], ids=["short", "odd", "zero"])
+    (lambda blob: blob[:20] + (31).to_bytes(4, "little") + blob[24:],
+     "band half-width 31 above min(N, P) = 30"),
+], ids=["short", "odd", "zero", "wide"])
 def test_damaged_header_is_rebuilt(config_dir, capsys, tmp_path, monkeypatch,
                                    damage, reason):
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
@@ -651,6 +665,12 @@ def test_cache_list_shows_the_certificates(config_dir, capsys, tmp_path,
         q, pcfg = _prepare(load_run_config(cfg(config_dir, name), []))
         prop = _obtain_propagator(q, pcfg)
         shown[name] = prop
+    # stored from its dense matrix alone: no certificates
+    q, pcfg = _prepare(load_run_config(cfg(config_dir, "fig1.cfg"), []))
+    fig1 = build_step_propagator(q, pcfg)
+    store = PropagatorCache()
+    store.put(CacheEntry(fingerprint=fig1.fingerprint, dim=q.dim, N=pcfg.N, dt=pcfg.dt,
+                         matrix=fig1.matrix))
     code, out, _ = run(capsys, "cache", "list")
     assert code == 0
     fig2, fig6 = shown["fig2.cfg"], shown["fig6.cfg"]
@@ -658,18 +678,22 @@ def test_cache_list_shows_the_certificates(config_dir, capsys, tmp_path,
     assert lines[f"{fig2.fingerprint:016x}"].endswith(
         f" last_term={fig2.last_term_norm:.3e} defect={fig2.unitarity_defect:.3e}")
     assert "dim=102" in lines[f"{fig2.fingerprint:016x}"]
+    assert f" w=16 dropped={fig2.dropped_norm:.3e} last_term=" in lines[
+        f"{fig2.fingerprint:016x}"]
     assert lines[f"{fig6.fingerprint:016x}"].endswith(
+        f" w=16 dropped={fig6.dropped_norm:.3e}"
         f" last_term={fig6.last_term_norm:.3e} defect=-")
+    assert lines[f"{fig1.fingerprint:016x}"].endswith(
+        " w=1 dropped=- last_term=- defect=-")
 
     # a version-1 file is listed as corrupt, with the version as its reason
-    store = PropagatorCache()
     path = store.path_for(fig2.fingerprint)
     write_v1_entry(path, fig2.fingerprint, fig2.dim, fig2.N, fig2.dt, fig2.matrix)
     _, out, _ = run(capsys, "cache", "list")
-    assert f"corrupt {path.name}: unsupported format version 1 (expected 2)" in out.splitlines()
+    assert f"corrupt {path.name}: unsupported format version 1 (expected 3)" in out.splitlines()
     assert f"{fig6.fingerprint:016x} dim=" in out
     _, out, _ = run(capsys, "cache", "info")
-    assert "entries=2 corrupt=1 " in out
+    assert "entries=3 corrupt=1 " in out
 
 
 def test_out_onto_a_fifo_writes_through_it(config_dir, capsys, tmp_path):

@@ -1,7 +1,7 @@
 """Memory guards: the cutoff scan and a run over a retired cache file stay
 off dense matrices, the build of M and its unitarity defect stay within a
-few copies of its band, and advance holds one block of states however
-many steps it takes.
+few copies of its band, a cache hit holds one copy of the step band, and
+advance holds one block of states however many steps it takes.
 
 Each routine works on chain-sized pieces, so its traced peak stays below
 the size of one dense matrix of the kind it used to build.
@@ -9,7 +9,10 @@ the size of one dense matrix of the kind it used to build.
 
 import tracemalloc
 
+import pytest
+
 from sbprop import (
+    CacheCorruptError,
     ModelParams,
     PropagatorCache,
     PropagatorConfig,
@@ -22,7 +25,7 @@ from sbprop import (
     load_run_config,
     suggest_step,
 )
-from sbprop.cli import _prepare, main
+from sbprop.cli import _obtain_propagator, _prepare, main
 from sbprop.propagator import BLOCK_ROWS, _unitarity_defect
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
@@ -77,17 +80,44 @@ def test_advance_holds_one_block_however_many_steps():
 
 def test_evolve_over_a_version_1_file_reads_no_dense_payload(config_dir, tmp_path,
                                                               monkeypatch, capsys,
-                                                              write_v1_entry):
-    # dim 802: the v1 payload is the dense M, 10.3 MB; it is refused from
-    # its header, and the rebuild works on the band alone
+                                                              write_v1_entry,
+                                                              write_v2_entry):
+    # dim 802: the v1 payload is the dense M, 10.3 MB, and the v2 payload
+    # all 61 diagonals of M, 0.78 MB; each is refused from its header,
+    # and the rebuild works on the band alone
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
     config = str(config_dir / "fig3_P400.cfg")
     q, pcfg = _prepare(load_run_config(config, ["t_max=1"]))
     prop = build_step_propagator(q, pcfg)
-    write_v1_entry(PropagatorCache().path_for(prop.fingerprint), prop.fingerprint,
-                   q.dim, pcfg.N, pcfg.dt, prop.matrix)
-    del prop
+    store = PropagatorCache()
+    path = store.path_for(prop.fingerprint)
+    for version in (1, 2):
+        if version == 1:
+            write_v1_entry(path, prop.fingerprint, q.dim, pcfg.N, pcfg.dt, prop.matrix)
+        else:
+            write_v2_entry(path, prop.fingerprint, q.dim, pcfg.N, pcfg.dt, prop.band)
+        # the refusal reads the 64-byte header and no payload
+        tracemalloc.start()
+        try:
+            with pytest.raises(CacheCorruptError, match=f"format version {version} "):
+                store.get(prop.fingerprint)
+            assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+        finally:
+            tracemalloc.stop()
 
-    peak = traced_peak(main, ["evolve", "--config", config, "--set", "t_max=1"])
-    assert peak < q.dim ** 2 * 16
-    assert capsys.readouterr().err.startswith("warning: rebuilding corrupt cache entry")
+        peak = traced_peak(main, ["evolve", "--config", config, "--set", "t_max=1"])
+        assert peak < q.dim ** 2 * 16
+        assert capsys.readouterr().err.startswith("warning: rebuilding corrupt cache entry")
+
+
+def test_cache_hit_holds_one_step_band(config_dir, tmp_path, monkeypatch):
+    # fig3_P400, dim 802: the stored band is its 39 step diagonals, 0.50 MB,
+    # not all 61 of M (0.78 MB), and a hit reads it into one buffer
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    q, pcfg = _prepare(load_run_config(str(config_dir / "fig3_P400.cfg"), []))
+    prop = _obtain_propagator(q, pcfg)
+    band_bytes = 802 * 39 * 16
+    assert prop.band.shape == (802, 39)
+    store = PropagatorCache()
+    assert store.path_for(prop.fingerprint).stat().st_size == 64 + band_bytes + 8
+    assert traced_peak(store.get, prop.fingerprint) < 1.2 * band_bytes

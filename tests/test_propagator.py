@@ -120,31 +120,30 @@ def reference_unitarity_defect(band):
     return worst
 
 
-def assert_defect_agrees(prop):
-    # both sums add the same 2h+1 products per entry of M+M, in another
-    # order; the dense product is the definition itself.  The recorded
-    # defect is the step band's; a dissipative M carries none, but its
-    # band is measured all the same.
-    value = _unitarity_defect(prop.band)
-    assert prop.unitarity_defect in (None, _unitarity_defect(prop.step_band))
-    m = band_to_dense(prop.band)
-    dense = float(np.abs(m.conj().T @ m - np.eye(prop.dim)).max())
-    bound = prop.band.shape[1] * np.finfo(float).eps * max(1.0, value)
-    assert abs(value - reference_unitarity_defect(prop.band)) <= bound
+def assert_defect_agrees(band):
+    # both sums add the same 2h+1 products per entry of B+B, B the
+    # operator band holds, in another order; the dense product is the
+    # definition itself
+    value = _unitarity_defect(band)
+    m = band_to_dense(band)
+    dense = float(np.abs(m.conj().T @ m - np.eye(band.shape[0])).max())
+    bound = band.shape[1] * np.finfo(float).eps * max(1.0, value)
+    assert abs(value - reference_unitarity_defect(band)) <= bound
     assert abs(value - dense) <= bound
     return value
 
 
-def assert_stepped_defect_certifies_m(prop):
-    # M = S + D, S the step band and D the diagonals _trim drops, so
-    # M+M - S+S = S+D + D+S + D+D.  An entry of A+B is at most max|A|
-    # times a column 1-norm of B, and a column of D meets at most 2(h - w)
-    # dropped diagonals, each entry at most dropped_norm.  Each measured
-    # defect also carries the rounding of its sums (assert_defect_agrees).
-    full, stepped = _unitarity_defect(prop.band), _unitarity_defect(prop.step_band)
-    width, kept = prop.band.shape[1], prop.step_band.shape[1]
+def assert_stepped_defect_certifies_m(m, prop):
+    # M = S + D, M the full band m, S the propagator's band and D the
+    # diagonals _trim drops, so M+M - S+S = S+D + D+S + D+D.  An entry of
+    # A+B is at most max|A| times a column 1-norm of B, and a column of D
+    # meets at most 2(h - w) dropped diagonals, each entry at most
+    # dropped_norm.  Each measured defect also carries the rounding of its
+    # sums (assert_defect_agrees).
+    full, stepped = _unitarity_defect(m), _unitarity_defect(prop.band)
+    width, kept = m.shape[1], prop.band.shape[1]
     column = (width - kept) * prop.dropped_norm
-    exact = column * (2.0 * np.abs(prop.band).max() + prop.dropped_norm)
+    exact = column * (2.0 * np.abs(m).max() + prop.dropped_norm)
     rounding = 2 * width * np.finfo(float).eps * max(1.0, full)
     assert abs(full - stepped) <= exact + rounding
     return full, stepped
@@ -153,9 +152,9 @@ def assert_stepped_defect_certifies_m(prop):
 def full_width_build(q, cfg):
     """The Taylor loop build_step_propagator ran before it held M
     diagonal-major: every order over the whole row-major (dim, 2h+1)
-    band, a new array per product.  Returns the band, the last term's
-    max-norm and the unitarity defect of the step band _trim cuts from it
-    (None for dissipative Q)."""
+    band, a new array per product.  Returns all of M's band, the last
+    term's max-norm and the unitarity defect of the step band _trim cuts
+    from it (None for dissipative Q)."""
     h = band_half_width(q.dim, cfg.N)
     width = 2 * h + 1
     term = np.zeros((q.dim, width), dtype=np.complex128)
@@ -185,14 +184,18 @@ def assert_built_as_the_full_width_loop(q, cfg):
     # the certificates are compared, not enforced: a refused build is
     # the same band as an accepted one.  full_width_build measures its
     # defect with the package's own function, so the defect is also held
-    # to its oracles.
+    # to its oracles: the recorded one is the band's, and a dissipative
+    # build records none, but its band is measured all the same.
     prop = uncertified_build(q, cfg)
-    band, last, defect = full_width_build(q, cfg)
+    m, last, defect = full_width_build(q, cfg)
+    band, dropped = _trim(m)
     assert prop.band.tobytes() == band.tobytes()
+    assert prop.dropped_norm == dropped
     assert prop.last_term_norm == last
     assert prop.unitarity_defect == defect
-    assert_defect_agrees(prop)
-    return assert_stepped_defect_certifies_m(prop)
+    assert prop.unitarity_defect in (None, assert_defect_agrees(prop.band))
+    assert_defect_agrees(m)
+    return assert_stepped_defect_certifies_m(m, prop)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -213,8 +216,8 @@ def test_build_measures_the_defect_over_the_step_band(monkeypatch):
     monkeypatch.setattr(sbprop.propagator, "_unitarity_defect", spy)
     _, _, prop = build(FIG2, 50, dt=0.05)
     [(band, bufsize)] = seen
-    assert band is prop.step_band
-    assert band.shape[1] < prop.band.shape[1]
+    assert band is prop.band
+    assert band.shape[1] < 2 * band_half_width(prop.dim, prop.N) + 1
     assert bufsize == UFUNC_BUFSIZE
     # a dissipative build measures none
     seen.clear()
@@ -227,9 +230,11 @@ def test_a_build_whose_stepped_defect_is_not_that_of_m():
     # sums of M+M, and here they move its largest entry by 3.2e-17
     q = build_transfer_matrix(ModelParams(omega_f=1.0, omega_0=1.899, g_minus=1.707,
                                           g_plus=0.3), Truncation(P=21))
-    prop = build_step_propagator(q, PropagatorConfig(dt=0.003125, steps=1, N=10))
-    assert (prop.band.shape[1], prop.step_band.shape[1]) == (21, 15)
-    full, stepped = assert_stepped_defect_certifies_m(prop)
+    cfg = PropagatorConfig(dt=0.003125, steps=1, N=10)
+    prop = build_step_propagator(q, cfg)
+    m = full_width_build(q, cfg)[0]
+    assert (m.shape[1], prop.band.shape[1]) == (21, 15)
+    full, stepped = assert_stepped_defect_certifies_m(m, prop)
     assert prop.unitarity_defect == stepped == 2.5407226475359564e-16
     assert full == 2.2206537962885773e-16
 
@@ -277,7 +282,9 @@ def test_large_defect_agrees_with_the_reference(config_dir):
     # fig2 at dt = 0.5: the terms grow far before they shrink, and M is
     # far from unitary
     q, cfg = _prepare(load_run_config(config_dir / "fig2.cfg", ["dt=0.5", "N=150"]))
-    defect = assert_defect_agrees(uncertified_build(q, cfg))
+    prop = uncertified_build(q, cfg)
+    assert prop.unitarity_defect == assert_defect_agrees(prop.band)
+    defect = assert_defect_agrees(full_width_build(q, cfg)[0])
     assert defect == pytest.approx(1.0e2, rel=0.05)
 
 
@@ -466,7 +473,7 @@ def dense_panels(prop, order):
     """The TILE_ROWS-row panels of each chain cut from the dense chain
     blocks of M, its entries beyond the step band's half-width w zeroed:
     (2, tiles, TILE_ROWS, TILE_ROWS + 2w)."""
-    dim, width = prop.step_band.shape
+    dim, width = prop.band.shape
     w, n = width // 2, dim // 2
     tiles = -(-n // TILE_ROWS)
     m = prop.matrix[np.ix_(order, order)]  # chain order
@@ -505,14 +512,14 @@ def per_row_steps(prop, y, steps):
     """The per-row kernel evolve stepped with before its panels: one
     np.matmul of each row of the step band by its window, both chains at
     once; the chain-order states of steps 0..steps."""
-    dim, width = prop.step_band.shape
+    dim, width = prop.band.shape
     h = width // 2
     padded = np.zeros(dim + 2 * h, dtype=np.complex128)
     windows = sliding_window_view(padded, width)[..., None]
     states = [y]
     for _ in range(steps):
         padded[h:h + dim] = states[-1]
-        states.append(np.matmul(prop.step_band[:, None, :], windows).ravel())
+        states.append(np.matmul(prop.band[:, None, :], windows).ravel())
     return np.array(states)
 
 
@@ -523,7 +530,7 @@ def test_panels_are_the_step_band_cut_into_tiles(params, P):
     # TILE_ROWS
     q = build_transfer_matrix(params, Truncation(P=P))
     q, cfg, prop = build(params, P, dt=suggest_step(q))
-    w = prop.step_band.shape[1] // 2
+    w = prop.band.shape[1] // 2
     tiles = -(-(P + 1) // TILE_ROWS)
     assert prop.panels.shape == (2, tiles, TILE_ROWS, TILE_ROWS + 2 * w)
     assert prop.panels.tobytes() == dense_panels(prop, q.order).tobytes()
@@ -602,15 +609,18 @@ def test_trimmed_step_band_matches_the_full_band_dense_oracle(params, P, steps):
     q = build_transfer_matrix(params, Truncation(P=P))
     dt = suggest_step(q)
     q, cfg, prop = build(params, P, dt=dt, steps=steps)
-    h, w = prop.band.shape[1] // 2, prop.step_band.shape[1] // 2
+    full = full_width_build(q, cfg)[0]
+    h, w = full.shape[1] // 2, prop.band.shape[1] // 2
     assert w < h  # the outer diagonals really are dropped
-    assert np.array_equal(prop.step_band, prop.band[:, h - w:h + w + 1])
+    assert np.array_equal(prop.band, full[:, h - w:h + w + 1])
+    band, dropped = _trim(full)
+    assert prop.band.tobytes() == band.tobytes() and prop.dropped_norm == dropped
     assert 0.0 < prop.dropped_norm < 1e-15
 
     s0 = fock_state(0, "e", P)
     traj = evolve(s0, prop, cfg, q)
     states = stepped_states(s0, prop, cfg, q)
-    m, weights, y = prop.matrix, ObservableWeights(P), s0.vector
+    m, weights, y = band_to_dense(full), ObservableWeights(P), s0.vector
     for k in range(steps + 1):
         assert np.abs(states[k] - y[q.order]).max() < 1e-12
         n_raw, sz_raw = weights.measure(y)[1:3]
