@@ -9,12 +9,19 @@ above tolerance.
 
 `main` may be called any number of times in one process.  It builds its
 parser on the first call and reuses it; nothing else is kept between calls.
+
+CSV output goes out CSV_BLOCK_ROWS lines per write call, never the whole
+text in one: written in one call, fig2's 329 KB CSV into a pipe whose
+reader closed after the header returned normally, and the run exited 0
+instead of 1.  A block stays under the 64 KB a pipe buffers, so the write
+after the reader has gone fails with BrokenPipeError.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -37,7 +44,7 @@ from .propagator import (
     suggest_step,
 )
 from .spectral import diagonalize, gs_scan, lowest_energies, teee_evolve
-from .trajectory import TrajectoryBuilder, csv_lines, csv_rows
+from .trajectory import CSV_BLOCK_ROWS, TrajectoryBuilder, csv_lines, csv_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -221,10 +228,16 @@ def _obtain_for_run(cfg: RunConfig, q: TransferMatrix, pcfg: PropagatorConfig
     return _obtain_propagator(q, pcfg), pcfg, record
 
 
+def _write_blocks(lines, write) -> None:
+    """Write each line with its newline, CSV_BLOCK_ROWS lines per call."""
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, CSV_BLOCK_ROWS)):
+        write("\n".join(block) + "\n")
+
+
 def _write_lines(lines, out_path: str) -> None:
     if not out_path:
-        for line in lines:
-            sys.stdout.write(line + "\n")
+        _write_blocks(lines, sys.stdout.write)
         return
     path = Path(out_path)
     try:
@@ -243,8 +256,7 @@ def _write_file(lines, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         target = atomic_write(path, "w")
     with target as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        _write_blocks(lines, fh.write)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -276,7 +288,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         dn = np.abs(traj.n_raw - ref.n_raw)
         dsz = np.abs(traj.sz_raw - ref.sz_raw)
 
-    _write_lines(["t,dn_abs,dsz_abs", *csv_rows(traj.times, dn, dsz)], cfg.out)
+    _write_lines(itertools.chain(["t,dn_abs,dsz_abs"], csv_rows(traj.times, dn, dsz)),
+                 cfg.out)
     max_dn, max_dsz = float(dn.max()), float(dsz.max())
     print(f"max_dn={max_dn!r}")
     print(f"max_dsz={max_dsz!r}")

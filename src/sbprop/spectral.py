@@ -497,7 +497,7 @@ def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarra
     # coupling b_{i-1} is not zero (a chain whose coupling is zero keeps
     # d_i = a_i - x)
     active = np.searchsorted(-lengths, -np.arange(n), side="left")
-    live = [[]] + [np.flatnonzero(col).tolist() for col in b2.T]
+    live = [[]] + [[c for c, on in enumerate(pair) if on] for pair in (b2 != 0).T.tolist()]
     blocks = []
     for top in range(0, n, rows):
         h, k = min(rows, n - top), active[top]

@@ -9,10 +9,15 @@ import numpy as np
 from .model import TransferMatrix, chain_order
 from .states import ObservableWeights
 
-__all__ = ["Trajectory", "CSV_COLUMNS", "csv_lines"]
+__all__ = ["Trajectory", "CSV_COLUMNS", "CSV_BLOCK_ROWS", "csv_lines"]
 
 CSV_COLUMNS = ("t", "norm2", "n_raw", "n_norm", "sz_raw", "sz_norm",
                "energy_re", "C_exp", "parity")
+
+# rows csv_rows formats at a time, and lines the CLI writes per call: a
+# line is at most 9 * 24 + 9 bytes, so a block stays under a 64 KB pipe
+# buffer
+CSV_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -146,10 +151,22 @@ class TrajectoryBuilder:
 
 
 def csv_rows(*columns: np.ndarray):
-    """Yield one CSV line (no newline) per row of the columns; floats as
-    shortest round-trip text."""
-    for row in np.column_stack(columns).tolist():
-        yield ",".join(map(repr, row))
+    """Yield one CSV line (no newline) per row of the float64 columns; each
+    cell is repr(float(cell)), the shortest round-trip text.
+
+    Rows are formatted CSV_BLOCK_ROWS at a time, and a block calls repr
+    once per distinct bit pattern among its cells: norm2, energy_re,
+    parity and, under RWA, C_exp repeat a handful of floats, and repr is
+    most of the cost of a line.  Keying on bits, not values, keeps -0.0
+    apart from 0.0 and NaNs with different payloads apart.
+    """
+    for top in range(0, columns[0].size, CSV_BLOCK_ROWS):
+        block = np.stack([c[top:top + CSV_BLOCK_ROWS] for c in columns], axis=1,
+                         dtype=np.float64)
+        bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        for row in text[inverse.reshape(block.shape)].tolist():
+            yield ",".join(row)
 
 
 def csv_lines(traj: Trajectory):

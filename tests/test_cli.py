@@ -18,6 +18,7 @@ import sbprop.cli
 import sbprop.propagator
 from sbprop import CacheEntry, PropagatorCache, build_step_propagator, load_run_config
 from sbprop.cli import _obtain_for_run, _obtain_propagator, _prepare, main
+from sbprop.trajectory import CSV_BLOCK_ROWS
 
 HEADER = "t,norm2,n_raw,n_norm,sz_raw,sz_norm,energy_re,C_exp,parity"
 
@@ -1016,6 +1017,29 @@ def test_closed_stdout_pipe_exits_1_quietly(config_dir):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == ""
+
+
+def test_long_run_writes_the_same_bytes_to_stdout_and_to_out(config_dir, capsys, tmp_path):
+    argv = ("evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=300")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 6002  # the header and 6,000 steps plus t=0
+    path = tmp_path / "long.csv"
+    assert run(capsys, *argv, "--out", str(path)) == (0, f"wrote {path}\n", "")
+    assert path.read_bytes() == out.encode()
+
+
+def test_closed_stdout_pipe_past_the_first_write_block_exits_1_quietly(config_dir):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sbprop.cli", "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+         "--set", "t_max=300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env())
+    lines = [proc.stdout.readline().decode() for _ in range(CSV_BLOCK_ROWS + 2)]
+    assert lines[0] == HEADER + "\n" and all(line.endswith("\n") for line in lines)
+    proc.stdout.close()  # about 22 write blocks are still to come
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
     assert err == ""
 
 

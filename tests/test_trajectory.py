@@ -13,7 +13,8 @@ from sbprop import (CSV_COLUMNS, ModelParams, ObservableWeights, Trajectory, Tru
                     build_transfer_matrix, csv_lines)
 from sbprop.model import chain_order
 from sbprop.propagator import BLOCK_ROWS
-from sbprop.trajectory import TrajectoryBuilder
+import sbprop.trajectory
+from sbprop.trajectory import CSV_BLOCK_ROWS, TrajectoryBuilder
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 FIG6 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4,
@@ -34,6 +35,59 @@ def test_csv_rows_match_the_per_cell_formula():
     text = "\n".join(lines)
     for token in ("nan", "-inf", "-0.0", "5e-324", "9007199254740994.0"):
         assert token in text
+
+
+def per_cell_lines(cols):
+    return [",".join(repr(float(c[k])) for c in cols) for k in range(cols[0].size)]
+
+
+def nan_with_payload(payload):
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def repeating_columns(rows, seed):
+    """Columns drawn from a few floats each, as norm2 and parity are, with
+    every special value among them."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, -0.0, nan_with_payload(1), nan_with_payload(2), -math.nan,
+                     math.inf, -math.inf, 5e-324, 1.0, -1.0, 0.1, 1 / 3, 0.375])
+    cols = [rng.choice(pool, rows) for _ in CSV_COLUMNS]
+    cols[0] = np.arange(rows) * 0.05
+    cols[3] = rng.normal(size=rows)  # one column all distinct
+    return cols
+
+
+def test_csv_rows_longer_than_two_blocks_match_the_per_cell_formula():
+    rows = 2 * CSV_BLOCK_ROWS + 37
+    cols = repeating_columns(rows, 0)
+    lines = list(csv_lines(Trajectory(*cols)))
+    assert lines[1:] == per_cell_lines(cols)
+
+
+def test_csv_rows_keep_bit_patterns_apart_across_block_edges(monkeypatch):
+    monkeypatch.setattr(sbprop.trajectory, "CSV_BLOCK_ROWS", 3)
+    # each special value and its twin (-0.0 for 0.0, another NaN payload)
+    # on both sides of a block edge, and repeats within and across blocks
+    edge = np.array([1.0, 0.0, -0.0, nan_with_payload(1), nan_with_payload(5), math.inf,
+                     -math.inf, 5e-324, -5e-324, 5e-324, 0.0, 0.0, -0.0, 1.0, 1.0])
+    cols = [np.roll(edge, k) for k in range(len(CSV_COLUMNS))]
+    lines = list(csv_lines(Trajectory(*cols)))
+    assert lines[1:] == per_cell_lines(cols)
+    text = "\n".join(lines)
+    for token in (",0.0,", ",-0.0,", ",nan,", ",inf,", ",-inf,", ",5e-324,", ",-5e-324,"):
+        assert token in text
+    cols = repeating_columns(50, 1)
+    assert list(csv_lines(Trajectory(*cols)))[1:] == per_cell_lines(cols)
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS])
+def test_csv_lines_are_the_header_then_one_line_per_row(rows):
+    traj = Trajectory(*repeating_columns(rows, rows))
+    lines = list(csv_lines(traj))
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert len(lines) == len(traj) + 1
+    assert not any("\n" in line for line in lines)
+    assert all(line.count(",") == len(CSV_COLUMNS) - 1 for line in lines)
 
 
 def former_columns(q, y):
