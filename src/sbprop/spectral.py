@@ -27,10 +27,15 @@ and the LDL^T pivots of that block are the first P+1 pivots of the big
 chain.  One Sturm-count sweep over the big chain therefore answers "is x
 above E0?" for every cutoff at once, and bisection on those answers gives
 E0(P) for the whole scan (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
-Each sweep probes PROBES shifts per bracket (multisection).  In IEEE
-arithmetic the count is monotone in the shift (Demmel, Dhillon & Ren,
-ETNA 3, 1995), so any probe sequence that stops only where no float lies
-strictly inside a bracket ends on the float a one-shift bisection ends on.
+Each sweep probes PROBES shifts per bracket (multisection), and also
+returns det(T - x) of every block, the product of its pivots.  Regula
+falsi on det, with the error the last estimate realised, places the next
+probes as a ladder around the root; a bracket at most PROBES + 1 floats
+wide probes each of its floats.  Placement decides only where counts are
+taken: brackets move on counts alone.  In IEEE arithmetic the count is
+monotone in the shift (Demmel, Dhillon & Ren, ETNA 3, 1995), so any probe
+sequence that stops only where no float lies strictly inside a bracket
+ends on the float a one-shift bisection ends on.
 
 Both routines count through one engine, _sturm_sweep.
 """
@@ -68,6 +73,11 @@ UNBOUNDED_SLOPE = 1e-3    # in units of omega_f, sign-flipped below
 SWEEP_ROWS = 8
 # Shifts one sweep of the ground-state scan probes inside each bracket.
 PROBES = 7
+# A det sweep moves its mantissa's exponent out every RENORM_BLOCKS ring
+# blocks: the product of that many blocks' pivots stays inside a double
+# unless a leading minor is near zero, and a det out of range only costs
+# the ground-state scan sweeps, never bits.
+RENORM_BLOCKS = 4
 # lowest_energies tests a Sturm midpoint only where its two levels lie
 # more than GAP_EPS * n * ||chain|| apart: half that gap, 4 n eps ||chain||,
 # exceeds eigvalsh's error (at most about n eps ||chain||) plus the
@@ -399,14 +409,34 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     at cutoff ps[j]: from Gershgorin below, and from just above the
     block's smallest diagonal (which bounds it by the Rayleigh quotient).
     Each step is one _sturm_sweep over the chain slots with PROBES shifts
-    per pair, lo + (hi - lo) k / (PROBES + 1) for k = 1..PROBES; pair
-    (c, j) reads "x is above E0" as a negative pivot among its first
-    ps[j] + 1.  The new bracket runs from the largest probe with none to
-    the smallest probe with one.  Where that grid is not strictly
-    increasing and strictly inside (lo, hi), which happens once a bracket
-    is a few floats wide, all of the pair's probes are the midpoint.  The
-    multisection stops when no midpoint lies strictly inside a bracket,
-    and E0 is the low end: the float a one-shift bisection ends on.
+    per pair; pair (c, j) reads "x is above E0" as a negative pivot among
+    its first ps[j] + 1, and the new bracket runs from the largest probe
+    with none to the smallest probe with one.  The multisection stops when
+    no midpoint lies strictly inside a bracket, and E0 is the low end.
+
+    The sweep also returns det(T - x) of each pair's block at each probe,
+    which steers where the next probes go:
+
+    * det is positive at lo (count 0) and negative at a hi with count 1,
+      with one root between, so regula falsi on det puts a root estimate
+      r in the bracket.  Its error is about C (r - lo)(hi - r) (Brent,
+      Algorithms for Minimization without Derivatives, 1973), and C is
+      read off the error the previous estimate r' realised: eps =
+      |r - r'| (r - lo)(hi - r) / ((r' - lo')(hi' - r')), at most
+      |r - r'|.  Where eps is below the uniform grid's spacing, the probes
+      are a ladder around r: r, r +- eps/3, r +- eps and r +- 3 eps, with
+      the finest rung at least one float wide.
+    * A bracket at most PROBES + 1 floats wide probes each of its floats.
+    * Elsewhere (a det of NaN or a count above 1 at an end, or no earlier
+      estimate) the probes are the uniform grid lo + (hi - lo) k /
+      (PROBES + 1), k = 1..PROBES, or lo + (hi - lo)(k - 1) / PROBES while
+      lo has no usable det, so that it gets one.
+
+    Probes are clipped into [lo, hi].  The placement only decides where
+    the counts are taken: brackets move on counts alone, and the count is
+    monotone in the shift in IEEE arithmetic (Demmel, Dhillon & Ren, ETNA
+    3, 1995), so every placement ends on the float a one-shift bisection
+    ends on.
 
     Q with an entry that is not finite, or so large that max|diag| +
     max|off| overflows, is refused with RuntimeError, and so is an E0 that
@@ -435,11 +465,18 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     lo = np.minimum(inner, left)[:, desc]
     hi = np.nextafter(np.minimum.accumulate(a, axis=1)[:, desc], np.inf)
 
-    # each pair's probes are PROBES consecutive columns of x
-    fractions = np.arange(1, PROBES + 1) / (PROBES + 1)
+    # each pair's probes are PROBES consecutive columns of x; lo_log and
+    # hi_log hold log2 |det| at the bracket ends, NaN where it gives no
+    # estimate
     x = np.empty((2, m * PROBES))
     probes = x.reshape(2, m, PROBES)
-    sweep = _sturm_sweep(a, b, x, np.repeat(desc + 1, PROBES))
+    sweep = _sturm_sweep(a, b, x, np.repeat(desc + 1, PROBES), det=True)
+    lo_log = hi_log = np.full((2, m), np.nan)
+    # the flat index in x just before each pair's first probe
+    before = np.arange(-1, x.size - 1, PROBES).reshape(2, m)
+    grid = np.arange(1, PROBES + 1) - (PROBES + 1) / 2          # -3 .. 3
+    ladder_steps = np.sign(grid) * 3.0 ** (np.abs(grid) - 2)     # 0, +-1/3, +-1, +-3
+    last_root = last_span = np.full((2, m), np.nan)
     while True:
         mid = (lo + hi) * 0.5
         inside = (lo < mid) & (mid < hi)
@@ -449,18 +486,44 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
             if not np.isfinite(e0).all():
                 raise RuntimeError("ground-state energy overflows a double")
             return e0
-        probes[...] = fractions
-        probes *= (hi - lo)[..., None]
-        probes += lo[..., None]
-        grid = ((lo < probes[..., 0]) & (probes[..., -1] < hi)
-                & (np.diff(probes, axis=2) > 0.0).all(axis=2))
-        np.copyto(probes, mid[..., None], where=~grid[..., None])
-        below = sweep().reshape(probes.shape) > 0
-        hi = np.where(inside, np.minimum(hi, np.where(below, probes, np.inf).min(axis=2)), hi)
-        lo = np.where(inside, np.maximum(lo, np.where(below, -np.inf, probes).max(axis=2)), lo)
+        width = hi - lo
+        gap = np.minimum(np.abs(np.spacing(lo)), np.abs(np.spacing(hi)))
+        # NaN, and so no ladder, wherever an end or the last estimate has no det
+        with np.errstate(all="ignore"):
+            root = lo + width / (1.0 + np.exp2(hi_log - lo_log))
+            span = (root - lo) * (hi - root)
+            eps = np.abs(root - last_root) * np.fmin(span / last_span, 1.0)
+        last_root, last_span = root, span
+        narrow = width <= (PROBES + 1) * gap
+        ladder = (eps <= width / (PROBES + 1)) & ~narrow
+        # a grid over a lo with no usable det starts at lo, which gets one
+        bare = np.isnan(lo_log) & ~narrow
+        centre = np.where(ladder, root, np.where(bare, lo + width * (grid[-1] / PROBES), mid))
+        step = np.where(ladder, np.maximum(eps, 3 * gap),
+                        np.where(narrow, gap, width / np.where(bare, PROBES, PROBES + 1)))
+        np.multiply(step[..., None], np.where(ladder[..., None], ladder_steps, grid),
+                    out=probes)
+        probes += centre[..., None]
+        np.maximum(probes, lo[..., None], out=probes)
+        np.minimum(probes, hi[..., None], out=probes)
+
+        # log2 |det| is formed in the mantissa's buffer
+        below, log_det, exponent = sweep()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log2(np.abs(log_det, out=log_det), out=log_det)
+        log_det += exponent
+        log_det[below > 1] = np.nan
+        # the new lo is the last probe with count 0, the new hi the next
+        last = (below == 0).reshape(probes.shape).sum(axis=2) + before
+        kept_lo, kept_hi = last == before, last == before + PROBES
+        lo = np.where(kept_lo, lo, x.take(last, mode="clip"))
+        hi = np.where(kept_hi, hi, x.take(last + 1, mode="clip"))
+        lo_log = np.where(kept_lo, lo_log, log_det.take(last, mode="clip"))
+        hi_log = np.where(kept_hi, hi_log, log_det.take(last + 1, mode="clip"))
 
 
-def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarray):
+def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarray,
+                 det: bool = False):
     """A function that counts negative LDL^T pivots for the shifts that x
     holds when it is called.
 
@@ -470,7 +533,14 @@ def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarra
     the columns a slot touches are a leading slice of x.  Each call
     returns below[c, s]: the number of negative pivots among the first
     lengths[s] of d_i = (a_i - x) - b_{i-1}^2 / d_{i-1} of chain c minus
-    x[c, s], that is, the eigenvalues of that block below x[c, s].
+    x[c, s], that is, the eigenvalues of that block below x[c, s].  With
+    det, a call returns (below, mantissa, exponent) instead, where
+    mantissa * 2^exponent is the product of those same pivots, det(T - x)
+    of the block, with the sign (-1)^below.  It is NaN after a zero pivot
+    that is not the block's last (0 times the -inf that follows), 0 where
+    the last pivot is 0, and 0 or infinite where a product of
+    RENORM_BLOCKS blocks leaves a double's range.  Each call overwrites
+    the arrays the previous call returned.
 
     A zero pivot is +0, so the next one is -inf; a slot whose coupling
     b_{i-1} is 0 starts a decoupled block and takes d_i = a_i - x, which
@@ -478,11 +548,16 @@ def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarra
 
     The pivots go through a ring of SWEEP_ROWS rows, one block of slots at
     a time.  A block forms a_i - x for all of its slots in one call, then
-    costs two calls per slot (quotient and pivot) and four to count its
-    negatives.  It runs over every column its first slot touches; a
-    column's pivots past its own last slot are masked out of the count.
-    The calls are planned once, so that a multisection pays for each of
-    its sweeps in ufunc calls alone.  A sweep runs under
+    costs two calls per slot (quotient and pivot) and three to count its
+    negatives.  A block runs over every column its first slot touches;
+    where a column ends inside the block, one more call overwrites its
+    ring cells past its last slot with 1.0, which keeps them out of the
+    count and of det (the next block never reads them).  det costs two
+    calls per block, a product over the ring and one into the mantissa,
+    and every RENORM_BLOCKS blocks two more, a frexp and a sum that move
+    the mantissa's exponent out.  The calls are planned once, so that a
+    multisection pays for each of its sweeps in ufunc calls alone.  A
+    sweep runs under
     model.small_ufunc_buffer: at numpy's default buffer size, setting up
     the buffers of a call over a strided ring block costs more than the
     block's arithmetic.
@@ -520,22 +595,41 @@ def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarra
             prev = d
         # the columns from `full` on stop inside the block
         full = active[top + h - 1]
-        flags = negative[:h, :, :k]
-        counted = np.arange(h)[:, None, None] < lengths[full:k] - top
-        blocks.append((calls, k, ring, flags, flags[:, :, full:], counted))
+        past = np.arange(h)[:, None, None] >= lengths[full:k] - top
+        ends = (ring[:, :, full:], past) if past.any() else None
+        blocks.append((calls, k, ring, negative[:h, :, :k], ends))
 
-    def sweep() -> np.ndarray:
-        below = np.zeros((2, cols), dtype=np.int64)
+    below = np.empty((2, cols), dtype=np.int64)
+    if det:
+        # a block's product goes to quotient, which its calls are done
+        # with, and frexp's exponents to shift
+        mantissa = np.empty((2, cols))
+        exponent, shift = np.empty((2, 2, cols), dtype=np.intc)
+
+    def sweep():
+        below[...] = 0
+        if det:
+            mantissa[...] = 1.0
+            exponent[...] = 0
         # b^2 / +0 is the +inf wanted, so the next pivot is -inf, and so is
-        # b^2 over a pivot too small for the quotient to be finite
-        with small_ufunc_buffer(), np.errstate(divide="ignore", over="ignore"):
-            for calls, k, ring, flags, stopping, counted in blocks:
+        # b^2 over a pivot too small for the quotient to be finite; a
+        # product over a zero and an infinite pivot is NaN
+        with small_ufunc_buffer(), np.errstate(divide="ignore", over="ignore",
+                                               invalid="ignore"):
+            for j, (calls, k, ring, flags, ends) in enumerate(blocks, 1):
                 for f, u, v, out in calls:
                     f(u, v, out)
+                if ends is not None:
+                    np.copyto(ends[0], 1.0, where=ends[1])
                 np.less(ring, 0.0, out=flags)
-                stopping &= counted
                 # at most SWEEP_ROWS per block, so a byte holds the sum
                 below[:, :k] += flags.view(np.uint8).sum(axis=0, dtype=np.uint8)
-        return below
+                if det:
+                    np.multiply.reduce(ring, axis=0, out=quotient[:, :k])
+                    mantissa[:, :k] *= quotient[:, :k]
+                    if j % RENORM_BLOCKS == 0:
+                        np.frexp(mantissa[:, :k], out=(mantissa[:, :k], shift[:, :k]))
+                        exponent[:, :k] += shift[:, :k]
+        return (below, mantissa, exponent) if det else below
 
     return sweep

@@ -152,10 +152,29 @@ def test_sturm_counts_match_the_one_float_recurrence(params):
     # inside a ring of spectral.SWEEP_ROWS slots, at its last slot and past it
     for lengths in (np.full(x.shape[1], P + 1), np.repeat([13, 12, 9, 8, 5, 3, 1], 2)):
         counts = spectral._sturm_sweep(a, b, x, lengths)()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            below, mantissa, exponent = spectral._sturm_sweep(a, b, x, lengths, det=True)()
+            with np.errstate(divide="ignore"):
+                log_det = np.log2(np.abs(mantissa)) + exponent
+        assert below.tobytes() == counts.tobytes()
         for c, (d, off) in enumerate(chains):
             want = [sturm_count(d[:n], off[:n - 1], np.ldexp(v, e))
                     for v, n in zip(x[c], lengths)]
             assert counts[c].tolist() == want, (c, lengths.tolist())
+            for s, (v, n) in enumerate(zip(x[c], lengths)):
+                pivots = sturm_pivots(a[c, :n], b[c, :n - 1], v)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    want_log = np.log2(np.abs(pivots)).sum()
+                if not np.isfinite(want_log):
+                    # NaN: no estimate; -inf: a last pivot of 0
+                    assert str(log_det[c, s]) == str(want_log), (c, s)
+                    continue
+                assert abs(log_det[c, s] - want_log) <= 1e-12 * max(1.0, abs(want_log)), (c, s)
+                assert np.sign(mantissa[c, s]) == (-1) ** counts[c, s], (c, s)
+        # x = a_0 makes d_0 = +0, and where b_0 couples it to slot 1, d_1 is
+        # -inf and det has no estimate
+        assert np.isnan(mantissa[b[:, 0] != 0, 8]).all()
 
     # the count is monotone in the shift, zero pivots included
     x = np.sort(np.hstack([rng.uniform(-1.0, 1.0, (2, 40)), a]), axis=1)
@@ -284,16 +303,21 @@ def chain_blocks(params, P):
     return [(q.diag[lo:lo + n].real, q.off[lo:lo + n - 1]) for lo in (0, n)]
 
 
-def sturm_count(d, off, x):
-    """Negative pivots of LDL^T of T - x, one float at a time: a zero pivot
-    is +0, and a zero coupling starts a decoupled block."""
-    count, pivot = 0, 1.0
+def sturm_pivots(d, off, x):
+    """The LDL^T pivots of T - x, one float at a time: a zero pivot is +0,
+    so the next is -inf, and a zero coupling starts a decoupled block."""
+    pivots, pivot = [], 1.0
     for i, a in enumerate(d):
         b2 = off[i - 1] * off[i - 1] if i else 0.0
         quotient = (b2 / pivot if pivot else np.inf) if b2 else 0.0
         pivot = (a - x) - quotient
-        count += pivot < 0.0
-    return count
+        pivots.append(pivot)
+    return pivots
+
+
+def sturm_count(d, off, x):
+    """Negative pivots of LDL^T of T - x."""
+    return sum(pivot < 0.0 for pivot in sturm_pivots(d, off, x))
 
 
 couplings = st.one_of(st.just(0.0), st.floats(0.05, 3.0))
@@ -377,6 +401,16 @@ def test_multisection_matches_the_bisection_on_every_config(config_dir, name):
 
 @settings(max_examples=60, deadline=None)
 @given(params=hermitian_params, ps=cutoff_grids)
+# a probe makes a pivot exactly 0, so the next is -inf and det is NaN
+@example(params=ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.0, g_plus=0.5),
+         ps=[0, 1, 2, 3, 4, 8, 40])
+# the resonant RWA model: every other coupling is zero, det is 0 at lo,
+# and counts above 1 at hi leave the uniform grid
+@example(params=ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.0), ps=[0, 5, 30])
+# omega_0 / 2 is subnormal, so the chains keep their scale 2^0 (coupled,
+# so that the probes run)
+@example(params=ModelParams(omega_f=2.0, omega_0=1.307518396529771e-308, g_minus=0.5),
+         ps=[0, 16])
 def test_multisection_matches_the_bisection_on_random_scans(params, ps):
     assert_matches_the_bisection(params, ps)
 
@@ -388,30 +422,50 @@ def test_multisection_matches_the_bisection_at_scaled_couplings(power):
 
 
 @pytest.mark.parametrize("name", ["fig5a", "fig5b"])
-def test_multisection_falls_back_to_the_midpoint_on_narrow_brackets(config_dir, monkeypatch,
-                                                                    name):
-    # a bracket a few floats wide puts several points of the PROBES grid
-    # on one float, and the pair probes its midpoint PROBES times instead
-    collapsed = []
+def test_multisection_probes_each_float_of_a_narrow_bracket(config_dir, monkeypatch, name):
+    # a bracket at most PROBES + 1 floats wide probes every float inside it
+    rounds = []
     real = spectral._sturm_sweep
 
-    def spy(a, b, x, lengths):
-        sweep = real(a, b, x, lengths)
+    def spy(a, b, x, lengths, det=False):
+        sweep = real(a, b, x, lengths, det)
 
         def probing():
-            probes = x.reshape(2, -1, spectral.PROBES)
-            collapsed.append(bool((probes == probes[..., :1]).all(axis=2).any()))
-            return sweep()
+            result = sweep()
+            below = result[0] if det else result
+            shape = (2, -1, spectral.PROBES)
+            rounds.append((x.reshape(shape).copy(), below.reshape(shape) > 0))
+            return result
         return probing
 
     monkeypatch.setattr(spectral, "_sturm_sweep", spy)
     cfg = load_run_config(config_dir / f"{name}.cfg", [])
     ps = parse_p_values(cfg.p_values)
     e0 = gs_scan(cfg.to_params(), ps).e0
-    assert any(collapsed) and not collapsed[0]
-    # the one-shift bisection took 57 sweeps on fig5a and 54 on fig5b
-    assert len(collapsed) <= 22
+    # the one-shift bisection took 57 sweeps on fig5a and 54 on fig5b, the
+    # evenly spaced multisection 20
+    assert len(rounds) <= 14
     assert e0.tobytes() == bisection_ground_energies(cfg.to_params(), np.asarray(ps)).tobytes()
+
+    # replay the brackets from the counts alone; an end no count has moved
+    # yet is left infinite
+    lo = np.full(rounds[0][0].shape[:2], -np.inf)
+    hi = -lo
+    probed = []
+    for probes, above in rounds:
+        last = lo
+        for _ in range(spectral.PROBES + 1):
+            last = np.nextafter(last, np.inf)
+        for c, j in np.argwhere(np.isfinite(lo) & np.isfinite(hi) & (hi <= last)):
+            inner = [np.nextafter(lo[c, j], np.inf)]
+            while inner[-1] < hi[c, j]:
+                inner.append(np.nextafter(inner[-1], np.inf))
+            assert set(inner[:-1]) <= set(probes[c, j]), (c, j)
+            probed.append(len(inner) - 1)
+        lo = np.maximum(lo, np.where(above, -np.inf, probes).max(axis=2))
+        hi = np.minimum(hi, np.where(above, probes, np.inf).min(axis=2))
+    assert max(probed) > 1
+    assert np.all(np.nextafter(lo, np.inf) == hi)
 
 
 def test_gs_scan_assembles_q_once(monkeypatch):
