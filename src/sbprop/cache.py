@@ -1,4 +1,10 @@
-"""On-disk store for step propagators, keyed by a parameter fingerprint.
+"""The step propagator record and its on-disk store, keyed by a parameter
+fingerprint.
+
+CacheEntry is the one propagator record: the build returns it, put()
+stores it, get() hands it back, and evolve steps it.  It is valid by
+construction: its band has been checked against dim and N and made
+read-only, so put() writes it as it is and get() builds it from the file.
 
 File layout, format version 3 (little-endian throughout):
 
@@ -100,19 +106,27 @@ def default_cache_dir() -> Path:
 
 
 class CacheEntry:
-    """One stored propagator: its chain-order band and its certificates.
+    """The step propagator: its chain-order band, provenance and build
+    certificates.  propagator.StepPropagator is a second name for this
+    class.
 
-    The band has half-width w, at most min(N, P): the step band of
-    propagator.StepPropagator.  `matrix=` may be given in place of
-    `band=`; its band is gathered at once, out to its outermost nonzero
-    diagonal (ValueError if it has nonzeros outside the band of
-    half-width min(N, P)).  `.matrix` is the dense block-layout view,
-    built on every access.  Header-only listings carry no band, only its
-    half-width w, and `.matrix` is then None.  The certificates are None
-    when unknown: for entries stored without them, and where no unitarity
-    defect was measured (dissipative builds).
-    propagator.StepPropagator is a CacheEntry, so a built propagator is
-    stored as it is.
+    band is the (dim, 2w+1) central slice of the Taylor sum M that
+    build_step_propagator keeps: w, at most min(N, P), is the outermost
+    diagonal of M holding any entry above eps * max|M|.  It is the only
+    band the propagator holds, read-only.  dropped_norm certifies what the
+    slice leaves out of M: the largest row sum of |entries| beyond w, so
+    no step moves any amplitude by more than dropped_norm * max|y|.
+    `matrix=` may be given in place of `band=` (tests, bench); its band
+    is gathered at once, out to its outermost nonzero diagonal.  A band
+    whose shape does not fit dim and N, or with a nonzero outside the
+    parity chains (see _check_band), is refused with ValueError, and so
+    is a dense matrix with any nonzero outside the band of half-width
+    min(N, P).  `.matrix` is the dense block-layout view, built on every
+    access.  Header-only listings carry no band, only its half-width w,
+    and `.matrix` is then None; a record with none of band, matrix and w
+    is refused.  The certificates are None when unknown: for entries
+    stored without them, such as one stored from its dense matrix, and
+    where no unitarity defect was measured (dissipative builds).
     """
 
     def __init__(self, fingerprint: int, dim: int, N: int, dt: float,
@@ -127,12 +141,18 @@ class CacheEntry:
             if band is not None:
                 raise ValueError("give at most one of matrix and band")
             band = band_from_dense(np.asarray(matrix, dtype=np.complex128), N)
+        if band is not None:
+            _check_band(band, dim, N)
+            band.setflags(write=False)
+            w = band.shape[1] // 2
+        elif w is None:
+            raise ValueError("give one of band, matrix and a header-only w")
         self.fingerprint = fingerprint
         self.dim = dim
         self.N = N
         self.dt = dt
         self.band = band
-        self.w = w if band is None else band.shape[1] // 2
+        self.w = w
         self.created_at = created_at
         self.last_term_norm = last_term_norm
         self.unitarity_defect = unitarity_defect
@@ -217,16 +237,13 @@ class PropagatorCache:
         """Atomically write one version-3 entry (temp file + rename); returns the path."""
         if entry.band is None:
             raise ValueError("cannot store an entry without its band")
-        band = np.asarray(entry.band, dtype=np.complex128)
-        _check_band(band, entry.dim, entry.N)
-
-        header = _HEADER.pack(MAGIC, VERSION, entry.dim, entry.N, band.shape[1] // 2,
+        header = _HEADER.pack(MAGIC, VERSION, entry.dim, entry.N, entry.w,
                               float(entry.dt), entry.fingerprint,
                               _stored(entry.last_term_norm),
                               _stored(entry.unitarity_defect),
                               _stored(entry.dropped_norm))
         # a byte view of the band: no second copy of the payload
-        payload = memoryview(np.ascontiguousarray(band, dtype="<c16")).cast("B")
+        payload = memoryview(np.ascontiguousarray(entry.band, dtype="<c16")).cast("B")
 
         self.root.mkdir(parents=True, exist_ok=True)
         final = self.path_for(entry.fingerprint)
@@ -284,27 +301,16 @@ class PropagatorCache:
         payload = memoryview(rest)[:-CHECKSUM_SIZE]
         if _checksum(header, payload) != rest[-CHECKSUM_SIZE:]:
             raise CacheCorruptError(path, "checksum mismatch")
-        band = None
-        if with_band:
-            # a read-only view of `rest`, copied only on big-endian hosts
-            band = np.frombuffer(payload, dtype="<c16").astype(
-                np.complex128, copy=False).reshape(shape)
-            try:
-                _check_band(band, dim, order)
-            except ValueError as err:
-                raise CacheCorruptError(path, str(err)) from None
-        return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt, band=band, w=w,
-                          created_at=stat.st_mtime, last_term_norm=_loaded(last),
-                          unitarity_defect=_loaded(defect),
-                          dropped_norm=_loaded(dropped))
-
-    def invalidate(self, fingerprint: int) -> bool:
-        """Remove one entry; True if something was deleted."""
+        # a read-only view of `rest`, copied only on big-endian hosts
+        band = np.frombuffer(payload, dtype="<c16").astype(
+            np.complex128, copy=False).reshape(shape) if with_band else None
         try:
-            self.path_for(fingerprint).unlink()
-            return True
-        except FileNotFoundError:
-            return False
+            return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt, band=band, w=w,
+                              created_at=stat.st_mtime, last_term_norm=_loaded(last),
+                              unitarity_defect=_loaded(defect),
+                              dropped_norm=_loaded(dropped))
+        except ValueError as err:
+            raise CacheCorruptError(path, str(err)) from None
 
     def entries(self) -> list[tuple[Path, CacheEntry | CacheCorruptError]]:
         """Every entry of the cache directory, sorted by name, without its band.

@@ -146,34 +146,23 @@ def _prepare(cfg: RunConfig) -> tuple[TransferMatrix, PropagatorConfig]:
     return q, PropagatorConfig(dt=dt, steps=steps, N=cfg.N, tol=cfg.tol)
 
 
-def _load_cached(store: PropagatorCache, fp: int, q: TransferMatrix,
-                 pcfg: PropagatorConfig) -> StepPropagator | None:
-    """The stored propagator for fp; None on a miss, CacheCorruptError if
-    unusable, NotConverged/NotUnitary if its stored certificates are
-    refused at pcfg.tol (see certify)."""
-    entry = store.get(fp)
-    if entry is None or (entry.dim, entry.N, entry.dt) != (q.dim, pcfg.N, pcfg.dt):
-        return None
-    certify(entry, q, pcfg)
-    return StepPropagator(band=entry.band, fingerprint=fp, dt=entry.dt, N=entry.N,
-                          last_term_norm=entry.last_term_norm,
-                          unitarity_defect=entry.unitarity_defect,
-                          dropped_norm=entry.dropped_norm)
-
-
 def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropagator:
-    """Cache-backed build: hit -> load, miss/corrupt -> build and store."""
+    """Cache-backed build: a hit for the same (dim, N, dt) is the stored
+    record, certified at pcfg.tol (NotConverged/NotUnitary if its stored
+    certificates are refused, see certify); a miss, a corrupt entry or
+    one for other (dim, N, dt) is built and stored."""
     store = PropagatorCache()
     fp = propagator_fingerprint(q.params, q.trunc.P, pcfg.N, pcfg.dt)
     try:
-        prop = _load_cached(store, fp, q, pcfg)
+        prop = store.get(fp)
     except CacheCorruptError as err:
         print(f"warning: rebuilding corrupt cache entry ({err})", file=sys.stderr)
         prop = None
     except OSError as err:
         print(f"warning: could not read propagator cache: {err}", file=sys.stderr)
         prop = None
-    if prop is not None:
+    if prop is not None and (prop.dim, prop.N, prop.dt) == (q.dim, pcfg.N, pcfg.dt):
+        certify(prop, q, pcfg)
         return prop
     prop = build_step_propagator(q, pcfg)
     try:
@@ -186,13 +175,14 @@ def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropaga
 def _trajectory_for(cfg: RunConfig, q: TransferMatrix,
                     pcfg: PropagatorConfig) -> TrajectoryBuilder:
     """The record of a run of pcfg.steps steps; a run too long to hold in
-    memory is a ConfigError."""
+    memory, or to index, is a ConfigError."""
     try:
         # couplings near the float limit overflow the doubled energy
         # weights; M's build then refuses them, so the warning is noise
         with np.errstate(over="ignore"):
             return TrajectoryBuilder(q.trunc.P, pcfg.steps + 1, q=q)
-    except MemoryError as err:
+    except (MemoryError, ValueError) as err:
+        # ValueError: a count past numpy's largest array size
         raise ConfigError(f"t_max={cfg.t_max} at dt={pcfg.dt} is {pcfg.steps} steps, "
                           f"too many to record: {err}") from None
 

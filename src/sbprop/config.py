@@ -32,17 +32,18 @@ _PI_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?$")
 def _parse_angle(text: str) -> float:
     """Plain float, or familiar fractions like 'pi/4', '3*pi/2', '0.5pi'."""
     m = _PI_RE.match(text.strip())
-    if m:
-        coeff = m.group(1)
-        num = 1.0 if coeff in ("", "+") else -1.0 if coeff == "-" else float(coeff)
-        den = float(m.group(2)) if m.group(2) else 1.0
-        if den == 0.0:
-            raise ConfigError(f"zero denominator in angle {text!r}")
-        return num * math.pi / den
     try:
-        return float(text)
+        if not m:
+            return float(text)
+        coeff = m.group(1)
+        # the pattern also admits a bare "." as the coefficient
+        num = 1.0 if coeff in ("", "+") else -1.0 if coeff == "-" else float(coeff)
     except ValueError:
         raise ConfigError(f"cannot parse angle {text!r}") from None
+    den = float(m.group(2)) if m.group(2) else 1.0
+    if den == 0.0:
+        raise ConfigError(f"zero denominator in angle {text!r}")
+    return num * math.pi / den
 
 
 def _parse_dt(text: str):

@@ -7,7 +7,9 @@ evolve steps with are the build certificates; `certify` refuses a
 propagator whose certificates exceed the bounds for the requested
 tolerance rather than silently degrading, on a fresh build and on a cache
 hit alike.  One propagator is built once, stored once and reused across
-every initial state and every step of a run.
+every initial state and every step of a run, as one record:
+cache.CacheEntry, named StepPropagator here, which build_step_propagator
+returns, the cache stores and hands back, and evolve and advance step.
 
 Q is tridiagonal in chain order (see model), so Q^n has half-bandwidth n
 and M has half-bandwidth h = min(N, P) there: the build holds it in band
@@ -17,17 +19,17 @@ diagonal, and term n only on its own diagonals h-n..h+n.  The outer
 diagonals of M fall below double precision long before h, so the build
 keeps only the narrower band, half-width w, that holds every entry above
 eps * max|M|, and drops the rest at once.  That band is the propagator:
-evolve steps with it, O(w P) per step, the cache stores it, and the
-unitarity defect is measured over it, in long contiguous passes over its
-columns: O(w) array operations, each over O(w P) entries.  The dense
-block-layout form is only built for callers that ask for `.matrix`.
+evolve steps with it, O(w P) per step, as dense panels gathered from it
+once per run (_panels), the cache stores it, and the unitarity defect is
+measured over it, in long contiguous passes over its columns: O(w) array
+operations, each over O(w P) entries.  The dense block-layout form is
+only built for callers that ask for `.matrix`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,7 +61,7 @@ UNITARITY_TOL = 1e-9
 # amortises the per-call overhead; a larger block only adds memory.
 BLOCK_ROWS = 64
 # Consecutive band rows of one chain that evolve applies as one dense
-# panel (see StepPropagator.panels): one BLAS call per TILE_ROWS rows, at
+# panel (see _panels): one BLAS call per TILE_ROWS rows, at
 # (TILE_ROWS + 2w) / (2w + 1) times the flops of one call per row.
 TILE_ROWS = 8
 
@@ -137,63 +139,28 @@ class PropagatorConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 
-class StepPropagator(CacheEntry):
-    """The step propagator as its chain-order band, plus provenance and
-    build certificates.
+# the propagator record: one class under two names (see cache.CacheEntry)
+StepPropagator = CacheEntry
 
-    A CacheEntry (band, w, dim, fingerprint, dt, N, the certificates, the
-    `matrix=` gather and the dense `.matrix` view) built from exactly one
-    of the band (build_step_propagator, cache hits) or the dense
-    block-layout matrix (tests); a dense matrix with any nonzero outside
-    the band of half-width min(N, P) is refused with ValueError.
 
-    band is the (dim, 2w+1) central slice of the Taylor sum M that
-    build_step_propagator keeps (_trim): w is the outermost diagonal of M
-    holding any entry above eps * max|M|.  It is the only band the
-    propagator holds; evolve steps with it and the cache stores it.
-    dropped_norm certifies what the slice leaves out of M: the largest
-    row sum of |entries| beyond w, so no step moves any amplitude by more
-    than dropped_norm * max|y| (None when unknown, as for an entry stored
-    from its dense matrix).  panels holds the band again, cut into the
-    dense tiles evolve multiplies by.
+def _panels(band: np.ndarray) -> np.ndarray:
+    """The band as (2, tiles, T, T + 2w) dense panels, T = TILE_ROWS.
+
+    Panel t of chain c holds the chain's band rows tT .. tT + T - 1, row i
+    shifted right by i, so that its columns meet the chain-local slots
+    tT - w .. tT + T - 1 + w.  Each chain's rows are padded with zero rows
+    to tiles * T, so no panel straddles the two chains and the corners and
+    the padding rows are exact zeros.
     """
-
-    def __init__(self, matrix: np.ndarray | None = None, *, fingerprint: int,
-                 dt: float, N: int, last_term_norm: float | None = None,
-                 unitarity_defect: float | None = None,
-                 dropped_norm: float | None = None,
-                 band: np.ndarray | None = None):
-        if (matrix is None) == (band is None):
-            raise ValueError("give exactly one of matrix and band")
-        super().__init__(fingerprint, None, N, dt, matrix, band=band,
-                         last_term_norm=last_term_norm,
-                         unitarity_defect=unitarity_defect,
-                         dropped_norm=dropped_norm)
-        self.band.setflags(write=False)
-        self.dim = self.band.shape[0]
-
-    @cached_property
-    def panels(self) -> np.ndarray:
-        """The band as (2, tiles, T, T + 2w) dense panels, T = TILE_ROWS.
-
-        Panel t of chain c holds the chain's band rows tT .. tT + T - 1,
-        row i shifted right by i, so that its columns meet the chain-local
-        slots tT - w .. tT + T - 1 + w.  Each chain's rows are padded with
-        zero rows to tiles * T, so no panel straddles the two chains and
-        the corners and the padding rows are exact zeros.  Built from
-        the band on first use and kept, read-only.
-        """
-        dim, width = self.band.shape
-        n = dim // 2
-        tiles = -(-n // TILE_ROWS)
-        rows = np.zeros((2, tiles * TILE_ROWS, width), dtype=np.complex128)
-        rows[:, :n] = self.band.reshape(2, n, width)
-        panels = np.zeros((2, tiles, TILE_ROWS, TILE_ROWS + width - 1),
-                          dtype=np.complex128)
-        for i in range(TILE_ROWS):
-            panels[:, :, i, i:i + width] = rows[:, i::TILE_ROWS]
-        panels.setflags(write=False)
-        return panels
+    dim, width = band.shape
+    n = dim // 2
+    tiles = -(-n // TILE_ROWS)
+    rows = np.zeros((2, tiles * TILE_ROWS, width), dtype=np.complex128)
+    rows[:, :n] = band.reshape(2, n, width)
+    panels = np.zeros((2, tiles, TILE_ROWS, TILE_ROWS + width - 1), dtype=np.complex128)
+    for i in range(TILE_ROWS):
+        panels[:, :, i, i:i + width] = rows[:, i::TILE_ROWS]
+    return panels
 
 
 def _trim(band: np.ndarray) -> tuple[np.ndarray, float]:
@@ -265,7 +232,7 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
         del m
         band, dropped = _trim(band)
         fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)
-        prop = StepPropagator(band=band, fingerprint=fp, dt=cfg.dt, N=cfg.N,
+        prop = StepPropagator(fp, dim, cfg.N, cfg.dt, band=band,
                               last_term_norm=last, dropped_norm=dropped)
         if q.hermitian:
             prop.unitarity_defect = _unitarity_defect(prop.band)
@@ -395,8 +362,8 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
     iteration.  Every step is yielded once, step 0 in the first block.
 
     Steps use prop.band, M without its negligible outer diagonals (see
-    StepPropagator), as its dense panels of TILE_ROWS rows
-    (StepPropagator.panels).  The state is carried through a block of
+    cache.CacheEntry), as its dense panels of TILE_ROWS rows, gathered
+    once per run (_panels).  The state is carried through a block of
     BLOCK_ROWS states; in each, a chain's slots are padded with zeros to
     a whole number of panels and by w zero slots on either side, so each
     panel multiplies a window of its own chain alone.  A step is one
@@ -414,7 +381,7 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
     steps = int(cfg.steps)
     dim, width = prop.band.shape
     w, n = width // 2, dim // 2
-    panels = prop.panels
+    panels = _panels(prop.band)
     tiles, tile, span = panels.shape[1:]
     block = np.zeros((min(steps + 1, BLOCK_ROWS), 2, tiles * tile + 2 * w),
                      dtype=np.complex128)

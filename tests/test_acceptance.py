@@ -226,7 +226,7 @@ def test_criterion_9_cache_round_trip_determinism(shop):
         assert np.array_equal(loaded.matrix, prop.matrix)
 
         relaunched = StepPropagator(matrix=loaded.matrix, fingerprint=fp,
-                                    dt=pcfg.dt, N=pcfg.N,
+                                    dim=q.dim, dt=pcfg.dt, N=pcfg.N,
                                     last_term_norm=None, unitarity_defect=None)
         short = PropagatorConfig(dt=pcfg.dt, steps=64, N=pcfg.N, tol=pcfg.tol)
         state = (cfg.build_initial_state() if not cfg.p_values

@@ -51,15 +51,6 @@ def test_miss_is_none_not_an_error(tmp_path):
     assert PropagatorCache(tmp_path).get(0x1234) is None
 
 
-def test_invalidate(tmp_path):
-    store = PropagatorCache(tmp_path)
-    entry = make_entry()
-    store.put(entry)
-    assert store.invalidate(entry.fingerprint) is True
-    assert store.invalidate(entry.fingerprint) is False
-    assert store.get(entry.fingerprint) is None
-
-
 def test_flipped_payload_byte_is_reported_as_corrupt(tmp_path):
     store = PropagatorCache(tmp_path)
     entry = make_entry()
@@ -298,8 +289,8 @@ def test_v3_payload_must_fit_the_band(tmp_path):
 
 @pytest.mark.parametrize("P, w", [(0, 0), (1, 1), (3, 1), (3, 3), (8, 5), (8, 8)])
 def test_every_band_cell_outside_the_chains_is_refused(tmp_path, P, w):
-    # put reads only the two corners of each chain's rows; each cell the
-    # band_inside mask leaves out is refused on its own
+    # the record reads only the two corners of each chain's rows; each cell
+    # the band_inside mask leaves out is refused on its own
     dim = 2 * (P + 1)
     inside = band_inside(dim, w)
     band = np.where(inside, 1.0 + 0j, 0j)
@@ -411,6 +402,13 @@ def test_put_validation(tmp_path):
     with pytest.raises(ValueError):
         store.put(CacheEntry(fingerprint=entry.fingerprint, dim=99,
                              N=entry.N, dt=entry.dt, matrix=entry.matrix))
+
+
+def test_band_whose_row_count_is_not_dim_is_refused_at_construction():
+    prop, _ = built_entry()
+    for dim in (prop.dim - 2, prop.dim + 2):
+        with pytest.raises(ValueError, match=f"does not match dim {dim}"):
+            CacheEntry(prop.fingerprint, dim, prop.N, prop.dt, band=prop.band)
 
 
 def test_entry_under_another_fingerprint_is_corrupt(tmp_path):

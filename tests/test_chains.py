@@ -100,7 +100,7 @@ def test_chain_route_matches_the_dense_oracle(omega_f, omega_0, g_minus, g_plus,
     # a cache hit rebuilds the band from the dense payload: byte for byte
     # the same, signed zeros included, so hits and misses step identically
     loaded = StepPropagator(matrix=prop.matrix, fingerprint=prop.fingerprint,
-                            dt=dt, N=N)
+                            dim=q.dim, dt=dt, N=N)
     assert loaded.band.tobytes() == prop.band.tobytes()
     assert prop.last_term_norm == pytest.approx(last, rel=1e-9, abs=1e-300)
     if q.hermitian:
@@ -157,6 +157,7 @@ def test_dense_matrix_outside_the_band_is_refused(where):
     else:
         bad[order[0], order[q.trunc.P + 1]] = 1e-300  # chain A row, chain B column
     with pytest.raises(ValueError, match="outside the parity-chain band"):
-        StepPropagator(matrix=bad, fingerprint=prop.fingerprint, dt=prop.dt, N=prop.N)
-    with pytest.raises(ValueError, match="exactly one"):
-        StepPropagator(fingerprint=prop.fingerprint, dt=prop.dt, N=prop.N)
+        StepPropagator(matrix=bad, fingerprint=prop.fingerprint, dim=q.dim, dt=prop.dt,
+                       N=prop.N)
+    with pytest.raises(ValueError, match="give one of band, matrix and a header-only w"):
+        StepPropagator(fingerprint=prop.fingerprint, dim=q.dim, dt=prop.dt, N=prop.N)

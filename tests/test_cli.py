@@ -510,6 +510,30 @@ def test_cache_reuse_preserves_results_bitwise(config_dir, capsys,
     assert len(list((tmp_path / "store").glob("*.sbp"))) == 1
 
 
+def test_warm_evolve_steps_the_record_the_store_hands_back(config_dir, capsys,
+                                                           tmp_path, monkeypatch):
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=2.0"]
+    cold = run(capsys, *argv)
+    served, stepped, original = [], [], sbprop.cli.evolve
+
+    class Store(PropagatorCache):
+        def get(self, fingerprint):
+            served.append(super().get(fingerprint))
+            return served[-1]
+
+    def evolve(state, prop, *args, **kwargs):
+        stepped.append(prop)
+        return original(state, prop, *args, **kwargs)
+
+    monkeypatch.setattr(sbprop.cli, "PropagatorCache", Store)
+    monkeypatch.setattr(sbprop.cli, "build_step_propagator", must_not_build)
+    monkeypatch.setattr(sbprop.cli, "evolve", evolve)
+    assert run(capsys, *argv) == cold
+    assert len(served) == 1 and served[0] is not None
+    assert len(stepped) == 1 and stepped[0] is served[0]
+
+
 def test_entry_renamed_to_another_fingerprint_is_rebuilt(config_dir, capsys,
                                                          tmp_path, monkeypatch):
     fig2 = cfg(config_dir, "fig2.cfg")
@@ -958,6 +982,20 @@ def test_step_count_too_large_to_record_is_refused_before_its_build(
                           "8796093022208 steps, too many to record: ")
     assert err.count("\n") == 1
     assert len(built) == 1 and built[0] > 1e-8
+    assert PropagatorCache().entries() == []
+
+
+def test_step_count_past_the_largest_array_is_too_many_to_record(
+        config_dir, capsys, tmp_path, monkeypatch):
+    # 1e20 steps: numpy refuses the record's length with a ValueError of
+    # its own before it tries to allocate
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", "dt=1e-17", "--set", "t_max=1e3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: t_max=1000.0 at dt=1e-17 is "
+                          "100000000000000000000 steps, too many to record: ")
+    assert err.count("\n") == 1
     assert PropagatorCache().entries() == []
 
 

@@ -1,6 +1,7 @@
 """Config files, --set overrides, and the value parsers."""
 
 import math
+import re
 
 import pytest
 
@@ -75,6 +76,13 @@ def test_bad_angles_and_bools():
     assert _parse_bool("TRUE") is True and _parse_bool("off") is False
     with pytest.raises(ConfigError):
         _parse_bool("maybe")
+
+
+@pytest.mark.parametrize("text", [".pi", "+.pi", "-.pi/2"])
+def test_bare_dot_angle_coefficient_is_a_config_error_naming_its_key(text):
+    # the pi pattern admits "." as the coefficient, which float() refuses
+    with pytest.raises(ConfigError, match=f"^key 'theta': cannot parse angle '{re.escape(text)}'$"):
+        load_run_config(None, [f"theta={text}"])
 
 
 def test_p_values_forms():
