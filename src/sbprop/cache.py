@@ -121,38 +121,34 @@ class CacheEntry:
     whose shape does not fit dim and N, or with a nonzero outside the
     parity chains (see _check_band), is refused with ValueError, and so
     is a dense matrix with any nonzero outside the band of half-width
-    min(N, P).  `.matrix` is the dense block-layout view, built on every
-    access.  Header-only listings carry no band, only its half-width w,
-    and `.matrix` is then None; a record with none of band, matrix and w
-    is refused.  The certificates are None when unknown: for entries
-    stored without them, such as one stored from its dense matrix, and
-    where no unitarity defect was measured (dissipative builds).
+    min(N, P).  Exactly one of band and matrix is given.  `.matrix` is the
+    dense block-layout view, built on every access.  Listings
+    (PropagatorCache.entries) drop the band once it has been checked and
+    keep its half-width w; `.matrix` is then None.  The certificates are
+    None when unknown: for entries stored without them, such as one
+    stored from its dense matrix, and where no unitarity defect was
+    measured (dissipative builds).
     """
 
     def __init__(self, fingerprint: int, dim: int, N: int, dt: float,
                  matrix: np.ndarray | None = None,
                  created_at: float | None = None, *,
                  band: np.ndarray | None = None,
-                 w: int | None = None,
                  last_term_norm: float | None = None,
                  unitarity_defect: float | None = None,
                  dropped_norm: float | None = None):
+        if (matrix is None) == (band is None):
+            raise ValueError("give one of band and matrix")
         if matrix is not None:
-            if band is not None:
-                raise ValueError("give at most one of matrix and band")
             band = band_from_dense(np.asarray(matrix, dtype=np.complex128), N)
-        if band is not None:
-            _check_band(band, dim, N)
-            band.setflags(write=False)
-            w = band.shape[1] // 2
-        elif w is None:
-            raise ValueError("give one of band, matrix and a header-only w")
+        _check_band(band, dim, N)
+        band.setflags(write=False)
         self.fingerprint = fingerprint
         self.dim = dim
         self.N = N
         self.dt = dt
         self.band = band
-        self.w = w
+        self.w = band.shape[1] // 2
         self.created_at = created_at
         self.last_term_norm = last_term_norm
         self.unitarity_defect = unitarity_defect
@@ -257,7 +253,7 @@ class PropagatorCache:
         """Full entry on hit, None on miss, CacheCorruptError on damage."""
         path = self.path_for(fingerprint)
         try:
-            entry = self._read(path, with_band=True)
+            entry = self._read(path)
         except FileNotFoundError:
             return None
         if entry.fingerprint != fingerprint:
@@ -266,12 +262,12 @@ class PropagatorCache:
                       f"match the requested {fingerprint:016x}")
         return entry
 
-    def _read(self, path: Path, with_band: bool) -> CacheEntry:
+    def _read(self, path: Path) -> CacheEntry:
         """Check the header, then read and verify the rest of the file.
 
         A bad magic, version, dimension, band half-width or size is
         refused after the 64-byte header, before any of the payload is
-        read.
+        read; a band with a nonzero outside the chains, after its checksum.
         """
         # unbuffered, so the payload is read straight into one bytes object
         with open(path, "rb", buffering=0) as fh:
@@ -303,9 +299,9 @@ class PropagatorCache:
             raise CacheCorruptError(path, "checksum mismatch")
         # a read-only view of `rest`, copied only on big-endian hosts
         band = np.frombuffer(payload, dtype="<c16").astype(
-            np.complex128, copy=False).reshape(shape) if with_band else None
+            np.complex128, copy=False).reshape(shape)
         try:
-            return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt, band=band, w=w,
+            return CacheEntry(fingerprint=fp, dim=dim, N=order, dt=dt, band=band,
                               created_at=stat.st_mtime, last_term_norm=_loaded(last),
                               unitarity_defect=_loaded(defect),
                               dropped_norm=_loaded(dropped))
@@ -315,21 +311,25 @@ class PropagatorCache:
     def entries(self) -> list[tuple[Path, CacheEntry | CacheCorruptError]]:
         """Every entry of the cache directory, sorted by name, without its band.
 
-        Each file is read in full and its checksum verified, so damage
-        anywhere in it lists the file as corrupt.  A file that cannot be
-        read (a directory named *.sbp, no read permission) is listed as a
-        CacheCorruptError with the OS reason.
+        Each file is read in full and checked as get() checks it (checksum,
+        then the band's cells outside the chains), so damage anywhere in it
+        lists the file as corrupt.  Each band is dropped before the next
+        file is read.  A file that cannot be read (a directory named *.sbp,
+        no read permission) is listed as a CacheCorruptError with the OS
+        reason.
         """
         if not self.root.is_dir():
             return []
         out: list[tuple[Path, CacheEntry | CacheCorruptError]] = []
         for path in sorted(self.root.glob("*.sbp")):
             try:
-                out.append((path, self._read(path, with_band=False)))
+                item = self._read(path)
+                item.band = None
             except CacheCorruptError as err:
-                out.append((path, err))
+                item = err
             except OSError as err:
-                out.append((path, CacheCorruptError(path, err.strerror or str(err))))
+                item = CacheCorruptError(path, err.strerror or str(err))
+            out.append((path, item))
         return out
 
     def clear(self) -> int:

@@ -1,11 +1,17 @@
 """Command-line harness: evolve | compare | spectrum | gs-scan | cache.
 
-Exit codes: 0 success, 1 usage/config error, an OS error such as
-unwritable output (a closed stdout pipe included) or a cache file that
-cannot be removed, or an allocation that fails (MemoryError), 2 numerical
-failure (no acceptable dt, series not converged, propagator not unitary,
-non-finite amplitudes, eigensolver checks refused), 3 method comparison
-above tolerance.
+Exit codes: 0 success, 1 usage/config error (a run with too many steps
+to record among them), an OS error such as unwritable output (a closed
+stdout pipe included) or a cache file that cannot be removed, or an
+allocation that fails (MemoryError), 2 numerical failure (no acceptable
+dt, series not converged, propagator not unitary, non-finite amplitudes,
+eigensolver checks refused), 3 method comparison above tolerance.
+
+`evolve` and `compare` set a run up through one route, _setup: Q and
+dt, the initial state, then the record and the certified propagator,
+from the cache or built, with one retry at a smaller dt when the
+automatic one is refused.  _config is the one place a run's
+PropagatorConfig is made and its step count checked.
 
 `main` may be called any number of times in one process.  It builds its
 parser on the first call and reuses it; nothing else is kept between calls.
@@ -44,6 +50,7 @@ from .propagator import (
     suggest_step,
 )
 from .spectral import diagonalize, gs_scan, lowest_energies, teee_evolve
+from .states import SpinorFockState
 from .trajectory import CSV_BLOCK_ROWS, TrajectoryBuilder, csv_lines, csv_rows
 
 EXIT_OK = 0
@@ -127,23 +134,27 @@ def _load(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _steps_for(t_max: float, dt: float) -> int:
-    if not (math.isfinite(t_max) and t_max >= 0.0):
-        raise ConfigError(f"t_max must be non-negative, got {t_max}")
+def _config(cfg: RunConfig, dt: float) -> PropagatorConfig:
+    """The run's PropagatorConfig at dt: cfg's N and tol, and the steps
+    that reach cfg.t_max.  A negative or non-finite t_max, a dt that is
+    not positive and finite, and a step count whose record numpy cannot
+    make (a float64 column of steps + 1 past np.intp bytes, an infinite
+    count included) are ConfigErrors."""
+    if not (math.isfinite(cfg.t_max) and cfg.t_max >= 0.0):
+        raise ConfigError(f"t_max must be non-negative, got {cfg.t_max}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"dt must be positive and finite, got {dt}")
-    steps = t_max / dt - 1e-9
-    if not math.isfinite(steps):
-        raise ConfigError(f"dt={dt} is too small for t_max={t_max}: "
-                          "the step count overflows")
-    return max(math.ceil(steps), 0)
+    steps = cfg.t_max / dt - 1e-9
+    if not 8 * (steps + 1) <= np.iinfo(np.intp).max:
+        raise ConfigError(f"t_max={cfg.t_max} at dt={dt} is {steps:g} steps, "
+                          "too many to record")
+    return PropagatorConfig(dt=dt, steps=max(math.ceil(steps), 0), N=cfg.N, tol=cfg.tol)
 
 
 def _prepare(cfg: RunConfig) -> tuple[TransferMatrix, PropagatorConfig]:
     q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
     dt = cfg.dt if cfg.dt is not None else suggest_step(q, cfg.N, cfg.tol)
-    steps = _steps_for(cfg.t_max, dt)
-    return q, PropagatorConfig(dt=dt, steps=steps, N=cfg.N, tol=cfg.tol)
+    return q, _config(cfg, dt)
 
 
 def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropagator:
@@ -172,50 +183,47 @@ def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropaga
     return prop
 
 
-def _trajectory_for(cfg: RunConfig, q: TransferMatrix,
-                    pcfg: PropagatorConfig) -> TrajectoryBuilder:
-    """The record of a run of pcfg.steps steps; a run too long to hold in
-    memory, or to index, is a ConfigError."""
-    try:
-        # couplings near the float limit overflow the doubled energy
-        # weights; M's build then refuses them, so the warning is noise
-        with np.errstate(over="ignore"):
-            return TrajectoryBuilder(q.trunc.P, pcfg.steps + 1, q=q)
-    except (MemoryError, ValueError) as err:
-        # ValueError: a count past numpy's largest array size
-        raise ConfigError(f"t_max={cfg.t_max} at dt={pcfg.dt} is {pcfg.steps} steps, "
-                          f"too many to record: {err}") from None
+def _setup(cfg: RunConfig) -> tuple[TransferMatrix, SpinorFockState, PropagatorConfig,
+                                    StepPropagator, TrajectoryBuilder]:
+    """The one set-up of an evolve or compare run: Q, the initial state,
+    the final PropagatorConfig, the certified propagator M and the empty
+    record that evolve fills.
 
-
-def _obtain_for_run(cfg: RunConfig, q: TransferMatrix, pcfg: PropagatorConfig
-                    ) -> tuple[StepPropagator, PropagatorConfig, TrajectoryBuilder]:
-    """_obtain_propagator, retried once when an automatic dt is refused,
-    plus the run's record.
+    In order: Q and dt (_prepare, which refuses a step count too large to
+    record), the initial state, then per config the record and M
+    (_obtain_propagator), so a refused state or a record that cannot be
+    allocated costs no build of M and leaves no cache entry.
 
     suggest_step bounds term N+1 while certify checks term N, so the dt it
     picks can leave the last term just above tol.  When cfg leaves dt to
     suggest_step and the last term (not the tail bound) refuses it, M is
     obtained once more at the largest MAX_STEP / 2^k at most dt times the
     refusal's dt_reduction, with the step count recomputed; a second
-    refusal stands.  An explicit dt is refused as it is.  Each attempt
-    allocates its record (_trajectory_for) before it obtains M, so a step
-    count too large to hold is refused before its M is built or stored.
+    refusal stands.  An explicit dt is refused as it is.
     """
-    record = _trajectory_for(cfg, q, pcfg)
-    try:
-        return _obtain_propagator(q, pcfg), pcfg, record
-    except NotConverged as err:
-        # dt_reduction is None for a tail-bound or diverging refusal, and
-        # 0.0 when tol / last underflowed
-        if cfg.dt is not None or not err.dt_reduction:
-            raise
-        dt = MAX_STEP
-        while dt > pcfg.dt * err.dt_reduction:
-            dt /= 2.0
-    del record  # freed before the retry allocates its own
-    pcfg = PropagatorConfig(dt=dt, steps=_steps_for(cfg.t_max, dt), N=pcfg.N, tol=pcfg.tol)
-    record = _trajectory_for(cfg, q, pcfg)
-    return _obtain_propagator(q, pcfg), pcfg, record
+    q, pcfg = _prepare(cfg)
+    state = cfg.build_initial_state()
+    for retry in (False, True):
+        try:
+            # couplings near the float limit overflow the doubled energy
+            # weights; M's build then refuses them, so the warning is noise
+            with np.errstate(over="ignore"):
+                record = TrajectoryBuilder(q.trunc.P, pcfg.steps + 1, q=q)
+        except MemoryError as err:
+            raise ConfigError(f"t_max={cfg.t_max} at dt={pcfg.dt} is {pcfg.steps} "
+                              f"steps, too many to record: {err}") from None
+        try:
+            return q, state, pcfg, _obtain_propagator(q, pcfg), record
+        except NotConverged as err:
+            # dt_reduction is None for a tail-bound or diverging refusal,
+            # and 0.0 when tol / last underflowed
+            if retry or cfg.dt is not None or not err.dt_reduction:
+                raise
+            dt = MAX_STEP
+            while dt > pcfg.dt * err.dt_reduction:
+                dt /= 2.0
+        del record  # freed before the retry allocates its own
+        pcfg = _config(cfg, dt)
 
 
 def _write_blocks(lines, write) -> None:
@@ -251,10 +259,7 @@ def _write_file(lines, path: Path) -> None:
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    q, pcfg = _prepare(cfg)
-    # a refused state must cost no build of M and leave no cache entry
-    state = cfg.build_initial_state()
-    prop, pcfg, record = _obtain_for_run(cfg, q, pcfg)
+    q, state, pcfg, prop, record = _setup(cfg)
     traj = evolve(state, prop, pcfg, q, builder=record)
     _write_lines(csv_lines(traj), cfg.out)
     return EXIT_OK
@@ -265,9 +270,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not cfg.to_params().is_hermitian():
         raise ConfigError("dissipative parameters: the eigendecomposition "
                           "reference cannot be built, compare needs beta=gamma=0")
-    q, pcfg = _prepare(cfg)
-    state = cfg.build_initial_state()
-    prop, pcfg, record = _obtain_for_run(cfg, q, pcfg)
+    q, state, pcfg, prop, record = _setup(cfg)
     traj = evolve(state, prop, pcfg, q, builder=record)
     ref = teee_evolve(state, diagonalize(q), traj.times)
 

@@ -240,7 +240,7 @@ def lowest_energies(q: TransferMatrix, count: int) -> np.ndarray:
         lo, hi = levels[:-1], levels[1:]
         x[c, :lo.size] = (lo + hi) / 2
         tested[c, :lo.size] = hi - lo > GAP_EPS * n * norm[c]
-    below = _sturm_sweep(a, b, x, np.full(x.shape[1], n))()
+    below = _sturm_sweep(a, b, x, np.full(x.shape[1], n))()[0]
     expected = np.arange(1, x.shape[1] + 1)
     wrong = tested & (below != expected)
     if wrong.any():
@@ -470,7 +470,7 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     # estimate
     x = np.empty((2, m * PROBES))
     probes = x.reshape(2, m, PROBES)
-    sweep = _sturm_sweep(a, b, x, np.repeat(desc + 1, PROBES), det=True)
+    sweep = _sturm_sweep(a, b, x, np.repeat(desc + 1, PROBES))
     lo_log = hi_log = np.full((2, m), np.nan)
     # the flat index in x just before each pair's first probe
     before = np.arange(-1, x.size - 1, PROBES).reshape(2, m)
@@ -522,8 +522,7 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
         hi_log = np.where(kept_hi, hi_log, log_det.take(last + 1, mode="clip"))
 
 
-def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarray,
-                 det: bool = False):
+def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarray):
     """A function that counts negative LDL^T pivots for the shifts that x
     holds when it is called.
 
@@ -531,15 +530,15 @@ def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarra
     shift per chain and column, and column s is counted over the leading
     block of lengths[s] slots.  lengths must be non-increasing, so that
     the columns a slot touches are a leading slice of x.  Each call
-    returns below[c, s]: the number of negative pivots among the first
-    lengths[s] of d_i = (a_i - x) - b_{i-1}^2 / d_{i-1} of chain c minus
-    x[c, s], that is, the eigenvalues of that block below x[c, s].  With
-    det, a call returns (below, mantissa, exponent) instead, where
-    mantissa * 2^exponent is the product of those same pivots, det(T - x)
-    of the block, with the sign (-1)^below.  It is NaN after a zero pivot
-    that is not the block's last (0 times the -inf that follows), 0 where
-    the last pivot is 0, and 0 or infinite where a product of
-    RENORM_BLOCKS blocks leaves a double's range.  Each call overwrites
+    returns (below, mantissa, exponent).  below[c, s] is the number of
+    negative pivots among the first lengths[s] of d_i = (a_i - x) -
+    b_{i-1}^2 / d_{i-1} of chain c minus x[c, s], that is, the
+    eigenvalues of that block below x[c, s].  mantissa * 2^exponent is
+    the product of those same pivots, det(T - x) of the block, with the
+    sign (-1)^below.  It is NaN after a zero pivot that is not the
+    block's last (0 times the -inf that follows), 0 where the last pivot
+    is 0, and 0 or infinite where a product of RENORM_BLOCKS blocks
+    leaves a double's range.  Each call overwrites
     the arrays the previous call returned.
 
     A zero pivot is +0, so the next one is -inf; a slot whose coupling
@@ -600,17 +599,15 @@ def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarra
         blocks.append((calls, k, ring, negative[:h, :, :k], ends))
 
     below = np.empty((2, cols), dtype=np.int64)
-    if det:
-        # a block's product goes to quotient, which its calls are done
-        # with, and frexp's exponents to shift
-        mantissa = np.empty((2, cols))
-        exponent, shift = np.empty((2, 2, cols), dtype=np.intc)
+    # a block's product goes to quotient, which its calls are done with,
+    # and frexp's exponents to shift
+    mantissa = np.empty((2, cols))
+    exponent, shift = np.empty((2, 2, cols), dtype=np.intc)
 
     def sweep():
         below[...] = 0
-        if det:
-            mantissa[...] = 1.0
-            exponent[...] = 0
+        mantissa[...] = 1.0
+        exponent[...] = 0
         # b^2 / +0 is the +inf wanted, so the next pivot is -inf, and so is
         # b^2 over a pivot too small for the quotient to be finite; a
         # product over a zero and an infinite pivot is NaN
@@ -624,12 +621,11 @@ def _sturm_sweep(a: np.ndarray, b: np.ndarray, x: np.ndarray, lengths: np.ndarra
                 np.less(ring, 0.0, out=flags)
                 # at most SWEEP_ROWS per block, so a byte holds the sum
                 below[:, :k] += flags.view(np.uint8).sum(axis=0, dtype=np.uint8)
-                if det:
-                    np.multiply.reduce(ring, axis=0, out=quotient[:, :k])
-                    mantissa[:, :k] *= quotient[:, :k]
-                    if j % RENORM_BLOCKS == 0:
-                        np.frexp(mantissa[:, :k], out=(mantissa[:, :k], shift[:, :k]))
-                        exponent[:, :k] += shift[:, :k]
-        return (below, mantissa, exponent) if det else below
+                np.multiply.reduce(ring, axis=0, out=quotient[:, :k])
+                mantissa[:, :k] *= quotient[:, :k]
+                if j % RENORM_BLOCKS == 0:
+                    np.frexp(mantissa[:, :k], out=(mantissa[:, :k], shift[:, :k]))
+                    exponent[:, :k] += shift[:, :k]
+        return below, mantissa, exponent
 
     return sweep

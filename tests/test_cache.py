@@ -377,7 +377,7 @@ def test_entries_listing_and_clear(tmp_path):
     assert len(listed) == 2
     kinds = {type(item).__name__ for _, item in listed}
     assert kinds == {"CacheEntry", "CacheCorruptError"}
-    # header-only listing never materializes matrices
+    # a listed entry holds no band, so it never materializes a matrix
     good = [item for _, item in listed if isinstance(item, CacheEntry)]
     assert good[0].matrix is None
 

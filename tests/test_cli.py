@@ -17,7 +17,7 @@ import pytest
 import sbprop.cli
 import sbprop.propagator
 from sbprop import CacheEntry, PropagatorCache, build_step_propagator, load_run_config
-from sbprop.cli import _obtain_for_run, _obtain_propagator, _prepare, main
+from sbprop.cli import _obtain_propagator, _prepare, _setup, main
 from sbprop.trajectory import CSV_BLOCK_ROWS
 
 HEADER = "t,norm2,n_raw,n_norm,sz_raw,sz_norm,energy_re,C_exp,parity"
@@ -174,15 +174,25 @@ def test_evolve_bytes_do_not_depend_on_the_blas_thread_count(config_dir, tmp_pat
 @pytest.mark.parametrize("sets, reason", [
     (["dt=0"], "dt must be positive and finite, got 0.0"),
     (["dt=nan"], "dt must be positive and finite, got nan"),
-    (["dt=1e-300", "t_max=1e300"], "dt=1e-300 is too small for t_max=1e+300"),
+    pytest.param(["dt=1e-300", "t_max=1e300"],
+                 "t_max=1e+300 at dt=1e-300 is inf steps, too many to record",
+                 id="inf-steps"),
+    pytest.param(["dt=0.05", "t_max=1e300"],
+                 "t_max=1e+300 at dt=0.05 is 2e+301 steps, too many to record",
+                 id="2e301-steps"),
 ])
-def test_unusable_dt_is_a_config_error(config_dir, capsys, command, sets, reason):
+def test_unusable_dt_is_a_config_error(config_dir, capsys, tmp_path, monkeypatch,
+                                       command, sets, reason):
+    # one short line, before the initial state is built: nothing is built
+    # or stored
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(sbprop.cli, "build_step_propagator", must_not_build)
+    monkeypatch.setattr(sbprop.cli.RunConfig, "build_initial_state", must_not_build)
     argv = [command, "--config", cfg(config_dir, "fig2.cfg")]
     for item in sets:
         argv += ["--set", item]
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == ""
-    assert err.startswith(f"error: {reason}") and err.count("\n") == 1
+    assert run(capsys, *argv) == (1, "", f"error: {reason}\n")
+    assert PropagatorCache().entries() == []
 
 
 @pytest.mark.parametrize("command", ["evolve", "compare"])
@@ -582,8 +592,9 @@ def test_dense_matrix_outside_the_band_is_not_stored(config_dir, capsys, tmp_pat
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_v3_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
-                                                    tmp_path, monkeypatch):
+def store_band_cell_outside_the_chains(config_dir, capsys, tmp_path, monkeypatch):
+    """Run fig2 into a fresh store, then give its v3 entry one nonzero cell
+    outside the chains under a valid checksum; returns the run's argv."""
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
     argv = ["evolve", "--config", cfg(config_dir, "fig2.cfg"), "--set", "t_max=1.0"]
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "a.csv"))
@@ -599,13 +610,30 @@ def test_v3_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
     blob[cell:cell + 8] = np.float64(1e-3).tobytes()
     blob[-8:] = hashlib.blake2b(bytes(blob[:-8]), digest_size=8).digest()
     path.write_bytes(bytes(blob))
+    return argv
 
+
+def test_v3_band_cell_outside_the_chains_is_rebuilt(config_dir, capsys,
+                                                    tmp_path, monkeypatch):
+    argv = store_band_cell_outside_the_chains(config_dir, capsys, tmp_path, monkeypatch)
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "b.csv"))
     assert code == 0
     assert "rebuilding corrupt cache entry" in err and "parity-chain band" in err
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "c.csv"))
     assert code == 0 and "warning" not in err
+
+
+def test_v3_band_cell_outside_the_chains_is_listed_as_corrupt(config_dir, capsys,
+                                                             tmp_path, monkeypatch):
+    # cache list and info refuse the file as get() does
+    store_band_cell_outside_the_chains(config_dir, capsys, tmp_path, monkeypatch)
+    (path,) = (tmp_path / "store").glob("*.sbp")
+    assert run(capsys, "cache", "list") == (
+        0, f"corrupt {path.name}: nonzero entries in band cells outside the "
+           "parity-chain band\n", "")
+    code, out, _ = run(capsys, "cache", "info")
+    assert code == 0 and "entries=1 corrupt=1 " in out
 
 
 def test_hit_old_format_rebuilds_and_miss_step_alike(config_dir, capsys, tmp_path,
@@ -927,7 +955,7 @@ def test_shipped_configs_run_at_their_suggested_dt(config_dir, tmp_path, monkeyp
     run_cfg = load_run_config(cfg(config_dir, f"{name}.cfg"), ["t_max=1"])
     q, pcfg = _prepare(run_cfg)
     assert pcfg.dt == dt
-    prop, used, _ = _obtain_for_run(run_cfg, q, pcfg)
+    _, _, used, prop, _ = _setup(run_cfg)
     assert used == pcfg and prop.dt == dt
 
 
@@ -987,15 +1015,13 @@ def test_step_count_too_large_to_record_is_refused_before_its_build(
 
 def test_step_count_past_the_largest_array_is_too_many_to_record(
         config_dir, capsys, tmp_path, monkeypatch):
-    # 1e20 steps: numpy refuses the record's length with a ValueError of
-    # its own before it tries to allocate
+    # 1e20 steps: a float64 column of 1e20 + 1 values is past np.intp
+    # bytes, so the count is refused before numpy is asked for the record
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
     code, out, err = run(capsys, "evolve", "--config", cfg(config_dir, "fig2.cfg"),
                          "--set", "dt=1e-17", "--set", "t_max=1e3")
     assert code == 1 and out == ""
-    assert err.startswith("error: t_max=1000.0 at dt=1e-17 is "
-                          "100000000000000000000 steps, too many to record: ")
-    assert err.count("\n") == 1
+    assert err == "error: t_max=1000.0 at dt=1e-17 is 1e+20 steps, too many to record\n"
     assert PropagatorCache().entries() == []
 
 
