@@ -375,9 +375,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as err:
         # NotConverged, NotUnitary, NonFiniteState, and the refusals of
-        # suggest_step, of the eigensolves' shared gate (Q or its energies
-        # not finite), of diagonalize's residual and orthonormality checks,
-        # of lowest_energies' Sturm certificate and of gs_scan
+        # suggest_step, of diagonalize and lowest_energies (Q or its
+        # energies not finite), of diagonalize's residual and
+        # orthonormality checks and of gs_scan
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -22,10 +22,10 @@ chain slots.  Q is such a band with h = 1 (TransferMatrix.band), the
 Taylor sum M is one with h = min(N, P), and the step propagator keeps M
 out to its last significant diagonal, w <= h.  chain_block writes the dense
 block of a chain from its band rows; it is how every dense chain block in
-the package is formed (the eigensolves of Q).  M is only ever applied
-through its band, never as dense blocks.  The other band helpers map band
-storage to and from the dense block layout.  small_ufunc_buffer is the
-one place the package sets numpy's ufunc buffer size.
+the package is formed (diagonalize's eigensolves of Q).  M is only ever
+applied through its band, never as dense blocks.  The other band helpers
+map band storage to and from the dense block layout.  small_ufunc_buffer
+is the one place the package sets numpy's ufunc buffer size.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Eigendecomposition reference evolver and ground-state truncation scans.
+"""Eigendecomposition reference evolver, lowest levels and ground-state
+truncation scans.
 
 This is the independent cross-check route: diagonalize the (real
 symmetric) transfer matrix once, expand the initial state over the
@@ -7,37 +8,29 @@ the two parity chains, so each chain is diagonalized on its own, as a
 half-size tridiagonal matrix.  Dissipative matrices are refused here by
 design; that regime belongs to the Taylor route alone.
 
-diagonalize (eigh) and lowest_energies (eigvalsh) reach LAPACK through
-one gate, _chain_eigensolves: Q must be Hermitian and finite, and each
-chain's dense block is written from Q's band rows (model.chain_block)
-and handed over once, one chain at a time.  No other dense block is
-formed: diagonalize measures its residual through the tridiagonal
-chains themselves.
+diagonalize is the one route to LAPACK: one eigh per chain, on the dense
+block written from Q's band rows (model.chain_block).  No other dense
+block is formed: diagonalize measures its residual through the
+tridiagonal chains themselves.
 
-`spectrum` needs only the lowest energies, so it runs eigvalsh (no
-vectors) on each chain and certifies the levels it returns by Sturm
-counts: the number of negative LDL^T pivots of a chain block minus x is
-the number of its eigenvalues below x (Sylvester inertia; Demmel,
-Applied Numerical Linear Algebra, 1997, section 5.3.4).
-
-The ground-state scan needs only the lowest eigenvalue of each chain at
-every cutoff.  A chain's entries do not depend on P, so the chain at
-cutoff P is the leading (P+1)-block of the chain at the largest cutoff,
-and the LDL^T pivots of that block are the first P+1 pivots of the big
-chain.  One Sturm-count sweep over the big chain therefore answers "is x
-above E0?" for every cutoff at once, and bisection on those answers gives
-E0(P) for the whole scan (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
-Each sweep probes PROBES shifts per bracket (multisection), and also
-returns det(T - x) of every block, the product of its pivots.  Regula
-falsi on det, with the error the last estimate realised, places the next
-probes as a ladder around the root; a bracket at most PROBES + 1 floats
-wide probes each of its floats.  Placement decides only where counts are
-taken: brackets move on counts alone.  In IEEE arithmetic the count is
-monotone in the shift (Demmel, Dhillon & Ren, ETNA 3, 1995), so any probe
-sequence that stops only where no float lies strictly inside a bracket
-ends on the float a one-shift bisection ends on.
-
-Both routines count through one engine, _sturm_sweep.
+`spectrum` and the ground-state scan need eigenvalues only, and take them
+from Sturm counts alone: the number of negative LDL^T pivots of a chain
+minus x is the number of its eigenvalues below x (Sylvester inertia;
+Demmel, Applied Numerical Linear Algebra, 1997, section 5.3.4).  A
+chain's entries do not depend on P, so the chain at cutoff P is the
+leading (P+1)-block of the chain at the largest cutoff, and the pivots of
+that block are the first P+1 pivots of the big chain.  One Sturm-count
+sweep over the big chain therefore answers "is x above level j?" for
+every cutoff and every level at once (Barth, Martin & Wilkinson, Numer.
+Math. 9, 1967).  One multisection, _multisection, serves both: each
+sweep probes PROBES shifts per bracket and also returns det(T - x) of
+every block, which steers where the next probes go.  Placement decides
+only where counts are taken: brackets move on counts alone.  In IEEE
+arithmetic the count is monotone in the shift (Demmel, Dhillon & Ren,
+ETNA 3, 1995), so any probe sequence that stops only where no float lies
+strictly inside a bracket ends on the float a one-shift bisection ends
+on, and no certificate is needed.  Every count goes through one engine,
+_sturm_sweep.
 """
 
 from __future__ import annotations
@@ -71,18 +64,13 @@ UNBOUNDED_SLOPE = 1e-3    # in units of omega_f, sign-flipped below
 # Pivot rows one Sturm sweep holds at once.  Their negatives are counted
 # whenever the ring is full; a larger ring only adds memory.
 SWEEP_ROWS = 8
-# Shifts one sweep of the ground-state scan probes inside each bracket.
+# Shifts one multisection sweep probes inside each bracket.
 PROBES = 7
 # A det sweep moves its mantissa's exponent out every RENORM_BLOCKS ring
 # blocks: the product of that many blocks' pivots stays inside a double
 # unless a leading minor is near zero, and a det out of range only costs
-# the ground-state scan sweeps, never bits.
+# the multisection sweeps, never bits.
 RENORM_BLOCKS = 4
-# lowest_energies tests a Sturm midpoint only where its two levels lie
-# more than GAP_EPS * n * ||chain|| apart: half that gap, 4 n eps ||chain||,
-# exceeds eigvalsh's error (at most about n eps ||chain||) plus the
-# count's (exact for the chain perturbed by about 3 eps ||chain||).
-GAP_EPS = 8 * np.finfo(float).eps
 # _scaled_chains keeps its scaled entries below 2^SCALE_ROOM: their
 # squares, and sums of up to 2^20 of those, stay finite.
 SCALE_ROOM = 500
@@ -141,44 +129,29 @@ def _scaled_chains(q: TransferMatrix) -> tuple[np.ndarray, np.ndarray, int]:
     return np.ldexp(a, -e), np.ldexp(b, -e), e
 
 
-def _chain_eigensolves(q: TransferMatrix, solve):
-    """Yield solve (np.linalg.eigh or eigvalsh) of each parity chain's
-    dense block, chain A first.
-
-    The one way from Q to LAPACK.  Q must be Hermitian (NonHermitianInput),
-    and Q with an entry that is not finite, which has no finite energies
-    and which LAPACK refuses, is refused with RuntimeError.  Each block is
-    written from its chain's rows of q.band (model.chain_block), handed to
-    LAPACK once and dropped before the next is written.
-    """
-    _require_hermitian(q)
-    rows = q.band.real
-    if not np.isfinite(rows).all():
-        raise RuntimeError(NON_FINITE)
-    for chain in rows.reshape(2, q.dim // 2, -1):
-        yield solve(chain_block(chain))
-
-
 def diagonalize(q: TransferMatrix) -> SpectralDecomposition:
     """Full real-symmetric eigendecomposition with verified quality.
 
-    One half-size eigh per parity chain (_chain_eigensolves); the
-    eigenpairs are kept per chain, in chain order.  Every energy must be
-    finite; the residual max_j ||Q v_j - E_j v_j|| and the orthonormality
-    defect ||V^T V - 1||_max are measured on every call and enforced at
-    1e-10 (scaled by 1 + max|E| for the residual); a refusal is a
-    RuntimeError.
+    One half-size eigh per parity chain, on the chain's dense block,
+    written from its rows of q.band (model.chain_block), handed to LAPACK
+    once and dropped before the next is written; the eigenpairs are kept
+    per chain, in chain order.  Q must be Hermitian and finite
+    (_require_hermitian), and every energy must be finite; the residual
+    max_j ||Q v_j - E_j v_j|| and the orthonormality defect ||V^T V -
+    1||_max are measured on every call and enforced at 1e-10 (scaled by 1
+    + max|E| for the residual); a refusal is a RuntimeError.
     The residual is measured on Q / 2^e (_scaled_chains), so its squares
     cannot overflow where the energies are finite, and through the
     tridiagonal chain itself: a v - v E plus b v shifted up and down a
     slot, so no dense block is formed for it.  Vectors of different
     chains are orthogonal exactly, so both are measured per chain.
     """
+    _require_hermitian(q)
     n = q.dim // 2
     chain_energies = np.empty((2, n))
     chain_vectors = np.empty((2, n, n))
-    for c, (w, v) in enumerate(_chain_eigensolves(q, np.linalg.eigh)):
-        chain_energies[c], chain_vectors[c] = w, v
+    for c, rows in enumerate(q.band.real.reshape(2, n, -1)):
+        chain_energies[c], chain_vectors[c] = np.linalg.eigh(chain_block(rows))
     energies = np.sort(chain_energies, axis=None, kind="stable")
     if not np.isfinite(energies).all():
         raise RuntimeError(NON_FINITE)
@@ -208,55 +181,49 @@ def diagonalize(q: TransferMatrix) -> SpectralDecomposition:
 def lowest_energies(q: TransferMatrix, count: int) -> np.ndarray:
     """The count + 1 lowest energies of Q, ascending, without eigenvectors.
 
-    One eigvalsh per parity chain (_chain_eigensolves); the two chains'
-    energies are stable-sorted together, as in diagonalize.  The levels
-    returned are certified by one Sturm-count sweep over both chains
-    instead of by diagonalize's vector-based checks: in chain c, at the
-    midpoint above each of its returned levels (between its j-th and
-    (j+1)-th energy), the chain block minus x must have exactly j + 1
-    negative pivots.  A midpoint whose gap is at most GAP_EPS * n *
-    ||chain|| is not tested, since rounding may put it on either side of
-    both levels; an exact tie or a near-tie is certified as a group by the
-    next midpoint that is.  A non-finite energy or a failed count is a
-    RuntimeError.
+    Levels 0..count of each parity chain (as many as it has) come from
+    one _multisection over both chains, from each chain's Gershgorin
+    bracket, and the two chains' levels are stable-sorted together, as in
+    diagonalize.  Level j of a chain is the largest float at which the
+    chain minus that float has at most j negative pivots: the float a
+    one-shift bisection on Sturm counts ends on, at or just below the
+    exact eigenvalue.  No block is formed and no LAPACK call is made, so
+    the bits depend on IEEE arithmetic alone.  Q must be Hermitian and
+    finite (_require_hermitian), and an energy that overflows a double is
+    a RuntimeError.
     """
     _check_count(count, q.dim - 1)
-    chains = list(_chain_eigensolves(q, np.linalg.eigvalsh))
-    merged = np.concatenate(chains)
-    order = np.argsort(merged, kind="stable")[:int(count) + 1]
-    energies = merged[order]
-    if not np.isfinite(energies).all():
-        raise RuntimeError(NON_FINITE)
-
-    # chain c's returned levels are its first printed[c] energies
-    printed = np.bincount(order >= chains[0].size, minlength=2)
+    _require_hermitian(q)
     a, b, e = _scaled_chains(q)
     n = a.shape[1]
-    norm = np.abs(a).max(axis=1) + 2 * np.abs(b).max(axis=1, initial=0.0)
-    x = np.zeros((2, printed.max()))
-    tested = np.zeros(x.shape, dtype=bool)
-    for c, chain in enumerate(chains):
-        levels = np.ldexp(chain[:printed[c] + 1], -e)
-        lo, hi = levels[:-1], levels[1:]
-        x[c, :lo.size] = (lo + hi) / 2
-        tested[c, :lo.size] = hi - lo > GAP_EPS * n * norm[c]
-    below = _sturm_sweep(a, b, x, np.full(x.shape[1], n))()[0]
-    expected = np.arange(1, x.shape[1] + 1)
-    wrong = tested & (below != expected)
-    if wrong.any():
-        c, j = np.argwhere(wrong)[0]
-        raise RuntimeError(
-            f"eigensolver levels fail their Sturm count: chain {'AB'[c]} has "
-            f"{below[c, j]} eigenvalues below the midpoint above its level {j}, "
-            f"not {j + 1}")
+    levels = np.arange(min(int(count), n - 1) + 1)
+    # Gershgorin, widened by 2^-40 (max|a| + 2 max|b|): far more than the
+    # rounding of these sums and of the pivots, so that at lo every pivot
+    # is positive and at hi every pivot negative.  Unwidened, a bound can
+    # round past a level: fig1's 0.5 - 0.1 rounds up past its eigenvalue.
+    edge = np.zeros((2, 1))
+    reach = np.abs(np.hstack([edge, b])) + np.abs(np.hstack([b, edge]))
+    room = np.ldexp(np.abs(a).max() + 2 * np.abs(b).max(initial=0.0), -40)
+    shape = (2, levels.size)
+    lo = np.broadcast_to((a - reach).min(axis=1, keepdims=True) - room, shape)
+    hi = np.broadcast_to((a + reach).max(axis=1, keepdims=True) + room, shape)
+    found = _multisection(a, b, lo, hi, np.full(levels.size, n), levels)
+    with np.errstate(over="ignore"):
+        energies = np.sort(np.ldexp(found, e), axis=None, kind="stable")[:int(count) + 1]
+    if not np.isfinite(energies).all():
+        raise RuntimeError(NON_FINITE)
     return energies
 
 
 def _require_hermitian(q: TransferMatrix) -> None:
+    """Refuse Q with dissipation (NonHermitianInput), and Q with an entry
+    that is not finite, which has no finite energies (RuntimeError)."""
     if not q.hermitian or hermiticity_check(q) != 0.0:
         raise NonHermitianInput(
             "matrix carries dissipation; the eigendecomposition route only "
             "handles Hermitian parameters")
+    if not np.isfinite(q.band.real).all():
+        raise RuntimeError(NON_FINITE)
 
 
 def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
@@ -402,41 +369,13 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
 
 def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     """E0 of Q at every cutoff in ps (strictly increasing), by one
-    multisection on Sturm counts taken over both chains of Q at the
-    largest cutoff.
+    _multisection over both chains of Q at the largest cutoff.
 
     Pair (c, j) brackets the lowest eigenvalue of chain c's leading block
-    at cutoff ps[j]: from Gershgorin below, and from just above the
-    block's smallest diagonal (which bounds it by the Rayleigh quotient).
-    Each step is one _sturm_sweep over the chain slots with PROBES shifts
-    per pair; pair (c, j) reads "x is above E0" as a negative pivot among
-    its first ps[j] + 1, and the new bracket runs from the largest probe
-    with none to the smallest probe with one.  The multisection stops when
-    no midpoint lies strictly inside a bracket, and E0 is the low end.
-
-    The sweep also returns det(T - x) of each pair's block at each probe,
-    which steers where the next probes go:
-
-    * det is positive at lo (count 0) and negative at a hi with count 1,
-      with one root between, so regula falsi on det puts a root estimate
-      r in the bracket.  Its error is about C (r - lo)(hi - r) (Brent,
-      Algorithms for Minimization without Derivatives, 1973), and C is
-      read off the error the previous estimate r' realised: eps =
-      |r - r'| (r - lo)(hi - r) / ((r' - lo')(hi' - r')), at most
-      |r - r'|.  Where eps is below the uniform grid's spacing, the probes
-      are a ladder around r: r, r +- eps/3, r +- eps and r +- 3 eps, with
-      the finest rung at least one float wide.
-    * A bracket at most PROBES + 1 floats wide probes each of its floats.
-    * Elsewhere (a det of NaN or a count above 1 at an end, or no earlier
-      estimate) the probes are the uniform grid lo + (hi - lo) k /
-      (PROBES + 1), k = 1..PROBES, or lo + (hi - lo)(k - 1) / PROBES while
-      lo has no usable det, so that it gets one.
-
-    Probes are clipped into [lo, hi].  The placement only decides where
-    the counts are taken: brackets move on counts alone, and the count is
-    monotone in the shift in IEEE arithmetic (Demmel, Dhillon & Ren, ETNA
-    3, 1995), so every placement ends on the float a one-shift bisection
-    ends on.
+    at cutoff ps[j], level 0 over its first ps[j] + 1 slots: from
+    Gershgorin below, and from just above the block's smallest diagonal
+    (which bounds it by the Rayleigh quotient).  E0 is the lower of the
+    two chains' levels.
 
     Q with an entry that is not finite, or so large that max|diag| +
     max|off| overflows, is refused with RuntimeError, and so is an E0 that
@@ -448,7 +387,6 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     smaller one.
     """
     q = build_transfer_matrix(params, Truncation(P=int(ps[-1])))
-    m = ps.size
     with np.errstate(over="ignore", invalid="ignore"):
         top = np.abs(q.diag.real).max() + np.abs(q.off).max()
     if not np.isfinite(top):
@@ -464,28 +402,81 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
     desc = ps[::-1]                            # pairs by descending cutoff
     lo = np.minimum(inner, left)[:, desc]
     hi = np.nextafter(np.minimum.accumulate(a, axis=1)[:, desc], np.inf)
+    found = _multisection(a, b, lo, hi, desc + 1, np.zeros_like(desc))
+    with np.errstate(over="ignore"):
+        e0 = np.ldexp(found.min(axis=0)[::-1], e)
+    if not np.isfinite(e0).all():
+        raise RuntimeError("ground-state energy overflows a double")
+    return e0
 
+
+def _multisection(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  lengths: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Level levels[s] of the leading block of lengths[s] slots of each
+    chain of (a, b) (scaled by _scaled_chains), for every column s: the
+    largest float x at which the block minus x has at most levels[s]
+    negative pivots.
+
+    lo and hi (2, m) bracket pair (c, s): the block has at most levels[s]
+    negative pivots at lo and more at hi.  lengths must be non-increasing
+    (_sturm_sweep).  Each step is one _sturm_sweep over the chain slots
+    with PROBES shifts per pair; pair (c, s) reads "x is above level j"
+    as more than j = levels[s] negative pivots among its first lengths[s],
+    and the new bracket runs from the largest probe not above the level
+    to the smallest probe above it.  The multisection stops when no
+    midpoint lies strictly inside a bracket, and returns the low ends.
+
+    The sweep also returns det(T - x) of each pair's block at each probe,
+    which steers where the next probes go:
+
+    * While the bracket holds exactly one eigenvalue (count j at lo, j + 1
+      at hi), det changes sign once inside it, so regula falsi on det puts
+      a root estimate r in the bracket.  Its error is about C (r - lo)(hi -
+      r) (Brent, Algorithms for Minimization without Derivatives, 1973),
+      and C is read off the error the previous estimate r' realised: eps
+      = |r - r'| (r - lo)(hi - r) / ((r' - lo')(hi' - r')), at most |r -
+      r'|.  Where eps is below the uniform grid's spacing, the probes are
+      a ladder around r: r, r +- eps/3, r +- eps and r +- 3 eps, with the
+      finest rung at least one float wide.
+    * A ladder that kept an end of its bracket missed the root, and its
+      pair probes the uniform grid on the next sweep.  Without this rule
+      a ladder can stall: where |det| differs by many powers of two
+      between the ends, r sits next to one end and each sweep moves the
+      other end by a few rungs, and where r rounds outside the bracket
+      (lo and hi far apart in magnitude, as a level next to 0 is), every
+      probe is clipped onto one end and the bracket never moves.  A
+      sweep of the grid shrinks every bracket it probes.
+    * A bracket at most PROBES + 1 floats wide probes each of its floats.
+    * Elsewhere (a det of NaN or a count other than j or j + 1 at an end,
+      or no earlier estimate) the probes are the uniform grid lo + (hi -
+      lo) k / (PROBES + 1), k = 1..PROBES, or lo + (hi - lo)(k - 1) /
+      PROBES while lo has no usable det, so that it gets one.
+
+    Probes are clipped into [lo, hi].  The placement only decides where
+    the counts are taken: brackets move on counts alone, and the count is
+    monotone in the shift in IEEE arithmetic (Demmel, Dhillon & Ren, ETNA
+    3, 1995), so every placement ends on the float a one-shift bisection
+    ends on.
+    """
+    m = lo.shape[1]
     # each pair's probes are PROBES consecutive columns of x; lo_log and
     # hi_log hold log2 |det| at the bracket ends, NaN where it gives no
     # estimate
     x = np.empty((2, m * PROBES))
     probes = x.reshape(2, m, PROBES)
-    sweep = _sturm_sweep(a, b, x, np.repeat(desc + 1, PROBES))
+    sweep = _sturm_sweep(a, b, x, np.repeat(lengths, PROBES))
+    level = np.repeat(levels, PROBES)
     lo_log = hi_log = np.full((2, m), np.nan)
     # the flat index in x just before each pair's first probe
     before = np.arange(-1, x.size - 1, PROBES).reshape(2, m)
     grid = np.arange(1, PROBES + 1) - (PROBES + 1) / 2          # -3 .. 3
     ladder_steps = np.sign(grid) * 3.0 ** (np.abs(grid) - 2)     # 0, +-1/3, +-1, +-3
     last_root = last_span = np.full((2, m), np.nan)
+    missed = np.zeros((2, m), dtype=bool)
     while True:
         mid = (lo + hi) * 0.5
-        inside = (lo < mid) & (mid < hi)
-        if not inside.any():
-            with np.errstate(over="ignore"):
-                e0 = np.ldexp(lo.min(axis=0)[::-1], e)
-            if not np.isfinite(e0).all():
-                raise RuntimeError("ground-state energy overflows a double")
-            return e0
+        if not ((lo < mid) & (mid < hi)).any():
+            return lo
         width = hi - lo
         gap = np.minimum(np.abs(np.spacing(lo)), np.abs(np.spacing(hi)))
         # NaN, and so no ladder, wherever an end or the last estimate has no det
@@ -495,7 +486,7 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
             eps = np.abs(root - last_root) * np.fmin(span / last_span, 1.0)
         last_root, last_span = root, span
         narrow = width <= (PROBES + 1) * gap
-        ladder = (eps <= width / (PROBES + 1)) & ~narrow
+        ladder = (eps <= width / (PROBES + 1)) & ~narrow & ~missed
         # a grid over a lo with no usable det starts at lo, which gets one
         bare = np.isnan(lo_log) & ~narrow
         centre = np.where(ladder, root, np.where(bare, lo + width * (grid[-1] / PROBES), mid))
@@ -512,10 +503,11 @@ def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log2(np.abs(log_det, out=log_det), out=log_det)
         log_det += exponent
-        log_det[below > 1] = np.nan
-        # the new lo is the last probe with count 0, the new hi the next
-        last = (below == 0).reshape(probes.shape).sum(axis=2) + before
+        log_det[(below < level) | (below > level + 1)] = np.nan
+        # the new lo is the last probe not above the level, the new hi the next
+        last = (below <= level).reshape(probes.shape).sum(axis=2) + before
         kept_lo, kept_hi = last == before, last == before + PROBES
+        missed = ladder & (kept_lo | kept_hi)
         lo = np.where(kept_lo, lo, x.take(last, mode="clip"))
         hi = np.where(kept_hi, hi, x.take(last + 1, mode="clip"))
         lo_log = np.where(kept_lo, lo_log, log_det.take(last, mode="clip"))

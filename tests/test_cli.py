@@ -147,23 +147,24 @@ def test_refused_state_builds_and_stores_no_propagator(config_dir, capsys, tmp_p
     assert not store.exists() or not any(store.iterdir())
 
 
-@pytest.mark.parametrize("sets", [["--config", "fig1.cfg", "--set", "t_max=2"],
-                                  ["--config", "fig3_P400.cfg", "--set", "t_max=1"],
-                                  ["--config", "fig3_P400.cfg", "--set", "P=2000",
-                                   "--set", "t_max=0.25"]],
-                         ids=["fig1", "fig3_P400", "P2000"])
-def test_evolve_bytes_do_not_depend_on_the_blas_thread_count(config_dir, tmp_path, sets):
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--config", "fig1.cfg", "--set", "t_max=2"],
+    ["evolve", "--config", "fig3_P400.cfg", "--set", "t_max=1"],
+    ["evolve", "--config", "fig3_P400.cfg", "--set", "P=2000", "--set", "t_max=0.25"],
+    ["spectrum", "--config", "fig3_P400.cfg", "--levels", "40"],
+], ids=["fig1", "fig3_P400", "P2000", "spectrum"])
+def test_evolve_bytes_do_not_depend_on_the_blas_thread_count(config_dir, tmp_path, argv):
     # each panel product is one small BLAS matrix-vector call, computed on
     # one thread whatever the thread count; each thread count builds M in
-    # a cache of its own
-    argv = [cfg(config_dir, a) if a.endswith(".cfg") else a for a in sets]
+    # a cache of its own; the spectrum makes no BLAS or LAPACK call
+    argv = [cfg(config_dir, a) if a.endswith(".cfg") else a for a in argv]
     src = Path(sbprop.cli.__file__).resolve().parent.parent
     outputs = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    SBPROP_CACHE_DIR=str(tmp_path / threads),
                    PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-m", "sbprop.cli", "evolve", *argv],
+        done = subprocess.run([sys.executable, "-m", "sbprop.cli", *argv],
                               env=env, capture_output=True, check=True)
         assert done.stderr == b""
         outputs.add(done.stdout)
@@ -356,6 +357,35 @@ def test_compare_refuses_dissipative_parameters(config_dir, capsys):
     assert code == 1 and "eigendecomposition" in err
 
 
+@pytest.mark.parametrize("fault, reason", [
+    ("noise", "numerical failure: eigensolver residual "),
+    ("mix", "numerical failure: eigenvector orthonormality defect 1.000e+00\n"),
+])
+def test_compare_refuses_a_decomposition_that_fails_its_checks(config_dir, capsys,
+                                                               tmp_path, monkeypatch,
+                                                               fault, reason):
+    # uncoupled on resonance, |e,0> and |g,1> (and every |e,p>, |g,p+1>)
+    # tie in one chain, so the sum of two tied vectors is still an
+    # eigenvector: only the orthonormality check refuses it
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path))
+    eigh = np.linalg.eigh
+
+    def faulty(block):
+        w, v = eigh(block)
+        if fault == "noise":
+            return w, v + 1e-6 * np.cos(np.arange(v.size)).reshape(v.shape)
+        k = np.flatnonzero(np.diff(w) == 0.0)[0]
+        v[:, k] += v[:, k + 1]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
+    code, out, err = run(capsys, "compare", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", "omega_0=1", "--set", "g_minus=0", "--set", "g_plus=0",
+                         "--set", "t_max=0.2")
+    assert code == 2 and out == ""
+    assert err.startswith(reason) and err.count("\n") == 1
+
+
 def test_spectrum_output(config_dir, capsys):
     code, out, _ = run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg"),
                        "--levels", "5")
@@ -385,31 +415,6 @@ def test_spectrum_refuses_fewer_than_one_level(config_dir, capsys, levels):
     assert err == f"error: count must be a positive integer, got {levels}\n"
 
 
-@pytest.mark.parametrize("fault", ["drop", "shift"])
-@pytest.mark.parametrize("chain", [0, 1])
-def test_spectrum_refuses_levels_that_fail_their_sturm_count(config_dir, capsys,
-                                                             monkeypatch, fault, chain):
-    # "drop" loses level 2 of one chain, "shift" moves it between levels
-    # 3 and 4; either way a midpoint counts one eigenvalue too many
-    true_eigvalsh = np.linalg.eigvalsh
-    calls = []
-
-    def faulty(block):
-        w = true_eigvalsh(block)
-        calls.append(None)
-        if len(calls) - 1 != chain:
-            return w
-        if fault == "drop":
-            return np.delete(w, 2)
-        return np.sort(np.concatenate([np.delete(w, 2), [(w[3] + w[4]) / 2]]))
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
-    code, out, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg"))
-    assert code == 2 and out == ""
-    assert err.startswith("numerical failure: ") and err.count("\n") == 1
-    assert f"chain {'AB'[chain]}" in err
-
-
 @pytest.mark.parametrize("argv, name", [
     (["gs-scan", "--config", "fig5a.cfg"], "gs_scan_fig5a.txt"),
     (["gs-scan", "--config", "fig5b.cfg"], "gs_scan_fig5b.txt"),
@@ -420,8 +425,9 @@ def test_spectrum_refuses_levels_that_fail_their_sturm_count(config_dir, capsys,
 ])
 def test_stdout_matches_the_committed_bytes(config_dir, capsys, argv, name):
     # the gs-scan files hold the stdout of the one-shift bisection that
-    # gs-scan used before its multisection, the evolve files that of the
-    # tiled step kernel on one chain (fig2) and on two (fig1); a change
+    # gs-scan used before its multisection, the spectrum file the levels a
+    # one-shift bisection per level ends on, the evolve files the stdout of
+    # the tiled step kernel on one chain (fig2) and on two (fig1); a change
     # that moves a bit of an energy or a CSV cell shows here
     argv[2] = cfg(config_dir, argv[2])
     code, out, err = run(capsys, *argv)
@@ -504,6 +510,15 @@ def test_cache_subcommands_and_corruption_recovery(config_dir, capsys,
     assert code == 0 and "removed=1" in out
     code, out, _ = run(capsys, "cache", "list")
     assert out.strip() == ""
+
+
+def test_cache_commands_on_a_store_that_does_not_exist(capsys, tmp_path, monkeypatch):
+    store = tmp_path / "absent"
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(store))
+    assert run(capsys, "cache", "list") == (0, "", "")
+    assert run(capsys, "cache", "info") == (0, f"dir={store}\nentries=0 corrupt=0 bytes=0\n",
+                                            "")
+    assert not store.exists()
 
 
 def test_cache_reuse_preserves_results_bitwise(config_dir, capsys,
@@ -786,8 +801,8 @@ def test_evolve_allocates_no_dense_matrix(config_dir, capsys, tmp_path, monkeypa
 
 
 def test_spectrum_traces_fewer_than_four_chain_blocks(config_dir, capsys):
-    # dim 802: eigvalsh sees one 401 x 401 chain block at a time, and no
-    # eigenvectors are formed
+    # dim 802: the levels come from Sturm counts on the chains, and no
+    # chain block is formed
     tracemalloc.start()
     try:
         code, _, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig3_P400.cfg"))

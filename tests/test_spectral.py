@@ -113,7 +113,7 @@ def test_teee_validation():
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3_P400"])
 def test_lowest_energies_agree_with_the_full_decomposition(config_dir, name):
     # fig1 (rotating-wave) has zero couplings, an exact tie in chain B and
-    # a 1.8e-15 split in chain A, all certified without a refusal
+    # a 1.8e-15 split in chain A
     cfg = load_run_config(config_dir / f"{name}.cfg", [])
     q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
     want = diagonalize(q).energies
@@ -132,7 +132,7 @@ def test_lowest_energies_validation():
     with pytest.raises(NonHermitianInput):
         lowest_energies(build_transfer_matrix(damped, Truncation(P=4)), 1)
     assert lowest_energies(q, 2.0).tobytes() == lowest_energies(q, 2).tobytes()
-    # P = 0: each chain is one level, so no midpoint is tested
+    # P = 0: each chain is one level
     q0 = build_transfer_matrix(FIG2, Truncation(P=0))
     assert lowest_energies(q0, 1).tolist() == [-0.375, 0.375]
 
@@ -194,8 +194,8 @@ def test_diagonalize_scales_its_residual_by_a_power_of_two():
 
 
 def test_infinite_couplings_are_refused_alike_by_both_eigensolves():
-    # 1e308 * 2 overflows: LAPACK would refuse the block, so neither route
-    # hands it over
+    # 1e308 * 2 overflows: LAPACK would refuse the block, so diagonalize
+    # does not hand it over, and lowest_energies refuses it alike
     q = build_transfer_matrix(ModelParams(omega_f=1.0, omega_0=0.75, g_minus=1e308,
                                           g_plus=1e308), Truncation(P=5))
     for solve in (diagonalize, lambda q: lowest_energies(q, 3)):
@@ -204,14 +204,16 @@ def test_infinite_couplings_are_refused_alike_by_both_eigensolves():
 
 
 def test_each_chain_block_is_written_once(monkeypatch):
+    # lowest_energies counts on the chains themselves and writes no block
     blocks = []
     monkeypatch.setattr(spectral, "chain_block",
                         lambda rows: blocks.append(rows.shape) or chain_block(rows))
     q = build_transfer_matrix(FIG2, Truncation(P=30))
-    for solve in (diagonalize, lambda q: lowest_energies(q, 3)):
+    for solve, want in ((diagonalize, [(31, 3), (31, 3)]),
+                        (lambda q: lowest_energies(q, 3), [])):
         blocks.clear()
         solve(q)
-        assert blocks == [(31, 3), (31, 3)]
+        assert blocks == want
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3_P400"])
@@ -466,6 +468,81 @@ def test_multisection_probes_each_float_of_a_narrow_bracket(config_dir, monkeypa
     assert np.all(np.nextafter(lo, np.inf) == hi)
 
 
+def limit_sweeps(monkeypatch, bound):
+    """Fail at the first Sturm sweep spectral makes past bound from here
+    on, so that a multisection that never ends fails too."""
+    sweeps = []
+    real = spectral._sturm_sweep
+
+    def spy(a, b, x, lengths):
+        sweep = real(a, b, x, lengths)
+
+        def counted():
+            sweeps.append(None)
+            assert len(sweeps) <= bound, f"more than {bound} sweeps"
+            return sweep()
+        return counted
+
+    monkeypatch.setattr(spectral, "_sturm_sweep", spy)
+
+
+@pytest.mark.parametrize("source, levels, bound", [
+    # det steers every level of fig3_P400 to its float in 9 sweeps
+    ("fig3_P400", 40, 12),
+    # fig1's RWA chains hold exact ties, whose brackets never hold one
+    # eigenvalue alone, so only the uniform grid serves them: 20 sweeps
+    ("fig1", 20, 24),
+    # level 0 lies within 2e-40 of 0 while lo sits near -1.6e-25: regula
+    # falsi's estimate rounds above hi, and a ladder clipped onto hi never
+    # moves, until the miss sends the pair back to the grid: 8 sweeps
+    (ModelParams(omega_f=2.0, omega_0=1.1754943508222875e-38), 1, 12),
+], ids=["fig3_P400", "fig1", "level_next_to_0"])
+def test_level_multisection_finishes_within_a_sweep_bound(config_dir, monkeypatch, source,
+                                                          levels, bound):
+    if isinstance(source, str):
+        cfg = load_run_config(config_dir / f"{source}.cfg", [])
+        q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
+    else:
+        q = build_transfer_matrix(source, Truncation(P=13))
+    limit_sweeps(monkeypatch, bound)
+    got = lowest_energies(q, levels)
+    assert got.tobytes() == bisection_levels(q, levels).tobytes()
+
+
+@pytest.mark.parametrize("name, levels", [
+    ("fig1", None), ("fig2", None), ("fig3_P200", None), ("fig3_P400", None),
+    ("fig3_P400", 40), ("fig5a", None), ("fig5b", None), ("fig6", None)])
+def test_lowest_energies_match_the_level_bisection_on_every_config(config_dir, name,
+                                                                   levels):
+    cfg = load_run_config(config_dir / f"{name}.cfg", [])
+    q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
+    count = levels or cfg.levels
+    if not cfg.to_params().is_hermitian():
+        # fig6 is dissipative: it has no levels to find
+        with pytest.raises(NonHermitianInput):
+            lowest_energies(q, count)
+        return
+    assert lowest_energies(q, count).tobytes() == bisection_levels(q, count).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=hermitian_params, P=st.integers(0, 40), count=st.integers(1, 81))
+# the resonant RWA model: every other coupling is zero
+@example(params=ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.0), P=30, count=25)
+# g_minus = 0: the counter-rotating couplings alone
+@example(params=ModelParams(omega_f=1.0, omega_0=0.75, g_plus=0.7), P=30, count=25)
+# P = 0: each chain is one level
+@example(params=FIG2, P=0, count=1)
+# no coupling on resonance: the levels of each chain come in exact ties
+@example(params=ModelParams(omega_f=1.0, omega_0=1.0), P=12, count=20)
+def test_lowest_energies_match_the_level_bisection_on_random_chains(params, P, count):
+    q = build_transfer_matrix(params, Truncation(P=P))
+    count = min(count, q.dim - 1)
+    with np.errstate(over="ignore"):   # the bisection's b^2 / d may overflow to inf
+        want = bisection_levels(q, count)
+    assert lowest_energies(q, count).tobytes() == want.tobytes()
+
+
 def test_gs_scan_assembles_q_once(monkeypatch):
     calls = []
 
@@ -659,3 +736,44 @@ def bisection_ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray
         below = lowest < 0.0
         hi = np.where(inside & below, x, hi)
         lo = np.where(inside & ~below, x, lo)
+
+
+def bisection_levels(q, count: int) -> np.ndarray:
+    """The count + 1 lowest energies of Q by one bisection per (chain,
+    level) on Sturm counts: one shift per pair, from a bracket [-r, r]
+    about the whole spectrum of Q / 2^e, stopping only when no float lies
+    strictly inside a bracket.
+
+    Pair (c, j) reads "x is above level j" as more than j negative pivots
+    of chain c minus x, so level j ends on the largest float with at most
+    j.  The pivots follow the same recurrence as _sturm_sweep, one slot at
+    a time: a zero pivot is +0, so the next is -inf, and a slot whose
+    coupling is 0 takes d_i = a_i - x.  The two chains' levels are
+    stable-sorted together.
+    """
+    a, b, e = _scaled_chains(q)
+    n = a.shape[1]
+    levels = np.arange(min(count, n - 1) + 1)
+    b2 = b * b
+    norm = np.abs(a).max() + 2 * np.abs(b).max(initial=0.0)
+    r = np.ldexp(1.0, int(np.frexp(norm)[1]) + 1)
+    lo = np.full((2, levels.size), -r)
+    hi = -lo
+    while True:
+        x = (lo + hi) * 0.5
+        inside = (lo < x) & (x < hi)
+        if not inside.any():
+            with np.errstate(over="ignore"):
+                return np.sort(np.ldexp(lo, e), axis=None, kind="stable")[:count + 1]
+        below = np.zeros(x.shape, dtype=np.int64)
+        with np.errstate(divide="ignore"):
+            for i in range(n):
+                pivot = a[:, i, None] - x
+                if i:
+                    live = np.flatnonzero(b2[:, i - 1])
+                    pivot[live] -= b2[live, i - 1, None] / d[live]
+                d = pivot
+                below += d < 0.0
+        above = below > levels
+        hi = np.where(inside & above, x, hi)
+        lo = np.where(inside & ~above, x, lo)
