@@ -39,27 +39,17 @@ from .spectral import (
     SpectralDecomposition,
     diagonalize,
     gs_scan,
-    level_differences,
     lowest_energies,
     teee_evolve,
 )
 from .states import (
     CoherentSpec,
-    ObservableWeights,
     SpinorFockState,
     TailMassTooLarge,
-    atomic_inversion,
     coherent_state,
-    energy_expectation,
-    excitation_number,
     fock_state,
-    inner,
-    mean_photon_number,
-    norm_squared,
-    normalize,
-    parity_expectation,
 )
-from .trajectory import CSV_COLUMNS, Trajectory, csv_lines
+from .trajectory import CSV_COLUMNS, Trajectory, csv_lines, observe
 
 __version__ = "0.1.0"
 
@@ -75,7 +65,6 @@ __all__ = [
     "NonHermitianInput",
     "NotConverged",
     "NotUnitary",
-    "ObservableWeights",
     "PropagatorCache",
     "PropagatorConfig",
     "RunConfig",
@@ -87,7 +76,6 @@ __all__ = [
     "TransferMatrix",
     "Truncation",
     "advance",
-    "atomic_inversion",
     "build_step_propagator",
     "build_transfer_matrix",
     "canonical_blob",
@@ -95,21 +83,14 @@ __all__ = [
     "csv_lines",
     "default_cache_dir",
     "diagonalize",
-    "energy_expectation",
     "evolve",
     "evolve_reusing",
-    "excitation_number",
     "fock_state",
     "gs_scan",
     "hermiticity_check",
-    "inner",
-    "level_differences",
     "load_run_config",
     "lowest_energies",
-    "mean_photon_number",
-    "norm_squared",
-    "normalize",
-    "parity_expectation",
+    "observe",
     "parse_p_values",
     "propagator_fingerprint",
     "suggest_step",

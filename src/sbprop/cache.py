@@ -318,8 +318,6 @@ class PropagatorCache:
         no read permission) is listed as a CacheCorruptError with the OS
         reason.
         """
-        if not self.root.is_dir():
-            return []
         out: list[tuple[Path, CacheEntry | CacheCorruptError]] = []
         for path in sorted(self.root.glob("*.sbp")):
             try:

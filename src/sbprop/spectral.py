@@ -52,7 +52,6 @@ __all__ = [
     "diagonalize",
     "lowest_energies",
     "teee_evolve",
-    "level_differences",
     "gs_scan",
 ]
 
@@ -286,12 +285,6 @@ def _chain_states(dec: SpectralDecomposition, coeff: np.ndarray,
     states = np.zeros((ts.size, 2, dec.dim // 2), dtype=np.complex128)
     states[:, chains] = rotated.transpose(2, 0, 1)
     return states
-
-
-def level_differences(dec: SpectralDecomposition, count: int) -> np.ndarray:
-    """First `count` excitation energies E_j - E_0, j = 1..count."""
-    _check_count(count, dec.dim - 1)
-    return dec.energies[1:count + 1] - dec.energies[0]
 
 
 def _check_count(count: int, available: int) -> None:

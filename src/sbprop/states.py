@@ -1,9 +1,8 @@
-"""Spinor-Fock states and the standard observable set.
+"""Spinor-Fock states: truncated coherent and Fock initial states.
 
 A state is a pair of complex amplitude arrays over Fock levels 0..P, one
-for the atom excited, one for the ground state.  Observables below are the
-raw (unnormalized) quadratic forms; harness-level normalization divides by
-the squared norm.
+for the atom excited, one for the ground state.  What is measured on a
+state is defined in trajectory (TrajectoryBuilder, observe).
 """
 
 from __future__ import annotations
@@ -14,23 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TransferMatrix
-
 __all__ = [
     "CoherentSpec",
     "SpinorFockState",
     "TailMassTooLarge",
     "coherent_state",
     "fock_state",
-    "norm_squared",
-    "inner",
-    "normalize",
-    "ObservableWeights",
-    "mean_photon_number",
-    "atomic_inversion",
-    "excitation_number",
-    "parity_expectation",
-    "energy_expectation",
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -204,76 +192,3 @@ def fock_state(p0: int, spin: str, P: int) -> SpinorFockState:
     (e if spin == "e" else g)[int(p0)] = 1.0
     return SpinorFockState(amps_e=e, amps_g=g)
 
-
-class ObservableWeights:
-    """Per-slot weights for the standard observables in concatenated layout.
-
-    Excitation counts photons plus the atomic excitation, (p+1) on the
-    excited block and p on the ground block; parity is (-1) to that count.
-    Both commute exactly with the photon-conserving coupling, also after
-    truncation, which is what the conservation checks rely on.
-    """
-
-    def __init__(self, P: int):
-        p = np.arange(P + 1, dtype=np.float64)
-        ones = np.ones(P + 1)
-        self.photon = np.concatenate([p, p])
-        self.inversion = np.concatenate([ones, -ones])
-        self.excitation = np.concatenate([p + 1.0, p])
-        alt = np.where(p.astype(np.int64) % 2 == 0, 1.0, -1.0)
-        self.parity = np.concatenate([-alt, alt])
-
-    def measure(self, vec: np.ndarray) -> tuple[float, ...]:
-        """(norm2, photon, inversion, excitation, parity) of one vector."""
-        w = vec.real ** 2 + vec.imag ** 2
-        return tuple(float((wt * w).sum()) for wt in
-                     (1.0, self.photon, self.inversion, self.excitation, self.parity))
-
-
-def norm_squared(state: SpinorFockState) -> float:
-    w = state.amps_e.real ** 2 + state.amps_e.imag ** 2
-    w2 = state.amps_g.real ** 2 + state.amps_g.imag ** 2
-    return float(w.sum() + w2.sum())
-
-
-def inner(a: SpinorFockState, b: SpinorFockState) -> complex:
-    """<a|b> with the first argument conjugated."""
-    if a.P != b.P:
-        raise ValueError(f"state sizes differ: P={a.P} vs P={b.P}")
-    return complex(np.vdot(a.amps_e, b.amps_e) + np.vdot(a.amps_g, b.amps_g))
-
-
-def normalize(state: SpinorFockState) -> SpinorFockState:
-    n2 = norm_squared(state)
-    if n2 <= 0.0:
-        raise ValueError("cannot normalize a zero state")
-    s = 1.0 / math.sqrt(n2)
-    return SpinorFockState(amps_e=state.amps_e * s, amps_g=state.amps_g * s)
-
-
-def mean_photon_number(state: SpinorFockState) -> float:
-    return ObservableWeights(state.P).measure(state.vector)[1]
-
-
-def atomic_inversion(state: SpinorFockState) -> float:
-    return ObservableWeights(state.P).measure(state.vector)[2]
-
-
-def excitation_number(state: SpinorFockState) -> float:
-    return ObservableWeights(state.P).measure(state.vector)[3]
-
-
-def parity_expectation(state: SpinorFockState) -> float:
-    return ObservableWeights(state.P).measure(state.vector)[4]
-
-
-def energy_expectation(state: SpinorFockState, q: TransferMatrix) -> complex:
-    """<s|Q|s>; the imaginary part is rounding-level for Hermitian Q."""
-    vec = state.vector
-    if vec.size != q.dim:
-        raise ValueError(f"state dim {vec.size} does not match matrix dim {q.dim}")
-    y = vec[q.order]
-    qy = q.diag * y
-    qy[:-1] += q.off * y[1:]
-    qy[1:] += q.off * y[:-1]
-    return complex(np.vdot(y, qy))

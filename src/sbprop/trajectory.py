@@ -1,4 +1,10 @@
-"""Per-step observable records shared by both evolvers."""
+"""The observables of a state and the per-step records of both evolvers.
+
+TrajectoryBuilder is the one definition of what is measured: the squared
+norm, photon number, inversion, excitation, parity and energy of each
+state, as raw (unnormalized) quadratic forms.  evolve and teee_evolve
+record a row per time point through it, and observe reads one state.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TransferMatrix, chain_order
-from .states import ObservableWeights
+from .model import TransferMatrix, occupied_chains
+from .states import SpinorFockState
 
-__all__ = ["Trajectory", "CSV_COLUMNS", "CSV_BLOCK_ROWS", "csv_lines"]
+__all__ = ["Trajectory", "CSV_COLUMNS", "CSV_BLOCK_ROWS", "csv_lines", "observe"]
 
 CSV_COLUMNS = ("t", "norm2", "n_raw", "n_norm", "sz_raw", "sz_norm",
                "energy_re", "C_exp", "parity")
@@ -46,7 +52,14 @@ class TrajectoryBuilder:
     """Accumulates rows; evolvers call record() once per block of time points.
 
     The recorded vectors are in chain order (see model.chain_order); they
-    are measured, not kept (propagator.advance returns a state).  With q
+    are measured, not kept (propagator.advance returns a state).  Each
+    observable is a weight per chain slot: slot p of either chain holds p
+    photons and spin e on the even slots of chain A and the odd slots of
+    chain B (inversion +1, else -1).  Excitation counts the photons plus
+    the atomic excitation, and parity, (-1) to that count, is -1 on every
+    slot of chain A and +1 on chain B, so its column measures n_B - n_A.
+    Both commute exactly with the photon-conserving coupling, also after
+    truncation, which is what the conservation checks rely on.  With q
     given, record() also measures the energy Re <y|Q|y>; q must be
     truncated at the builder's P (ValueError), and is kept, so evolve can
     refuse a builder made for another Q.
@@ -55,13 +68,14 @@ class TrajectoryBuilder:
     def __init__(self, P: int, count: int, q: TransferMatrix | None = None):
         if q is not None and q.trunc.P != P:
             raise ValueError(f"q is truncated at P = {q.trunc.P}, the builder at P = {P}")
-        order = chain_order(P)
         n = P + 1
-        w = ObservableWeights(P)
-        # in chain order parity is -1 on every slot of chain A and +1 on
-        # chain B, so its column measures n_B - n_A
-        cols = [np.ones(order.size),
-                *(v[order] for v in (w.photon, w.inversion, w.excitation, w.parity))]
+        p = np.arange(n, dtype=np.float64)
+        # spin by the slot p within its chain: chain B's global slot n + p
+        # has the other parity when n is odd
+        excited = np.concatenate([p % 2 == 0, p % 2 == 1])
+        photon = np.concatenate([p, p])
+        cols = [np.ones(2 * n), photon, np.where(excited, 1.0, -1.0),
+                photon + excited, np.repeat([-1.0, 1.0], n)]
         self.q = q
         self._off = None
         if q is not None:
@@ -148,6 +162,19 @@ class TrajectoryBuilder:
             sz_raw=self.sz_raw, sz_norm=sz_norm,
             energy_re=self.energy_re, c_exp=self.c_exp, parity=self.parity,
         )
+
+
+def observe(state: SpinorFockState, q: TransferMatrix) -> Trajectory:
+    """The one-row Trajectory, at t = 0, of state's observables and energy
+    under q, measured as evolve measures each of its rows.
+
+    observe(advance(state, prop, cfg, q), q) is bit for bit evolve's last
+    row apart from t.  q must be truncated at state's P (ValueError).
+    """
+    builder = TrajectoryBuilder(state.P, 1, q=q)
+    y = state.vector[q.order]
+    builder.record(0, 0.0, y[None], chains=occupied_chains(y))
+    return builder.build()
 
 
 def csv_rows(*columns: np.ndarray):

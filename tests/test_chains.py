@@ -20,9 +20,9 @@ from sbprop import (
     build_step_propagator,
     build_transfer_matrix,
     diagonalize,
-    energy_expectation,
     evolve,
     hermiticity_check,
+    observe,
     suggest_step,
 )
 
@@ -118,7 +118,7 @@ def test_chain_route_matches_the_dense_oracle(omega_f, omega_0, g_minus, g_plus,
     # floor: a few ulps of subnormal arithmetic, where 1e-14 * scale is 0.0
     bound = 1e-14 * scale + q.dim * np.finfo(float).smallest_subnormal
     assert abs(traj.energy_re[0] - exact.real) <= bound
-    assert abs(energy_expectation(SpinorFockState.from_vector(y), q) - exact) <= bound
+    assert abs(observe(SpinorFockState.from_vector(y), q).energy_re[0] - exact.real) <= bound
 
     # per-chain eigensolves against one dense eigensolve
     if q.hermitian:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import sbprop.propagator
+from oracle import energy, readings
 from sbprop import (
     ModelParams,
-    ObservableWeights,
     NonFiniteState,
     NotConverged,
     PropagatorConfig,
@@ -20,11 +20,11 @@ from sbprop import (
     advance,
     build_step_propagator,
     build_transfer_matrix,
-    energy_expectation,
     evolve,
     evolve_reusing,
     fock_state,
     load_run_config,
+    observe,
     suggest_step,
 )
 from sbprop.cli import _prepare
@@ -595,12 +595,11 @@ def test_block_recording_matches_a_per_step_oracle():
     assert len(traj) == steps + 1
     states = stepped_states(s0, prop, cfg, q)
 
-    m, w, y = prop.matrix, ObservableWeights(10), s0.vector
+    m, y = prop.matrix, s0.vector
     expected = []
     for k in range(steps + 1):
         assert np.allclose(states[k], y[q.order], rtol=0.0, atol=1e-12)
-        energy = energy_expectation(SpinorFockState.from_vector(y), q).real
-        expected.append((k * cfg.dt, *w.measure(y), energy))
+        expected.append((k * cfg.dt, *readings(y), energy(y, q).real))
         y = m @ y
     expected = np.array(expected).T
     got = (traj.times, traj.norm2, traj.n_raw, traj.sz_raw, traj.c_exp,
@@ -626,13 +625,38 @@ def test_trimmed_step_band_matches_the_full_band_dense_oracle(params, P, steps):
     s0 = fock_state(0, "e", P)
     traj = evolve(s0, prop, cfg, q)
     states = stepped_states(s0, prop, cfg, q)
-    m, weights, y = band_to_dense(full), ObservableWeights(P), s0.vector
+    m, y = band_to_dense(full), s0.vector
     for k in range(steps + 1):
         assert np.abs(states[k] - y[q.order]).max() < 1e-12
-        n_raw, sz_raw = weights.measure(y)[1:3]
+        n_raw, sz_raw = readings(y)[1:3]
         assert abs(traj.n_raw[k] - n_raw) < 1e-12 * max(1.0, n_raw)
         assert abs(traj.sz_raw[k] - sz_raw) < 1e-12
         y = m @ y
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig6"])
+@pytest.mark.parametrize("steps", [0, 1, 2 * BLOCK_ROWS + 5])
+def test_observe_reads_the_advanced_state_as_evolve_records_it(config_dir, name, steps):
+    # fig1 starts in both chains, fig2 in one, and fig6 is dissipative
+    run = load_run_config(config_dir / f"{name}.cfg", [])
+    q, cfg = _prepare(run)
+    cfg = PropagatorConfig(dt=cfg.dt, steps=steps, N=cfg.N, tol=cfg.tol)
+    prop = build_step_propagator(q, cfg)
+    s0 = run.build_initial_state()
+    traj = evolve(s0, prop, cfg, q)
+    row = observe(advance(s0, prop, cfg, q), q)
+    assert len(row) == 1 and row.times[0] == 0.0
+    for col in ("norm2", "n_raw", "n_norm", "sz_raw", "sz_norm", "energy_re", "c_exp",
+                "parity"):
+        assert getattr(row, col).tobytes() == getattr(traj, col)[-1:].tobytes(), col
+
+
+def test_observe_refuses_q_of_another_cutoff():
+    q = build_transfer_matrix(FIG2, Truncation(P=10))
+    with pytest.raises(ValueError, match="q is truncated at P = 10, the builder at P = 12"):
+        observe(fock_state(0, "e", 12), q)
+    with pytest.raises(ValueError, match="q is truncated at P = 10, the builder at P = 9"):
+        observe(fock_state(0, "e", 9), q)
 
 
 def test_zero_steps_give_one_row():

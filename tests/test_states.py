@@ -1,8 +1,9 @@
-"""Coherent/Fock state construction and the observable kernels.
+"""Coherent/Fock state construction and the observables observe reads.
 
 Coherent amplitudes are checked against two independent oracles: the
 closed-form log-gamma expression and scipy's Poisson survival function for
-the truncated tail mass.
+the truncated tail mass.  Their norms and photon numbers are read with the
+block-layout oracle (tests/oracle.py).
 """
 
 import math
@@ -13,26 +14,20 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import readings
 from sbprop import (
     CoherentSpec,
     ModelParams,
-    ObservableWeights,
     SpinorFockState,
     TailMassTooLarge,
     Truncation,
-    atomic_inversion,
     build_transfer_matrix,
     coherent_state,
-    energy_expectation,
-    excitation_number,
     fock_state,
-    inner,
-    mean_photon_number,
-    norm_squared,
-    normalize,
-    parity_expectation,
+    observe,
 )
 from sbprop.states import SEARCH_LEVELS
+from sbprop.trajectory import TrajectoryBuilder
 
 ALPHA = 5.0  # mean photon number 25; the workhorse example throughout
 
@@ -40,6 +35,14 @@ ALPHA = 5.0  # mean photon number 25; the workhorse example throughout
 def poisson_tail(P: int, alpha: float = ALPHA) -> float:
     """Mass of the Poisson(alpha^2) distribution strictly above level P."""
     return float(scipy.stats.poisson(alpha * alpha).sf(P))
+
+
+def norm_squared(state: SpinorFockState) -> float:
+    return readings(state.vector)[0]
+
+
+def mean_photon_number(state: SpinorFockState) -> float:
+    return readings(state.vector)[1]
 
 
 def test_recurrence_ratio_is_bit_exact():
@@ -140,7 +143,7 @@ def test_truthful_norm_and_photon_number_at_p50():
     deficit = ALPHA ** 2 - mean_photon_number(state)
     assert deficit == pytest.approx(1.738e-4, rel=1e-3)
     # equal spinor mix: inversion vanishes up to rounding
-    assert abs(atomic_inversion(state)) < 1e-12
+    assert abs(readings(state.vector)[2]) < 1e-12
 
 
 def test_tight_cutoffs_restore_the_ideal_values():
@@ -152,17 +155,20 @@ def test_tight_cutoffs_restore_the_ideal_values():
 
 
 def test_fock_state_observables():
-    s = fock_state(1, "g", 5)
-    assert norm_squared(s) == 1.0
-    assert mean_photon_number(s) == 1.0
-    assert atomic_inversion(s) == -1.0
-    assert excitation_number(s) == 1.0   # p photons, atom down
-    assert parity_expectation(s) == -1.0
+    q = build_transfer_matrix(ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1),
+                              Truncation(P=5))
+    row = observe(fock_state(1, "g", 5), q)
+    assert len(row) == 1 and row.times[0] == 0.0
+    assert row.norm2[0] == 1.0
+    assert row.n_raw[0] == 1.0
+    assert row.sz_raw[0] == -1.0
+    assert row.c_exp[0] == 1.0   # p photons, atom down
+    assert row.parity[0] == -1.0
 
-    s = fock_state(0, "e", 5)
-    assert atomic_inversion(s) == 1.0
-    assert excitation_number(s) == 1.0   # no photons, atom up
-    assert parity_expectation(s) == -1.0
+    row = observe(fock_state(0, "e", 5), q)
+    assert row.sz_raw[0] == 1.0
+    assert row.c_exp[0] == 1.0   # no photons, atom up
+    assert row.parity[0] == -1.0
 
 
 def test_excitation_of_balanced_superposition():
@@ -170,11 +176,14 @@ def test_excitation_of_balanced_superposition():
     b = fock_state(1, "g", 4)
     s = SpinorFockState(amps_e=(a.amps_e + b.amps_e) / math.sqrt(2),
                         amps_g=(a.amps_g + b.amps_g) / math.sqrt(2))
-    assert excitation_number(s) == pytest.approx(1.0, abs=1e-15)
+    assert readings(s.vector)[3] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_excitation_weights_commute_with_photon_conserving_coupling():
-    w = ObservableWeights(10)
+    # the weights the builder measures with: one chain-order basis state
+    # per row reads each slot's weight exactly
+    builder = TrajectoryBuilder(10, 22)
+    builder.record(0, np.zeros(22), np.eye(22, dtype=np.complex128), 0.0)
     rwa = build_transfer_matrix(
         ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1), Truncation(P=10))
     full = build_transfer_matrix(
@@ -182,38 +191,25 @@ def test_excitation_weights_commute_with_photon_conserving_coupling():
         Truncation(P=10))
 
     def commutator_norm(q, weights):
+        # Q in the chain order the builder's rows are in
+        m = q.matrix[np.ix_(q.order, q.order)]
         d = np.diag(weights)
-        return np.abs(q.matrix @ d - d @ q.matrix).max()
+        return np.abs(m @ d - d @ m).max()
 
-    assert commutator_norm(rwa, w.excitation) == 0.0
-    assert commutator_norm(full, w.excitation) > 0.1
+    assert commutator_norm(rwa, builder.c_exp) == 0.0
+    assert commutator_norm(full, builder.c_exp) > 0.1
     # parity survives the counter-rotating terms too
-    assert commutator_norm(rwa, w.parity) == 0.0
-    assert commutator_norm(full, w.parity) == 0.0
+    assert commutator_norm(rwa, builder.parity) == 0.0
+    assert commutator_norm(full, builder.parity) == 0.0
 
 
 def test_energy_expectation_examples():
     params = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1)
     q = build_transfer_matrix(params, Truncation(P=3))
-    assert energy_expectation(fock_state(0, "e", 3), q) == 0.5 + 0j
-    assert energy_expectation(fock_state(2, "g", 3), q) == 1.5 + 0j
+    assert observe(fock_state(0, "e", 3), q).energy_re[0] == 0.5
+    assert observe(fock_state(2, "g", 3), q).energy_re[0] == 1.5
     with pytest.raises(ValueError):
-        energy_expectation(fock_state(0, "e", 5), q)
-
-
-def test_inner_and_normalize():
-    a = SpinorFockState(amps_e=np.array([1j, 0.0]), amps_g=np.array([0.0, 2.0]))
-    b = SpinorFockState(amps_e=np.array([1.0, 0.0]), amps_g=np.array([0.0, 0.0]))
-    assert inner(a, b) == -1j          # first argument conjugated
-    assert inner(b, a) == 1j
-    assert norm_squared(a) == 5.0
-    n = normalize(a)
-    assert norm_squared(n) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        inner(a, fock_state(0, "e", 3))
-    zero = SpinorFockState(amps_e=np.zeros(2), amps_g=np.zeros(2))
-    with pytest.raises(ValueError):
-        normalize(zero)
+        observe(fock_state(0, "e", 5), q)
 
 
 def test_vector_round_trip_and_validation():
@@ -244,6 +240,10 @@ def test_coherent_spec_and_fock_validation():
         fock_state(0, "x", 5)
 
 
+SCALING_Q = build_transfer_matrix(
+    ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4), Truncation(P=5))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     scale=st.floats(min_value=0.01, max_value=100.0,
@@ -255,7 +255,12 @@ def test_coherent_spec_and_fock_validation():
 def test_measure_scales_quadratically(scale, phase, seed):
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=12) + 1j * rng.normal(size=12)
-    w = ObservableWeights(5)
-    base = np.array(w.measure(vec))
-    scaled = np.array(w.measure(vec * scale * np.exp(1j * phase)))
+
+    def measure(v):
+        row = observe(SpinorFockState.from_vector(v), SCALING_Q)
+        return np.array([row.norm2[0], row.n_raw[0], row.sz_raw[0], row.c_exp[0],
+                         row.parity[0]])
+
+    base = measure(vec)
+    scaled = measure(vec * scale * np.exp(1j * phase))
     assert scaled == pytest.approx(base * scale ** 2, rel=1e-12)

@@ -1,4 +1,5 @@
-"""CSV rendering of trajectories and the fused block measurement."""
+"""CSV rendering of trajectories and the fused block measurement, checked
+against the block-layout oracle (tests/oracle.py)."""
 
 import math
 import os
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbprop import (CSV_COLUMNS, ModelParams, ObservableWeights, Trajectory, Truncation,
-                    build_transfer_matrix, csv_lines)
+import oracle
+from sbprop import (CSV_COLUMNS, ModelParams, Trajectory, Truncation, build_transfer_matrix,
+                    csv_lines)
 from sbprop.model import chain_order
 from sbprop.propagator import BLOCK_ROWS
 import sbprop.trajectory
@@ -93,11 +95,9 @@ def test_csv_lines_are_the_header_then_one_line_per_row(rows):
 def former_columns(q, y):
     """The per-row formulas measure() and energy() used before the fusion,
     each with the sum of the absolute terms it adds up."""
-    w = ObservableWeights(q.trunc.P)
     order = chain_order(q.trunc.P)
     sq = y.real ** 2 + y.imag ** 2
-    weights = [np.ones(q.dim)] + [v[order] for v in
-                                  (w.photon, w.inversion, w.excitation, w.parity)]
+    weights = [np.ones(q.dim)] + [v[order] for v in oracle.weights(q.trunc.P)]
     cols = [(v * sq).sum(-1) for v in weights]
     scales = [(np.abs(v) * sq).sum(-1) for v in weights]
     a, b = y[:, :-1], y[:, 1:]
@@ -116,6 +116,21 @@ def measured(builder):
 def random_rows(rng, rows, dim):
     y = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
     return y * np.logspace(-3, 3, rows)[:, None]
+
+
+@pytest.mark.parametrize("P", [0, 1, 2, 3, 50, 51])
+def test_builder_weights_are_the_oracle_weights_in_chain_order(P):
+    # P + 1 odd and even: chain B starts on an odd and on an even slot
+    dim = 2 * (P + 1)
+    builder = TrajectoryBuilder(P, dim)
+    # one chain-order basis state per row reads each slot's weight exactly
+    builder.record(0, np.zeros(dim), np.eye(dim, dtype=np.complex128), 0.0)
+    order = chain_order(P)
+    got = (builder.norm2, builder.n_raw, builder.sz_raw, builder.c_exp, builder.parity)
+    want = (np.ones(dim), *(w[order] for w in oracle.weights(P)))
+    for name, g, w in zip(("norm2", "photon", "inversion", "excitation", "parity"),
+                          got, want):
+        assert g.tobytes() == w.tobytes(), name
 
 
 @pytest.mark.parametrize("params", [FIG2, FIG6], ids=["hermitian", "dissipative"])
