@@ -88,8 +88,6 @@ def build_parser() -> _Parser:
                            help="override one config key (repeatable)")
     run_flags.add_argument("--out", metavar="PATH",
                            help="write CSV here instead of stdout")
-    run_flags.add_argument("--normalize", action="store_true",
-                           help="compare normalized instead of raw observables")
 
     p = sub.add_parser("evolve", parents=[run_flags],
                        help="step a state forward, emit the trajectory CSV")
@@ -97,6 +95,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", parents=[run_flags],
                        help="Taylor vs eigendecomposition on one time grid")
+    p.add_argument("--normalize", action="store_true",
+                   help="compare normalized instead of raw observables")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("spectrum", parents=[run_flags],
@@ -129,8 +129,6 @@ def _load(args: argparse.Namespace) -> RunConfig:
     cfg = load_run_config(args.config, args.set)
     if args.out:
         cfg.out = args.out
-    if args.normalize:
-        cfg.normalize = True
     return cfg
 
 
@@ -267,6 +265,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = _load(args)
+    if args.normalize:
+        cfg.normalize = True
     if not cfg.to_params().is_hermitian():
         raise ConfigError("dissipative parameters: the eigendecomposition "
                           "reference cannot be built, compare needs beta=gamma=0")

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cache import CacheEntry, propagator_fingerprint
 from .model import TransferMatrix, band_half_width, occupied_chains, small_ufunc_buffer
 from .states import SpinorFockState
-from .trajectory import Trajectory, TrajectoryBuilder
+from .trajectory import BLOCK_ROWS, Trajectory, TrajectoryBuilder
 
 __all__ = [
     "NotConverged",
@@ -57,9 +57,6 @@ MAX_STEP = 0.1  # largest dt suggest_step will ever return
 # Largest unitarity defect max|M+M - 1| a Hermitian propagator may carry
 # at the default last-term tolerance (see certify).
 UNITARITY_TOL = 1e-9
-# States evolve() holds at once.  Checking and measuring them together
-# amortises the per-call overhead; a larger block only adds memory.
-BLOCK_ROWS = 64
 # Consecutive band rows of one chain that evolve applies as one dense
 # panel (see _panels): one BLAS call per TILE_ROWS rows, at
 # (TILE_ROWS + 2w) / (2w + 1) times the flops of one call per row.

@@ -43,7 +43,7 @@ from .model import (ModelParams, TransferMatrix, Truncation, build_transfer_matr
                     chain_block, chain_order, hermiticity_check, occupied_chains,
                     small_ufunc_buffer)
 from .states import SpinorFockState
-from .trajectory import Trajectory, TrajectoryBuilder
+from .trajectory import BLOCK_ROWS, Trajectory, TrajectoryBuilder
 
 __all__ = [
     "NonHermitianInput",
@@ -234,7 +234,9 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     in chain order.  A chain whose amplitudes are all exactly zero has
     F = 0 there and stays zero, so it is written as zeros, not rotated.
     Norm and the (constant) energy sum |F_j|^2 E_j are exact up to the
-    decomposition residual by construction.
+    decomposition residual by construction.  The states are formed and
+    recorded BLOCK_ROWS time points at a time, the block evolve steps, so
+    no temporary grows with the number of time points.
     """
     vec0 = state.vector
     if vec0.size != dec.dim:
@@ -252,11 +254,8 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     energy_const = float(weight.ravel() @ dec.chain_energies.ravel())
 
     builder = TrajectoryBuilder(state.P, times.size)
-    # time points per chunk: each complex (dim, chunk) temporary stays
-    # near 8 MB whatever dim is
-    chunk = max(1, 2 ** 19 // max(dec.dim, 1))
-    for lo in range(0, times.size, chunk):
-        ts = times[lo:lo + chunk]
+    for lo in range(0, times.size, BLOCK_ROWS):
+        ts = times[lo:lo + BLOCK_ROWS]
         builder.record(lo, ts, _chain_states(dec, coeff, ts, chains), energy_const,
                        chains=chains)
     return builder.build()
@@ -275,7 +274,8 @@ def _chain_states(dec: SpectralDecomposition, coeff: np.ndarray,
 
     Only the given chains are rotated; the others are written as zeros.
     A function of its own so that the phase block is freed before the
-    caller records these states and the states before the next chunk.
+    caller records these states, and the states before the next block is
+    formed.
     """
     phases = -1j * (dec.chain_energies[chains, :, None] * ts)
     np.exp(phases, out=phases)

@@ -20,6 +20,12 @@ __all__ = ["Trajectory", "CSV_COLUMNS", "CSV_BLOCK_ROWS", "csv_lines", "observe"
 CSV_COLUMNS = ("t", "norm2", "n_raw", "n_norm", "sz_raw", "sz_norm",
                "energy_re", "C_exp", "parity")
 
+# States either evolver holds and records at once (propagator.evolve
+# steps them, spectral.teee_evolve rotates them).  Measuring them
+# together amortises the per-call overhead; a larger block only adds
+# memory.
+BLOCK_ROWS = 64
+
 # rows csv_rows formats at a time, and lines the CLI writes per call: a
 # line is at most 9 * 24 + 9 bytes, so a block stays under a 64 KB pipe
 # buffer

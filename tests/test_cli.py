@@ -341,6 +341,18 @@ def test_compare_normalize_flag(config_dir, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command, config", [
+    ("evolve", "fig2.cfg"), ("spectrum", "fig2.cfg"), ("gs-scan", "fig5a.cfg")])
+def test_normalize_is_refused_outside_compare(config_dir, capsys, tmp_path,
+                                              command, config):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, command, "--config", cfg(config_dir, config),
+                         "--out", str(out_path), "--normalize")
+    assert code == 1
+    assert "unrecognized arguments: --normalize" in err
+    assert out == "" and not out_path.exists()
+
+
 def test_compare_exit_3_when_methods_disagree(config_dir, capsys):
     # order 3 stays stable here but drifts measurably from the exact phases
     code, out, _ = run(capsys, "compare", "--config", cfg(config_dir, "fig2.cfg"),

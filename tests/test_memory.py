@@ -1,18 +1,22 @@
 """Memory guards: the cutoff scan and a run over a retired cache file stay
 off dense matrices, the build of M and its unitarity defect stay within a
-few copies of its band, a cache hit holds one copy of the step band, and
-advance holds one block of states however many steps it takes.
+few copies of its band, a cache hit holds one copy of the step band,
+advance holds one block of states however many steps it takes, and
+teee_evolve one block of states however many time points it records.
 
 Each routine works on chain-sized pieces, so its traced peak stays below
 the size of one dense matrix of the kind it used to build.
 """
 
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sbprop import (
     CacheCorruptError,
+    CoherentSpec,
     ModelParams,
     PropagatorCache,
     PropagatorConfig,
@@ -20,10 +24,13 @@ from sbprop import (
     advance,
     build_step_propagator,
     build_transfer_matrix,
+    coherent_state,
+    diagonalize,
     fock_state,
     gs_scan,
     load_run_config,
     suggest_step,
+    teee_evolve,
 )
 from sbprop.cli import _obtain_propagator, _prepare, main
 from sbprop.propagator import BLOCK_ROWS, _unitarity_defect
@@ -76,6 +83,21 @@ def test_advance_holds_one_block_however_many_steps():
     short, long = (traced_peak(advance, s0, prop, PropagatorConfig(dt=dt, steps=k), q)
                    for k in (200, 20000))
     assert long - short < block_bytes
+
+
+@pytest.mark.parametrize("state", [
+    fock_state(0, "e", 100),
+    coherent_state(CoherentSpec(3.0, math.pi / 4), 100),
+], ids=["fock", "coherent"])
+def test_teee_holds_one_block_however_many_times(state):
+    # P = 100: 19,800 more rows grow the 9-column record by 1.43 MB, and
+    # BLOCK_ROWS states take 0.2 MB; 20,000 states would take 65 MB
+    dec = diagonalize(build_transfer_matrix(FIG2, Truncation(P=100)))
+    record_bytes = 9 * (20000 - 200) * 8
+    block_bytes = BLOCK_ROWS * dec.dim * 16
+    short, long = (traced_peak(teee_evolve, state, dec, np.linspace(0.0, 100.0, k))
+                   for k in (200, 20000))
+    assert long - short < record_bytes + block_bytes
 
 
 def test_evolve_over_a_version_1_file_reads_no_dense_payload(config_dir, tmp_path,

@@ -606,7 +606,7 @@ def test_per_chain_teee_matches_the_dense_eigenbasis_oracle(P):
     vec = rng.normal(size=q.dim) + 1j * rng.normal(size=q.dim)
     vec /= np.linalg.norm(vec)
     state = SpinorFockState.from_vector(vec)
-    # at P = 400 this spans two of teee_evolve's time chunks
+    # 701 times span 11 of teee_evolve's BLOCK_ROWS blocks, the last partial
     times = np.linspace(0.0, 20.0, 701)
     traj = teee_evolve(state, dec, times)
 
