@@ -295,11 +295,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
     levels = args.levels if args.levels is not None else cfg.levels
     energies = lowest_energies(q, min(int(levels), q.dim - 1))
-    deltas = energies - energies[0]
-    lines = ["j,energy,delta_e", f"0,{float(energies[0])!r},0.0"]
-    lines += [f"{j},{float(energies[j])!r},{float(deltas[j])!r}"
-              for j in range(1, energies.size)]
-    _write_lines(lines, cfg.out)
+    rows = csv_rows(energies, energies - energies[0])
+    _write_lines(itertools.chain(["j,energy,delta_e"],
+                                 (f"{j},{row}" for j, row in enumerate(rows))), cfg.out)
     return EXIT_OK
 
 
@@ -307,10 +305,8 @@ def cmd_gs_scan(args: argparse.Namespace) -> int:
     cfg = _load(args)
     text = args.p_values_flag or cfg.p_values
     result = gs_scan(cfg.to_params(), parse_p_values(text))
-    lines = ["P,E0"]
-    lines += [f"{int(p)},{float(e)!r}"
-              for p, e in zip(result.p_values, result.e0)]
-    _write_lines(lines, cfg.out)
+    rows = zip(result.p_values.tolist(), csv_rows(result.e0))
+    _write_lines(itertools.chain(["P,E0"], (f"{p},{row}" for p, row in rows)), cfg.out)
     print(f"plateau_P={result.plateau_P}")
     print(f"slope={result.slope!r}")
     print(f"classification={result.classification}")

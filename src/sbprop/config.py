@@ -8,7 +8,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import ModelParams, Truncation
-from .states import CoherentSpec, SpinorFockState, coherent_state, fock_state
+from .propagator import PropagatorConfig
+from .states import (DEFAULT_TAIL_TOL, CoherentSpec, SpinorFockState, coherent_state,
+                     fock_state)
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "parse_p_values"]
 
@@ -102,16 +104,16 @@ class RunConfig:
     beta: float = 0.0
     gamma: float = 0.0
     P: int = 50
-    N: int = 30
+    N: int = PropagatorConfig.N
     dt: float | None = None          # None means pick via suggest_step
     t_max: float = 100.0
-    tol: float = 1e-12
+    tol: float = PropagatorConfig.tol
     state: str = "fock"              # fock | coherent
     p0: int = 0
     spin: str = "e"
     alpha: float = 0.0
     theta: float = math.pi / 2
-    tail_tol: float = 1e-12
+    tail_tol: float = DEFAULT_TAIL_TOL
     out: str = ""
     normalize: bool = False
     p_values: str = ""

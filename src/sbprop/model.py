@@ -47,6 +47,7 @@ __all__ = [
     "build_transfer_matrix",
     "chain_block",
     "chain_order",
+    "chain_slots",
     "occupied_chains",
     "hermiticity_check",
     "small_ufunc_buffer",
@@ -122,17 +123,22 @@ class Truncation:
         return 2 * (self.P + 1)
 
 
-def chain_order(P: int) -> np.ndarray:
-    """Block-layout index of every chain-order slot: chain A, then chain B.
+def chain_slots(P: int) -> tuple[np.ndarray, np.ndarray]:
+    """(level, excited) of every chain-order slot: chain A, then chain B.
 
     Slot p of chain A holds level p with spin e for even p and g for odd p;
     chain B holds the opposite spins.
     """
-    n = P + 1
-    p = np.arange(n)
-    excited = np.concatenate([p % 2 == 0, p % 2 == 1])
-    level = np.concatenate([p, p])
-    return np.where(excited, level, n + level)
+    p = np.arange(P + 1)
+    even = p % 2 == 0
+    return np.concatenate([p, p]), np.concatenate([even, ~even])
+
+
+def chain_order(P: int) -> np.ndarray:
+    """Block-layout index of every chain-order slot (see chain_slots):
+    level p with spin e at index p, with spin g at index P + 1 + p."""
+    level, excited = chain_slots(P)
+    return np.where(excited, level, P + 1 + level)
 
 
 def occupied_chains(y: np.ndarray) -> slice:
@@ -304,8 +310,7 @@ def build_transfer_matrix(params: ModelParams, trunc: Truncation) -> TransferMat
         diag_g = diag_g - 1j * (params.beta * p)
 
     order = chain_order(trunc.P)
-    excited = order < n
-    level = np.where(excited, order, order - n)
+    level, excited = chain_slots(trunc.P)
     diag = np.where(excited, diag_e[level], diag_g[level]).astype(np.complex128)
     # a coupling past the float range becomes inf here; certify and
     # diagonalize refuse what it leads to, so the warning is only noise

@@ -312,7 +312,8 @@ def _unitarity_defect(band: np.ndarray) -> float:
     return worst
 
 
-def suggest_step(q: TransferMatrix, N: int = 30, tol: float = 1e-12) -> float:
+def suggest_step(q: TransferMatrix, N: int = PropagatorConfig.N,
+                 tol: float = PropagatorConfig.tol) -> float:
     """Largest dt of the form 0.1/2^k whose remainder bound beats tol.
 
     The bound is the scalar ratio test on the 1-norm,
@@ -371,9 +372,15 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
     zero, and a Fock state, which lies in one chain, costs half a
     two-chain state's products.  A stepped chain's bits do not depend on
     whether the other is stepped.  When a block has been yielded, its
-    last state is carried into row 0 of the next.  A run that blows up
-    overflows on its way; callers iterate under np.errstate and report it
-    once, as NonFiniteState.
+    last state is carried into row 0 of the next.
+
+    A block whose last state holds an amplitude that is not finite is not
+    yielded: NonFiniteState names the first of its steps whose amplitudes
+    are not finite.  An amplitude that is not finite never becomes finite
+    again under M (a product with inf or NaN, even by an exact zero, is
+    not finite), so the last state of a block is the one checked.  A run
+    that blows up overflows on its way; callers iterate under np.errstate,
+    so that it is reported once, as NonFiniteState.
     """
     steps = int(cfg.steps)
     dim, width = prop.band.shape
@@ -395,19 +402,14 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
         rows = min(len(outs), steps + 1 - k0)
         for j in range(1, rows):
             np.matmul(panels, windows[j - 1], out=outs[j])
+        if not np.isfinite(ys[rows - 1]).all():
+            finite = np.isfinite(ys[lo:rows]).all(axis=(1, 2))
+            raise NonFiniteState(k0 + lo + int(finite.argmin()))
         yield k0 + lo, ys[lo:rows], chains
         if k0 + rows > steps:
             return
         block[0] = block[rows - 1]
         k0, lo = k0 + rows - 1, 1
-
-
-def _raise_first_non_finite(k: int, ys: np.ndarray) -> None:
-    """Raise NonFiniteState for the first of the states of steps k, k+1,
-    ... in ys that holds an amplitude that is not finite, if any does."""
-    finite = np.isfinite(ys).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFiniteState(k + int(finite.argmin()))
 
 
 def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
@@ -417,10 +419,10 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     The states come from the one step kernel (_stepped_blocks, shared with
     advance), a block of up to BLOCK_ROWS at a time; each block's rows are
     measured together in one pass (TrajectoryBuilder.record: the
-    observables and the energy, over the stepped chains).  Raises
-    NonFiniteState with the first offending step index if amplitudes blow
-    up; a block is scanned for them only when its norm2 column is not
-    finite.
+    observables and the energy, over the stepped chains).  The kernel
+    raises NonFiniteState with the first offending step index if
+    amplitudes blow up; finite amplitudes whose |y|^2 overflows are
+    recorded, not refused.
 
     The rows are recorded into builder, a TrajectoryBuilder of
     cfg.steps + 1 rows made with q, which a caller can allocate before it
@@ -437,12 +439,7 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     # the numpy warnings that precede it are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k, ys, chains in _stepped_blocks(state, prop, cfg, q):
-            norm2 = builder.record(k, np.arange(k, k + len(ys)) * cfg.dt, ys,
-                                   chains=chains)
-            # norm2 is finite unless an amplitude is not, or |y|^2 overflowed;
-            # only then are the amplitudes themselves scanned
-            if not np.isfinite(norm2).all():
-                _raise_first_non_finite(k, ys)
+            builder.record(k, np.arange(k, k + len(ys)) * cfg.dt, ys, chains=chains)
     return builder.build()
 
 
@@ -450,18 +447,14 @@ def advance(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
             q: TransferMatrix) -> SpinorFockState:
     """The state after cfg.steps applications of M, bit for bit evolve's.
 
-    It comes from evolve's step kernel (_stepped_blocks) and holds one
-    block of states, not a record of the run.  Raises NonFiniteState at
-    the step evolve would: an amplitude that is not finite never becomes
-    finite again under M (a product with inf or NaN, even by an exact
-    zero, is not finite), so only a block whose last state is not finite
-    is scanned.
+    It comes from evolve's step kernel (_stepped_blocks), which raises
+    NonFiniteState at the step it raises it for evolve, and holds one
+    block of states, not a record of the run.
     """
     _check_compatible(state.vector.size, prop, cfg, q)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, ys, _ in _stepped_blocks(state, prop, cfg, q):
-            if not np.isfinite(ys[-1]).all():
-                _raise_first_non_finite(k, ys)
+        for _, ys, _ in _stepped_blocks(state, prop, cfg, q):
+            pass
     out = np.empty(q.dim, dtype=np.complex128)
     out[q.order] = ys[-1].ravel()
     return SpinorFockState.from_vector(out)

@@ -157,13 +157,18 @@ def diagonalize(q: TransferMatrix) -> SpectralDecomposition:
 
     a, b, e = _scaled_chains(q)
     residual = ortho = 0.0
+    # the checks of both chains reuse two n x n buffers, so that they hold
+    # two chain blocks beside chain_vectors
+    r, g = np.empty((2, n, n))
     for c, v in enumerate(chain_vectors):
-        r = a[c, :, None] * v
-        r -= v * np.ldexp(chain_energies[c], -e)
-        r[1:] += b[c, :, None] * v[:-1]
-        r[:-1] += b[c, :, None] * v[1:]
-        residual = max(residual, float(np.linalg.norm(r, axis=0).max()))
-        ortho = max(ortho, float(np.abs(v.T @ v - np.eye(n)).max()))
+        np.multiply(a[c, :, None], v, out=r)
+        r -= np.multiply(v, np.ldexp(chain_energies[c], -e), out=g)
+        r[1:] += np.multiply(b[c, :, None], v[:-1], out=g[1:])
+        r[:-1] += np.multiply(b[c, :, None], v[1:], out=g[:-1])
+        residual = max(residual, float(np.sqrt(np.square(r, out=r).sum(axis=0)).max()))
+        np.matmul(v.T, v, out=g)
+        g.ravel()[::n + 1] -= 1.0
+        ortho = max(ortho, float(np.abs(g, out=g).max()))
     bound = np.ldexp(RESIDUAL_TOL * (1.0 + float(np.abs(energies).max())), -e)
     with np.errstate(over="ignore"):    # only a refused residual can overflow
         unscaled = float(np.ldexp(residual, e))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TransferMatrix, occupied_chains
+from .model import TransferMatrix, chain_slots, occupied_chains
 from .states import SpinorFockState
 
 __all__ = ["Trajectory", "CSV_COLUMNS", "CSV_BLOCK_ROWS", "csv_lines", "observe"]
@@ -58,28 +58,27 @@ class TrajectoryBuilder:
     """Accumulates rows; evolvers call record() once per block of time points.
 
     The recorded vectors are in chain order (see model.chain_order); they
-    are measured, not kept (propagator.advance returns a state).  Each
-    observable is a weight per chain slot: slot p of either chain holds p
-    photons and spin e on the even slots of chain A and the odd slots of
-    chain B (inversion +1, else -1).  Excitation counts the photons plus
-    the atomic excitation, and parity, (-1) to that count, is -1 on every
-    slot of chain A and +1 on chain B, so its column measures n_B - n_A.
-    Both commute exactly with the photon-conserving coupling, also after
-    truncation, which is what the conservation checks rely on.  With q
-    given, record() also measures the energy Re <y|Q|y>; q must be
-    truncated at the builder's P (ValueError), and is kept, so evolve can
-    refuse a builder made for another Q.
+    are measured, not kept (propagator.advance returns a state), and not
+    checked for finiteness: evolve's step kernel refuses a run that blows
+    up before its rows reach record().  Each observable is a weight per
+    chain slot, from the slot's level and spin (model.chain_slots): slot
+    p of either chain holds p photons and spin e on the even slots of
+    chain A and the odd slots of chain B (inversion +1, else -1).
+    Excitation counts the photons plus the atomic excitation, and parity,
+    (-1) to that count, is -1 on every slot of chain A and +1 on chain B,
+    so its column measures n_B - n_A.  Both commute exactly with the
+    photon-conserving coupling, also after truncation, which is what the
+    conservation checks rely on.  With q given, record() also measures
+    the energy Re <y|Q|y>; q must be truncated at the builder's P
+    (ValueError), and is kept, so evolve can refuse a builder made for
+    another Q.
     """
 
     def __init__(self, P: int, count: int, q: TransferMatrix | None = None):
         if q is not None and q.trunc.P != P:
             raise ValueError(f"q is truncated at P = {q.trunc.P}, the builder at P = {P}")
         n = P + 1
-        p = np.arange(n, dtype=np.float64)
-        # spin by the slot p within its chain: chain B's global slot n + p
-        # has the other parity when n is odd
-        excited = np.concatenate([p % 2 == 0, p % 2 == 1])
-        photon = np.concatenate([p, p])
+        photon, excited = chain_slots(P)
         cols = [np.ones(2 * n), photon, np.where(excited, 1.0, -1.0),
                 photon + excited, np.repeat([-1.0, 1.0], n)]
         self.q = q
@@ -136,7 +135,7 @@ class TrajectoryBuilder:
         return total
 
     def record(self, k0: int, t: np.ndarray, block: np.ndarray,
-               energy_re=None, *, chains: slice = slice(0, 2)) -> np.ndarray:
+               energy_re=None, *, chains: slice = slice(0, 2)) -> None:
         """Rows k0, k0+1, ... from the chain-order state vectors in block.
 
         block is (rows, dim), or (rows, 2, n) with a chain per middle
@@ -144,7 +143,8 @@ class TrajectoryBuilder:
         given chains are measured: the others must be exactly zero.  t
         holds one value per row; energy_re too, or one constant, or None
         to measure it with q (ValueError for a builder made without q).
-        Returns the recorded norm2 values.
+        The values are recorded as they are, finite or not: refusing a
+        run that blew up is the step kernel's (propagator._stepped_blocks).
         """
         if energy_re is None and self.q is None:
             raise ValueError("energy_re=None measures the energy with q, and this "
@@ -156,7 +156,6 @@ class TrajectoryBuilder:
          self.c_exp[rows], self.parity[rows]) = cols.T[:5]
         self.times[rows] = t
         self.energy_re[rows] = cols[:, 5] if energy_re is None else energy_re
-        return self.norm2[rows]
 
     def build(self) -> Trajectory:
         with np.errstate(invalid="ignore", divide="ignore"):

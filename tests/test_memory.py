@@ -1,8 +1,9 @@
 """Memory guards: the cutoff scan and a run over a retired cache file stay
 off dense matrices, the build of M and its unitarity defect stay within a
 few copies of its band, a cache hit holds one copy of the step band,
-advance holds one block of states however many steps it takes, and
-teee_evolve one block of states however many time points it records.
+diagonalize's checks reuse two chain-sized buffers, advance holds one
+block of states however many steps it takes, and teee_evolve one block
+of states however many time points it records.
 
 Each routine works on chain-sized pieces, so its traced peak stays below
 the size of one dense matrix of the kind it used to build.
@@ -98,6 +99,15 @@ def test_teee_holds_one_block_however_many_times(state):
     short, long = (traced_peak(teee_evolve, state, dec, np.linspace(0.0, 100.0, k))
                    for k in (200, 20000))
     assert long - short < record_bytes + block_bytes
+
+
+def test_diagonalize_checks_reuse_two_chain_blocks():
+    # P = 400 in deep strong coupling: a chain block is 401 x 401 float64,
+    # 1.29 MB.  The eigenpairs hold two, and the residual and the
+    # orthonormality defect are formed in two more; one new block per
+    # product of the checks peaked at 5.1 blocks.
+    q = build_transfer_matrix(DEEP, Truncation(P=400))
+    assert traced_peak(diagonalize, q) < 4.5 * 401 ** 2 * 8
 
 
 def test_evolve_over_a_version_1_file_reads_no_dense_payload(config_dir, tmp_path,

@@ -1,5 +1,6 @@
 """Taylor step propagator: certificates, suggested steps, evolution loop."""
 
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import sbprop.propagator
 from oracle import energy, readings
 from sbprop import (
+    CoherentSpec,
     ModelParams,
     NonFiniteState,
     NotConverged,
@@ -20,6 +22,7 @@ from sbprop import (
     advance,
     build_step_propagator,
     build_transfer_matrix,
+    coherent_state,
     evolve,
     evolve_reusing,
     fock_state,
@@ -457,23 +460,25 @@ def test_non_finite_state_names_the_first_bad_step_inside_a_block():
     q, cfg, prop = build(FIG2, 50, dt=0.05, N=3, tol=1e12, steps=400)
     m = prop.matrix
     # |0,e> lies in chain A and |0,g> in chain B; evolve steps only that
-    # chain, the dense loop both
-    for spin in ("e", "g"):
-        y = fock_state(0, spin, 50).vector
+    # chain, the dense loop both.  The coherent state occupies both chains.
+    starts = {"e": fock_state(0, "e", 50), "g": fock_state(0, "g", 50),
+              "coherent": coherent_state(CoherentSpec(2.0, math.pi / 4), 50)}
+    for name, s0 in starts.items():
+        y = s0.vector
         first = 0
         with np.errstate(over="ignore", invalid="ignore"):
             while np.isfinite(y).all():
                 y = m @ y
                 first += 1
-        # evolve checks whole blocks of rows; this step is neither the
-        # first nor the last row of its block
+        # the step kernel checks whole blocks of rows; this step is neither
+        # the first nor the last row of its block
         assert first <= 400 and first % (BLOCK_ROWS - 1) > 1
         with pytest.raises(NonFiniteState) as exc:
-            evolve(fock_state(0, spin, 50), prop, cfg, q)
-        assert exc.value.step == first, spin
+            evolve(s0, prop, cfg, q)
+        assert exc.value.step == first, name
         with pytest.raises(NonFiniteState) as exc:
-            advance(fock_state(0, spin, 50), prop, cfg, q)
-        assert exc.value.step == first, spin
+            advance(s0, prop, cfg, q)
+        assert exc.value.step == first, name
 
 
 def dense_panels(prop, order):

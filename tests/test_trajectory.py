@@ -13,7 +13,7 @@ import pytest
 import oracle
 from sbprop import (CSV_COLUMNS, ModelParams, Trajectory, Truncation, build_transfer_matrix,
                     csv_lines)
-from sbprop.model import chain_order
+from sbprop.model import chain_order, chain_slots
 from sbprop.propagator import BLOCK_ROWS
 import sbprop.trajectory
 from sbprop.trajectory import CSV_BLOCK_ROWS, TrajectoryBuilder
@@ -131,6 +131,12 @@ def test_builder_weights_are_the_oracle_weights_in_chain_order(P):
     for name, g, w in zip(("norm2", "photon", "inversion", "excitation", "parity"),
                           got, want):
         assert g.tobytes() == w.tobytes(), name
+    # the level and spin of each slot, which the builder, chain_order and
+    # build_transfer_matrix all take from chain_slots
+    level, inversion = (w[order] for w in oracle.weights(P)[:2])
+    got_level, excited = chain_slots(P)
+    assert np.array_equal(got_level, level)
+    assert np.array_equal(excited, inversion > 0)
 
 
 @pytest.mark.parametrize("params", [FIG2, FIG6], ids=["hermitian", "dissipative"])
