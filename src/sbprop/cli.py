@@ -86,8 +86,11 @@ def build_parser() -> _Parser:
     run_flags.add_argument("--set", action="append", default=None,
                            metavar="KEY=VALUE",
                            help="override one config key (repeatable)")
-    run_flags.add_argument("--out", metavar="PATH",
-                           help="write CSV here instead of stdout")
+    # every command flag is a --set of one key under another name: it appends
+    # "key=VALUE" to args.set, so load_run_config applies the file first, then
+    # each flag and --set in command-line order, and the later one wins
+    run_flags.add_argument("--out", dest="set", action="append", type="out={}".format,
+                           metavar="PATH", help="write CSV here instead of stdout")
 
     p = sub.add_parser("evolve", parents=[run_flags],
                        help="step a state forward, emit the trajectory CSV")
@@ -95,20 +98,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compare", parents=[run_flags],
                        help="Taylor vs eigendecomposition on one time grid")
-    p.add_argument("--normalize", action="store_true",
+    p.add_argument("--normalize", dest="set", action="append_const",
+                   const="normalize=true",
                    help="compare normalized instead of raw observables")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("spectrum", parents=[run_flags],
                        help="eigenvalues and level differences as CSV")
-    p.add_argument("--levels", type=int, default=None,
-                   help="how many excitation energies to list")
+    p.add_argument("--levels", dest="set", action="append", type="levels={}".format,
+                   metavar="LEVELS", help="how many excitation energies to list")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gs-scan", parents=[run_flags],
                        help="ground-state energy vs Fock cutoff")
-    p.add_argument("--p-values", dest="p_values_flag", metavar="A:B[:STEP]",
-                   help="cutoff scan, overrides the p_values config key")
+    p.add_argument("--p-values", dest="set", action="append",
+                   type="p_values={}".format, metavar="A:B[:STEP]",
+                   help="cutoff scan (the p_values config key)")
     p.set_defaults(func=cmd_gs_scan)
 
     p = sub.add_parser("cache", help="inspect or clear the propagator store")
@@ -123,13 +128,6 @@ def _parser() -> _Parser:
     later one: parsing leaves the parser as it was, and no default is a
     mutable object, so one call's arguments cannot reach the next."""
     return build_parser()
-
-
-def _load(args: argparse.Namespace) -> RunConfig:
-    cfg = load_run_config(args.config, args.set)
-    if args.out:
-        cfg.out = args.out
-    return cfg
 
 
 def _config(cfg: RunConfig, dt: float) -> PropagatorConfig:
@@ -256,7 +254,7 @@ def _write_file(lines, path: Path) -> None:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = load_run_config(args.config, args.set)
     q, state, pcfg, prop, record = _setup(cfg)
     traj = evolve(state, prop, pcfg, q, builder=record)
     _write_lines(csv_lines(traj), cfg.out)
@@ -264,9 +262,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    if args.normalize:
-        cfg.normalize = True
+    cfg = load_run_config(args.config, args.set)
     if not cfg.to_params().is_hermitian():
         raise ConfigError("dissipative parameters: the eigendecomposition "
                           "reference cannot be built, compare needs beta=gamma=0")
@@ -290,11 +286,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = load_run_config(args.config, args.set)
     # the spectrum takes no time step: no dt search, no step count
     q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
-    levels = args.levels if args.levels is not None else cfg.levels
-    energies = lowest_energies(q, min(int(levels), q.dim - 1))
+    energies = lowest_energies(q, min(cfg.levels, q.dim - 1))
     rows = csv_rows(energies, energies - energies[0])
     _write_lines(itertools.chain(["j,energy,delta_e"],
                                  (f"{j},{row}" for j, row in enumerate(rows))), cfg.out)
@@ -302,9 +297,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_gs_scan(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    text = args.p_values_flag or cfg.p_values
-    result = gs_scan(cfg.to_params(), parse_p_values(text))
+    cfg = load_run_config(args.config, args.set)
+    result = gs_scan(cfg.to_params(), parse_p_values(cfg.p_values))
     rows = zip(result.p_values.tolist(), csv_rows(result.e0))
     _write_lines(itertools.chain(["P,E0"], (f"{p},{row}" for p, row in rows)), cfg.out)
     print(f"plateau_P={result.plateau_P}")

@@ -280,7 +280,7 @@ class TransferMatrix:
         the same dt from either storage.
         """
         lower, a, upper = np.abs(self.band).T
-        excited = self.order <= self.trunc.P
+        _, excited = chain_slots(self.trunc.P)
         return float(np.where(excited, (a + lower) + upper,
                               (lower + upper) + a).max())
 

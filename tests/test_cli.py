@@ -16,7 +16,8 @@ import pytest
 
 import sbprop.cli
 import sbprop.propagator
-from sbprop import CacheEntry, PropagatorCache, build_step_propagator, load_run_config
+from sbprop import (CacheEntry, PropagatorCache, build_step_propagator, load_run_config,
+                    propagator_fingerprint)
 from sbprop.cli import _obtain_propagator, _prepare, _setup, main
 from sbprop.trajectory import CSV_BLOCK_ROWS
 
@@ -483,6 +484,64 @@ def test_gs_scan_without_p_values(capsys):
     assert code == 1 and "p_values" in err
 
 
+@pytest.mark.parametrize("argv, flag, twin", [
+    (["evolve", "fig2.cfg", "--set", "t_max=0.5"], ["--out", "{out}"], ["--set", "out={out}"]),
+    (["compare", "fig2.cfg", "--set", "t_max=1", "--out", "{out}"], ["--normalize"],
+     ["--set", "normalize=true"]),
+    (["spectrum", "fig2.cfg", "--out", "{out}"], ["--levels", "5"], ["--set", "levels=5"]),
+    (["gs-scan", "fig5a.cfg", "--out", "{out}"], ["--p-values", "2:20"],
+     ["--set", "p_values=2:20"]),
+], ids=["out", "normalize", "levels", "p-values"])
+def test_each_command_flag_runs_as_its_set_twin(config_dir, capsys, tmp_path,
+                                                monkeypatch, argv, flag, twin):
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    path = tmp_path / "run.csv"
+    command, config, *rest = argv
+    runs = []
+    for extra in (flag, twin):
+        path.unlink(missing_ok=True)
+        code, out, err = run(capsys, command, "--config", cfg(config_dir, config),
+                             *(a.format(out=path) for a in rest + extra))
+        runs.append((code, out, err, path.read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].startswith(f"wrote {path}\n")
+
+
+@pytest.mark.parametrize("argv, levels", [
+    (["--levels", "3", "--set", "levels=5"], 5),
+    (["--set", "levels=5", "--levels", "3"], 3),
+], ids=["set-last", "flag-last"])
+def test_the_later_of_a_flag_and_its_set_key_wins(config_dir, capsys, argv, levels):
+    code, out, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg"), *argv)
+    assert code == 0 and err == ""
+    rows = out.splitlines()
+    assert len(rows) == 2 + levels and rows[-1].startswith(f"{levels},")
+
+
+def test_an_empty_out_flag_writes_to_stdout(config_dir, capsys, tmp_path):
+    path = tmp_path / "spectrum.csv"
+    code, out, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg"),
+                         "--set", f"out={path}", "--out", "")
+    assert code == 0 and err == ""
+    assert out.startswith("j,energy,delta_e\n") and not path.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["gs-scan", "--config", "fig5a.cfg", "--p-values", ""],
+     "p_values is empty; give 'start:stop[:step]' or a list"),
+    (["gs-scan", "--config", "fig5a.cfg", "--set", "p_values="],
+     "p_values is empty; give 'start:stop[:step]' or a list"),
+    (["spectrum", "--config", "fig2.cfg", "--levels", "abc"],
+     "key 'levels': expected an integer, got 'abc'"),
+    (["spectrum", "--config", "fig2.cfg", "--set", "levels=abc"],
+     "key 'levels': expected an integer, got 'abc'"),
+], ids=["empty-p-values-flag", "empty-p-values-key", "bad-levels-flag", "bad-levels-key"])
+def test_a_bad_flag_value_is_refused_as_its_set_key_is(config_dir, capsys, argv, error):
+    # fig5a.cfg sets p_values: an explicit empty flag replaces it, as --set does
+    argv[2] = cfg(config_dir, argv[2])
+    assert run(capsys, *argv) == (1, "", f"error: {error}\n")
+
+
 def test_cache_subcommands_and_corruption_recovery(config_dir, capsys,
                                                    tmp_path, monkeypatch):
     monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
@@ -594,6 +653,39 @@ def test_entry_renamed_to_another_fingerprint_is_rebuilt(config_dir, capsys,
     assert "rebuilding corrupt cache entry" in err and "fingerprint" in err
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert (tmp_path / "got.csv").read_bytes() != (tmp_path / "fig2.csv").read_bytes()
+
+
+def test_stored_entry_for_another_dt_is_rebuilt_not_stepped(config_dir, capsys,
+                                                            tmp_path, monkeypatch):
+    # an entry built at dt = 0.025, stored under dt = 0.05's name and
+    # fingerprint with a valid checksum: get() serves it, and the CLI must
+    # see that its dt is not the one asked for
+    fig2 = cfg(config_dir, "fig2.cfg")
+    argv = ["evolve", "--config", fig2, "--set", "dt=0.05", "--set", "t_max=2.0"]
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "clean"))
+    cold = run(capsys, *argv, "--out", str(tmp_path / "want.csv"))
+    assert cold[0] == 0
+
+    monkeypatch.setenv("SBPROP_CACHE_DIR", str(tmp_path / "store"))
+    code, _, _ = run(capsys, "evolve", "--config", fig2, "--set", "dt=0.025",
+                     "--set", "t_max=0.1", "--out", str(tmp_path / "other.csv"))
+    assert code == 0
+    q, pcfg = _prepare(load_run_config(fig2, ["dt=0.05", "t_max=2.0"]))
+    fp = propagator_fingerprint(q.params, q.trunc.P, pcfg.N, pcfg.dt)
+    store = PropagatorCache()
+    (stale,) = store.root.glob("*.sbp")
+    blob = bytearray(stale.read_bytes())
+    assert np.frombuffer(blob[24:32], "<f8")[0] == 0.025
+    blob[32:40] = fp.to_bytes(8, "little")
+    blob[-8:] = hashlib.blake2b(bytes(blob[:-8]), digest_size=8).digest()
+    stale.unlink()
+    store.path_for(fp).write_bytes(bytes(blob))
+    assert store.get(fp).dt == 0.025
+
+    got = run(capsys, *argv, "--out", str(tmp_path / "got.csv"))
+    assert got == (0, f"wrote {tmp_path / 'got.csv'}\n", "")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert store.get(fp).dt == 0.05
 
 
 def test_dense_matrix_outside_the_band_is_not_stored(config_dir, capsys, tmp_path,
