@@ -19,7 +19,6 @@ from .model import (
     TransferMatrix,
     Truncation,
     build_transfer_matrix,
-    hermiticity_check,
 )
 from .propagator import (
     NonFiniteState,
@@ -87,7 +86,6 @@ __all__ = [
     "evolve_reusing",
     "fock_state",
     "gs_scan",
-    "hermiticity_check",
     "load_run_config",
     "lowest_energies",
     "observe",

@@ -122,9 +122,7 @@ class CacheEntry:
     parity chains (see _check_band), is refused with ValueError, and so
     is a dense matrix with any nonzero outside the band of half-width
     min(N, P).  Exactly one of band and matrix is given.  `.matrix` is the
-    dense block-layout view, built on every access.  Listings
-    (PropagatorCache.entries) drop the band once it has been checked and
-    keep its half-width w; `.matrix` is then None.  The certificates are
+    dense block-layout view, built on every access.  The certificates are
     None when unknown: for entries stored without them, such as one
     stored from its dense matrix, and where no unitarity defect was
     measured (dissipative builds).
@@ -155,8 +153,8 @@ class CacheEntry:
         self.dropped_norm = dropped_norm
 
     @property
-    def matrix(self) -> np.ndarray | None:
-        return None if self.band is None else band_to_dense(self.band)
+    def matrix(self) -> np.ndarray:
+        return band_to_dense(self.band)
 
 
 def _check_band(band: np.ndarray, dim: int, N: int) -> None:
@@ -231,8 +229,6 @@ class PropagatorCache:
 
     def put(self, entry: CacheEntry) -> Path:
         """Atomically write one version-3 entry (temp file + rename); returns the path."""
-        if entry.band is None:
-            raise ValueError("cannot store an entry without its band")
         header = _HEADER.pack(MAGIC, VERSION, entry.dim, entry.N, entry.w,
                               float(entry.dt), entry.fingerprint,
                               _stored(entry.last_term_norm),
@@ -308,39 +304,38 @@ class PropagatorCache:
         except ValueError as err:
             raise CacheCorruptError(path, str(err)) from None
 
-    def entries(self) -> list[tuple[Path, CacheEntry | CacheCorruptError]]:
-        """Every entry of the cache directory, sorted by name, without its band.
+    def entries(self):
+        """Yield (path, entry) for every file of the cache directory, sorted
+        by name, each as it is read.
 
         Each file is read in full and checked as get() checks it (checksum,
         then the band's cells outside the chains), so damage anywhere in it
-        lists the file as corrupt.  Each band is dropped before the next
-        file is read.  A file that cannot be read (a directory named *.sbp,
-        no read permission) is listed as a CacheCorruptError with the OS
-        reason.
+        lists the file as corrupt; an entry is whole, band included, as
+        get() returns it.  Nothing is kept from one file to the next, so a
+        caller that keeps only what it reports holds no list of bands.  A
+        file that cannot be read (a directory named *.sbp, no read
+        permission) is listed as a CacheCorruptError with the OS reason.
         """
-        out: list[tuple[Path, CacheEntry | CacheCorruptError]] = []
         for path in sorted(self.root.glob("*.sbp")):
             try:
                 item = self._read(path)
-                item.band = None
             except CacheCorruptError as err:
                 item = err
             except OSError as err:
                 item = CacheCorruptError(path, err.strerror or str(err))
-            out.append((path, item))
-        return out
+            yield path, item
 
     def clear(self) -> int:
         """Delete every entry and every temp file a crashed writer left behind.
 
-        Returns how many files were removed.  A write in progress loses its
-        temp file and fails with OSError, which the CLI reports as a store
-        failure.
+        Returns how many files were removed: 0 for a root that is missing
+        or not a directory, where glob finds nothing.  A write in progress
+        loses its temp file and fails with OSError, which the CLI reports
+        as a store failure.
         """
         removed = 0
-        if self.root.is_dir():
-            for pattern in ("*.sbp", "*.sbp.tmp"):
-                for path in self.root.glob(pattern):
-                    path.unlink(missing_ok=True)
-                    removed += 1
+        for pattern in ("*.sbp", "*.sbp.tmp"):
+            for path in self.root.glob(pattern):
+                path.unlink(missing_ok=True)
+                removed += 1
         return removed

@@ -5,7 +5,8 @@ to record among them), an OS error such as unwritable output (a closed
 stdout pipe included) or a cache file that cannot be removed, or an
 allocation that fails (MemoryError), 2 numerical failure (no acceptable
 dt, series not converged, propagator not unitary, non-finite amplitudes,
-eigensolver checks refused), 3 method comparison above tolerance.
+eigensolver checks refused, an excitation energy past the float range),
+3 method comparison above tolerance.
 
 `evolve` and `compare` set a run up through one route, _setup: Q and
 dt, the initial state, then the record and the certified propagator,
@@ -201,10 +202,7 @@ def _setup(cfg: RunConfig) -> tuple[TransferMatrix, SpinorFockState, PropagatorC
     state = cfg.build_initial_state()
     for retry in (False, True):
         try:
-            # couplings near the float limit overflow the doubled energy
-            # weights; M's build then refuses them, so the warning is noise
-            with np.errstate(over="ignore"):
-                record = TrajectoryBuilder(q.trunc.P, pcfg.steps + 1, q=q)
+            record = TrajectoryBuilder(q.trunc.P, pcfg.steps + 1, q=q)
         except MemoryError as err:
             raise ConfigError(f"t_max={cfg.t_max} at dt={pcfg.dt} is {pcfg.steps} "
                               f"steps, too many to record: {err}") from None
@@ -290,7 +288,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     # the spectrum takes no time step: no dt search, no step count
     q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
     energies = lowest_energies(q, min(cfg.levels, q.dim - 1))
-    rows = csv_rows(energies, energies - energies[0])
+    # finite energies of opposite signs can lie more than a double apart
+    with np.errstate(over="ignore"):
+        delta_e = energies - energies[0]
+    if not np.isfinite(delta_e).all():
+        raise RuntimeError("excitation energy overflows a double")
+    rows = csv_rows(energies, delta_e)
     _write_lines(itertools.chain(["j,energy,delta_e"],
                                  (f"{j},{row}" for j, row in enumerate(rows))), cfg.out)
     return EXIT_OK
@@ -326,9 +329,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
                       f"last_term={_certificate(item.last_term_norm)} "
                       f"defect={_certificate(item.unitarity_defect)}")
     elif args.action == "info":
-        entries = store.entries()
+        entries = [(p, isinstance(e, CacheCorruptError)) for p, e in store.entries()]
         total = sum(p.stat().st_size for p, _ in entries)
-        corrupt = sum(isinstance(e, CacheCorruptError) for _, e in entries)
+        corrupt = sum(bad for _, bad in entries)
         print(f"dir={store.root}")
         print(f"entries={len(entries)} corrupt={corrupt} bytes={total}")
     else:
@@ -367,7 +370,8 @@ def main(argv=None) -> int:
         # NotConverged, NotUnitary, NonFiniteState, and the refusals of
         # suggest_step, of diagonalize and lowest_energies (Q or its
         # energies not finite), of diagonalize's residual and
-        # orthonormality checks and of gs_scan
+        # orthonormality checks, of gs_scan and of cmd_spectrum's
+        # excitation energies
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -49,7 +49,6 @@ __all__ = [
     "chain_order",
     "chain_slots",
     "occupied_chains",
-    "hermiticity_check",
     "small_ufunc_buffer",
 ]
 
@@ -302,35 +301,26 @@ def build_transfer_matrix(params: ModelParams, trunc: Truncation) -> TransferMat
     """
     n = trunc.P + 1
     p = np.arange(n)
-    diag_e = params.omega_0 / 2 + params.omega_f * p
-    diag_g = -params.omega_0 / 2 + params.omega_f * p
     hermitian = params.is_hermitian()
-    if not hermitian:
-        diag_e = diag_e - 1j * (params.beta * p + params.gamma)
-        diag_g = diag_g - 1j * (params.beta * p)
-
     order = chain_order(trunc.P)
     level, excited = chain_slots(trunc.P)
-    diag = np.where(excited, diag_e[level], diag_g[level]).astype(np.complex128)
-    # a coupling past the float range becomes inf here; certify and
-    # diagonalize refuse what it leads to, so the warning is only noise
-    with np.errstate(over="ignore"):
+    # an entry past the float range becomes inf here (NaN where -1j meets
+    # an infinite rate); suggest_step, certify and the spectral routines
+    # refuse what it leads to, so the warnings are only noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag_e = params.omega_0 / 2 + params.omega_f * p
+        diag_g = -params.omega_0 / 2 + params.omega_f * p
+        if not hermitian:
+            diag_e = diag_e - 1j * (params.beta * p + params.gamma)
+            diag_g = diag_g - 1j * (params.beta * p)
         off = np.where(excited[:-1], params.g_minus, params.g_plus) * (level[:-1] + 1)
+    diag = np.where(excited, diag_e[level], diag_g[level]).astype(np.complex128)
     off[n - 1] = 0.0  # chain A ends here
 
     for a in (diag, off, order):
         a.setflags(write=False)
     return TransferMatrix(diag=diag, off=off, order=order, params=params,
                           trunc=trunc, hermitian=hermitian)
-
-
-def hermiticity_check(q: TransferMatrix) -> float:
-    """Max-norm of Q - Q+; exactly 0.0 for dissipation-free parameters.
-
-    The off-diagonal is real and stored once, so only the diagonal can
-    break the symmetry.
-    """
-    return float(np.abs(q.diag - q.diag.conj()).max())
 
 
 @contextmanager

@@ -379,8 +379,10 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
     are not finite.  An amplitude that is not finite never becomes finite
     again under M (a product with inf or NaN, even by an exact zero, is
     not finite), so the last state of a block is the one checked.  A run
-    that blows up overflows on its way; callers iterate under np.errstate,
-    so that it is reported once, as NonFiniteState.
+    that blows up overflows on its way; each block's products run under
+    an np.errstate of their own, left before the block is yielded, so
+    that it is reported once, as NonFiniteState, and the caller's code
+    runs under the caller's own error state.
     """
     steps = int(cfg.steps)
     dim, width = prop.band.shape
@@ -400,8 +402,9 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
     k0 = lo = 0  # step held in row 0; first row not yet yielded
     while True:
         rows = min(len(outs), steps + 1 - k0)
-        for j in range(1, rows):
-            np.matmul(panels, windows[j - 1], out=outs[j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, rows):
+                np.matmul(panels, windows[j - 1], out=outs[j])
         if not np.isfinite(ys[rows - 1]).all():
             finite = np.isfinite(ys[lo:rows]).all(axis=(1, 2))
             raise NonFiniteState(k0 + lo + int(finite.argmin()))
@@ -422,7 +425,8 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     observables and the energy, over the stepped chains).  The kernel
     raises NonFiniteState with the first offending step index if
     amplitudes blow up; finite amplitudes whose |y|^2 overflows are
-    recorded, not refused.
+    recorded, not refused.  Each silences the overflow of its own
+    arithmetic, so neither warns.
 
     The rows are recorded into builder, a TrajectoryBuilder of
     cfg.steps + 1 rows made with q, which a caller can allocate before it
@@ -435,11 +439,8 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     elif builder.times.size != steps + 1 or builder.q is not q:
         raise ValueError(f"builder must hold cfg.steps + 1 = {steps + 1} rows "
                          "and measure with this q")
-    # Overflow on the way to a blow-up is reported once, via NonFiniteState;
-    # the numpy warnings that precede it are just noise.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, ys, chains in _stepped_blocks(state, prop, cfg, q):
-            builder.record(k, np.arange(k, k + len(ys)) * cfg.dt, ys, chains=chains)
+    for k, ys, chains in _stepped_blocks(state, prop, cfg, q):
+        builder.record(k, np.arange(k, k + len(ys)) * cfg.dt, ys, chains=chains)
     return builder.build()
 
 
@@ -452,9 +453,8 @@ def advance(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     block of states, not a record of the run.
     """
     _check_compatible(state.vector.size, prop, cfg, q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, ys, _ in _stepped_blocks(state, prop, cfg, q):
-            pass
+    for _, ys, _ in _stepped_blocks(state, prop, cfg, q):
+        pass
     out = np.empty(q.dim, dtype=np.complex128)
     out[q.order] = ys[-1].ravel()
     return SpinorFockState.from_vector(out)

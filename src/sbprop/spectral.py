@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (ModelParams, TransferMatrix, Truncation, build_transfer_matrix,
-                    chain_block, chain_order, hermiticity_check, occupied_chains,
-                    small_ufunc_buffer)
+                    chain_block, chain_order, occupied_chains, small_ufunc_buffer)
 from .states import SpinorFockState
 from .trajectory import BLOCK_ROWS, Trajectory, TrajectoryBuilder
 
@@ -221,8 +220,13 @@ def lowest_energies(q: TransferMatrix, count: int) -> np.ndarray:
 
 def _require_hermitian(q: TransferMatrix) -> None:
     """Refuse Q with dissipation (NonHermitianInput), and Q with an entry
-    that is not finite, which has no finite energies (RuntimeError)."""
-    if not q.hermitian or hermiticity_check(q) != 0.0:
+    that is not finite, which has no finite energies (RuntimeError).
+
+    q.hermitian says whether Q was built without dissipation; a
+    hand-built TransferMatrix that claims so with a non-real diagonal is
+    refused too.  The off-diagonal is real and stored once, so only the
+    diagonal can break the symmetry."""
+    if not q.hermitian or q.diag.imag.any():
         raise NonHermitianInput(
             "matrix carries dissipation; the eigendecomposition route only "
             "handles Hermitian parameters")
@@ -255,8 +259,11 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     coeff = np.zeros((2, y0.shape[1], 1), dtype=np.complex128)
     coeff[chains] = _real_times_complex(
         dec.chain_vectors[chains].transpose(0, 2, 1), y0[chains])
-    weight = coeff.real ** 2 + coeff.imag ** 2
-    energy_const = float(weight.ravel() @ dec.chain_energies.ravel())
+    # coefficients whose squares overflow are recorded as they are, as
+    # evolve records such states
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = coeff.real ** 2 + coeff.imag ** 2
+        energy_const = float(weight.ravel() @ dec.chain_energies.ravel())
 
     builder = TrajectoryBuilder(state.P, times.size)
     for lo in range(0, times.size, BLOCK_ROWS):

@@ -91,7 +91,10 @@ class TrajectoryBuilder:
             # on one thread, so its bits do not depend on the thread count.
             # Q never couples the chains, so off[n - 1] is not used.
             self._off = np.zeros((2, 2, 2 * n - 2))
-            self._off[:, 0] = np.repeat(2.0 * np.delete(q.off, n - 1), 2).reshape(2, -1)
+            # a coupling above half the float range doubles to inf, and the
+            # energy is then measured as inf or NaN; M's build refuses such a Q
+            with np.errstate(over="ignore"):
+                self._off[:, 0] = np.repeat(2.0 * np.delete(q.off, n - 1), 2).reshape(2, -1)
         # per chain, one weight per float of the complex vector: re and im
         # share it
         self._weights = np.stack(np.split(np.repeat(np.stack(cols), 2, axis=1), 2, axis=1))
@@ -124,14 +127,17 @@ class TrajectoryBuilder:
             self._squares = np.empty((rows, self._squares.shape[1]))
         buf = self._squares[:rows]
         total = None
-        for c in range(chains.start, chains.stop):
-            y = block[:, c].view(np.float64)
-            np.multiply(y, y, out=buf)
-            cols = np.matmul(self._weights[c], buf[:, :, None])[:, :, 0]
-            if self._off is not None:
-                pairs = np.multiply(y[:, :-2], y[:, 2:], out=buf[:, :-2])
-                cols[:, -1] += np.matmul(self._off[c], pairs[:, :, None])[:, 0, 0]
-            total = cols if total is None else total + cols
+        # finite amplitudes whose squares overflow are recorded as they
+        # are (inf, or NaN where infinite terms cancel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in range(chains.start, chains.stop):
+                y = block[:, c].view(np.float64)
+                np.multiply(y, y, out=buf)
+                cols = np.matmul(self._weights[c], buf[:, :, None])[:, :, 0]
+                if self._off is not None:
+                    pairs = np.multiply(y[:, :-2], y[:, 2:], out=buf[:, :-2])
+                    cols[:, -1] += np.matmul(self._off[c], pairs[:, :, None])[:, 0, 0]
+                total = cols if total is None else total + cols
         return total
 
     def record(self, k0: int, t: np.ndarray, block: np.ndarray,

@@ -373,16 +373,16 @@ def test_entries_listing_and_clear(tmp_path):
     blob[70] ^= 0xFF
     bad.write_bytes(bytes(blob))
 
-    listed = store.entries()
+    listed = list(store.entries())
     assert len(listed) == 2
     kinds = {type(item).__name__ for _, item in listed}
     assert kinds == {"CacheEntry", "CacheCorruptError"}
-    # a listed entry holds no band, so it never materializes a matrix
-    good = [item for _, item in listed if isinstance(item, CacheEntry)]
-    assert good[0].matrix is None
+    # a listed entry is whole: the band get() hands back
+    [good] = [item for _, item in listed if isinstance(item, CacheEntry)]
+    assert np.array_equal(good.band, store.get(e2.fingerprint).band)
 
     assert store.clear() == 2
-    assert store.entries() == []
+    assert list(store.entries()) == []
     assert store.clear() == 0
 
 

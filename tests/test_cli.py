@@ -194,7 +194,7 @@ def test_unusable_dt_is_a_config_error(config_dir, capsys, tmp_path, monkeypatch
     for item in sets:
         argv += ["--set", item]
     assert run(capsys, *argv) == (1, "", f"error: {reason}\n")
-    assert PropagatorCache().entries() == []
+    assert list(PropagatorCache().entries()) == []
 
 
 @pytest.mark.parametrize("command", ["evolve", "compare"])
@@ -252,6 +252,24 @@ def test_refused_eigensolve_is_a_numerical_failure(config_dir, capsys, g_minus, 
         warnings.simplefilter("error")
         code, out, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig2.cfg"),
                              "--set", f"g_minus={g_minus}", "--set", "dt=0.01")
+    assert code == 2 and out == ""
+    assert err == f"numerical failure: {reason}\n"
+
+
+@pytest.mark.parametrize("sets, reason", [
+    # omega_f * 2 overflows on a Hermitian diagonal: not finite, not dissipative
+    (["omega_f=1e308", "P=3"], "eigensolver returned non-finite energies"),
+    # the energies are finite, but about 2e308 apart
+    (["g_minus=1e308", "P=1"], "excitation energy overflows a double"),
+], ids=["diagonal", "excitation"])
+def test_spectrum_past_the_float_range_is_a_numerical_failure(config_dir, capsys, sets,
+                                                              reason):
+    argv = ["spectrum", "--config", cfg(config_dir, "fig2.cfg")]
+    for item in sets:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"numerical failure: {reason}\n"
 
@@ -589,6 +607,7 @@ def test_cache_commands_on_a_store_that_does_not_exist(capsys, tmp_path, monkeyp
     assert run(capsys, "cache", "list") == (0, "", "")
     assert run(capsys, "cache", "info") == (0, f"dir={store}\nentries=0 corrupt=0 bytes=0\n",
                                             "")
+    assert run(capsys, "cache", "clear") == (0, "removed=0\n", "")
     assert not store.exists()
 
 
@@ -1129,7 +1148,7 @@ def test_step_count_too_large_to_record_is_refused_before_its_build(
                           "8796093022208 steps, too many to record: ")
     assert err.count("\n") == 1
     assert len(built) == 1 and built[0] > 1e-8
-    assert PropagatorCache().entries() == []
+    assert list(PropagatorCache().entries()) == []
 
 
 def test_step_count_past_the_largest_array_is_too_many_to_record(
@@ -1141,7 +1160,7 @@ def test_step_count_past_the_largest_array_is_too_many_to_record(
                          "--set", "dt=1e-17", "--set", "t_max=1e3")
     assert code == 1 and out == ""
     assert err == "error: t_max=1000.0 at dt=1e-17 is 1e+20 steps, too many to record\n"
-    assert PropagatorCache().entries() == []
+    assert list(PropagatorCache().entries()) == []
 
 
 @pytest.mark.parametrize("dt", ["1e5", "1e10"])

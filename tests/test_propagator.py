@@ -18,6 +18,7 @@ from sbprop import (
     NotConverged,
     PropagatorConfig,
     SpinorFockState,
+    StepPropagator,
     Truncation,
     advance,
     build_step_propagator,
@@ -28,6 +29,7 @@ from sbprop import (
     fock_state,
     load_run_config,
     observe,
+    propagator_fingerprint,
     suggest_step,
 )
 from sbprop.cli import _prepare
@@ -60,8 +62,7 @@ def stepped_states(s0, prop, cfg, q):
     """The chain-order states of steps 0..cfg.steps from the step kernel
     evolve and advance share, each block copied before the next replaces
     it: (cfg.steps + 1, dim)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = [ys.copy() for _, ys, _ in _stepped_blocks(s0, prop, cfg, q)]
+    blocks = [ys.copy() for _, ys, _ in _stepped_blocks(s0, prop, cfg, q)]
     return np.concatenate(blocks).reshape(cfg.steps + 1, -1)
 
 
@@ -733,3 +734,35 @@ def test_overflowing_norm_of_finite_amplitudes_is_not_a_failure():
     assert len(traj) == cfg.steps + 1
     assert np.all(traj.norm2 == np.inf)
     assert np.isfinite(advance(s0, prop, cfg, q).vector).all()
+
+
+@pytest.mark.parametrize("amp", [1e160, 1e200, 1e300])
+def test_finite_amplitudes_whose_squares_overflow_are_measured_quietly(amp):
+    # the measurement silences its own overflow, whatever the caller's
+    # error state: the row is recorded as it is, inf or NaN
+    q, cfg, prop = build(FIG2, 10, dt=0.05, steps=5)
+    s0 = SpinorFockState(amps_e=np.full(11, amp), amps_g=np.full(11, -1j * amp))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = observe(s0, q)
+        traj = evolve(s0, prop, cfg, q)
+    assert row.norm2[0] == traj.norm2[0] == np.inf
+
+
+def test_a_coupling_whose_double_overflows_is_measured_quietly():
+    # 2 * 1e308 overflows in the builder's energy weights, and the energy
+    # of |0,e> is then inf * 0 = NaN; evolve without a builder makes its
+    # own, as observe does.  M cannot be built for this Q, so the identity
+    # stands in for it, under the matching fingerprint.
+    params = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=1e308, g_plus=0.4)
+    q = build_transfer_matrix(params, Truncation(P=1))
+    cfg = PropagatorConfig(dt=0.01, steps=3)
+    prop = StepPropagator(propagator_fingerprint(params, 1, cfg.N, cfg.dt), q.dim,
+                          cfg.N, cfg.dt, band=np.ones((q.dim, 1), dtype=np.complex128))
+    s0 = fock_state(0, "e", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = observe(s0, q)
+        traj = evolve(s0, prop, cfg, q)
+    assert np.isnan(row.energy_re[0]) and np.isnan(traj.energy_re).all()
+    assert row.norm2[0] == 1.0 and np.all(traj.norm2 == 1.0)

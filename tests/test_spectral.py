@@ -1,5 +1,6 @@
 """Eigendecomposition route: spectra, phase evolution, cutoff scans."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -192,6 +193,39 @@ def test_infinite_couplings_are_refused_alike_by_both_eigensolves():
     for solve in (diagonalize, lambda q: lowest_energies(q, 3)):
         with pytest.raises(RuntimeError, match="^eigensolver returned non-finite energies$"):
             solve(q)
+
+
+def test_infinite_diagonal_is_refused_as_non_finite_not_as_dissipation():
+    # omega_f * 2 overflows on the diagonal at P = 3: Q is Hermitian, so
+    # its refusal is that of any Q that is not finite
+    q = build_transfer_matrix(ModelParams(omega_f=1e308, omega_0=0.75, g_minus=0.4,
+                                          g_plus=0.4), Truncation(P=3))
+    assert q.hermitian and np.isinf(q.diag.real).any()
+    for solve in (diagonalize, lambda q: lowest_energies(q, 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="^eigensolver returned non-finite energies$"):
+                solve(q)
+
+
+def test_q_that_claims_to_be_hermitian_with_a_complex_diagonal_is_refused():
+    damped = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4,
+                         beta=0.01, gamma=0.01)
+    q = dataclasses.replace(build_transfer_matrix(damped, Truncation(P=5)), hermitian=True)
+    for solve in (diagonalize, lambda q: lowest_energies(q, 3)):
+        with pytest.raises(NonHermitianInput):
+            solve(q)
+
+
+@pytest.mark.parametrize("amp", [1e160, 1e200, 1e300])
+def test_teee_evolve_records_coefficients_whose_squares_overflow_quietly(amp):
+    q = build_transfer_matrix(FIG2, Truncation(P=10))
+    s0 = SpinorFockState(amps_e=np.full(11, amp), amps_g=np.full(11, -1j * amp))
+    dec = diagonalize(q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = teee_evolve(s0, dec, np.linspace(0.0, 1.0, 5))
+    assert np.all(traj.norm2 == np.inf)
 
 
 def test_each_chain_block_is_written_once(monkeypatch):
