@@ -304,17 +304,19 @@ def build_transfer_matrix(params: ModelParams, trunc: Truncation) -> TransferMat
     hermitian = params.is_hermitian()
     order = chain_order(trunc.P)
     level, excited = chain_slots(trunc.P)
-    # an entry past the float range becomes inf here (NaN where -1j meets
-    # an infinite rate); suggest_step, certify and the spectral routines
-    # refuse what it leads to, so the warnings are only noise
+    # an entry past the float range becomes inf here; suggest_step, certify
+    # and the spectral routines refuse what it leads to, so the warnings
+    # are only noise
     with np.errstate(over="ignore", invalid="ignore"):
         diag_e = params.omega_0 / 2 + params.omega_f * p
         diag_g = -params.omega_0 / 2 + params.omega_f * p
-        if not hermitian:
-            diag_e = diag_e - 1j * (params.beta * p + params.gamma)
-            diag_g = diag_g - 1j * (params.beta * p)
         off = np.where(excited[:-1], params.g_minus, params.g_plus) * (level[:-1] + 1)
-    diag = np.where(excited, diag_e[level], diag_g[level]).astype(np.complex128)
+        diag = np.where(excited, diag_e[level], diag_g[level]).astype(np.complex128)
+        if not hermitian:
+            # the rates go into the imaginary parts alone, so a rate past
+            # the float range leaves the real parts as they are
+            rate = params.beta * p
+            diag.imag -= np.where(excited, (rate + params.gamma)[level], rate[level])
     off[n - 1] = 0.0  # chain A ends here
 
     for a in (diag, off, order):

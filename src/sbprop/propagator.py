@@ -1,7 +1,10 @@
 """Taylor-series step propagator and the per-step evolution loop.
 
 M(dt) = sum_{n=0}^{N} (-i dt)^n / n! Q^n, accumulated with the running-term
-recurrence term_{n+1} = term_n (-i dt/(n+1)) Q.  The max-norm of the last
+recurrence term_{n+1} = term_n (-i dt/(n+1)) Q.  For Hermitian Q, whose
+entries are real, term n is i^n times a real band, and the build runs
+the recurrence over the reals, with the bits of the complex one; for
+dissipative Q it runs it over the complex numbers.  The max-norm of the last
 included term and, for Hermitian Q, the unitarity defect of the band
 evolve steps with are the build certificates; `certify` refuses a
 propagator whose certificates exceed the bounds for the requested
@@ -181,10 +184,32 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     rows k-1, k and k+1 of term_n, weighted by Q[j-1, j], Q[j, j] and
     Q[j+1, j] at slot j = i + k - h.  term_n is zero outside diagonals
     h-n..h+n, so order n works on those rows alone; the others stay zero.
-    The division by n is a multiplication by the complex 1/n + 0j, which
-    numpy's division by n + 0j also forms, so every nonzero entry has the
-    bits a division gives; only the sign of a zero can differ, and M never
-    holds a -0.  M is transposed to the row-major band once, at the end,
+
+    The field is chosen once, from q.hermitian, and one loop body serves
+    both.  Dissipative Q runs it over the complex numbers, with the factor
+    rows -i dt Q.  Hermitian Q runs it over the reals, with the factor
+    rows -dt Q: term n is i^n times a real band, and the loop holds the
+    one part of it that is not zero, the real part for even n and the
+    imaginary part for odd n, with the sign of i^n, and adds it to that
+    part of M, held as its real and imaginary parts; from an odd order to
+    an even one the factor i * i = -1 rides on the scale, -1/n.  These are
+    the complex loop's bits: there a phase-pure term times a purely
+    imaginary factor row, or times the complex 1/n + 0j, reduces in each
+    part to one real product plus or minus a * 0, which is an exact zero
+    (numpy's fused complex multiply included), and the sums go part by
+    part, so every entry that is not zero, the band, the last term and
+    the certificates are the same floats, and the terms take half the
+    bytes.  Only a term that has overflowed parts them: the complex loop
+    meets 0 * inf = nan where the real one keeps +-inf, which turns to
+    nan too once it meets a zero factor or an infinity of the other sign.
+    At P = 0 the band is one diagonal and no term meets either, so a
+    diverging series there reports a last term of inf, not nan.
+    The division by n is a multiplication by 1/n (the complex 1/n + 0j
+    for dissipative Q), which numpy's division by n + 0j also forms, so
+    every nonzero entry has the bits a division gives; only the sign of a
+    zero can differ, and M never holds a -0.
+
+    M is assembled into the complex row-major band once, at the end,
     and cut to the step band S that evolve applies (_trim); the result
     holds S alone, and the rest of M is freed.  For Hermitian Q the
     unitarity defect max|S+S - 1| is then measured once
@@ -196,19 +221,26 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     dim = q.dim
     h = band_half_width(dim, cfg.N)
     width = 2 * h + 1
-    term = np.zeros((width, dim), dtype=np.complex128)
+    real = q.hermitian
+    term = np.zeros((width, dim), dtype=float if real else np.complex128)
     term[h] = 1.0
-    m = term.copy()
     nxt = np.empty_like(term)
     tmp = np.empty_like(term)
+    # M, held as its real and imaginary parts for Hermitian Q; term n adds
+    # to parts[n % 2], and its scale carries signs[n % 2]
+    m = np.zeros((2, width, dim)) if real else np.zeros_like(term)
+    parts, signs = ((m[0], m[1]), (-1.0, 1.0)) if real else ((m, m), (1.0, 1.0))
+    parts[0][h] = 1.0
     # A diverging series, or a Q whose entries overflowed, overflows on its
     # way; certify reports it once, as a last term that is not finite, so
     # the numpy warnings are only noise.
     with small_ufunc_buffer(), np.errstate(over="ignore", invalid="ignore"):
-        # [lo, d, up][k, i] = -i dt times Q[j-1, j], Q[j, j] and Q[j+1, j]
-        # at slot j = i + k - h, zero outside Q (Q is symmetric off its
-        # diagonal): views of the padded rows, each row contiguous
-        scaled = np.pad((q.band * (-1j * cfg.dt)).T.copy(), ((0, 0), (h, h)))
+        # [lo, d, up][k, i] = -dt (Hermitian Q) or -i dt times Q[j-1, j],
+        # Q[j, j] and Q[j+1, j] at slot j = i + k - h, zero outside Q (Q is
+        # symmetric off its diagonal): views of the padded rows, each row
+        # contiguous
+        scaled = q.band.real * -cfg.dt if real else q.band * (-1j * cfg.dt)
+        scaled = np.pad(scaled.T.copy(), ((0, 0), (h, h)))
         lo, d, up = sliding_window_view(scaled, dim, axis=1)
         for n in range(1, cfg.N + 1):
             # term_n lives in rows a..b-1; row 0 has no row k-1 to mix
@@ -220,12 +252,16 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
             nxt[a1:b] += tmp[a1:b]
             np.multiply(term[a + 1:b1 + 1], up[a:b1], out=tmp[a:b1])
             nxt[a:b1] += tmp[a:b1]
-            np.multiply(nxt[a:b], complex(1.0 / n, 0.0), out=term[a:b])
-            m[a:b] += term[a:b]
+            np.multiply(nxt[a:b], signs[n % 2] / n, out=term[a:b])
+            parts[n % 2][a:b] += term[a:b]
         last = float(np.abs(term).max())
         # freed before the defect measurement allocates its own buffers
-        del term, nxt, tmp
-        band = np.ascontiguousarray(m.T)
+        del term, nxt, tmp, parts
+        if real:
+            band = np.empty((dim, width), dtype=np.complex128)
+            band.real, band.imag = m[0].T, m[1].T
+        else:
+            band = np.ascontiguousarray(m.T)
         del m
         band, dropped = _trim(band)
         fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)

@@ -64,6 +64,17 @@ def test_build_peak_stays_below_five_bands():
     assert traced_peak(build_step_propagator, q, cfg) < 5 * band_bytes
 
 
+def test_hermitian_build_peak_stays_below_three_and_a_half_bands():
+    # the same build: Hermitian Q runs the Taylor loop over the reals, so
+    # term and its two buffers take half a band each, and M one band as
+    # its real and imaginary parts.  Traced: 3.03 bands, where the complex
+    # loop peaked at 4.55.
+    q = build_transfer_matrix(DEEP, Truncation(P=2000))
+    cfg = PropagatorConfig(dt=suggest_step(q), steps=1)
+    band_bytes = q.dim * (2 * cfg.N + 1) * 16
+    assert traced_peak(build_step_propagator, q, cfg) < 3.5 * band_bytes
+
+
 def test_defect_peak_stays_below_three_and_a_half_bands():
     # P = 2000 in deep strong coupling: the measurement holds M's columns
     # zero-padded, their conjugates and one product buffer, each about a

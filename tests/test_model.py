@@ -1,12 +1,14 @@
 """Transfer matrix assembly, checked against an independently coded rebuild."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbprop import ModelParams, Truncation, build_transfer_matrix
-from sbprop.model import UFUNC_BUFSIZE, chain_block, small_ufunc_buffer
+from sbprop.model import UFUNC_BUFSIZE, chain_block, chain_slots, small_ufunc_buffer
 
 
 def interleaved_reference(params: ModelParams, P: int) -> np.ndarray:
@@ -76,6 +78,18 @@ def test_dissipative_p1_diagonal_and_flag():
     assert diag[3] == 0.625 - 0.01j          # g, p=1: -i*beta
     # largest deviation from symmetry sits on the e,p=1 diagonal entry
     assert np.abs(q.matrix - q.matrix.T.conj()).max() == 2 * (0.01 * 1 + 0.01)
+
+
+def test_a_rate_past_the_float_range_leaves_the_real_parts():
+    # fig6 at beta = 1e308: beta * p overflows at levels 2 and 3, and
+    # -1j * inf is nan - inf j, which the real parts must not take on
+    fig6 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4,
+                       beta=1e308, gamma=0.01)
+    q = build_transfer_matrix(fig6, Truncation(P=3))
+    undamped = build_transfer_matrix(replace(fig6, beta=0.0, gamma=0.0), Truncation(P=3))
+    level, _ = chain_slots(3)
+    assert q.diag.real.tobytes() == undamped.diag.real.tobytes()
+    assert np.array_equal(np.isneginf(q.diag.imag), level >= 2)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,19 +301,42 @@ def test_large_defect_agrees_with_the_reference(config_dir):
 
 
 def test_diverging_build_is_refused_once_without_warnings():
-    # at dt = 1e10 the terms overflow to nan on their way, in the full
-    # width loop and the diagonal-major one alike
-    q = build_transfer_matrix(FIG2, Truncation(P=50))
-    cfg = PropagatorConfig(dt=1e10, steps=1)
+    # the terms overflow on their way: at dt = 1e10 and g_minus = 1e200 on
+    # their own, at g_minus = 1e307 from couplings of Q that overflow
+    # (levels 18 and up).  A Hermitian build runs over the reals, where the
+    # complex loop's 0 * inf = nan is +-inf, but its terms then meet
+    # inf - inf: each refusal is the full-width loop's, nan included
+    for params, dt in ((FIG2, 1e10), (replace(FIG2, g_minus=1e200), 0.01),
+                       (replace(FIG2, g_minus=1e307), 0.01)):
+        q = build_transfer_matrix(params, Truncation(P=50))
+        cfg = PropagatorConfig(dt=dt, steps=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotConverged) as exc:
+                build_step_propagator(q, cfg)
+            _, last, _ = full_width_build(q, cfg)
+        assert np.isnan(last) and repr(exc.value.last_term_norm) == repr(last)
+        assert exc.value.dt_reduction is None
+        ratio = q.one_norm() * dt / (cfg.N + 1)
+        assert str(exc.value) == str(NotConverged(last, cfg.tol, dt, cfg.N, ratio))
+        assert str(exc.value) == (f"last Taylor term has max-norm nan at dt={dt} N=30: "
+                                  "the series diverges; reduce dt or the couplings")
+
+
+def test_a_diverging_p0_build_is_refused_as_infinite():
+    # at P = 0 the band is one diagonal, and a term meets no zero factor
+    # and no other term: the real loop's terms overflow to inf, where the
+    # complex loop's 0 * inf made nan
+    q = build_transfer_matrix(replace(FIG2, omega_0=1e200), Truncation(P=0))
+    cfg = PropagatorConfig(dt=0.01, steps=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotConverged) as exc:
             build_step_propagator(q, cfg)
         _, last, _ = full_width_build(q, cfg)
-    assert np.isnan(last) and np.isnan(exc.value.last_term_norm)
-    assert exc.value.dt_reduction is None
-    assert str(exc.value) == ("last Taylor term has max-norm nan at dt=10000000000.0 "
-                              "N=30: the series diverges; reduce dt or the couplings")
+    assert np.isnan(last) and exc.value.last_term_norm == math.inf
+    assert str(exc.value) == ("last Taylor term has max-norm inf at dt=0.01 N=30: "
+                              "the series diverges; reduce dt or the couplings")
 
 
 def test_suggest_step_halves_until_the_bound_holds():
