@@ -368,10 +368,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except RuntimeError as err:
         # NotConverged, NotUnitary, NonFiniteState, and the refusals of
-        # suggest_step, of diagonalize and lowest_energies (Q or its
-        # energies not finite), of diagonalize's residual and
-        # orthonormality checks, of gs_scan and of cmd_spectrum's
-        # excitation energies
+        # suggest_step, of diagonalize, lowest_energies and gs_scan (Q or
+        # its energies not finite), of diagonalize's residual and
+        # orthonormality checks and of cmd_spectrum's excitation energies
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

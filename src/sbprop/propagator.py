@@ -343,7 +343,10 @@ def _unitarity_defect(band: np.ndarray) -> float:
         np.multiply(conj[o * s:], flat[o:o + size], out=prod[:size])
         g = prod[:size].reshape(width - o, s).sum(axis=0)[:dim - o]
         if o == 0:
-            g -= 1.0
+            # the diagonal is a sum of |M[r, j]|^2, real; the imaginary
+            # part of conj(m) m is re*im - im*re, which a fused
+            # multiply-add leaves as the rounding error of one product
+            g = g.real - 1.0
         worst = max(worst, float(np.abs(g).max()))
     return worst
 
@@ -363,7 +366,9 @@ def suggest_step(q: TransferMatrix, N: int = PropagatorConfig.N,
         raise ValueError(f"tol must be positive, got {tol}")
     a = q.one_norm()
     dt = MAX_STEP
-    if a == 0.0:
+    # the bound is 0 where |Q|_1 dt is: Q = 0, or so small that the
+    # product underflows (gamma = 5e-324 at P = 0), which has no logarithm
+    if a * dt == 0.0:
         return dt
     log_tol = math.log(tol)
     for _ in range(200):

@@ -22,7 +22,9 @@ leading (P+1)-block of the chain at the largest cutoff, and the pivots of
 that block are the first P+1 pivots of the big chain.  One Sturm-count
 sweep over the big chain therefore answers "is x above level j?" for
 every cutoff and every level at once (Barth, Martin & Wilkinson, Numer.
-Math. 9, 1967).  One multisection, _multisection, serves both: each
+Math. 9, 1967).  One level routine, _chain_levels, serves both: it
+brackets every (chain, block, level) pair by one rule and runs one
+multisection, _multisection, over all of them.  Each multisection
 sweep probes PROBES shifts per bracket and also returns det(T - x) of
 every block, which steers where the next probes go.  Placement decides
 only where counts are taken: brackets move on counts alone.  In IEEE
@@ -185,37 +187,61 @@ def lowest_energies(q: TransferMatrix, count: int) -> np.ndarray:
     """The count + 1 lowest energies of Q, ascending, without eigenvectors.
 
     Levels 0..count of each parity chain (as many as it has) come from
-    one _multisection over both chains, from each chain's Gershgorin
-    bracket, and the two chains' levels are stable-sorted together, as in
-    diagonalize.  Level j of a chain is the largest float at which the
-    chain minus that float has at most j negative pivots: the float a
-    one-shift bisection on Sturm counts ends on, at or just below the
-    exact eigenvalue.  No block is formed and no LAPACK call is made, so
-    the bits depend on IEEE arithmetic alone.  Q must be Hermitian and
-    finite (_require_hermitian), and an energy that overflows a double is
-    a RuntimeError.
+    _chain_levels over each whole chain, and the two chains' levels are
+    stable-sorted together, as in diagonalize.  Level j of a chain is the
+    largest float at which the chain minus that float has at most j
+    negative pivots: the float a one-shift bisection on Sturm counts ends
+    on, at or just below the exact eigenvalue.  No block is formed and no
+    LAPACK call is made, so the bits depend on IEEE arithmetic alone.  Q
+    must be Hermitian and finite (_require_hermitian), and an energy that
+    overflows a double is a RuntimeError.
     """
     _check_count(count, q.dim - 1)
-    _require_hermitian(q)
-    a, b, e = _scaled_chains(q)
-    n = a.shape[1]
+    n = q.dim // 2
     levels = np.arange(min(int(count), n - 1) + 1)
-    # Gershgorin, widened by 2^-40 (max|a| + 2 max|b|): far more than the
-    # rounding of these sums and of the pivots, so that at lo every pivot
-    # is positive and at hi every pivot negative.  Unwidened, a bound can
-    # round past a level: fig1's 0.5 - 0.1 rounds up past its eigenvalue.
-    edge = np.zeros((2, 1))
-    reach = np.abs(np.hstack([edge, b])) + np.abs(np.hstack([b, edge]))
-    room = np.ldexp(np.abs(a).max() + 2 * np.abs(b).max(initial=0.0), -40)
-    shape = (2, levels.size)
-    lo = np.broadcast_to((a - reach).min(axis=1, keepdims=True) - room, shape)
-    hi = np.broadcast_to((a + reach).max(axis=1, keepdims=True) + room, shape)
-    found = _multisection(a, b, lo, hi, np.full(levels.size, n), levels)
-    with np.errstate(over="ignore"):
-        energies = np.sort(np.ldexp(found, e), axis=None, kind="stable")[:int(count) + 1]
+    found = _chain_levels(q, np.full(levels.size, n), levels)
+    energies = np.sort(found, axis=None, kind="stable")[:int(count) + 1]
     if not np.isfinite(energies).all():
         raise RuntimeError(NON_FINITE)
     return energies
+
+
+def _chain_levels(q: TransferMatrix, lengths: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Level levels[s] of the leading block of lengths[s] slots of each
+    parity chain of Q, for every column s, as a (2, m) array: the largest
+    float x at which the block minus x has at most levels[s] negative
+    pivots.  lengths must be non-increasing (_sturm_sweep).
+
+    Q must be Hermitian and finite (_require_hermitian).  Its chains are
+    scaled once (_scaled_chains), every (chain, block, level) pair is
+    bracketed by one rule and found by one _multisection, and the levels
+    are scaled back; one that overflows a double comes back infinite.  The
+    bracket is the block's Gershgorin interval, where the block's last row
+    has only its left neighbour; at level 0 its upper end is capped by the
+    block's smallest diagonal, which bounds the level by the Rayleigh
+    quotient.  Both ends are then widened by 2^-40 (max|a| + 2 max|b|):
+    far more than the rounding of these sums and of the pivots, so that
+    at lo the pair has at most levels[s] negative pivots and at hi more.
+    Unwidened, an end can round past a level: fig1's 0.5 - 0.1 rounds up
+    past its eigenvalue.  Any bracket that holds the level ends on the
+    same float, since the count is monotone in the shift.
+    """
+    _require_hermitian(q)
+    a, b, e = _scaled_chains(q)
+    edge = np.zeros((2, 1))
+    left = np.abs(np.hstack([edge, b]))
+    both = left + np.abs(np.hstack([b, edge]))
+    # rows before a block's last one have both neighbours
+    inner_lo = np.minimum.accumulate(a - both, axis=1)
+    inner_hi = np.maximum.accumulate(a + both, axis=1)
+    last = lengths - 1
+    lo = np.minimum(np.hstack([edge + np.inf, inner_lo[:, :-1]]), a - left)[:, last]
+    hi = np.maximum(np.hstack([edge - np.inf, inner_hi[:, :-1]]), a + left)[:, last]
+    hi = np.where(levels == 0, np.minimum(hi, np.minimum.accumulate(a, axis=1)[:, last]), hi)
+    room = np.ldexp(np.abs(a).max() + 2 * np.abs(b).max(initial=0.0), -40)
+    found = _multisection(a, b, lo - room, hi + room, lengths, levels)
+    with np.errstate(over="ignore"):
+        return np.ldexp(found, e)
 
 
 def _require_hermitian(q: TransferMatrix) -> None:
@@ -228,8 +254,8 @@ def _require_hermitian(q: TransferMatrix) -> None:
     diagonal can break the symmetry."""
     if not q.hermitian or q.diag.imag.any():
         raise NonHermitianInput(
-            "matrix carries dissipation; the eigendecomposition route only "
-            "handles Hermitian parameters")
+            "matrix carries dissipation; energy levels need Hermitian "
+            "parameters (beta = gamma = 0)")
     if not np.isfinite(q.band.real).all():
         raise RuntimeError(NON_FINITE)
 
@@ -325,9 +351,17 @@ class GsScanResult:
 
 
 def gs_scan(params: ModelParams, p_values) -> GsScanResult:
-    """E0(P) over a cutoff scan, classified Converged/Unbounded/Undetermined."""
-    if not params.is_hermitian():
-        raise NonHermitianInput("ground-state scan requires Hermitian parameters")
+    """E0(P) over a cutoff scan, classified Converged/Unbounded/Undetermined.
+
+    Q is built once, at the largest cutoff, and E0 at cutoff P is the
+    lower of the two chains' level 0 over their leading (P+1)-blocks, by
+    one _chain_levels call: spectrum's level 0 at that cutoff, bit for
+    bit.  Q must be Hermitian and finite (_require_hermitian), and an E0
+    that overflows a double is a RuntimeError.  Every pair's arithmetic
+    is elementwise and its own, so E0 at a cutoff does not depend on which
+    other cutoffs are scanned, and E0 is non-increasing in P: the pivots
+    of a larger block extend those of a smaller one.
+    """
     given = list(p_values)
     values = np.asarray(given, dtype=np.float64)
     if not np.all(np.isfinite(values) & (values == np.floor(values))):
@@ -338,7 +372,11 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
     if np.any(np.diff(ps) <= 0) or ps[0] < 0:
         raise ValueError("p_values must be strictly increasing and non-negative")
 
-    e0 = _ground_energies(params, ps)
+    q = build_transfer_matrix(params, Truncation(P=int(ps[-1])))
+    # the blocks go longest first, as _chain_levels takes them
+    e0 = _chain_levels(q, ps[::-1] + 1, np.zeros_like(ps)).min(axis=0)[::-1]
+    if not np.isfinite(e0).all():
+        raise RuntimeError("ground-state energy overflows a double")
 
     final = e0[-1]
     conv_tol = CONVERGED_RTOL * (1.0 + abs(final))
@@ -370,49 +408,6 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
         classification = "Undetermined"
     return GsScanResult(p_values=ps, e0=e0, classification=classification,
                         plateau_P=plateau, slope=slope)
-
-
-def _ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray:
-    """E0 of Q at every cutoff in ps (strictly increasing), by one
-    _multisection over both chains of Q at the largest cutoff.
-
-    Pair (c, j) brackets the lowest eigenvalue of chain c's leading block
-    at cutoff ps[j], level 0 over its first ps[j] + 1 slots: from
-    Gershgorin below, and from just above the block's smallest diagonal
-    (which bounds it by the Rayleigh quotient).  E0 is the lower of the
-    two chains' levels.
-
-    Q with an entry that is not finite, or so large that max|diag| +
-    max|off| overflows, is refused with RuntimeError, and so is an E0 that
-    overflows.
-
-    Every pair's arithmetic is elementwise and its own, so E0 at a cutoff
-    does not depend on which other cutoffs are scanned, and E0 is
-    non-increasing in P: the pivots of a larger block extend those of a
-    smaller one.
-    """
-    q = build_transfer_matrix(params, Truncation(P=int(ps[-1])))
-    with np.errstate(over="ignore", invalid="ignore"):
-        top = np.abs(q.diag.real).max() + np.abs(q.off).max()
-    if not np.isfinite(top):
-        raise RuntimeError("transfer matrix entries overflow; no finite "
-                           "ground-state energy")
-    a, b, e = _scaled_chains(q)
-    edge = np.zeros((2, 1))
-    left = a - np.abs(np.hstack([edge, b]))
-    # Gershgorin: in the leading block at cutoff P, rows i < P have both
-    # neighbours and row P only the left one
-    inner = np.minimum.accumulate(left - np.abs(np.hstack([b, edge])), axis=1)
-    inner = np.hstack([edge + np.inf, inner[:, :-1]])
-    desc = ps[::-1]                            # pairs by descending cutoff
-    lo = np.minimum(inner, left)[:, desc]
-    hi = np.nextafter(np.minimum.accumulate(a, axis=1)[:, desc], np.inf)
-    found = _multisection(a, b, lo, hi, desc + 1, np.zeros_like(desc))
-    with np.errstate(over="ignore"):
-        e0 = np.ldexp(found.min(axis=0)[::-1], e)
-    if not np.isfinite(e0).all():
-        raise RuntimeError("ground-state energy overflows a double")
-    return e0
 
 
 def _multisection(a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray,

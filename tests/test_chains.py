@@ -77,6 +77,9 @@ rates = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5, **finite
 # subnormal scale: the relative energy bound alone underflows to 0.0
 @example(omega_f=1.0, omega_0=2.2250738585e-313, g_minus=0.0, g_plus=0.0,
          beta=0.0, gamma=0.0, P=0, N=1, seed=0)
+# |Q|_1 dt underflows to 0 at the largest step, so suggest_step takes no log
+@example(omega_f=1.0, omega_0=0.0, g_minus=0.0, g_plus=0.0,
+         beta=0.0, gamma=5e-324, P=0, N=1, seed=0)
 def test_chain_route_matches_the_dense_oracle(omega_f, omega_0, g_minus, g_plus,
                                               beta, gamma, P, N, seed):
     params = ModelParams(omega_f=omega_f, omega_0=omega_0, g_minus=g_minus,

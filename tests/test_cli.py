@@ -292,8 +292,8 @@ def test_energies_near_the_float_limit_are_printed(config_dir, capsys):
 
 
 @pytest.mark.parametrize("command, name, reason", [
-    ("gs-scan", "fig5a.cfg",
-     "transfer matrix entries overflow; no finite ground-state energy"),
+    # the couplings of Q at P = 60 overflow
+    ("gs-scan", "fig5a.cfg", "eigensolver returned non-finite energies"),
     ("evolve", "fig2.cfg", "last Taylor term has max-norm nan at dt=0.01 N=30: the "
                            "series diverges; reduce dt or the couplings"),
 ], ids=["gs-scan", "evolve"])
@@ -318,6 +318,24 @@ def test_slope_of_energies_near_the_float_limit_is_finite(config_dir, capsys):
     slope = float(next(l for l in lines if l.startswith("slope="))[len("slope="):])
     assert slope == pytest.approx(-1e306, rel=1e-3)
     assert lines[-1] == "classification=Unbounded"
+
+
+def test_gs_scan_answers_a_huge_finite_q_as_spectrum_does(config_dir, capsys):
+    # max|diag| + max|off| overflows a double, but every entry of Q at P = 1
+    # and both levels are finite
+    sets = ["--set", "omega_f=1.5e308", "--set", "g_minus=4e307", "--set", "g_plus=0",
+            "--set", "omega_0=1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "gs-scan", "--config", cfg(config_dir, "fig5a.cfg"),
+                             *sets, "--p-values", "0:1")
+        assert code == 0 and err == ""
+        e0 = out.splitlines()[2]
+        code, out, err = run(capsys, "spectrum", "--config", cfg(config_dir, "fig5a.cfg"),
+                             *sets, "--set", "P=1", "--levels", "1")
+    assert code == 0 and err == ""
+    assert e0 == "1,-1e+307"
+    assert out.splitlines()[1].split(",")[1] == e0.split(",")[1]
 
 
 def test_ground_energy_past_the_float_limit_is_a_numerical_failure(config_dir, capsys):

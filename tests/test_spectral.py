@@ -62,7 +62,7 @@ def test_dissipative_matrix_is_refused():
     q = build_transfer_matrix(damped, Truncation(P=5))
     with pytest.raises(NonHermitianInput):
         diagonalize(q)
-    with pytest.raises(NonHermitianInput):
+    with pytest.raises(NonHermitianInput, match="^matrix carries dissipation"):
         gs_scan(damped, [5, 10])
 
 
@@ -197,11 +197,12 @@ def test_infinite_couplings_are_refused_alike_by_both_eigensolves():
 
 def test_infinite_diagonal_is_refused_as_non_finite_not_as_dissipation():
     # omega_f * 2 overflows on the diagonal at P = 3: Q is Hermitian, so
-    # its refusal is that of any Q that is not finite
-    q = build_transfer_matrix(ModelParams(omega_f=1e308, omega_0=0.75, g_minus=0.4,
-                                          g_plus=0.4), Truncation(P=3))
+    # its refusal is that of any Q that is not finite, in the scan too
+    params = ModelParams(omega_f=1e308, omega_0=0.75, g_minus=0.4, g_plus=0.4)
+    q = build_transfer_matrix(params, Truncation(P=3))
     assert q.hermitian and np.isinf(q.diag.real).any()
-    for solve in (diagonalize, lambda q: lowest_energies(q, 3)):
+    for solve in (diagonalize, lambda q: lowest_energies(q, 3),
+                  lambda q: gs_scan(params, [0, 3])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="^eigensolver returned non-finite energies$"):
@@ -387,7 +388,10 @@ def test_gs_scan_values_do_not_depend_on_the_grid(params):
     FIG2, DEEP, RWA, ModelParams(omega_f=1.0, omega_0=0.5, g_plus=0.7),
     ModelParams(omega_f=1.0, omega_0=0.0),
     # a bisection shift here makes a pivot exactly 0, so the next is -inf
-    ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.0, g_plus=0.5)])
+    ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.0, g_plus=0.5),
+    # resonant RWA: block (e0, g1) has the Gershgorin end 0.5 - 1.6 = -1.1,
+    # where its pivots already count one negative
+    ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.6)])
 def test_gs_scan_e0_is_the_last_float_below_the_ground_state(params):
     ps = [0, 1, 2, 3, 4, 8, 40]
     with warnings.catch_warnings():
@@ -436,6 +440,8 @@ def test_multisection_matches_the_bisection_on_every_config(config_dir, name):
 # so that the probes run)
 @example(params=ModelParams(omega_f=2.0, omega_0=1.307518396529771e-308, g_minus=0.5),
          ps=[0, 16])
+# resonant RWA past g_minus = omega_f: at P = 1 the Gershgorin end is above E0
+@example(params=ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.6), ps=[0, 1, 2, 16])
 def test_multisection_matches_the_bisection_on_random_scans(params, ps):
     assert_matches_the_bisection(params, ps)
 
@@ -446,8 +452,10 @@ def test_multisection_matches_the_bisection_at_scaled_couplings(power):
     assert_matches_the_bisection(scaled, [1, 5, 30])
 
 
-@pytest.mark.parametrize("name", ["fig5a", "fig5b"])
-def test_multisection_probes_each_float_of_a_narrow_bracket(config_dir, monkeypatch, name):
+@pytest.mark.parametrize("name, sweeps", [("fig5a", 7), ("fig5b", 8)],
+                         ids=["fig5a", "fig5b"])
+def test_multisection_probes_each_float_of_a_narrow_bracket(config_dir, monkeypatch, name,
+                                                            sweeps):
     # a bracket at most PROBES + 1 floats wide probes every float inside it
     rounds = []
     real = spectral._sturm_sweep
@@ -468,8 +476,8 @@ def test_multisection_probes_each_float_of_a_narrow_bracket(config_dir, monkeypa
     ps = parse_p_values(cfg.p_values)
     e0 = gs_scan(cfg.to_params(), ps).e0
     # the one-shift bisection took 57 sweeps on fig5a and 54 on fig5b, the
-    # evenly spaced multisection 20
-    assert len(rounds) <= 14
+    # evenly spaced multisection 20, the det-steered one 7 and 8
+    assert len(rounds) <= sweeps
     assert e0.tobytes() == bisection_ground_energies(cfg.to_params(), np.asarray(ps)).tobytes()
 
     # replay the brackets from the counts alone; an end no count has moved
@@ -580,6 +588,38 @@ def test_gs_scan_assembles_q_once(monkeypatch):
     assert calls == [60]
 
 
+def assert_e0_is_the_level_0_of_spectrum(params, ps):
+    e0 = gs_scan(params, ps).e0
+    want = [lowest_energies(build_transfer_matrix(params, Truncation(P=P)), 1)[0]
+            for P in ps]
+    assert e0.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3_P200", "fig3_P400", "fig5a",
+                                  "fig5b"])
+def test_gs_scan_e0_is_the_level_0_of_spectrum_on_every_config(config_dir, name):
+    # the gs-scan grid of fig5a and fig5b, a few cutoffs up to P elsewhere
+    cfg = load_run_config(config_dir / f"{name}.cfg", [])
+    ps = parse_p_values(cfg.p_values) if cfg.p_values else [0, 1, 2, cfg.P // 2, cfg.P]
+    assert_e0_is_the_level_0_of_spectrum(cfg.to_params(), ps)
+
+
+@st.composite
+def resonant_rwa(draw):
+    """omega_0 = omega_f and g_plus = 0, with g_minus up to 12 omega_f."""
+    omega_f = draw(st.floats(0.2, 2.0))
+    return ModelParams(omega_f=omega_f, omega_0=omega_f,
+                       g_minus=omega_f * draw(st.floats(0.0, 12.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=resonant_rwa(), ps=st.lists(st.integers(0, 40), min_size=2, max_size=8,
+                                           unique=True).map(sorted))
+@example(params=ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.6), ps=[0, 1, 2])
+def test_gs_scan_e0_is_the_level_0_of_spectrum_on_resonant_rwa(params, ps):
+    assert_e0_is_the_level_0_of_spectrum(params, ps)
+
+
 def dense_decomposition(q):
     """The former dense construction: one eigh per chain, the eigenvectors
     filled into a block-layout dim x dim matrix, columns in stable-sorted
@@ -666,10 +706,11 @@ def test_per_chain_teee_matches_the_dense_eigenbasis_oracle(P):
         assert getattr(empty, name).shape == (0,), name
 
 
-# The one-shift bisection that gs_scan ran before its multisection, kept
-# verbatim as the reference whose every bit the multisection must match:
-# both stop only where no float lies strictly inside a bracket, and the
-# count is monotone in the shift, so both end on the same float.
+# The one-shift bisection that gs_scan ran before its multisection, from a
+# bracket it shares with no package code, as the reference whose every bit
+# the multisection must match: both stop only where no float lies strictly
+# inside a bracket, and the count is monotone in the shift, so both end on
+# the same float.
 SWEEP_ROWS = 32
 _scaled_chains = spectral._scaled_chains
 
@@ -678,11 +719,11 @@ def bisection_ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray
     """E0 of Q at every cutoff in ps (strictly increasing), by one bisection
     on Sturm counts taken over both chains of Q at the largest cutoff.
 
-    Pair (c, j) brackets the lowest eigenvalue of chain c's leading block
-    at cutoff ps[j]: from Gershgorin below, and from just above the
-    block's smallest diagonal (which bounds it by the Rayleigh quotient).
-    A sweep runs the pivot recurrence d_i = (a_i - x) - b_{i-1}^2 / d_{i-1}
-    once over the chain slots, with one shift x per pair; pair (c, j) reads
+    Every pair (c, j), the lowest eigenvalue of chain c's leading block at
+    cutoff ps[j], starts from the bracket [-r, r] about the whole spectrum
+    of Q / 2^e that bisection_levels uses.  A sweep runs the pivot
+    recurrence d_i = (a_i - x) - b_{i-1}^2 / d_{i-1} once over the chain
+    slots, with one shift x per pair; pair (c, j) reads
     "x is above E0" as any negative pivot among its first ps[j] + 1.
     Bisection stops when no midpoint lies strictly inside a bracket, and
     E0 is the low end.  A zero pivot is +0, so the next one is -inf; a slot
@@ -690,36 +731,21 @@ def bisection_ground_energies(params: ModelParams, ps: np.ndarray) -> np.ndarray
     d_i = a_i - x, which keeps 0/0 out.  Each pivot row costs three ufunc
     calls, on contiguous rows of the pairs it touches.
 
-    Q with an entry that is not finite, or so large that max|diag| +
-    max|off| overflows, is refused with RuntimeError, and so is an E0 that
-    overflows.
-
-    Every pair's arithmetic is elementwise and its own, so E0 at a cutoff
-    does not depend on which other cutoffs are scanned, and E0 is
-    non-increasing in P: the pivots of a larger block extend those of a
-    smaller one.
+    Q must have finite entries, and an E0 that overflows is refused with
+    RuntimeError.
     """
     q = build_transfer_matrix(params, Truncation(P=int(ps[-1])))
     n, m = q.trunc.P + 1, ps.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        top = np.abs(q.diag.real).max() + np.abs(q.off).max()
-    if not np.isfinite(top):
-        raise RuntimeError("transfer matrix entries overflow; no finite "
-                           "ground-state energy")
     a, b, e = _scaled_chains(q)
     b2 = b * b
-    edge = np.zeros((2, 1))
-    left = a - np.abs(np.hstack([edge, b]))
-    # Gershgorin: in the leading block at cutoff P, rows i < P have both
-    # neighbours and row P only the left one
-    inner = np.minimum.accumulate(left - np.abs(np.hstack([b, edge])), axis=1)
-    inner = np.hstack([edge + np.inf, inner[:, :-1]])
-    desc = ps[::-1]                            # pairs by descending cutoff
-    lo = np.minimum(inner, left)[:, desc]
-    hi = np.nextafter(np.minimum.accumulate(a, axis=1)[:, desc], np.inf)
+    norm = np.abs(a).max() + 2 * np.abs(b).max(initial=0.0)
+    reach = np.ldexp(1.0, int(np.frexp(norm)[1]) + 1)
+    lo = np.full((2, m), -reach)
+    hi = -lo
 
-    # Row i of a sweep touches only the pairs whose cutoff is at least i:
-    # the first active[i] columns.  Every call in `blocks` writes those
+    # The columns hold the pairs by descending cutoff.  Row i of a sweep
+    # touches only the pairs whose cutoff is at least i: the first
+    # active[i] columns.  Every call in `blocks` writes those
     # cells alone, so a ring cell holds +inf or a pivot of its own pair.
     rows = min(n, SWEEP_ROWS)
     pivots = np.full((rows, 2, m), np.inf)
