@@ -202,7 +202,7 @@ def _setup(cfg: RunConfig) -> tuple[TransferMatrix, SpinorFockState, PropagatorC
     state = cfg.build_initial_state()
     for retry in (False, True):
         try:
-            record = TrajectoryBuilder(q.trunc.P, pcfg.steps + 1, q=q)
+            record = TrajectoryBuilder(q, pcfg.steps + 1)
         except MemoryError as err:
             raise ConfigError(f"t_max={cfg.t_max} at dt={pcfg.dt} is {pcfg.steps} "
                               f"steps, too many to record: {err}") from None

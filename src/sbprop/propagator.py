@@ -320,28 +320,21 @@ def _unitarity_defect(band: np.ndarray) -> float:
     M is whatever operator the band holds; the build passes its step band
     S (see build_step_propagator).  M's columns are copied once, one
     strided slice of the band per row t, into col[t, j] = M[j + t - h, j],
-    whose rows are zero-padded to stride s = dim + 2h + 1.
-    (M+M)[j, j+o] = sum over t >= o of conj(col[t, j]) col[t - o, j + o],
-    and col[t - o, j + o] lies o (s - 1) places before col[t, j] in the
-    flat array, so offset o is one flat product of two equally long runs
-    of it, summed over t in row order into a length-s vector.  The entries
-    below the diagonal mirror these.
+    zero outside M.  (M+M)[j, j+o] = sum over t >= o of conj(col[t, j])
+    col[t - o, j + o], so offset o is one product of two 2D slices of
+    col, summed over t in row order.  The entries below the diagonal
+    mirror these.
     """
     dim, width = band.shape
     h = width // 2
-    s = dim + width
-    col = np.zeros((width, s), dtype=np.complex128)
+    col = np.zeros((width, dim), dtype=np.complex128)
     for t in range(width):
         lo, hi = max(h - t, 0), min(dim + h - t, dim)
         col[t, lo:hi] = band[lo + t - h:hi + t - h, width - 1 - t]
-    flat = col.ravel()
-    conj = np.conjugate(flat)
-    prod = np.empty_like(flat)
+    conj = np.conjugate(col)
     worst = 0.0
     for o in range(min(width, dim)):
-        size = (width - o) * s
-        np.multiply(conj[o * s:], flat[o:o + size], out=prod[:size])
-        g = prod[:size].reshape(width - o, s).sum(axis=0)[:dim - o]
+        g = (conj[o:, :dim - o] * col[:width - o, o:]).sum(axis=0)
         if o == 0:
             # the diagonal is a sum of |M[r, j]|^2, real; the imaginary
             # part of conj(m) m is re*im - im*re, which a fused
@@ -469,14 +462,14 @@ def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
     recorded, not refused.  Each silences the overflow of its own
     arithmetic, so neither warns.
 
-    The rows are recorded into builder, a TrajectoryBuilder of
-    cfg.steps + 1 rows made with q, which a caller can allocate before it
-    builds M; when None, evolve makes one.
+    The rows are recorded into builder, a TrajectoryBuilder(q,
+    cfg.steps + 1), which a caller can allocate before it builds M; when
+    None, evolve makes one.
     """
     _check_compatible(state.vector.size, prop, cfg, q)
     steps = int(cfg.steps)
     if builder is None:
-        builder = TrajectoryBuilder(state.P, steps + 1, q=q)
+        builder = TrajectoryBuilder(q, steps + 1)
     elif builder.times.size != steps + 1 or builder.q is not q:
         raise ValueError(f"builder must hold cfg.steps + 1 = {steps + 1} rows "
                          "and measure with this q")

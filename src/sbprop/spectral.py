@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (ModelParams, TransferMatrix, Truncation, build_transfer_matrix,
-                    chain_block, chain_order, occupied_chains, small_ufunc_buffer)
+                    chain_block, occupied_chains, small_ufunc_buffer)
 from .states import SpinorFockState
 from .trajectory import BLOCK_ROWS, Trajectory, TrajectoryBuilder
 
@@ -88,7 +88,7 @@ class SpectralDecomposition:
     chain_energies[c] (ascending) and the columns of chain_vectors[c] are
     the eigenpairs of chain c in chain order (c = 0 for chain A, 1 for
     chain B; see model.chain_order).  energies is their stable-sorted
-    concatenation.
+    concatenation, and q the matrix they decompose.
     """
 
     energies: np.ndarray
@@ -96,6 +96,7 @@ class SpectralDecomposition:
     chain_vectors: np.ndarray = field(repr=False)
     residual: float
     ortho_defect: float
+    q: TransferMatrix = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -180,7 +181,7 @@ def diagonalize(q: TransferMatrix) -> SpectralDecomposition:
         raise RuntimeError(f"eigenvector orthonormality defect {ortho:.3e}")
     return SpectralDecomposition(energies=energies, chain_energies=chain_energies,
                                  chain_vectors=chain_vectors,
-                                 residual=unscaled, ortho_defect=ortho)
+                                 residual=unscaled, ortho_defect=ortho, q=q)
 
 
 def lowest_energies(q: TransferMatrix, count: int) -> np.ndarray:
@@ -268,10 +269,12 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     chain expanded over its own half-size eigenbasis and the rows recorded
     in chain order.  A chain whose amplitudes are all exactly zero has
     F = 0 there and stays zero, so it is written as zeros, not rotated.
-    Norm and the (constant) energy sum |F_j|^2 E_j are exact up to the
-    decomposition residual by construction.  The states are formed and
-    recorded BLOCK_ROWS time points at a time, the block evolve steps, so
-    no temporary grows with the number of time points.
+    Each row is measured as evolve measures its rows, by a
+    TrajectoryBuilder of dec.q, so a state reads the same bits whichever
+    evolver holds it; the norm and the energy stay at their sums over
+    |F_j|^2 up to the decomposition residual and rounding.  The states are
+    formed and recorded BLOCK_ROWS time points at a time, the block evolve
+    steps, so no temporary grows with the number of time points.
     """
     vec0 = state.vector
     if vec0.size != dec.dim:
@@ -280,22 +283,16 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     if times.ndim != 1:
         raise ValueError("times must be one-dimensional")
 
-    y0 = vec0[chain_order(state.P)].reshape(2, -1, 1)
+    y0 = vec0[dec.q.order].reshape(2, -1, 1)
     chains = occupied_chains(y0)
     coeff = np.zeros((2, y0.shape[1], 1), dtype=np.complex128)
     coeff[chains] = _real_times_complex(
         dec.chain_vectors[chains].transpose(0, 2, 1), y0[chains])
-    # coefficients whose squares overflow are recorded as they are, as
-    # evolve records such states
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = coeff.real ** 2 + coeff.imag ** 2
-        energy_const = float(weight.ravel() @ dec.chain_energies.ravel())
 
-    builder = TrajectoryBuilder(state.P, times.size)
+    builder = TrajectoryBuilder(dec.q, times.size)
     for lo in range(0, times.size, BLOCK_ROWS):
         ts = times[lo:lo + BLOCK_ROWS]
-        builder.record(lo, ts, _chain_states(dec, coeff, ts, chains), energy_const,
-                       chains=chains)
+        builder.record(lo, ts, _chain_states(dec, coeff, ts, chains), chains=chains)
     return builder.build()
 
 

@@ -68,33 +68,28 @@ class TrajectoryBuilder:
     (-1) to that count, is -1 on every slot of chain A and +1 on chain B,
     so its column measures n_B - n_A.  Both commute exactly with the
     photon-conserving coupling, also after truncation, which is what the
-    conservation checks rely on.  With q given, record() also measures
-    the energy Re <y|Q|y>; q must be truncated at the builder's P
-    (ValueError), and is kept, so evolve can refuse a builder made for
-    another Q.
+    conservation checks rely on.  The energy is Re <y|Q|y>, weighted by
+    Q's diagonal plus its doubled off-diagonal, so every row of either
+    evolver is the same six quadratic forms of its state.  The cutoff is
+    q's, and q is kept, so evolve can refuse a builder made for another Q.
     """
 
-    def __init__(self, P: int, count: int, q: TransferMatrix | None = None):
-        if q is not None and q.trunc.P != P:
-            raise ValueError(f"q is truncated at P = {q.trunc.P}, the builder at P = {P}")
-        n = P + 1
-        photon, excited = chain_slots(P)
+    def __init__(self, q: TransferMatrix, count: int):
+        n = q.trunc.P + 1
+        photon, excited = chain_slots(q.trunc.P)
         cols = [np.ones(2 * n), photon, np.where(excited, 1.0, -1.0),
-                photon + excited, np.repeat([-1.0, 1.0], n)]
+                photon + excited, np.repeat([-1.0, 1.0], n), q.diag.real]
         self.q = q
-        self._off = None
-        if q is not None:
-            cols.append(q.diag.real)
-            # per chain, a second, zero row: numpy hands a vector-vector
-            # product to BLAS dot, which splits long vectors across
-            # threads, while a matrix-vector product computes each output
-            # on one thread, so its bits do not depend on the thread count.
-            # Q never couples the chains, so off[n - 1] is not used.
-            self._off = np.zeros((2, 2, 2 * n - 2))
-            # a coupling above half the float range doubles to inf, and the
-            # energy is then measured as inf or NaN; M's build refuses such a Q
-            with np.errstate(over="ignore"):
-                self._off[:, 0] = np.repeat(2.0 * np.delete(q.off, n - 1), 2).reshape(2, -1)
+        # per chain, a second, zero row: numpy hands a vector-vector
+        # product to BLAS dot, which splits long vectors across threads,
+        # while a matrix-vector product computes each output on one
+        # thread, so its bits do not depend on the thread count.  Q never
+        # couples the chains, so off[n - 1] is not used.
+        self._off = np.zeros((2, 2, 2 * n - 2))
+        # a coupling above half the float range doubles to inf, and the
+        # energy is then measured as inf or NaN; M's build refuses such a Q
+        with np.errstate(over="ignore"):
+            self._off[:, 0] = np.repeat(2.0 * np.delete(q.off, n - 1), 2).reshape(2, -1)
         # per chain, one weight per float of the complex vector: re and im
         # share it
         self._weights = np.stack(np.split(np.repeat(np.stack(cols), 2, axis=1), 2, axis=1))
@@ -108,9 +103,9 @@ class TrajectoryBuilder:
         self.parity = np.empty(count)
 
     def _measure(self, block: np.ndarray, chains: slice) -> np.ndarray:
-        """(rows, 5 or 6): norm2, photon, inversion, excitation, parity
-        and, with q, the energy of each row of the (rows, 2, n) block,
-        summed over the given chains.
+        """(rows, 6): norm2, photon, inversion, excitation, parity and
+        the energy of each row of the (rows, 2, n) block, summed over the
+        given chains.
 
         Each chain is measured with its own products and the chains'
         results are added, so a chain left out costs nothing and adds
@@ -134,34 +129,29 @@ class TrajectoryBuilder:
                 y = block[:, c].view(np.float64)
                 np.multiply(y, y, out=buf)
                 cols = np.matmul(self._weights[c], buf[:, :, None])[:, :, 0]
-                if self._off is not None:
-                    pairs = np.multiply(y[:, :-2], y[:, 2:], out=buf[:, :-2])
-                    cols[:, -1] += np.matmul(self._off[c], pairs[:, :, None])[:, 0, 0]
+                pairs = np.multiply(y[:, :-2], y[:, 2:], out=buf[:, :-2])
+                cols[:, -1] += np.matmul(self._off[c], pairs[:, :, None])[:, 0, 0]
                 total = cols if total is None else total + cols
         return total
 
-    def record(self, k0: int, t: np.ndarray, block: np.ndarray,
-               energy_re=None, *, chains: slice = slice(0, 2)) -> None:
+    def record(self, k0: int, t: np.ndarray, block: np.ndarray, *,
+               chains: slice = slice(0, 2)) -> None:
         """Rows k0, k0+1, ... from the chain-order state vectors in block.
 
         block is (rows, dim), or (rows, 2, n) with a chain per middle
         index; each chain's slots in a row must be contiguous.  Only the
         given chains are measured: the others must be exactly zero.  t
-        holds one value per row; energy_re too, or one constant, or None
-        to measure it with q (ValueError for a builder made without q).
-        The values are recorded as they are, finite or not: refusing a
-        run that blew up is the step kernel's (propagator._stepped_blocks).
+        holds one value per row.  All six columns come from one product
+        per chain (_measure).  The values are recorded as they are, finite
+        or not: refusing a run that blew up is the step kernel's
+        (propagator._stepped_blocks).
         """
-        if energy_re is None and self.q is None:
-            raise ValueError("energy_re=None measures the energy with q, and this "
-                             "builder was made without q")
         block = block.reshape(block.shape[0], 2, -1)
         rows = slice(k0, k0 + block.shape[0])
         cols = self._measure(block, chains)
         (self.norm2[rows], self.n_raw[rows], self.sz_raw[rows],
-         self.c_exp[rows], self.parity[rows]) = cols.T[:5]
+         self.c_exp[rows], self.parity[rows], self.energy_re[rows]) = cols.T
         self.times[rows] = t
-        self.energy_re[rows] = cols[:, 5] if energy_re is None else energy_re
 
     def build(self) -> Trajectory:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -182,7 +172,9 @@ def observe(state: SpinorFockState, q: TransferMatrix) -> Trajectory:
     observe(advance(state, prop, cfg, q), q) is bit for bit evolve's last
     row apart from t.  q must be truncated at state's P (ValueError).
     """
-    builder = TrajectoryBuilder(state.P, 1, q=q)
+    if q.trunc.P != state.P:
+        raise ValueError(f"q is truncated at P = {q.trunc.P}, the state at P = {state.P}")
+    builder = TrajectoryBuilder(q, 1)
     y = state.vector[q.order]
     builder.record(0, 0.0, y[None], chains=occupied_chains(y))
     return builder.build()

@@ -5,12 +5,15 @@ dense constructions below are the former implementations, kept here as
 the reference.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbprop import (
+    CacheEntry,
     ModelParams,
     PropagatorConfig,
     SpinorFockState,
@@ -24,6 +27,7 @@ from sbprop import (
     observe,
     suggest_step,
 )
+from sbprop.model import band_from_dense
 
 
 def dense_q(params: ModelParams, P: int) -> np.ndarray:
@@ -162,3 +166,12 @@ def test_dense_matrix_outside_the_band_is_refused(where):
                        N=prop.N)
     with pytest.raises(ValueError, match="give one of band and matrix"):
         StepPropagator(fingerprint=prop.fingerprint, dim=q.dim, dt=prop.dt, N=prop.N)
+
+
+def test_a_dense_matrix_that_is_not_square_of_even_dimension_is_refused():
+    for shape in ((3, 3), (4, 2), (4,)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"expected a square matrix of even dimension, got {shape}")):
+            band_from_dense(np.zeros(shape, dtype=np.complex128), 2)
+    with pytest.raises(ValueError, match="expected a square matrix of even dimension"):
+        CacheEntry(fingerprint=1, dim=3, N=2, dt=0.05, matrix=np.zeros((3, 3)))

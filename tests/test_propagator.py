@@ -393,13 +393,12 @@ def test_evolve_into_a_given_builder_records_the_same_bits():
     q, cfg, prop = build(FIG2, 10, dt=0.05, steps=2 * BLOCK_ROWS + 5)
     s0 = fock_state(0, "e", 10)
     own = evolve(s0, prop, cfg, q)
-    given = evolve(s0, prop, cfg, q, builder=TrajectoryBuilder(10, cfg.steps + 1, q=q))
+    given = evolve(s0, prop, cfg, q, builder=TrajectoryBuilder(q, cfg.steps + 1))
     for a, b in zip(own.__dict__.values(), given.__dict__.values()):
         assert a.tobytes() == b.tobytes()
     q8 = build_transfer_matrix(FIG2, Truncation(P=8))
-    for wrong in (TrajectoryBuilder(10, cfg.steps, q=q),  # one row short
-                  TrajectoryBuilder(8, cfg.steps + 1, q=q8),  # another P
-                  TrajectoryBuilder(10, cfg.steps + 1)):  # no q, so no energy
+    for wrong in (TrajectoryBuilder(q, cfg.steps),  # one row short
+                  TrajectoryBuilder(q8, cfg.steps + 1)):  # another P
         with pytest.raises(ValueError, match="builder must hold"):
             evolve(s0, prop, cfg, q, builder=wrong)
 
@@ -687,9 +686,9 @@ def test_observe_reads_the_advanced_state_as_evolve_records_it(config_dir, name,
 
 def test_observe_refuses_q_of_another_cutoff():
     q = build_transfer_matrix(FIG2, Truncation(P=10))
-    with pytest.raises(ValueError, match="q is truncated at P = 10, the builder at P = 12"):
+    with pytest.raises(ValueError, match="q is truncated at P = 10, the state at P = 12"):
         observe(fock_state(0, "e", 12), q)
-    with pytest.raises(ValueError, match="q is truncated at P = 10, the builder at P = 9"):
+    with pytest.raises(ValueError, match="q is truncated at P = 10, the state at P = 9"):
         observe(fock_state(0, "e", 9), q)
 
 

@@ -22,10 +22,11 @@ from sbprop import (
     gs_scan,
     load_run_config,
     lowest_energies,
+    observe,
     parse_p_values,
     teee_evolve,
 )
-from sbprop.model import chain_block
+from sbprop.model import chain_block, occupied_chains
 
 RWA = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1)
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
@@ -79,8 +80,9 @@ def test_phase_evolution_reproduces_the_rabi_cosine():
     times = np.linspace(0.0, 60.0, 601)
     traj = teee_evolve(fock_state(0, "e", 5), dec, times)
     assert np.abs(traj.sz_raw - np.cos(0.2 * times)).max() < 1e-10
-    # energy column is the constant sum |F_j|^2 E_j by construction
-    assert np.all(traj.energy_re == traj.energy_re[0])
+    # the energy column is measured per row, as evolve measures it: the
+    # sum |F_j|^2 E_j up to rounding
+    assert np.abs(traj.energy_re - traj.energy_re[0]).max() <= 1e-15
     assert np.abs(traj.norm2 - 1.0).max() < 1e-12
 
 
@@ -704,6 +706,35 @@ def test_per_chain_teee_matches_the_dense_eigenbasis_oracle(P):
     assert len(empty) == 0
     for name in expected:
         assert getattr(empty, name).shape == (0,), name
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3_P200"])
+def test_each_teee_row_is_observe_of_its_rotated_state_bit_for_bit(config_dir, name):
+    # the states teee_evolve records, rotated block by block as it rotates
+    # them, and each read back alone by observe, the reading of evolve's rows
+    cfg = load_run_config(config_dir / f"{name}.cfg", [])
+    q = build_transfer_matrix(cfg.to_params(), cfg.to_truncation())
+    dec = diagonalize(q)
+    state = cfg.build_initial_state()
+    times = np.linspace(0.0, cfg.t_max, 200)
+    traj = teee_evolve(state, dec, times)
+
+    y0 = state.vector[q.order].reshape(2, -1, 1)
+    chains = occupied_chains(y0)
+    coeff = np.zeros(y0.shape, dtype=np.complex128)
+    coeff[chains] = spectral._real_times_complex(
+        dec.chain_vectors[chains].transpose(0, 2, 1), y0[chains])
+    rows = []
+    for lo in range(0, times.size, spectral.BLOCK_ROWS):
+        for y in spectral._chain_states(dec, coeff, times[lo:lo + spectral.BLOCK_ROWS],
+                                        chains):
+            vector = np.empty(q.dim, dtype=np.complex128)
+            vector[q.order] = y.ravel()
+            rows.append(observe(SpinorFockState.from_vector(vector), q))
+    for column in ("norm2", "n_raw", "n_norm", "sz_raw", "sz_norm", "energy_re",
+                   "c_exp", "parity"):
+        want = np.concatenate([getattr(row, column) for row in rows])
+        assert getattr(traj, column).tobytes() == want.tobytes(), column
 
 
 # The one-shift bisection that gs_scan ran before its multisection, from a

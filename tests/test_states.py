@@ -182,10 +182,11 @@ def test_excitation_of_balanced_superposition():
 def test_excitation_weights_commute_with_photon_conserving_coupling():
     # the weights the builder measures with: one chain-order basis state
     # per row reads each slot's weight exactly
-    builder = TrajectoryBuilder(10, 22)
-    builder.record(0, np.zeros(22), np.eye(22, dtype=np.complex128), 0.0)
     rwa = build_transfer_matrix(
         ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1), Truncation(P=10))
+    # the weights do not depend on the couplings, so any Q at P = 10 will do
+    builder = TrajectoryBuilder(rwa, 22)
+    builder.record(0, np.zeros(22), np.eye(22, dtype=np.complex128))
     full = build_transfer_matrix(
         ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4),
         Truncation(P=10))

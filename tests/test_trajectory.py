@@ -122,9 +122,10 @@ def random_rows(rng, rows, dim):
 def test_builder_weights_are_the_oracle_weights_in_chain_order(P):
     # P + 1 odd and even: chain B starts on an odd and on an even slot
     dim = 2 * (P + 1)
-    builder = TrajectoryBuilder(P, dim)
+    # the weights do not depend on the couplings, so any Q at P will do
+    builder = TrajectoryBuilder(build_transfer_matrix(FIG2, Truncation(P=P)), dim)
     # one chain-order basis state per row reads each slot's weight exactly
-    builder.record(0, np.zeros(dim), np.eye(dim, dtype=np.complex128), 0.0)
+    builder.record(0, np.zeros(dim), np.eye(dim, dtype=np.complex128))
     order = chain_order(P)
     got = (builder.norm2, builder.n_raw, builder.sz_raw, builder.c_exp, builder.parity)
     want = (np.ones(dim), *(w[order] for w in oracle.weights(P)))
@@ -147,17 +148,11 @@ def test_fused_columns_match_the_former_formulas(params, P):
     y = random_rows(rng, 9, q.dim)
     y[0] = 0.0
     y[0, 3 % q.dim] = 1.0  # one basis state, measured exactly
-    builder = TrajectoryBuilder(P, 9, q=q)
+    builder = TrajectoryBuilder(q, 9)
     builder.record(0, np.arange(9.0), y)
     cols, scales = former_columns(q, y)
     for name, got, want, scale in zip(CSV_COLUMNS[1:], measured(builder), cols, scales):
         assert np.all(np.abs(got - want) <= 1e-12 * scale), name
-    # teee_evolve records without Q and passes its constant energy
-    builder = TrajectoryBuilder(P, 9)
-    builder.record(0, np.arange(9.0), y, 0.25)
-    for got, want, scale in zip(measured(builder)[:5], cols, scales):
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
-    assert np.all(builder.energy_re == 0.25)
 
 
 @pytest.mark.parametrize("P", [50, 400, 2000])
@@ -173,18 +168,18 @@ def test_a_row_measures_the_same_bits_alone_and_anywhere_in_a_block(P):
         builder.record(k0, np.zeros(rows.shape[0]), rows)
         return np.column_stack(measured(builder))[k0:k0 + rows.shape[0]]
 
-    whole = measure(TrajectoryBuilder(P, BLOCK_ROWS, q=q), 0, ys)
-    alone = np.concatenate([measure(TrajectoryBuilder(P, 1, q=q), 0, ys[r:r + 1].copy())
+    whole = measure(TrajectoryBuilder(q, BLOCK_ROWS), 0, ys)
+    alone = np.concatenate([measure(TrajectoryBuilder(q, 1), 0, ys[r:r + 1].copy())
                             for r in range(BLOCK_ROWS)])
     assert np.array_equal(whole, alone)
 
-    fives = TrajectoryBuilder(P, BLOCK_ROWS, q=q)
+    fives = TrajectoryBuilder(q, BLOCK_ROWS)
     parts = np.concatenate([measure(fives, lo, ys[lo:lo + 5])
                             for lo in range(0, BLOCK_ROWS, 5)])
     assert np.array_equal(parts, whole)
 
     # one builder, its buffer reused block after block as in evolve
-    builder = TrajectoryBuilder(P, BLOCK_ROWS, q=q)
+    builder = TrajectoryBuilder(q, BLOCK_ROWS)
     others = random_rows(rng, BLOCK_ROWS, q.dim)
     for r in range(BLOCK_ROWS):
         block = others.copy()
@@ -206,11 +201,11 @@ def test_measured_bits_do_not_depend_on_the_blas_thread_count():
         "off_only = dataclasses.replace(q, diag=np.zeros_like(q.diag))\n"
         "rng = np.random.default_rng(5)\n"
         "y = rng.normal(size=(3, q.dim)) + 1j * rng.normal(size=(3, q.dim))\n"
-        "b = TrajectoryBuilder(5200, 3, q=q)\n"
+        "b = TrajectoryBuilder(q, 3)\n"
         "b.record(0, np.zeros(3), y)\n"
         "cols = (b.norm2, b.n_raw, b.sz_raw, b.c_exp, b.parity, b.energy_re)\n"
         "print(hashlib.sha256(np.concatenate(cols).tobytes()).hexdigest())\n"
-        "b = TrajectoryBuilder(5200, 3, q=off_only)\n"
+        "b = TrajectoryBuilder(off_only, 3)\n"
         "b.record(0, np.zeros(3), y)\n"
         "assert np.abs(b.energy_re).min() > 0.0\n"
         "print(hashlib.sha256(b.energy_re.tobytes()).hexdigest())\n")
@@ -232,7 +227,7 @@ def test_each_chain_is_measured_on_its_own_and_the_results_added(P):
     y = random_rows(rng, 9, q.dim).reshape(9, 2, n)
 
     def columns(block, chains):
-        builder = TrajectoryBuilder(P, 9, q=q)
+        builder = TrajectoryBuilder(q, 9)
         builder.record(0, np.zeros(9), block, chains=chains)
         return np.column_stack(measured(builder))
 
@@ -250,16 +245,3 @@ def test_each_chain_is_measured_on_its_own_and_the_results_added(P):
         assert np.array_equal(columns(zero, slice(c, c + 1)), columns(zero, slice(0, 2)))
     # (rows, dim) and (rows, 2, n) are the same rows
     assert columns(y.reshape(9, -1), slice(0, 2)).tobytes() == both.tobytes()
-
-
-def test_builder_refuses_q_of_another_cutoff_and_an_energy_it_cannot_measure():
-    q10 = build_transfer_matrix(FIG2, Truncation(P=10))
-    with pytest.raises(ValueError, match=r"q is truncated at P = 10, the builder at P = 12"):
-        TrajectoryBuilder(12, 5, q=q10)
-    builder = TrajectoryBuilder(10, 5)
-    y = random_rows(np.random.default_rng(0), 5, q10.dim)
-    with pytest.raises(ValueError, match="made without q"):
-        builder.record(0, np.zeros(5), y)
-    # a given energy is recorded as before
-    builder.record(0, np.zeros(5), y, 0.5)
-    assert np.all(builder.energy_re == 0.5)
