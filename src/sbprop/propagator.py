@@ -64,6 +64,10 @@ UNITARITY_TOL = 1e-9
 # panel (see _panels): one BLAS call per TILE_ROWS rows, at
 # (TILE_ROWS + 2w) / (2w + 1) times the flops of one call per row.
 TILE_ROWS = 8
+# While a chain fills, the step kernel sets its float parts below this to
+# zero (see _stepped_blocks): the smallest magnitude whose square is a
+# normal double.
+FLUSH_BELOW = 2.0 ** -511
 
 
 class NotConverged(RuntimeError):
@@ -143,21 +147,25 @@ class PropagatorConfig:
 StepPropagator = CacheEntry
 
 
-def _panels(band: np.ndarray) -> np.ndarray:
-    """The band as (2, tiles, T, T + 2w) dense panels, T = TILE_ROWS.
+def _panels(band: np.ndarray, chains: slice = slice(0, 2)) -> np.ndarray:
+    """The given chains' band rows as (chains, tiles, T, T + 2w) dense
+    panels, T = TILE_ROWS.
 
     Panel t of chain c holds the chain's band rows tT .. tT + T - 1, row i
     shifted right by i, so that its columns meet the chain-local slots
     tT - w .. tT + T - 1 + w.  Each chain's rows are padded with zero rows
     to tiles * T, so no panel straddles the two chains and the corners and
-    the padding rows are exact zeros.
+    the padding rows are exact zeros.  Only the chains asked for are
+    gathered.
     """
     dim, width = band.shape
     n = dim // 2
     tiles = -(-n // TILE_ROWS)
-    rows = np.zeros((2, tiles * TILE_ROWS, width), dtype=np.complex128)
-    rows[:, :n] = band.reshape(2, n, width)
-    panels = np.zeros((2, tiles, TILE_ROWS, TILE_ROWS + width - 1), dtype=np.complex128)
+    chain_rows = band.reshape(2, n, width)[chains]
+    rows = np.zeros((len(chain_rows), tiles * TILE_ROWS, width), dtype=np.complex128)
+    rows[:, :n] = chain_rows
+    panels = np.zeros((len(chain_rows), tiles, TILE_ROWS, TILE_ROWS + width - 1),
+                      dtype=np.complex128)
     for i in range(TILE_ROWS):
         panels[:, :, i, i:i + width] = rows[:, i::TILE_ROWS]
     return panels
@@ -417,29 +425,58 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
     an np.errstate of their own, left before the block is yielded, so
     that it is reported once, as NonFiniteState, and the caller's code
     runs under the caller's own error state.
+
+    While a chain fills, its parts are flushed (_flush): a stepped chain
+    whose carried first state holds a float part below FLUSH_BELOW (an
+    exact zero counts) starts its block under the rule, and after each
+    of that block's steps the chain's parts below FLUSH_BELOW are set to
+    zero, until a step leaves no such part, or leaves exactly the zero
+    parts its input had (structural zeros, as from a photon-conserving
+    Fock start).  Every part kept squares, and forms the off-diagonal
+    energy product, without going subnormal; every part flushed had
+    |y|^2 < 2^-1022, below anything a row reports; each flush moves the
+    state by less than FLUSH_BELOW sqrt(2n) in the 2-norm, and M, unitary
+    or a contraction, adds those moves up at most linearly.  A NaN or an
+    infinity is never below FLUSH_BELOW.  The check of the carried state
+    is the finiteness check of the block's last state: one abs of its
+    parts, then their max and, per chain, their min.
     """
     steps = int(cfg.steps)
     dim, width = prop.band.shape
     w, n = width // 2, dim // 2
-    panels = _panels(prop.band)
+    y0 = state.vector[q.order]
+    chains = occupied_chains(y0)
+    panels = _panels(prop.band, chains)
     tiles, tile, span = panels.shape[1:]
     block = np.zeros((min(steps + 1, BLOCK_ROWS), 2, tiles * tile + 2 * w),
                      dtype=np.complex128)
     ys = block[:, :, w:w + n]
-    ys[0] = state.vector[q.order].reshape(2, n)
-    chains = occupied_chains(ys[0])
-    panels = panels[chains]
+    ys[0] = y0.reshape(2, n)
     windows = list(sliding_window_view(block, span, axis=2)[:, chains, ::tile, :, None])
     outs = list(block[:, chains, w:w + tiles * tile].reshape(
         block.shape[0], -1, tiles, tile, 1))
+    # the float parts of the stepped chains, per row; mag holds the
+    # magnitudes of row 0's at the top of each block
+    parts = ys[:, chains].view(np.float64)
+    mag = np.abs(parts[0])
+    small, zeros = np.empty((2, parts.shape[2]), dtype=bool)
 
     k0 = lo = 0  # step held in row 0; first row not yet yielded
     while True:
+        flush = [least < FLUSH_BELOW for least in mag.min(axis=1).tolist()]
         rows = min(len(outs), steps + 1 - k0)
+        j = 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(1, rows):
+            while j < rows and any(flush):
                 np.matmul(panels, windows[j - 1], out=outs[j])
-        if not np.isfinite(ys[rows - 1]).all():
+                for c, on in enumerate(flush):
+                    if on:
+                        flush[c] = _flush(parts[j, c], parts[j - 1, c], mag[c], small, zeros)
+                j += 1
+            for j in range(j, rows):
+                np.matmul(panels, windows[j - 1], out=outs[j])
+        np.abs(parts[rows - 1], out=mag)
+        if not mag.max() < math.inf:
             finite = np.isfinite(ys[lo:rows]).all(axis=(1, 2))
             raise NonFiniteState(k0 + lo + int(finite.argmin()))
         yield k0 + lo, ys[lo:rows], chains
@@ -447,6 +484,22 @@ def _stepped_blocks(state: SpinorFockState, prop: StepPropagator,
             return
         block[0] = block[rows - 1]
         k0, lo = k0 + rows - 1, 1
+
+
+def _flush(y: np.ndarray, x: np.ndarray, mag: np.ndarray, small: np.ndarray,
+           zeros: np.ndarray) -> bool:
+    """Set the float parts of y, one chain's state after a step from x,
+    that lie below FLUSH_BELOW to zero; whether the rule goes on: y had
+    such a part, and the zero parts the step left were not exactly x's.
+    mag, small and zeros are buffers of y's size."""
+    np.abs(y, out=mag)
+    np.less(mag, FLUSH_BELOW, out=small)
+    if not np.count_nonzero(small):
+        return False
+    np.equal(mag, 0.0, out=zeros)
+    go_on = zeros.tobytes() != (x == 0.0).tobytes()
+    np.putmask(y, small, 0.0)
+    return go_on
 
 
 def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,

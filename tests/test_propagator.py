@@ -37,6 +37,7 @@ from sbprop.cli import _prepare
 from sbprop.model import UFUNC_BUFSIZE, band_half_width, band_to_dense, chain_block
 from sbprop.propagator import (
     BLOCK_ROWS,
+    FLUSH_BELOW,
     TILE_ROWS,
     _panels,
     _stepped_blocks,
@@ -415,6 +416,17 @@ def test_evolve_reusing_matches_single_runs_bitwise():
         assert np.array_equal(s.norm2, t.norm2)
 
 
+def test_evolve_reusing_matches_single_runs_through_the_flushed_transient():
+    q = build_transfer_matrix(DEEP, Truncation(P=400))
+    q, cfg, prop = build(DEEP, 400, dt=suggest_step(q), steps=200)
+    starts = [fock_state(0, "e", 400), fock_state(2, "g", 400)]
+    separate = [evolve(s, prop, cfg, q) for s in starts]
+    together = evolve_reusing(starts, prop, cfg, q)
+    for s, t in zip(separate, together):
+        for x, y in zip(s.__dict__.values(), t.__dict__.values()):
+            assert x.tobytes() == y.tobytes()
+
+
 def two_chain_state(P):
     return SpinorFockState(amps_e=np.linspace(1.0, 0.1, P + 1) * np.exp(0.3j),
                            amps_g=np.linspace(-0.2, 0.5, P + 1) + 0.1j)
@@ -529,11 +541,18 @@ def dense_panels(prop, order):
                       for t in range(tiles)] for c in (0, 1)])
 
 
-def both_chain_steps(prop, order, y, steps):
+def both_chain_steps(prop, order, y, steps, flush=True):
     """evolve's tiled kernel on both chains, one step per call from its own
     buffer: one np.matmul of the stacked panels of both chains (from the
     dense M) by the windows over each chain's padded slots; the
-    chain-order states of steps 0..steps."""
+    chain-order states of steps 0..steps.
+
+    With flush, each chain is flushed as the kernel flushes it while it
+    fills: the steps from state k0 (k0 a multiple of BLOCK_ROWS - 1) on
+    start under the rule when state k0 holds a float part of the chain
+    below FLUSH_BELOW, and each step under it sets the chain's parts
+    below FLUSH_BELOW to zero, until a step leaves none, or leaves
+    exactly the zero parts of the state it stepped from."""
     panels = dense_panels(prop, order)
     _, tiles, tile, span = panels.shape
     w, n = (span - tile) // 2, y.size // 2
@@ -541,9 +560,20 @@ def both_chain_steps(prop, order, y, steps):
     padded[:, w:w + n] = y.reshape(2, n)
     windows = sliding_window_view(padded, span, axis=1)[:, ::tile, :, None]
     states = [y]
-    for _ in range(steps):
+    on = [False, False]
+    for k in range(1, steps + 1):
+        before = states[-1].reshape(2, n).view(np.float64)
+        if (k - 1) % (BLOCK_ROWS - 1) == 0:
+            on = [flush and bool((np.abs(before[c]) < FLUSH_BELOW).any()) for c in (0, 1)]
         out = np.matmul(panels.reshape(-1, tile, span), windows.reshape(-1, span, 1))
         padded[:, w:w + tiles * tile] = out.reshape(2, -1)
+        for c in (0, 1):
+            if on[c]:
+                after = padded[c, w:w + n].view(np.float64)
+                below = np.abs(after) < FLUSH_BELOW
+                on[c] = bool(below.any()) and not np.array_equal(after == 0.0,
+                                                                 before[c] == 0.0)
+                after[below] = 0.0
         states.append(padded[:, w:w + n].ravel())
     return np.array(states)
 
@@ -600,6 +630,84 @@ def test_single_chain_steps_match_the_both_chain_kernel_bitwise(params, P, state
             # never stepped: every amplitude stays +0, every byte zero
             assert got[:, rows].tobytes() == bytes(got[:, rows].nbytes)
             assert not want[:, rows].any()
+
+
+def test_a_deep_strong_fock_run_yields_no_part_below_the_flush_threshold():
+    # the front of subnormal amplitudes that crosses the chain while it
+    # fills is flushed; unflushed, it is there
+    steps = 640
+    q = build_transfer_matrix(DEEP, Truncation(P=400))
+    q, cfg, prop = build(DEEP, 400, dt=suggest_step(q), steps=steps)
+    s0 = fock_state(0, "e", 400)
+
+    def tiny(states):
+        parts = np.abs(states.view(np.float64))
+        return int(((parts > 0.0) & (parts < FLUSH_BELOW)).sum())
+
+    assert tiny(stepped_states(s0, prop, cfg, q)) == 0
+    assert tiny(both_chain_steps(prop, q.order, s0.vector[q.order], steps,
+                                 flush=False)) > 0
+
+
+@pytest.mark.parametrize("name, spin", [("fig2", None), ("fig1", "e")])
+def test_flushing_moves_no_bit_of_a_bounded_or_photon_conserving_run(
+        monkeypatch, config_dir, name, spin):
+    # fig2 flushes 4 steps from its Fock start; fig1's photon-conserving
+    # model from a Fock state flushes the first step of each of its 3
+    # blocks, and the second of the first, whose first step fills the
+    # imaginary parts: its other zeros are structural
+    flushed = []
+    flush = sbprop.propagator._flush
+    monkeypatch.setattr(sbprop.propagator, "_flush",
+                        lambda *args: flushed.append(1) or flush(*args))
+    run = load_run_config(config_dir / f"{name}.cfg", [])
+    q, cfg = _prepare(run)
+    prop = build_step_propagator(q, cfg)
+    s0 = run.build_initial_state() if spin is None else fock_state(0, spin, q.trunc.P)
+    steps = cfg.steps if spin is None else 3 * (BLOCK_ROWS - 1)
+    cfg = PropagatorConfig(dt=cfg.dt, steps=steps, N=cfg.N, tol=cfg.tol)
+    got = stepped_states(s0, prop, cfg, q)
+    want = both_chain_steps(prop, q.order, s0.vector[q.order], steps, flush=False)
+    assert np.array_equal(got, want)
+    assert len(flushed) <= 4 if spin is None else len(flushed) == 4
+
+
+@pytest.mark.parametrize("k1", [5, 10, 30, 70, 200])
+def test_advancing_a_deep_strong_fock_state_in_two_legs_is_one_call(k1):
+    # the second leg starts its blocks at step k1, so its flush rule starts
+    # where the one call's does not
+    steps = 640
+    q = build_transfer_matrix(DEEP, Truncation(P=400))
+    q, cfg, prop = build(DEEP, 400, dt=suggest_step(q), steps=steps)
+    s0 = fock_state(0, "e", 400)
+    once = advance(s0, prop, cfg, q)
+    half = advance(s0, prop, PropagatorConfig(dt=cfg.dt, steps=k1), q)
+    both = advance(half, prop, PropagatorConfig(dt=cfg.dt, steps=steps - k1), q)
+    assert both.vector.tobytes() == once.vector.tobytes()
+
+
+def test_an_overflow_under_the_flush_rule_is_reported_at_its_step():
+    # chain A's first 40 slots at 1.7e308 overflow within a few steps,
+    # while the state still fills the chain: every step up to the first
+    # that is not finite leaves zero parts, fewer than its input had, so
+    # the flush rule is on there.  Neither inf nor the NaN that follows is
+    # below FLUSH_BELOW, so the step that overflowed is the one named.
+    steps, n = 20, 401
+    q = build_transfer_matrix(DEEP, Truncation(P=400))
+    q, cfg, prop = build(DEEP, 400, dt=suggest_step(q), steps=steps)
+    y = np.zeros(q.dim, dtype=complex)
+    y[q.order[:40]] = 1.7e308
+    s0 = SpinorFockState.from_vector(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = both_chain_steps(prop, q.order, y[q.order], steps, flush=False)
+    first = int(np.isfinite(want).all(axis=1).argmin())
+    zeros = (want[:first + 1, :n].view(np.float64) == 0.0).sum(axis=1)
+    assert first > 1 and np.all(np.diff(zeros) < 0) and zeros[-1] > 0
+    assert np.isnan(want[first + 1]).any()
+    for run in (evolve, advance):
+        with pytest.raises(NonFiniteState) as exc:
+            run(s0, prop, cfg, q)
+        assert exc.value.step == first
 
 
 @pytest.mark.parametrize("params, P, steps, spin", [

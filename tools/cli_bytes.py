@@ -32,6 +32,8 @@ def cases() -> list[list[str]]:
         return ["--config", f"configs/{name}.cfg"]
 
     runs = [["evolve", *cfg(name), "--set", "t_max=1"] for name in CONFIGS]
+    # deep strong coupling at P = 2000 through its start-up transient
+    runs += [["evolve", *cfg("fig3_P200"), "--set", "P=2000", "--set", "t_max=0.5"]]
     # the same runs again, now served from the cache
     runs += [["evolve", *cfg(name), "--set", "t_max=1"] for name in ("fig1", "fig2", "fig6")]
     for name in ("fig1", "fig2"):
