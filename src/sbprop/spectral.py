@@ -38,6 +38,7 @@ _sturm_sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,9 +59,8 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 ORTHO_TOL = 1e-10
-CONVERGED_RTOL = 1e-8     # classification test between P_max and midpoint
+CONVERGED_RTOL = 1e-8     # convergence test between P_max and midpoint
 PLATEAU_RTOL = 1e-6       # plateau detection (diagnostic, looser on purpose)
-UNBOUNDED_SLOPE = 1e-3    # in units of omega_f, sign-flipped below
 # Pivot rows one Sturm sweep holds at once.  Their negatives are counted
 # whenever the ring is full; a larger ring only adds memory.
 SWEEP_ROWS = 8
@@ -333,11 +333,12 @@ def _check_count(count: int, available: int) -> None:
 class GsScanResult:
     """Ground-state energy vs cutoff plus the boundedness verdict.
 
-    classification is one of Converged / Unbounded / Undetermined.
-    plateau_P is the smallest scanned cutoff from which every later E0
-    stays within PLATEAU_RTOL*(1+|E0|) of the final value (None when only
-    the last point qualifies); slope is the least-squares dE0/dP over the
-    final half of the scan.
+    classification is one of Converged / Unbounded / Undetermined (see
+    gs_scan).  plateau_P and slope are diagnostics that the verdict does
+    not read: plateau_P is the smallest scanned cutoff from which every
+    later E0 stays within PLATEAU_RTOL*(1+|E0|) of the final value (None
+    when only the last point qualifies); slope is the least-squares dE0/dP
+    over the final half of the scan.
     """
 
     p_values: np.ndarray
@@ -358,6 +359,18 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
     is elementwise and its own, so E0 at a cutoff does not depend on which
     other cutoffs are scanned, and E0 is non-increasing in P: the pivots
     of a larger block extend those of a smaller one.
+
+    The verdict comes from the model, not from the scan.  In chain order
+    slot p has diagonal omega_f*p +- omega_0/2 and couplings k*p and
+    k'*(p+1) to its neighbours, {k, k'} = {g_minus, g_plus}, so by 2|b x y|
+    <= |b| (x^2 + y^2) Q is at least the diagonal (omega_f - |g_minus| -
+    |g_plus|)*p - |k'| +- omega_0/2.  With that margin >= 0, E0(P) >=
+    -max(|g_minus|, |g_plus|) - |omega_0|/2 at every cutoff; with margin <
+    0, a trial vector on the chain's tail makes E0(P) fall like margin*P.
+    So the scan is Unbounded exactly when omega_f < |g_minus| + |g_plus|,
+    compared exactly on the floats (a tie is bounded).  A bounded scan is
+    Converged when its final E0 lies within CONVERGED_RTOL*(1+|E0|) of E0
+    at the cutoff nearest half the last one, and Undetermined otherwise.
     """
     given = list(p_values)
     values = np.asarray(given, dtype=np.float64)
@@ -376,11 +389,7 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
         raise RuntimeError("ground-state energy overflows a double")
 
     final = e0[-1]
-    conv_tol = CONVERGED_RTOL * (1.0 + abs(final))
     plateau_tol = PLATEAU_RTOL * (1.0 + abs(final))
-
-    mid_idx = int(np.abs(ps - ps[-1] / 2.0).argmin())
-    converged = abs(final - e0[mid_idx]) < conv_tol
 
     plateau: int | None = None
     ok_from_here = np.abs(e0 - final) <= plateau_tol
@@ -395,12 +404,12 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
     e = int(np.frexp(np.abs(e0[half:]).max())[1])
     fit = np.polyfit(ps[half:].astype(float), np.ldexp(e0[half:], -e), 1)
     slope = float(np.ldexp(fit[0], e))
-    decreasing = bool(np.all(np.diff(e0) < 0.0))
 
-    if converged:
-        classification = "Converged"
-    elif decreasing and slope < -UNBOUNDED_SLOPE * params.omega_f and plateau is None:
+    mid = e0[np.abs(ps - ps[-1] / 2.0).argmin()]
+    if Fraction(params.omega_f) < Fraction(abs(params.g_minus)) + Fraction(abs(params.g_plus)):
         classification = "Unbounded"
+    elif abs(final - mid) < CONVERGED_RTOL * (1.0 + abs(final)):
+        classification = "Converged"
     else:
         classification = "Undetermined"
     return GsScanResult(p_values=ps, e0=e0, classification=classification,

@@ -515,6 +515,22 @@ def test_gs_scan_flag_overrides_the_config(config_dir, capsys):
     assert out.strip().splitlines()[-1] == "classification=Undetermined"
 
 
+@pytest.mark.parametrize("flags, want", [
+    # short scans of a bounded model, still falling
+    (["--p-values", "0,1"], "Undetermined"),
+    (["--p-values", "0:3"], "Undetermined"),
+    # the tie omega_f = |g_minus| + |g_plus| is bounded
+    (["--set", "g_minus=0.5", "--set", "g_plus=-0.5"], "Undetermined"),
+    # |g_minus| + |g_plus| = 1 + 2^-60, which rounds to 1.0 in floats
+    (["--set", "g_minus=1", "--set", f"g_plus={2.0 ** -60!r}"], "Unbounded"),
+], ids=["0,1", "0:3", "tie", "above-the-tie"])
+def test_gs_scan_verdict_is_the_margin_of_the_model(config_dir, capsys, flags, want):
+    code, out, _ = run(capsys, "gs-scan", "--config", cfg(config_dir, "fig5a.cfg"),
+                       *flags)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == f"classification={want}"
+
+
 def test_gs_scan_without_p_values(capsys):
     code, _, err = run(capsys, "gs-scan")
     assert code == 1 and "p_values" in err

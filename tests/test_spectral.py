@@ -1,11 +1,13 @@
 """Eigendecomposition route: spectra, phase evolution, cutoff scans."""
 
 import dataclasses
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
@@ -303,6 +305,120 @@ def test_gs_scan_tiny_exact_case():
     assert result.e0[1] == -0.5
     assert result.classification == "Converged"
     assert result.plateau_P == 0
+
+
+@pytest.mark.parametrize("params, ps, want", [
+    # the tie omega_f = |g_minus| + |g_plus| is bounded, settled or not
+    (ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.5, g_plus=0.5), range(2, 61),
+     "Undetermined"),
+    (ModelParams(omega_f=1.0, omega_0=0.75, g_minus=-0.5, g_plus=0.5), [0, 1], "Undetermined"),
+    # 1 + 2^-60 rounds to 1.0 in floats, yet the margin is negative; the
+    # scan settles within CONVERGED_RTOL all the same
+    (ModelParams(omega_f=1.0, omega_0=0.75, g_minus=1.0, g_plus=2.0 ** -60), range(2, 61),
+     "Unbounded"),
+    (ModelParams(omega_f=1.0, omega_0=0.75, g_minus=1.0, g_plus=-2.0 ** -60), [0, 1],
+     "Unbounded"),
+])
+def test_gs_scan_verdict_is_the_exact_margin(params, ps, want):
+    assert gs_scan(params, ps).classification == want
+
+
+@pytest.mark.parametrize("ps", [[0, 1], range(0, 4), range(2, 21), range(2, 61), [5, 400]])
+def test_gs_scan_reads_the_coupling_signs_as_their_magnitudes(ps):
+    # g_minus = -0.4 is fig5a's model up to a sign flip of every other slot
+    flipped = dataclasses.replace(FIG2, g_minus=-FIG2.g_minus)
+    mine, theirs = gs_scan(flipped, ps), gs_scan(FIG2, ps)
+    assert mine.classification == theirs.classification
+    assert mine.e0.tobytes() == theirs.e0.tobytes()
+
+
+@st.composite
+def bounded_models(draw):
+    """Hermitian models with omega_f >= |g_minus| + |g_plus| exactly, a
+    fifth of them at the tie."""
+    omega_f = draw(st.floats(0.2, 2.0))
+    omega_0 = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    if draw(st.integers(0, 4)) == 0:
+        # big lies in [omega_f / 2, omega_f], so omega_f - big is exact
+        # (Sterbenz's lemma) and the two add up to omega_f
+        big = omega_f * draw(st.floats(0.5, 1.0))
+        g = [big, omega_f - big]
+    else:
+        u = draw(st.floats(0.0, 1.0))
+        g = [omega_f * u, omega_f * draw(st.floats(0.0, 1.0 - u))]
+    g = draw(st.permutations(g))
+    g_minus, g_plus = (x * draw(st.sampled_from([-1.0, 1.0])) for x in g)
+    assume(margin(omega_f, g_minus, g_plus) >= 0)
+    return ModelParams(omega_f=omega_f, omega_0=omega_0, g_minus=g_minus, g_plus=g_plus)
+
+
+def margin(omega_f, g_minus, g_plus):
+    """omega_f - |g_minus| - |g_plus|, exactly."""
+    return Fraction(omega_f) - Fraction(abs(g_minus)) - Fraction(abs(g_plus))
+
+
+def q_scale(params, P):
+    """A bound on the largest row sum of Q at cutoff P."""
+    return ((params.omega_f + abs(params.g_minus) + abs(params.g_plus)) * (P + 1)
+            + abs(params.omega_0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=bounded_models(),
+       ps=st.lists(st.integers(0, 400), min_size=2, max_size=8, unique=True).map(sorted))
+@example(params=ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.5, g_plus=0.5),
+         ps=[0, 1, 2, 60, 400])
+def test_a_bounded_model_stays_above_its_lower_bound(params, ps):
+    """margin >= 0: Q is at least the diagonal (margin p - |k'| +- omega_0/2)
+    (gs_scan), so E0(P) >= -max(|g_minus|, |g_plus|) - |omega_0|/2 at every
+    cutoff.  E0 is the last float below the level, within a few eps*|Q|."""
+    result = gs_scan(params, ps)
+    assert result.classification != "Unbounded"
+    bound = -max(abs(params.g_minus), abs(params.g_plus)) - abs(params.omega_0) / 2
+    tol = 8 * np.finfo(float).eps * q_scale(params, ps[-1])
+    assert np.all(result.e0 >= bound - tol), result.e0.min() - bound
+
+
+signed_couplings = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=st.builds(ModelParams, omega_f=st.floats(0.2, 2.0),
+                        omega_0=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+                        g_minus=signed_couplings, g_plus=signed_couplings))
+@example(params=DEEP)
+@example(params=ModelParams(omega_f=1.0, omega_0=0.75, g_minus=1.0, g_plus=2.0 ** -60))
+@example(params=ModelParams(omega_f=1.0, omega_0=1.0, g_minus=1.5))
+def test_an_unbounded_model_falls_like_its_margin(params):
+    """margin = omega_f - |g_minus| - |g_plus| < 0: E0(P) <= margin*P + C
+    at P = 400.
+
+    C comes from a trial vector on the chain's period-2 tail: x_p = s_p /
+    sqrt(L) on its last L slots p = P-L+1 .. P, L odd, with s_{p+1} =
+    -sign(b_p) s_p, so that each coupling b_p = c_p (p+1) adds -2|b_p| / L.
+    The c_p alternate between |g_minus| and |g_plus|; with S their sum and
+    D their difference, the L - 1 couplings, paired, sum to at least
+    (S/2) sum(p+1) - (L-1) D/4.  The diagonals omega_f p +- omega_0/2
+    alternate their sign of omega_0 and sum to at most omega_f L (P -
+    (L-1)/2) + |omega_0|/2.  Adding up, the Rayleigh quotient is at most
+
+        margin P + S P/L + |margin| (L-1)/2 + |omega_0|/(2L) + D/2,
+
+    and E0(P) lies at or below it (Rayleigh-Ritz).  L is an odd integer
+    within 1 of sqrt(2 S P / |margin|), which about minimises S P/L +
+    |margin| L/2, and at most P + 1 (P is even).
+    """
+    exact = margin(params.omega_f, params.g_minus, params.g_plus)
+    assume(exact < 0)
+    P, gap = 400, -float(exact)
+    g = sorted((abs(params.g_minus), abs(params.g_plus)))
+    S, D = g[0] + g[1], g[1] - g[0]
+    L = int(min(math.sqrt(2 * S * P / gap), P)) | 1
+    C = S * P / L + gap * (L - 1) / 2 + abs(params.omega_0) / (2 * L) + D / 2
+    result = gs_scan(params, [P // 2, P])
+    assert result.classification == "Unbounded"
+    tol = 8 * np.finfo(float).eps * q_scale(params, P)
+    assert result.e0[-1] <= -gap * P + C + tol
 
 
 def test_gs_scan_validation():

@@ -41,6 +41,8 @@ def cases() -> list[list[str]]:
     runs += [["compare", *cfg("fig3_P200"), "--set", "t_max=2"], ["compare", *cfg("fig6")],
              ["spectrum", *cfg("fig3_P400"), "--levels", "40"], ["spectrum", *cfg("fig2")],
              ["gs-scan", *cfg("fig5a")], ["gs-scan", *cfg("fig5b")],
+             # a short scan of a bounded model
+             ["gs-scan", *cfg("fig5a"), "--p-values", "0,1"],
              ["cache", "list"]]
     return runs
 
