@@ -52,7 +52,7 @@ from .propagator import (
 )
 from .spectral import diagonalize, gs_scan, lowest_energies, teee_evolve
 from .states import SpinorFockState
-from .trajectory import CSV_BLOCK_ROWS, TrajectoryBuilder, csv_lines, csv_rows
+from .trajectory import CSV_BLOCK_ROWS, Trajectory, csv_lines, csv_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -181,7 +181,7 @@ def _obtain_propagator(q: TransferMatrix, pcfg: PropagatorConfig) -> StepPropaga
 
 
 def _setup(cfg: RunConfig) -> tuple[TransferMatrix, SpinorFockState, PropagatorConfig,
-                                    StepPropagator, TrajectoryBuilder]:
+                                    StepPropagator, Trajectory]:
     """The one set-up of an evolve or compare run: Q, the initial state,
     the final PropagatorConfig, the certified propagator M and the empty
     record that evolve fills.
@@ -202,7 +202,7 @@ def _setup(cfg: RunConfig) -> tuple[TransferMatrix, SpinorFockState, PropagatorC
     state = cfg.build_initial_state()
     for retry in (False, True):
         try:
-            record = TrajectoryBuilder(q, pcfg.steps + 1)
+            record = Trajectory(q, pcfg.steps + 1)
         except MemoryError as err:
             raise ConfigError(f"t_max={cfg.t_max} at dt={pcfg.dt} is {pcfg.steps} "
                               f"steps, too many to record: {err}") from None
@@ -254,7 +254,7 @@ def _write_file(lines, path: Path) -> None:
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, args.set)
     q, state, pcfg, prop, record = _setup(cfg)
-    traj = evolve(state, prop, pcfg, q, builder=record)
+    traj = evolve(state, prop, pcfg, q, record=record)
     _write_lines(csv_lines(traj), cfg.out)
     return EXIT_OK
 
@@ -265,7 +265,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("dissipative parameters: the eigendecomposition "
                           "reference cannot be built, compare needs beta=gamma=0")
     q, state, pcfg, prop, record = _setup(cfg)
-    traj = evolve(state, prop, pcfg, q, builder=record)
+    traj = evolve(state, prop, pcfg, q, record=record)
     ref = teee_evolve(state, diagonalize(q), traj.times)
 
     if cfg.normalize:

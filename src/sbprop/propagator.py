@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .cache import CacheEntry, propagator_fingerprint
 from .model import TransferMatrix, band_half_width, occupied_chains, small_ufunc_buffer
 from .states import SpinorFockState
-from .trajectory import BLOCK_ROWS, Trajectory, TrajectoryBuilder
+from .trajectory import BLOCK_ROWS, Trajectory
 
 __all__ = [
     "NotConverged",
@@ -503,32 +503,32 @@ def _flush(y: np.ndarray, x: np.ndarray, mag: np.ndarray, small: np.ndarray,
 
 
 def evolve(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,
-           q: TransferMatrix, *, builder: TrajectoryBuilder | None = None) -> Trajectory:
+           q: TransferMatrix, *, record: Trajectory | None = None) -> Trajectory:
     """Apply M step by step, recording every observable row including t=0.
 
     The states come from the one step kernel (_stepped_blocks, shared with
     advance), a block of up to BLOCK_ROWS at a time; each block's rows are
-    measured together in one pass (TrajectoryBuilder.record: the
-    observables and the energy, over the stepped chains).  The kernel
-    raises NonFiniteState with the first offending step index if
-    amplitudes blow up; finite amplitudes whose |y|^2 overflows are
-    recorded, not refused.  Each silences the overflow of its own
-    arithmetic, so neither warns.
+    measured together in one pass (Trajectory.record: the observables and
+    the energy, over the stepped chains).  The kernel raises
+    NonFiniteState with the first offending step index if amplitudes blow
+    up; finite amplitudes whose |y|^2 overflows are recorded, not
+    refused.  Each silences the overflow of its own arithmetic, so
+    neither warns.
 
-    The rows are recorded into builder, a TrajectoryBuilder(q,
-    cfg.steps + 1), which a caller can allocate before it builds M; when
-    None, evolve makes one.
+    The rows are recorded into record, a Trajectory(q, cfg.steps + 1),
+    which a caller can allocate before it builds M; when None, evolve
+    makes one.  The record it filled is returned.
     """
     _check_compatible(state.vector.size, prop, cfg, q)
     steps = int(cfg.steps)
-    if builder is None:
-        builder = TrajectoryBuilder(q, steps + 1)
-    elif builder.times.size != steps + 1 or builder.q is not q:
-        raise ValueError(f"builder must hold cfg.steps + 1 = {steps + 1} rows "
+    if record is None:
+        record = Trajectory(q, steps + 1)
+    elif len(record) != steps + 1 or record.q is not q:
+        raise ValueError(f"record must hold cfg.steps + 1 = {steps + 1} rows "
                          "and measure with this q")
     for k, ys, chains in _stepped_blocks(state, prop, cfg, q):
-        builder.record(k, np.arange(k, k + len(ys)) * cfg.dt, ys, chains=chains)
-    return builder.build()
+        record.record(k, np.arange(k, k + len(ys)) * cfg.dt, ys, chains=chains)
+    return record
 
 
 def advance(state: SpinorFockState, prop: StepPropagator, cfg: PropagatorConfig,

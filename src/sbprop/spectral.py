@@ -8,10 +8,12 @@ the two parity chains, so each chain is diagonalized on its own, as a
 half-size tridiagonal matrix.  Dissipative matrices are refused here by
 design; that regime belongs to the Taylor route alone.
 
-diagonalize is the one route to LAPACK: one eigh per chain, on the dense
-block written from Q's band rows (model.chain_block).  No other dense
-block is formed: diagonalize measures its residual through the
-tridiagonal chains themselves.
+diagonalize is the one eigensolver call: one LAPACK eigh per chain, on
+the dense block written from Q's band rows (model.chain_block).  No
+other dense block is formed: diagonalize measures its residual through
+the tridiagonal chains themselves.  The only other LAPACK call is
+gs_scan's diagnostic slope, which np.polyfit fits by least squares
+(lstsq).
 
 `spectrum` and the ground-state scan need eigenvalues only, and take them
 from Sturm counts alone: the number of negative LDL^T pivots of a chain
@@ -45,7 +47,7 @@ import numpy as np
 from .model import (ModelParams, TransferMatrix, Truncation, build_transfer_matrix,
                     chain_block, occupied_chains, small_ufunc_buffer)
 from .states import SpinorFockState
-from .trajectory import BLOCK_ROWS, Trajectory, TrajectoryBuilder
+from .trajectory import BLOCK_ROWS, Trajectory
 
 __all__ = [
     "NonHermitianInput",
@@ -269,10 +271,10 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     chain expanded over its own half-size eigenbasis and the rows recorded
     in chain order.  A chain whose amplitudes are all exactly zero has
     F = 0 there and stays zero, so it is written as zeros, not rotated.
-    Each row is measured as evolve measures its rows, by a
-    TrajectoryBuilder of dec.q, so a state reads the same bits whichever
-    evolver holds it; the norm and the energy stay at their sums over
-    |F_j|^2 up to the decomposition residual and rounding.  The states are
+    Each row is measured as evolve measures its rows, into a Trajectory
+    of dec.q, so a state reads the same bits whichever evolver holds it;
+    the norm and the energy stay at their sums over |F_j|^2 up to the
+    decomposition residual and rounding.  The states are
     formed and recorded BLOCK_ROWS time points at a time, the block evolve
     steps, so no temporary grows with the number of time points.
     """
@@ -289,11 +291,11 @@ def teee_evolve(state: SpinorFockState, dec: SpectralDecomposition,
     coeff[chains] = _real_times_complex(
         dec.chain_vectors[chains].transpose(0, 2, 1), y0[chains])
 
-    builder = TrajectoryBuilder(dec.q, times.size)
+    traj = Trajectory(dec.q, times.size)
     for lo in range(0, times.size, BLOCK_ROWS):
         ts = times[lo:lo + BLOCK_ROWS]
-        builder.record(lo, ts, _chain_states(dec, coeff, ts, chains), chains=chains)
-    return builder.build()
+        traj.record(lo, ts, _chain_states(dec, coeff, ts, chains), chains=chains)
+    return traj
 
 
 def _real_times_complex(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -338,7 +340,8 @@ class GsScanResult:
     not read: plateau_P is the smallest scanned cutoff from which every
     later E0 stays within PLATEAU_RTOL*(1+|E0|) of the final value (None
     when only the last point qualifies); slope is the least-squares dE0/dP
-    over the final half of the scan.
+    over the final half of the scan, from np.polyfit (LAPACK's lstsq), so
+    its last digits depend on the LAPACK build.
     """
 
     p_values: np.ndarray
@@ -391,12 +394,10 @@ def gs_scan(params: ModelParams, p_values) -> GsScanResult:
     final = e0[-1]
     plateau_tol = PLATEAU_RTOL * (1.0 + abs(final))
 
-    plateau: int | None = None
-    ok_from_here = np.abs(e0 - final) <= plateau_tol
-    suffix_ok = np.logical_and.accumulate(ok_from_here[::-1])[::-1]
-    hits = np.nonzero(suffix_ok)[0]
-    if hits.size and hits[0] < ps.size - 1:
-        plateau = int(ps[hits[0]])
+    # E0 is non-increasing in P, so the cutoffs within plateau_tol of the
+    # final E0 are a suffix of the scan, and the first of them starts it
+    first = int(np.argmax(np.abs(e0 - final) <= plateau_tol))
+    plateau = int(ps[first]) if first < ps.size - 1 else None
 
     half = min(ps.size // 2, ps.size - 2)  # keep >= 2 points under the fit
     # fit E0 / 2^e, |E0| < 2^e, so that the fit cannot overflow where E0

@@ -2,7 +2,7 @@
 
 A state is a pair of complex amplitude arrays over Fock levels 0..P, one
 for the atom excited, one for the ground state.  What is measured on a
-state is defined in trajectory (TrajectoryBuilder, observe).
+state is defined in trajectory (Trajectory, observe).
 """
 
 from __future__ import annotations

@@ -1,14 +1,12 @@
-"""The observables of a state and the per-step records of both evolvers.
+"""The observables of a state and the per-step record of both evolvers.
 
-TrajectoryBuilder is the one definition of what is measured: the squared
-norm, photon number, inversion, excitation, parity and energy of each
-state, as raw (unnormalized) quadratic forms.  evolve and teee_evolve
-record a row per time point through it, and observe reads one state.
+Trajectory is the one definition of what is measured: the squared norm,
+photon number, inversion, excitation, parity and energy of each state,
+as raw (unnormalized) quadratic forms.  evolve and teee_evolve record a
+row per time point into one, and observe reads one state.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,30 +30,15 @@ BLOCK_ROWS = 64
 CSV_BLOCK_ROWS = 256
 
 
-@dataclass
 class Trajectory:
-    """Uniform (or caller-supplied) time grid plus one observable row each.
+    """The record of a run: a time and one observable row per time point.
 
-    Raw columns are the unnormalized quadratic forms; *_norm divide by
-    norm2 so both readings of decaying-norm runs stay available.
-    """
-
-    times: np.ndarray
-    norm2: np.ndarray
-    n_raw: np.ndarray
-    n_norm: np.ndarray
-    sz_raw: np.ndarray
-    sz_norm: np.ndarray
-    energy_re: np.ndarray
-    c_exp: np.ndarray
-    parity: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times.size
-
-
-class TrajectoryBuilder:
-    """Accumulates rows; evolvers call record() once per block of time points.
+    Trajectory(q, count) allocates the nine CSV columns; evolvers fill
+    them with record(), once per block of time points.  Raw columns are
+    the unnormalized quadratic forms; n_norm and sz_norm divide by norm2
+    (NaN where norm2 is not positive), so both readings of decaying-norm
+    runs stay available.  Once the last row is in, the record drops its
+    measurement buffers: a finished record holds its columns and q.
 
     The recorded vectors are in chain order (see model.chain_order); they
     are measured, not kept (propagator.advance returns a state), and not
@@ -71,15 +54,33 @@ class TrajectoryBuilder:
     conservation checks rely on.  The energy is Re <y|Q|y>, weighted by
     Q's diagonal plus its doubled off-diagonal, so every row of either
     evolver is the same six quadratic forms of its state.  The cutoff is
-    q's, and q is kept, so evolve can refuse a builder made for another Q.
+    q's, and q is kept, so evolve can refuse a record made for another Q.
     """
 
     def __init__(self, q: TransferMatrix, count: int):
+        self.q = q
+        self.times = np.empty(count)
+        self.norm2 = np.empty(count)
+        self.n_raw = np.empty(count)
+        self.n_norm = np.empty(count)
+        self.sz_raw = np.empty(count)
+        self.sz_norm = np.empty(count)
+        self.energy_re = np.empty(count)
+        self.c_exp = np.empty(count)
+        self.parity = np.empty(count)
+        self._weights = self._off = self._squares = None
+
+    def __len__(self) -> int:
+        return self.times.size
+
+    def _arm(self) -> None:
+        """Form the measurement buffers from q: the weights, the doubled
+        couplings and an empty buffer for the squares."""
+        q = self.q
         n = q.trunc.P + 1
         photon, excited = chain_slots(q.trunc.P)
         cols = [np.ones(2 * n), photon, np.where(excited, 1.0, -1.0),
                 photon + excited, np.repeat([-1.0, 1.0], n), q.diag.real]
-        self.q = q
         # per chain, a second, zero row: numpy hands a vector-vector
         # product to BLAS dot, which splits long vectors across threads,
         # while a matrix-vector product computes each output on one
@@ -94,13 +95,6 @@ class TrajectoryBuilder:
         # share it
         self._weights = np.stack(np.split(np.repeat(np.stack(cols), 2, axis=1), 2, axis=1))
         self._squares = np.empty((0, 2 * n))
-        self.times = np.empty(count)
-        self.norm2 = np.empty(count)
-        self.n_raw = np.empty(count)
-        self.sz_raw = np.empty(count)
-        self.energy_re = np.empty(count)
-        self.c_exp = np.empty(count)
-        self.parity = np.empty(count)
 
     def _measure(self, block: np.ndarray, chains: slice) -> np.ndarray:
         """(rows, 6): norm2, photon, inversion, excitation, parity and
@@ -117,6 +111,8 @@ class TrajectoryBuilder:
         shifted by one complex slot, summed against the doubled
         off-diagonal of Q in that chain.
         """
+        if self._weights is None:  # the first block, or one after the last row
+            self._arm()
         rows = block.shape[0]
         if self._squares.shape[0] < rows:
             self._squares = np.empty((rows, self._squares.shape[1]))
@@ -141,28 +137,25 @@ class TrajectoryBuilder:
         block is (rows, dim), or (rows, 2, n) with a chain per middle
         index; each chain's slots in a row must be contiguous.  Only the
         given chains are measured: the others must be exactly zero.  t
-        holds one value per row.  All six columns come from one product
-        per chain (_measure).  The values are recorded as they are, finite
-        or not: refusing a run that blew up is the step kernel's
-        (propagator._stepped_blocks).
+        holds one value per row.  All six raw columns come from one
+        product per chain (_measure), and n_norm and sz_norm from them,
+        row by row.  The values are recorded as they are, finite or not:
+        refusing a run that blew up is the step kernel's
+        (propagator._stepped_blocks).  A block that ends at the last row
+        drops the measurement buffers.
         """
         block = block.reshape(block.shape[0], 2, -1)
         rows = slice(k0, k0 + block.shape[0])
-        cols = self._measure(block, chains)
+        cols = self._measure(block, chains).T
         (self.norm2[rows], self.n_raw[rows], self.sz_raw[rows],
-         self.c_exp[rows], self.parity[rows], self.energy_re[rows]) = cols.T
-        self.times[rows] = t
-
-    def build(self) -> Trajectory:
+         self.c_exp[rows], self.parity[rows], self.energy_re[rows]) = cols
+        norm2 = cols[0]
         with np.errstate(invalid="ignore", divide="ignore"):
-            n_norm = np.where(self.norm2 > 0.0, self.n_raw / self.norm2, np.nan)
-            sz_norm = np.where(self.norm2 > 0.0, self.sz_raw / self.norm2, np.nan)
-        return Trajectory(
-            times=self.times, norm2=self.norm2,
-            n_raw=self.n_raw, n_norm=n_norm,
-            sz_raw=self.sz_raw, sz_norm=sz_norm,
-            energy_re=self.energy_re, c_exp=self.c_exp, parity=self.parity,
-        )
+            self.n_norm[rows] = np.where(norm2 > 0.0, cols[1] / norm2, np.nan)
+            self.sz_norm[rows] = np.where(norm2 > 0.0, cols[2] / norm2, np.nan)
+        self.times[rows] = t
+        if rows.stop == len(self):
+            self._weights = self._off = self._squares = None
 
 
 def observe(state: SpinorFockState, q: TransferMatrix) -> Trajectory:
@@ -174,10 +167,10 @@ def observe(state: SpinorFockState, q: TransferMatrix) -> Trajectory:
     """
     if q.trunc.P != state.P:
         raise ValueError(f"q is truncated at P = {q.trunc.P}, the state at P = {state.P}")
-    builder = TrajectoryBuilder(q, 1)
+    traj = Trajectory(q, 1)
     y = state.vector[q.order]
-    builder.record(0, 0.0, y[None], chains=occupied_chains(y))
-    return builder.build()
+    traj.record(0, 0.0, y[None], chains=occupied_chains(y))
+    return traj
 
 
 def csv_rows(*columns: np.ndarray):

@@ -44,7 +44,7 @@ from sbprop.propagator import (
     _trim,
     _unitarity_defect,
 )
-from sbprop.trajectory import TrajectoryBuilder
+from sbprop.trajectory import Trajectory
 
 FIG2 = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4)
 DEEP = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=2.0, g_plus=2.0)
@@ -52,6 +52,9 @@ RWA = ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1)
 DAMPED = ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4,
                      beta=0.01, gamma=0.01)
 CONFIGS = ["fig1", "fig2", "fig3_P200", "fig3_P400", "fig5a", "fig5b", "fig6"]
+# the nine CSV columns, as a Trajectory names them
+CSV_FIELDS = ("times", "norm2", "n_raw", "n_norm", "sz_raw", "sz_norm", "energy_re", "c_exp",
+              "parity")
 
 
 def build(params, P, dt, N=30, tol=1e-12, steps=1):
@@ -394,14 +397,14 @@ def test_evolve_into_a_given_builder_records_the_same_bits():
     q, cfg, prop = build(FIG2, 10, dt=0.05, steps=2 * BLOCK_ROWS + 5)
     s0 = fock_state(0, "e", 10)
     own = evolve(s0, prop, cfg, q)
-    given = evolve(s0, prop, cfg, q, builder=TrajectoryBuilder(q, cfg.steps + 1))
-    for a, b in zip(own.__dict__.values(), given.__dict__.values()):
-        assert a.tobytes() == b.tobytes()
+    given = evolve(s0, prop, cfg, q, record=Trajectory(q, cfg.steps + 1))
+    for col in CSV_FIELDS:
+        assert getattr(own, col).tobytes() == getattr(given, col).tobytes(), col
     q8 = build_transfer_matrix(FIG2, Truncation(P=8))
-    for wrong in (TrajectoryBuilder(q, cfg.steps),  # one row short
-                  TrajectoryBuilder(q8, cfg.steps + 1)):  # another P
-        with pytest.raises(ValueError, match="builder must hold"):
-            evolve(s0, prop, cfg, q, builder=wrong)
+    for wrong in (Trajectory(q, cfg.steps),  # one row short
+                  Trajectory(q8, cfg.steps + 1)):  # another P
+        with pytest.raises(ValueError, match="record must hold"):
+            evolve(s0, prop, cfg, q, record=wrong)
 
 
 def test_evolve_reusing_matches_single_runs_bitwise():
@@ -423,8 +426,8 @@ def test_evolve_reusing_matches_single_runs_through_the_flushed_transient():
     separate = [evolve(s, prop, cfg, q) for s in starts]
     together = evolve_reusing(starts, prop, cfg, q)
     for s, t in zip(separate, together):
-        for x, y in zip(s.__dict__.values(), t.__dict__.values()):
-            assert x.tobytes() == y.tobytes()
+        for col in CSV_FIELDS:
+            assert getattr(s, col).tobytes() == getattr(t, col).tobytes(), col
 
 
 def two_chain_state(P):

@@ -27,7 +27,7 @@ from sbprop import (
     observe,
 )
 from sbprop.states import SEARCH_LEVELS
-from sbprop.trajectory import TrajectoryBuilder
+from sbprop.trajectory import Trajectory
 
 ALPHA = 5.0  # mean photon number 25; the workhorse example throughout
 
@@ -185,7 +185,7 @@ def test_excitation_weights_commute_with_photon_conserving_coupling():
     rwa = build_transfer_matrix(
         ModelParams(omega_f=1.0, omega_0=1.0, g_minus=0.1), Truncation(P=10))
     # the weights do not depend on the couplings, so any Q at P = 10 will do
-    builder = TrajectoryBuilder(rwa, 22)
+    builder = Trajectory(rwa, 22)
     builder.record(0, np.zeros(22), np.eye(22, dtype=np.complex128))
     full = build_transfer_matrix(
         ModelParams(omega_f=1.0, omega_0=0.75, g_minus=0.4, g_plus=0.4),
@@ -209,6 +209,10 @@ def test_energy_expectation_examples():
     q = build_transfer_matrix(params, Truncation(P=3))
     assert observe(fock_state(0, "e", 3), q).energy_re[0] == 0.5
     assert observe(fock_state(2, "g", 3), q).energy_re[0] == 1.5
+    # a fully decayed state: norm2 is 0.0, and the normalized columns NaN
+    zero = observe(SpinorFockState(amps_e=np.zeros(4), amps_g=np.zeros(4)), q)
+    assert zero.norm2[0] == 0.0 and zero.energy_re[0] == 0.0
+    assert np.isnan(zero.n_norm[0]) and np.isnan(zero.sz_norm[0])
     with pytest.raises(ValueError):
         observe(fock_state(0, "e", 5), q)
 
