@@ -221,7 +221,8 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
     and cut to the step band S that evolve applies (_trim); the result
     holds S alone, and the rest of M is freed.  For Hermitian Q the
     unitarity defect max|S+S - 1| is then measured once
-    (_unitarity_defect) and carried on the result; both certificates are
+    (_unitarity_defect) and passed to the record's constructor with the
+    band, so the result is whole when it is made; both certificates are
     enforced (certify).  The loop and the defect run under
     model.small_ufunc_buffer: their operands are strided windows, and
     numpy's default buffers for them cost more than they save.
@@ -273,10 +274,9 @@ def build_step_propagator(q: TransferMatrix, cfg: PropagatorConfig) -> StepPropa
         del m
         band, dropped = _trim(band)
         fp = propagator_fingerprint(q.params, q.trunc.P, cfg.N, cfg.dt)
-        prop = StepPropagator(fp, dim, cfg.N, cfg.dt, band=band,
-                              last_term_norm=last, dropped_norm=dropped)
-        if q.hermitian:
-            prop.unitarity_defect = _unitarity_defect(prop.band)
+        prop = StepPropagator(fp, dim, cfg.N, cfg.dt, band=band, last_term_norm=last,
+                              unitarity_defect=_unitarity_defect(band) if real else None,
+                              dropped_norm=dropped)
     certify(prop, q, cfg)
     return prop
 

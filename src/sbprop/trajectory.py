@@ -33,12 +33,12 @@ CSV_BLOCK_ROWS = 256
 class Trajectory:
     """The record of a run: a time and one observable row per time point.
 
-    Trajectory(q, count) allocates the nine CSV columns; evolvers fill
-    them with record(), once per block of time points.  Raw columns are
-    the unnormalized quadratic forms; n_norm and sz_norm divide by norm2
-    (NaN where norm2 is not positive), so both readings of decaying-norm
-    runs stay available.  Once the last row is in, the record drops its
-    measurement buffers: a finished record holds its columns and q.
+    Trajectory(q, count) allocates the nine CSV columns and forms the
+    per-chain weights and doubled couplings from q once; evolvers fill
+    the columns with record(), once per block of time points, and every
+    call runs the same code.  Raw columns are the unnormalized quadratic
+    forms; n_norm and sz_norm divide by norm2 (NaN where norm2 is not
+    positive), so both readings of decaying-norm runs stay available.
 
     The recorded vectors are in chain order (see model.chain_order); they
     are measured, not kept (propagator.advance returns a state), and not
@@ -68,15 +68,6 @@ class Trajectory:
         self.energy_re = np.empty(count)
         self.c_exp = np.empty(count)
         self.parity = np.empty(count)
-        self._weights = self._off = self._squares = None
-
-    def __len__(self) -> int:
-        return self.times.size
-
-    def _arm(self) -> None:
-        """Form the measurement buffers from q: the weights, the doubled
-        couplings and an empty buffer for the squares."""
-        q = self.q
         n = q.trunc.P + 1
         photon, excited = chain_slots(q.trunc.P)
         cols = [np.ones(2 * n), photon, np.where(excited, 1.0, -1.0),
@@ -94,7 +85,9 @@ class Trajectory:
         # per chain, one weight per float of the complex vector: re and im
         # share it
         self._weights = np.stack(np.split(np.repeat(np.stack(cols), 2, axis=1), 2, axis=1))
-        self._squares = np.empty((0, 2 * n))
+
+    def __len__(self) -> int:
+        return self.times.size
 
     def _measure(self, block: np.ndarray, chains: slice) -> np.ndarray:
         """(rows, 6): norm2, photon, inversion, excitation, parity and
@@ -104,28 +97,20 @@ class Trajectory:
         Each chain is measured with its own products and the chains'
         results are added, so a chain left out costs nothing and adds
         nothing.  Per chain, |y|^2 is formed once, from the float view of
-        its rows, into a buffer kept for the next block.  Each row is then
-        one matrix-vector product with the chain's weights, so a row
-        measures the same bits alone or anywhere in a block.  The
-        off-diagonal energy reuses the buffer: the float view times itself
-        shifted by one complex slot, summed against the doubled
-        off-diagonal of Q in that chain.
+        its rows, as a new array for this block.  Each row is then one
+        matrix-vector product with the chain's weights, so a row measures
+        the same bits alone or anywhere in a block.  The off-diagonal
+        energy is the float view times itself shifted by one complex slot,
+        summed against the doubled off-diagonal of Q in that chain.
         """
-        if self._weights is None:  # the first block, or one after the last row
-            self._arm()
-        rows = block.shape[0]
-        if self._squares.shape[0] < rows:
-            self._squares = np.empty((rows, self._squares.shape[1]))
-        buf = self._squares[:rows]
         total = None
         # finite amplitudes whose squares overflow are recorded as they
         # are (inf, or NaN where infinite terms cancel)
         with np.errstate(over="ignore", invalid="ignore"):
             for c in range(chains.start, chains.stop):
                 y = block[:, c].view(np.float64)
-                np.multiply(y, y, out=buf)
-                cols = np.matmul(self._weights[c], buf[:, :, None])[:, :, 0]
-                pairs = np.multiply(y[:, :-2], y[:, 2:], out=buf[:, :-2])
+                cols = np.matmul(self._weights[c], (y * y)[:, :, None])[:, :, 0]
+                pairs = y[:, :-2] * y[:, 2:]
                 cols[:, -1] += np.matmul(self._off[c], pairs[:, :, None])[:, 0, 0]
                 total = cols if total is None else total + cols
         return total
@@ -141,8 +126,7 @@ class Trajectory:
         product per chain (_measure), and n_norm and sz_norm from them,
         row by row.  The values are recorded as they are, finite or not:
         refusing a run that blew up is the step kernel's
-        (propagator._stepped_blocks).  A block that ends at the last row
-        drops the measurement buffers.
+        (propagator._stepped_blocks).
         """
         block = block.reshape(block.shape[0], 2, -1)
         rows = slice(k0, k0 + block.shape[0])
@@ -154,8 +138,6 @@ class Trajectory:
             self.n_norm[rows] = np.where(norm2 > 0.0, cols[1] / norm2, np.nan)
             self.sz_norm[rows] = np.where(norm2 > 0.0, cols[2] / norm2, np.nan)
         self.times[rows] = t
-        if rows.stop == len(self):
-            self._weights = self._off = self._squares = None
 
 
 def observe(state: SpinorFockState, q: TransferMatrix) -> Trajectory:

@@ -1,9 +1,9 @@
 """Memory guards: the cutoff scan and a run over a retired cache file stay
 off dense matrices, the build of M and its unitarity defect stay within a
 few copies of its band, a cache hit holds one copy of the step band,
-diagonalize's checks reuse two chain-sized buffers, advance holds one
-block of states however many steps it takes, and teee_evolve one block
-of states however many time points it records.
+diagonalize's checks reuse two chain-sized buffers, advance and evolve
+hold one block of states however many steps they take, and teee_evolve
+one block of states however many time points it records.
 
 Each routine works on chain-sized pieces, so its traced peak stays below
 the size of one dense matrix of the kind it used to build.
@@ -27,6 +27,7 @@ from sbprop import (
     build_transfer_matrix,
     coherent_state,
     diagonalize,
+    evolve,
     fock_state,
     gs_scan,
     load_run_config,
@@ -95,6 +96,23 @@ def test_advance_holds_one_block_however_many_steps():
     short, long = (traced_peak(advance, s0, prop, PropagatorConfig(dt=dt, steps=k), q)
                    for k in (200, 20000))
     assert long - short < block_bytes
+
+
+@pytest.mark.parametrize("state", [
+    fock_state(0, "e", 100),
+    coherent_state(CoherentSpec(3.0, math.pi / 4), 100),
+], ids=["fock", "coherent"])
+def test_evolve_holds_one_block_however_many_steps(state):
+    # P = 100: 19,800 more rows grow the 9-column record by 1.43 MB, and
+    # BLOCK_ROWS states take 0.2 MB; nothing else may grow with the run
+    q = build_transfer_matrix(FIG2, Truncation(P=100))
+    dt = suggest_step(q)
+    prop = build_step_propagator(q, PropagatorConfig(dt=dt, steps=1))
+    record_bytes = 9 * (20000 - 200) * 8
+    block_bytes = BLOCK_ROWS * q.dim * 16
+    short, long = (traced_peak(evolve, state, prop, PropagatorConfig(dt=dt, steps=k), q)
+                   for k in (200, 20000))
+    assert long - short < record_bytes + block_bytes
 
 
 @pytest.mark.parametrize("state", [

@@ -186,7 +186,7 @@ def test_a_row_measures_the_same_bits_alone_and_anywhere_in_a_block(P):
                             for lo in range(0, BLOCK_ROWS, 5)])
     assert np.array_equal(parts, whole)
 
-    # one builder, its buffer reused block after block as in evolve
+    # one builder, recorded into block after block as in evolve
     builder = Trajectory(q, BLOCK_ROWS)
     others = random_rows(rng, BLOCK_ROWS, q.dim)
     for r in range(BLOCK_ROWS):

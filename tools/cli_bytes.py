@@ -43,6 +43,8 @@ def cases() -> list[list[str]]:
              ["gs-scan", *cfg("fig5a")], ["gs-scan", *cfg("fig5b")],
              # a short scan of a bounded model
              ["gs-scan", *cfg("fig5a"), "--p-values", "0,1"],
+             # the rotating-wave model: one chain left live in the Sturm sweep
+             ["spectrum", *cfg("fig1")], ["gs-scan", *cfg("fig1"), "--p-values", "0:50"],
              ["cache", "list"]]
     return runs
 
